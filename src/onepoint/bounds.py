@@ -529,7 +529,8 @@ def corpus_extremes(
             max_count = max(max_count, count_face_points(member, (), cap))
             smallest = min(bary)
             min_coord = smallest if min_coord is None else min(min_coord, smallest)
-        assert min_coord is not None
+        if min_coord is None:
+            raise AssertionError(f"dimension {d} has no members")
         volume_bound = Fraction((d + 1) ** (2**d - 1), factorial(d))
         coordinate_bound = Fraction(1, (d + 1) ** (2**d))
         summaries.append(

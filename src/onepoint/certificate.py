@@ -188,7 +188,8 @@ def second_interior_point(
         if partition_ratio(sorted_coords.coords, positions) >= 1:
             continue
         admissible = find_admissible_weights(sorted_coords.coords, positions)
-        assert admissible is not None
+        if admissible is None:
+            raise AssertionError(f"partition {positions} fails but has no admissible weights")
         complement = [k for k in range(n) if not mask >> k & 1]
         weight_order = tuple(sorted_coords.order[k] for k in complement)
         total = admissible.total

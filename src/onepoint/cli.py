@@ -530,7 +530,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("atlas2d", help="all planar one-point triangles up to symmetry")
-    p.add_argument("--radius", type=int, default=30)
+    p.add_argument(
+        "--radius",
+        type=int,
+        default=30,
+        help="box |x|, |y| <= RADIUS the reported classes fit in; at least 9; "
+        "does not change the work (default %(default)s)",
+    )
     p.set_defaults(handler=_cmd_atlas2d)
 
     p = sub.add_parser("report", help="extremal statistics of a verified corpus")

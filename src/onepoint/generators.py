@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
 
 from .bounds import (
     chain_decompose,
@@ -23,7 +22,7 @@ from .bounds import (
     coordinate_lower_bounds,
     interior_coordinates,
 )
-from .exact import IntMatrix, col_hnf, det_int, ext_gcd, mat_vec, transpose
+from .exact import IntMatrix, col_hnf, det_int, mat_vec, transpose
 from .points import DEFAULT_CAP, count_face_points, enumerate_interior
 from .simplex import LatticeSimplex, normalized_volume
 
@@ -153,14 +152,11 @@ def _canonical_at(vertices: tuple[Vector, ...], anchor: Vector) -> tuple[
     translated = tuple(
         tuple(v[c] - anchor[c] for c in range(len(anchor))) for v in vertices
     )
-    best = None
-    for perm in itertools.permutations(range(len(vertices))):
-        rows = tuple(translated[p] for p in perm)
-        h, v = col_hnf(rows)
-        if best is None or h < best[0]:
-            best = (h, v)
-    assert best is not None
-    h, v = best
+    h, v = min(
+        (col_hnf(tuple(translated[p] for p in perm))
+         for perm in itertools.permutations(range(len(vertices)))),
+        key=lambda hv: hv[0],
+    )
     linear = transpose(v)
     offset = tuple(-x for x in mat_vec(linear, anchor))
     if abs(det_int(linear)) != 1:
@@ -210,94 +206,50 @@ class Atlas2D:
     max_point_count: int
 
 
-def _points_on_line(v: Vector, target: int, radius: int) -> Iterator[Vector]:
-    # integer points w in the radius box with det(v, w) = target
-    a, b = v
-    g, s, t = ext_gcd(-b, a)
-    if target % g:
-        return
-    x, y = s * (target // g), t * (target // g)
-    dx, dy = a // g, b // g
-    lo: int | None = None
-    hi: int | None = None
-    for base, step in ((x, dx), (y, dy)):
-        if step > 0:
-            first, last = -((radius + base) // step), (radius - base) // step
-        elif step < 0:
-            first, last = -((radius - base) // -step), (radius + base) // -step
-        elif abs(base) > radius:
-            return
-        else:
-            continue
-        lo = first if lo is None else max(lo, first)
-        hi = last if hi is None else min(hi, last)
-    if lo is None or hi is None:
-        return
-    for k in range(lo, hi + 1):
-        yield (x + k * dx, y + k * dy)
-
-
 def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atlas2D:
     """Every planar one-point triangle up to lattice symmetry, verified.
 
-    Sweeps triangles (v0, v1, v2) with vertices in the given box, the
-    origin strictly inside, and v0 the lexicographically smallest vertex.
-    Writing the pairwise determinants of consecutive vertices as positive
-    integers, their sum is the doubled area, which for a single interior
-    point cannot exceed 27; the sweep runs over all splits of that budget.
-    A doubled-area-equals-boundary-count filter keeps exactly the
-    one-interior-point triangles, each surviving triangle is folded into
-    its canonical form, and every class is then re-verified from scratch:
-    interior census of size one, all partition inequalities, coordinate
-    lower bounds, and the chain bounds.
+    Sweeps triangles (v0, v1, v2) around the origin in counterclockwise
+    order, one per orbit of the first two vertices under SL2(Z).  Writing
+    the determinants of consecutive vertices as positive integers d0, d1,
+    d2, their sum is the doubled area, which for a single interior point
+    cannot exceed 27, and d0 v0 + d1 v1 + d2 v2 = 0.  A unimodular map
+    sends v0 to (g, 0) with g = gcd(v0); then v1 = (a, d2/g), and the
+    shears fixing (g, 0) reduce a to 0 <= a < d2/g.  The sweep runs over
+    these representatives and all splits of the budget, so its work does
+    not depend on the radius.  A doubled-area-equals-boundary-count filter
+    keeps exactly the one-interior-point triangles, each surviving triangle
+    is folded into its canonical form, and every class is then re-verified
+    from scratch: interior census of size one, all partition inequalities,
+    coordinate lower bounds, and the chain bounds.
+
+    The radius names the box |x|, |y| <= box_radius that every reported
+    form is checked to fit in; from 9 on the box holds every class.
     """
     if box_radius < 9:
         raise ValueError("a box radius below 9 cannot reach every class")
-    r = box_radius
     forms: set[tuple[Vector, ...]] = set()
-    candidates = [
-        (x, y) for x in range(-r, r + 1) for y in range(-r, r + 1) if (x, y) != (0, 0)
-    ]
-    for v0 in candidates:
-        ax, ay = v0
-        for d2 in range(1, 26):
-            budget = 27 - d2
-            for v1 in _points_on_line(v0, d2, r):
-                if v1 <= v0:
-                    continue
-                bx, by = v1
-                edge01 = gcd(bx - ax, by - ay)
-                bound = r * d2
+    for d2 in range(1, 26):
+        budget = 27 - d2
+        for g in (k for k in range(1, d2 + 1) if d2 % k == 0):
+            b = d2 // g
+            for a in range(b):
+                edge01 = gcd(a - g, b)
                 for u in range(1, budget):
-                    px, py = u * ax, u * ay
-                    lo, hi = 1, budget - u
-                    # clamp t so v2 = -(u v0 + t v1)/d2 stays inside the box
-                    for pc, vc in ((px, bx), (py, by)):
-                        if vc > 0:
-                            lo = max(lo, -((bound + pc) // vc))
-                            hi = min(hi, (bound - pc) // vc)
-                        elif vc < 0:
-                            lo = max(lo, -((bound - pc) // -vc))
-                            hi = min(hi, (bound + pc) // -vc)
-                        elif abs(pc) > bound:
-                            lo = hi + 1
-                    for t in range(lo, hi + 1):
-                        nx, ny = -(px + t * bx), -(py + t * by)
-                        if nx % d2 or ny % d2:
+                    # (u, t) = (d0, d1); d2 v2 = -(u v0 + t v1) has y = -t b, so g | t
+                    for t in range(g, budget - u + 1, g):
+                        nx = -(u * g + t * a)
+                        if nx % d2:
                             continue
-                        v2 = (nx // d2, ny // d2)
-                        if v2 <= v0:
+                        cx, cy = nx // d2, -(t // g)
+                        if u + t + d2 != edge01 + gcd(cx - a, cy - b) + gcd(g - cx, cy):
                             continue
-                        cx, cy = v2
-                        boundary = (
-                            edge01 + gcd(cx - bx, cy - by) + gcd(ax - cx, ay - cy)
-                        )
-                        if u + t + d2 != boundary:
-                            continue
-                        form, _, _ = _canonical_at((v0, v1, v2), (0, 0))
+                        form, _, _ = _canonical_at(((g, 0), (a, b), (cx, cy)), (0, 0))
                         forms.add(form)
     classes = []
     for form in forms:
+        if any(abs(x) > box_radius for v in form for x in v):
+            raise AssertionError(f"class {form} does not fit in radius {box_radius}")
         member = LatticeSimplex(form)
         census = enumerate_interior(member, cap)
         if census.points != ((0, 0),):

@@ -166,7 +166,8 @@ def barycentric_of(simplex: LatticeSimplex, point: Sequence[Fraction | int]) -> 
     coords = tuple(
         sum(c * y for c, y in zip(row, rhs)) for row in simplex._hull_inverse
     )
-    assert sum(coords) == 1
+    if sum(coords) != 1:
+        raise AssertionError("barycentric coordinates do not sum to 1")
     return coords
 
 
@@ -230,7 +231,8 @@ def normalized_volume(simplex: LatticeSimplex | RatSimplex) -> Fraction:
     scale = lcm(*(Fraction(x).denominator for row in edges for x in row))
     scaled = [[int(x * scale) for x in row] for row in edges]
     divisors = snf_divisors(scaled)
-    assert len(divisors) == k
+    if len(divisors) != k:
+        raise AssertionError(f"edge matrix has rank {len(divisors)}, not {k}")
     return Fraction(prod(divisors), factorial(k)) / scale**k
 
 

@@ -203,7 +203,7 @@ def test_criterion_10_planar_atlas():
     best = max(at30.classes, key=lambda c: c.volume)
     assert op.normal_form_2d(tri3).simplex == best.form
     assert all(c.volume <= Fraction(27, 2) for c in at30.classes)
-    assert time.perf_counter() - started < 600
+    assert time.perf_counter() - started < 30
 
 
 @criterion(11, "lattice point count bound on every face")

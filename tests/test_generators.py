@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import onepoint as op
+from onepoint import generators
 
 
 def test_sylvester_frozen():
@@ -113,6 +114,28 @@ def test_atlas_frozen():
     slacks = {c.form.vertices: c.min_slack for c in atlas.classes}
     assert slacks[((1, 0), (0, 1), (-1, -1))] == Fraction(2, 9)
     assert slacks[((1, 0), (0, 1), (-3, -2))] == 0
+
+
+def test_atlas_work_does_not_grow_with_radius(monkeypatch):
+    calls = 0
+    real = generators.col_hnf
+
+    def counting(rows):
+        nonlocal calls
+        calls += 1
+        return real(rows)
+
+    monkeypatch.setattr(generators, "col_hnf", counting)
+    counts = []
+    for radius in (9, 30, 1000):
+        calls = 0
+        atlas = op.onepoint_triangle_atlas(radius)
+        got = tuple((c.form.vertices, c.volume, c.point_count) for c in atlas.classes)
+        assert got == ATLAS_CLASSES
+        assert atlas.radius == radius
+        counts.append(calls)
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 3
 
 
 def test_atlas_rejects_small_radius():
