@@ -29,7 +29,6 @@ from .bounds import (
     reduced_system,
     section_volume_check,
     sort_barycentric,
-    unique_interior_point,
     zpw_lower_chain,
 )
 from .certificate import (

@@ -23,7 +23,7 @@ from math import ceil, factorial, floor, prod
 from typing import Iterable, Sequence
 
 from .exact import RatMatrix, det_rat, rat_matrix
-from .points import DEFAULT_CAP, EnumerationCapError, count_face_points, enumerate_interior
+from .points import DEFAULT_CAP, _capped_box, _scan, count_face_points, is_onepoint
 from .simplex import (
     LatticeSimplex,
     barycentric_of,
@@ -174,23 +174,16 @@ def partition_ratio(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -
 
 
 # ---------------------------------------------------------------------------
-# membership helpers
-
-
-def unique_interior_point(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> Vector:
-    census = enumerate_interior(simplex, cap)
-    if len(census.points) != 1:
-        raise ValueError(
-            f"simplex has {len(census.points)} interior lattice points, expected exactly 1"
-        )
-    return census.points[0]
+# the interior point
 
 
 def interior_coordinates(
     simplex: LatticeSimplex, cap: int = DEFAULT_CAP
 ) -> tuple[Vector, RatVector]:
     """The unique interior lattice point and its barycentric coordinates."""
-    point = unique_interior_point(simplex, cap)
+    point = is_onepoint(simplex, cap)
+    if point is None:
+        raise ValueError("simplex does not have exactly one interior lattice point")
     return point, barycentric_of(simplex, point)
 
 
@@ -464,23 +457,15 @@ def parallelotope_check(
         (ceil(min(c[i] for c in corners)), floor(max(c[i] for c in corners)))
         for i in range(d)
     )
-    candidates = prod(hi - lo + 1 for lo, hi in box)
-    if candidates > cap:
-        raise EnumerationCapError(cap, candidates)
+    box = _capped_box(box, cap)
     # 0 < row(x) < 2 row(p) in the integer functional forms, per kept axis
-    rows = simplex.functional_rows
-    doubled = []
+    halfspaces = []
     for n in axes:
-        coeffs, const = rows[n]
-        doubled.append((coeffs, const, 2 * (sum(c * x for c, x in zip(coeffs, point)) + const)))
-    count = 0
-    for candidate in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
-        for coeffs, const, top in doubled:
-            value = sum(c * x for c, x in zip(coeffs, candidate)) + const
-            if not 0 < value < top:
-                break
-        else:
-            count += 1
+        coeffs, const = simplex.functional_rows[n]
+        top = 2 * (sum(c * x for c, x in zip(coeffs, point)) + const)
+        halfspaces.append((coeffs, const - 1))
+        halfspaces.append((tuple(-c for c in coeffs), top - 1 - const))
+    count = _scan(halfspaces, box, collect=False)
     passed = count == 1 and volume <= 2**d
     return ParallelotopeCheck(point, omit, extents, volume, count, passed)
 

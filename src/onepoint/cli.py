@@ -23,6 +23,7 @@ from .bounds import (
     coordinate_lower_bounds,
     corpus_extremes,
     face_volume_bound,
+    interior_coordinates,
     parallelotope_check,
     reduced_system,
     section_volume_check,
@@ -30,7 +31,13 @@ from .bounds import (
 )
 from .certificate import second_interior_point
 from .generators import canonical_examples, onepoint_triangle_atlas, sylvester, zpw_simplex
-from .points import DEFAULT_CAP, EnumerationCapError, enumerate_interior
+from .points import (
+    DEFAULT_CAP,
+    EnumerationCapError,
+    classify_point,
+    enumerate_interior,
+    is_onepoint,
+)
 from .simplex import (
     LatticeSimplex,
     SimplexParseError,
@@ -114,12 +121,7 @@ def _cmd_bary(args: argparse.Namespace) -> Handled:
     simplex = _load(args.file)
     point = _parse_point(args.point, simplex.ambient_dim, lattice=False)
     coords = barycentric_of(simplex, _point_arg(point))
-    if all(c > 0 for c in coords):
-        kind = "interior"
-    elif any(c < 0 for c in coords):
-        kind = "outside"
-    else:
-        kind = "boundary"
+    kind = classify_point(simplex, _point_arg(point)).kind
     payload = {
         "point": list(point),
         "coordinates": list(coords),
@@ -189,15 +191,9 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
     return (0 if report.passed else 1), payload, lines
 
 
-def _require_member(simplex: LatticeSimplex, cap: int) -> tuple[int, ...] | None:
-    census = enumerate_interior(simplex, cap)
-    return census.points[0] if len(census.points) == 1 else None
-
-
 def _cmd_bounds(args: argparse.Namespace) -> Handled:
     simplex = _load(args.file)
-    member = _require_member(simplex, args.cap)
-    if member is None:
+    if is_onepoint(simplex, args.cap) is None:
         return 1, {"passed": False, "reason": "not a one-point simplex"}, [
             "the simplex does not have exactly one interior lattice point"
         ]
@@ -211,7 +207,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Handled:
             omitted = tuple(i for i in rest if i not in weight_set)
             faces.append(face_volume_bound(simplex, omitted, weight_set, args.cap))
     box = parallelotope_check(simplex, 0, args.cap)
-    coords = barycentric_of(simplex, member)
+    _, coords = interior_coordinates(simplex, args.cap)
     sections = []
     for mask in range(2 ** (d + 1) - 1):
         omitted = tuple(i for i in range(d + 1) if mask >> i & 1)
@@ -284,7 +280,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Handled:
 
 def _cmd_chain(args: argparse.Namespace) -> Handled:
     simplex = _load(args.file)
-    if _require_member(simplex, args.cap) is None:
+    if is_onepoint(simplex, args.cap) is None:
         return 1, {"passed": False, "reason": "not a one-point simplex"}, [
             "the simplex does not have exactly one interior lattice point"
         ]
@@ -363,13 +359,13 @@ def _cmd_cert(args: argparse.Namespace) -> Handled:
 
 
 def _simplex_payload(simplex: LatticeSimplex, cap: int) -> dict[str, Any]:
-    census = enumerate_interior(simplex, cap)
+    point, coords = interior_coordinates(simplex, cap)
     return {
         "dim": simplex.dim,
         "vertices": [list(v) for v in simplex.vertices],
-        "interior_point": list(census.points[0]),
+        "interior_point": list(point),
         "volume": normalized_volume(simplex),
-        "coordinates": list(barycentric_of(simplex, census.points[0])),
+        "coordinates": list(coords),
     }
 
 
@@ -381,8 +377,8 @@ def _cmd_gen(args: argparse.Namespace) -> Handled:
     payload: dict[str, Any] = {"dim": d, "families": {}, "passed": True}
     lines: list[str] = []
     if wanted in ("zpw", "all"):
-        payload["sylvester"] = list(sylvester(d).terms)
         simplex = zpw_simplex(d, verify=True, cap=args.cap)
+        payload["sylvester"] = list(sylvester(d).terms)
         payload["families"]["zpw"] = _simplex_payload(simplex, args.cap)
     if wanted in ("dilated", "reflected", "all"):
         dilated, reflected = canonical_examples(d, verify=True, cap=args.cap)

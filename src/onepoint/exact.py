@@ -1,13 +1,13 @@
 """Exact linear algebra on small dense integer and rational matrices.
 
 Everything in this package ultimately reduces to a handful of matrix
-primitives, and all of them must be exact: determinants, inverses, linear
-solves, Smith normal form divisors, and Hermite normal forms.  Matrices are
+primitives, and all of them must be exact: determinants, inverses, ranks,
+Smith normal form divisors, and Hermite normal forms.  Matrices are
 immutable tuples of tuples, integers are plain Python ints, rationals are
 ``fractions.Fraction``.  There is no floating point anywhere.
 
 Determinants of integer matrices use fraction-free Bareiss elimination,
-rational inverses and solves use Gauss-Jordan elimination, and Smith normal
+rational inverses use Gauss-Jordan elimination, and Smith normal
 form is computed by repeated gcd row/column reduction.  The matrices this
 package sees are tiny (at most 8x8 or so), so simplicity and auditability
 win over asymptotics.
@@ -26,7 +26,7 @@ RatVector = tuple[Fraction, ...]
 
 
 class SingularMatrixError(ArithmeticError):
-    """Raised when an inverse or a unique solution does not exist."""
+    """Raised when an inverse does not exist."""
 
 
 def _check_int(value: object) -> int:
@@ -146,39 +146,6 @@ def invert_rat(matrix: Sequence[Sequence[Fraction | int]]) -> RatMatrix:
                 factor = aug[i][col]
                 aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def solve_rat(
-    matrix: Sequence[Sequence[Fraction | int]],
-    rhs: Sequence[Fraction | int],
-) -> RatVector | None:
-    """Solve an exactly-determined or overdetermined linear system.
-
-    The columns of ``matrix`` must be linearly independent.  Returns the
-    unique solution, or None when the system is inconsistent.
-    """
-    m = rat_matrix(matrix)
-    b = [Fraction(x) for x in rhs]
-    if len(m) != len(b):
-        raise ValueError("right-hand side length does not match")
-    rows = [list(row) + [bi] for row, bi in zip(m, b)]
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("columns are linearly dependent")
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    if any(row[-1] != 0 for row in rows[rank:]):
-        return None
-    return tuple(rows[i][-1] for i in range(ncols))
 
 
 def rank_rat(matrix: Sequence[Sequence[Fraction | int]]) -> int:

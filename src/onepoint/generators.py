@@ -23,7 +23,7 @@ from .bounds import (
     interior_coordinates,
 )
 from .exact import IntMatrix, col_hnf, det_int, mat_vec, transpose
-from .points import DEFAULT_CAP, count_face_points, enumerate_interior
+from .points import DEFAULT_CAP, EnumerationCapError, count_face_points, enumerate_interior
 from .simplex import LatticeSimplex, normalized_volume
 
 Vector = tuple[int, ...]
@@ -78,10 +78,21 @@ def zpw_simplex(dim: int, verify: bool = True, cap: int = DEFAULT_CAP) -> Lattic
     volume grows doubly exponentially with the dimension.  With ``verify``
     the interior census is enumerated and checked; from dimension 6 on the
     census blows past any practical cap, so callers wanting the raw
-    simplex pass ``verify=False``.
+    simplex pass ``verify=False``.  The census box, the product of the
+    t_i + 1, meets ``cap`` as the terms are built, before they grow huge.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
+    if verify:
+        box, term = 1, 2
+        for _ in range(dim):
+            box *= term + 1
+            # past 128 bits the error prints "at least 2^k", still true of a partial box
+            if box > cap and box.bit_length() > 128:
+                break
+            term = term * (term - 1) + 1
+        if box > cap:
+            raise EnumerationCapError(cap, box)
     terms = sylvester(dim).terms
     vertices = [(0,) * dim]
     for i, t in enumerate(terms):

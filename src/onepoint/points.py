@@ -3,10 +3,10 @@
 Single points are classified through exact rational barycentric
 coordinates.  Bulk enumeration works on the integer forms of the same
 functionals: each barycentric functional times the positive hull
-determinant has integer coefficients, so sign conditions on lattice points
-become pure integer comparisons.  Scans walk the vertex bounding box one
-axis short and solve the remaining axis as an integer interval, which keeps
-even million-point boxes cheap.
+determinant has integer coefficients, so the interior, a closed face and
+the parallelotope around the interior point are all integer half-spaces
+for one box scan.  It walks the box one axis short and solves the last
+axis as an integer interval, which keeps even million-point boxes cheap.
 
 Every scan is guarded by a candidate cap: when the bounding box holds more
 candidates than the cap allows, the scan refuses up front instead of
@@ -28,14 +28,24 @@ Vector = tuple[int, ...]
 
 DEFAULT_CAP = 10**8
 
+# censuses kept per cache; one op revisits at most a few dozen simplices
+_CACHE_SIZE = 64
+
+
+def _count_text(n: int) -> str:
+    # str() refuses ints past 4,300 digits, and long digit strings say little
+    if n.bit_length() <= 128:
+        return str(n)
+    return f"at least 2^{n.bit_length() - 1}"
+
 
 class EnumerationCapError(RuntimeError):
     """A bounding-box scan would exceed the configured candidate cap."""
 
     def __init__(self, cap: int, required: int):
         super().__init__(
-            f"bounding box holds {required} candidate points, "
-            f"above the enumeration cap of {cap}"
+            f"bounding box holds {_count_text(required)} candidate points, "
+            f"above the enumeration cap of {_count_text(cap)}"
         )
         self.cap = cap
         self.required = required
@@ -90,11 +100,14 @@ def _vertex_box(vertices: Sequence[Vector]) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _box_candidates(box: Sequence[tuple[int, int]]) -> int:
-    total = 1
+def _capped_box(box: tuple[tuple[int, int], ...], cap: int) -> tuple[tuple[int, int], ...]:
+    """The box itself, or a refusal when it holds more than ``cap`` candidates."""
+    required = 1
     for lo, hi in box:
-        total *= hi - lo + 1
-    return total
+        required *= hi - lo + 1
+    if required > cap:
+        raise EnumerationCapError(cap, required)
+    return box
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -102,37 +115,27 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _scan(
-    simplex: LatticeSimplex,
-    box: tuple[tuple[int, int], ...],
-    zero_rows: frozenset[int],
-    strict: bool,
-    cap: int,
+    halfspaces: Sequence[tuple[tuple[int, ...], int]],
+    box: Sequence[tuple[int, int]],
     collect: bool,
 ) -> int | list[Vector]:
-    """Count or collect lattice points meeting barycentric sign conditions.
+    """Count or collect the lattice points of ``box`` in every half-space.
 
-    Rows in ``zero_rows`` must vanish; all other rows must be positive when
-    ``strict`` else nonnegative.  The longest box axis is solved as an
-    integer interval, the rest are walked directly.
+    Each half-space is an integer pair (coeffs, const) meaning
+    coeffs . x + const >= 0; a strict or an equality condition on an
+    integer form is written as one or two such pairs.  The longest box
+    axis is solved as an integer interval, the rest are walked directly.
+    Collected points come back sorted.  Callers pass a box from
+    :func:`_capped_box`, so the refusal comes before any row is built.
     """
-    required = _box_candidates(box)
-    if required > cap:
-        raise EnumerationCapError(cap, required)
-    rows = simplex.functional_rows
-    d = simplex.ambient_dim
+    d = len(box)
     scan_axis = max(range(d), key=lambda a: box[a][1] - box[a][0])
     prefix_axes = [a for a in range(d) if a != scan_axis]
-    # (scan coefficient, prefix coefficients, adjusted constant) per row;
-    # strict "value > 0" on integers is "value - 1 >= 0"
-    prepared = []
-    for idx, (coeffs, const) in enumerate(rows):
-        if idx in zero_rows:
-            mode = "eq"
-            offset = const
-        else:
-            mode = "ge"
-            offset = const - 1 if strict else const
-        prepared.append((mode, coeffs[scan_axis], [coeffs[a] for a in prefix_axes], offset))
+    # (scan coefficient, prefix coefficients, constant) per half-space
+    prepared = [
+        (coeffs[scan_axis], [coeffs[a] for a in prefix_axes], const)
+        for coeffs, const in halfspaces
+    ]
     scan_lo, scan_hi = box[scan_axis]
     found: list[Vector] = []
     count = 0
@@ -140,21 +143,9 @@ def _scan(
     for prefix in itertools.product(*ranges):
         lo, hi = scan_lo, scan_hi
         alive = True
-        for mode, c, pcoeffs, offset in prepared:
-            base = offset + sum(p * x for p, x in zip(pcoeffs, prefix))
-            if mode == "eq":
-                if c == 0:
-                    if base != 0:
-                        alive = False
-                        break
-                else:
-                    q, r = divmod(-base, c)
-                    if r:
-                        alive = False
-                        break
-                    lo = max(lo, q)
-                    hi = min(hi, q)
-            elif c > 0:
+        for c, pcoeffs, const in prepared:
+            base = const + sum(p * x for p, x in zip(pcoeffs, prefix))
+            if c > 0:
                 lo = max(lo, _ceil_div(-base, c))
             elif c < 0:
                 hi = min(hi, (-base) // c)
@@ -181,7 +172,7 @@ def _scan(
     return count
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def enumerate_interior(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> InteriorCensus:
     """Enumerate every interior lattice point of a full-dimensional simplex.
 
@@ -190,18 +181,22 @@ def enumerate_interior(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> Inter
     ``cap``.  Points come back in lexicographic order.
     """
     simplex._require_full()
-    box = _vertex_box(simplex.vertices)
-    points = _scan(simplex, box, frozenset(), strict=True, cap=cap, collect=True)
-    return InteriorCensus(tuple(points), box)
+    box = _capped_box(_vertex_box(simplex.vertices), cap)
+    # every functional strictly positive: row - 1 >= 0 on integers
+    interior = [(coeffs, const - 1) for coeffs, const in simplex.functional_rows]
+    return InteriorCensus(tuple(_scan(interior, box, collect=True)), box)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _count_face_points(simplex: LatticeSimplex, omitted: frozenset[int], cap: int) -> int:
     kept = [j for j in range(len(simplex.vertices)) if j not in omitted]
     if not kept:
         raise ValueError("at least one vertex must remain on the face")
-    box = _vertex_box([simplex.vertices[j] for j in kept])
-    return _scan(simplex, box, omitted, strict=False, cap=cap, collect=False)
+    box = _capped_box(_vertex_box([simplex.vertices[j] for j in kept]), cap)
+    rows = simplex.functional_rows
+    # every functional nonnegative, and the omitted ones also nonpositive
+    negated = [(tuple(-c for c in rows[i][0]), -rows[i][1]) for i in sorted(omitted)]
+    return _scan(list(rows) + negated, box, collect=False)
 
 
 def count_face_points(

@@ -22,17 +22,7 @@ from functools import cached_property
 from math import factorial, lcm, prod
 from typing import Iterable, Sequence
 
-from .exact import (
-    RatMatrix,
-    RatVector,
-    det_int,
-    int_matrix,
-    invert_rat,
-    rank_rat,
-    rat_matrix,
-    snf_divisors,
-    solve_rat,
-)
+from .exact import RatVector, det_int, int_matrix, rank_rat, snf_divisors
 
 Vector = tuple[int, ...]
 
@@ -104,26 +94,26 @@ class LatticeSimplex:
         return tuple(rows)
 
     @cached_property
-    def _hull_inverse(self) -> RatMatrix:
-        return invert_rat(self.hull_matrix)
-
-    @cached_property
     def functional_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Integer forms of the barycentric functionals, for fast scans.
+        """Integer forms of the barycentric functionals.
 
-        Row i is (coeffs, const) with coeffs . x + const == bary_i(x) * D
-        for a fixed positive integer D (the absolute hull determinant), so
-        sign tests on lattice points never touch Fractions.
+        Row i is (coeffs, const) with coeffs . x + const == bary_i(x) * D for
+        D = |det hull_matrix|: row i of the adjugate, Bareiss cofactors times
+        the determinant's sign.  The constants sum to D, and sign tests on
+        lattice points never touch Fractions.
         """
-        absdet = abs(det_int(self.hull_matrix))
-        rows = []
-        for inv_row in self._hull_inverse:
-            scaled = [x * absdet for x in inv_row]
-            ints = [int(x) for x in scaled]
-            if any(a != b for a, b in zip(ints, scaled)):
-                raise AssertionError("adjugate rows must be integral")
-            rows.append((tuple(ints[:-1]), ints[-1]))
-        return tuple(rows)
+        h = self.hull_matrix
+
+        def cofactor(i: int, j: int) -> int:
+            minor = [row[:j] + row[j + 1 :] for k, row in enumerate(h) if k != i]
+            return (-1) ** (i + j) * det_int(minor)
+
+        adjugate = [[cofactor(j, i) for j in range(len(h))] for i in range(len(h))]
+        # Laplace expansion along the bottom row of ones: det = sum of last entries
+        sign = 1 if sum(adj[-1] for adj in adjugate) > 0 else -1
+        return tuple(
+            (tuple(sign * a for a in adj[:-1]), sign * adj[-1]) for adj in adjugate
+        )
 
     def _require_full(self) -> None:
         if not self.is_full_dimensional:
@@ -162,29 +152,15 @@ def barycentric_of(simplex: LatticeSimplex, point: Sequence[Fraction | int]) -> 
     simplex._require_full()
     if len(point) != simplex.ambient_dim:
         raise ValueError("point dimension does not match the simplex")
-    rhs = [Fraction(x) for x in point] + [Fraction(1)]
+    rows = simplex.functional_rows
+    absdet = sum(const for _, const in rows)
     coords = tuple(
-        sum(c * y for c, y in zip(row, rhs)) for row in simplex._hull_inverse
+        Fraction(sum(c * x for c, x in zip(coeffs, point)) + const, absdet)
+        for coeffs, const in rows
     )
     if sum(coords) != 1:
         raise AssertionError("barycentric coordinates do not sum to 1")
     return coords
-
-
-def affine_coordinates(
-    simplex: LatticeSimplex | RatSimplex, point: Sequence[Fraction | int]
-) -> RatVector | None:
-    """Barycentric coordinates within the simplex's own affine hull.
-
-    Works for embedded simplices by solving the (overdetermined) system of
-    vertex columns plus the all-ones row.  Returns None when the point lies
-    outside the affine hull.
-    """
-    if len(point) != simplex.ambient_dim:
-        raise ValueError("point dimension does not match the simplex")
-    columns = [list(v) + [1] for v in simplex.vertices]
-    rhs = [Fraction(x) for x in point] + [Fraction(1)]
-    return solve_rat(list(zip(*columns)), rhs)
 
 
 def check_barycentric(coords: Sequence[Fraction | int]) -> RatVector:

@@ -1,10 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import onepoint as op
 from onepoint.exact import det_rat
+from onepoint.points import _scan
 
 
 ZPW2 = op.LatticeSimplex(((0, 0), (2, 0), (0, 3)))
@@ -106,9 +111,9 @@ def test_reduced_system_equivalent_to_full(rng):
 
 
 def test_unique_interior_point():
-    assert op.unique_interior_point(ZPW2) == (1, 1)
-    with pytest.raises(ValueError):
-        op.unique_interior_point(WIDE)
+    assert op.interior_coordinates(ZPW2) == ((1, 1), ZPW2_COORDS)
+    with pytest.raises(ValueError, match="exactly one interior lattice point"):
+        op.interior_coordinates(WIDE)
 
 
 def test_coordinate_lower_bounds_frozen():
@@ -200,6 +205,87 @@ def test_parallelotope_frozen():
     assert small.volume == Fraction(1, 2) and small.passed
     for omit in range(3):
         assert op.parallelotope_check(ZPW2, omit).passed
+
+
+def full_box_parallelotope(simplex, point, omit):
+    """Corner box and full-box lattice point count of the doubled-coordinate box.
+
+    The loop parallelotope_check ran before the shared scan kernel: every
+    candidate of the corner box is tested against 0 < row(x) < 2 row(p).
+    """
+    bary = op.barycentric_of(simplex, point)
+    d = simplex.dim
+    axes = [n for n in range(d + 1) if n != omit]
+    base = simplex.vertices[omit]
+    corners = []
+    for picks in itertools.product((0, 1), repeat=d):
+        corner = [Fraction(x) for x in base]
+        for chosen, n in zip(picks, axes):
+            if chosen:
+                for c in range(d):
+                    corner[c] += 2 * bary[n] * (simplex.vertices[n][c] - base[c])
+        corners.append(corner)
+    box = tuple(
+        (ceil(min(c[i] for c in corners)), floor(max(c[i] for c in corners)))
+        for i in range(d)
+    )
+    rows = simplex.functional_rows
+    doubled = []
+    for n in axes:
+        coeffs, const = rows[n]
+        doubled.append((coeffs, const, 2 * (sum(c * x for c, x in zip(coeffs, point)) + const)))
+    count = 0
+    for candidate in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        for coeffs, const, top in doubled:
+            value = sum(c * x for c, x in zip(coeffs, candidate)) + const
+            if not 0 < value < top:
+                break
+        else:
+            count += 1
+    return box, count
+
+
+def small_simplices(dim):
+    def build(coords):
+        try:
+            return op.LatticeSimplex(tuple(tuple(c) for c in coords))
+        except ValueError:
+            return None
+
+    return st.lists(
+        st.lists(st.integers(-5, 5), min_size=dim, max_size=dim),
+        min_size=dim + 1,
+        max_size=dim + 1,
+    ).map(build).filter(lambda s: s is not None)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_two_sided_scan_matches_full_box_loop(data):
+    # around any interior point, member or not, the kernel counts what the loop counts
+    dim = data.draw(st.integers(2, 3))
+    simplex = data.draw(small_simplices(dim))
+    points = op.enumerate_interior(simplex).points
+    assume(points)
+    point = data.draw(st.sampled_from(points))
+    omit = data.draw(st.integers(0, dim))
+    box, expected = full_box_parallelotope(simplex, point, omit)
+    halfspaces = []
+    for n in range(dim + 1):
+        if n != omit:
+            coeffs, const = simplex.functional_rows[n]
+            top = 2 * (sum(c * x for c, x in zip(coeffs, point)) + const)
+            halfspaces += [(coeffs, const - 1), (tuple(-c for c in coeffs), top - 1 - const)]
+    assert _scan(halfspaces, box, collect=False) == expected
+    assert expected >= 1  # the point itself
+
+
+def test_parallelotope_matches_full_box_loop_on_corpus(corpus):
+    for member in corpus:
+        point = op.is_onepoint(member)
+        for omit in range(member.dim + 1):
+            check = op.parallelotope_check(member, omit)
+            assert check.interior_count == full_box_parallelotope(member, point, omit)[1]
 
 
 def test_corpus_extremes_frozen():

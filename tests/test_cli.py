@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -142,6 +143,27 @@ def test_gen_families(capsys):
 
 def test_gen_refuses_unverifiable_dimension(capsys):
     code, _, err = run(capsys, "gen", "--dim", "6", "--family", "zpw")
+    assert code == 3
+    assert "enumeration cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "HUGE"),
+        ("gen", "--dim", "15"),
+        ("gen", "--dim", "40"),
+        ("gen", "--dim", "40", "--family", "zpw"),
+    ],
+)
+def test_huge_boxes_refuse_with_exit_3(argv, tmp_path, capsys):
+    side = 10**1500
+    huge = op.LatticeSimplex(((0, 0, 0), (side, 0, 0), (0, side, 0), (0, 0, side)))
+    path = tmp_path / "huge.json"
+    path.write_text(op.simplex_to_text(huge), encoding="utf-8")
+    start = time.perf_counter()
+    code, _, err = run(capsys, *(str(path) if a == "HUGE" else a for a in argv))
+    assert time.perf_counter() - start < 5
     assert code == 3
     assert "enumeration cap" in err
 

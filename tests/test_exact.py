@@ -20,7 +20,6 @@ from onepoint.exact import (
     rat_matrix,
     row_hnf,
     snf_divisors,
-    solve_rat,
     transpose,
 )
 
@@ -90,17 +89,6 @@ def test_inverse_multiplies_to_identity(rows):
         return
     inv = invert_rat(rows)
     assert mat_mul(rat_matrix(rows), inv) == identity_rat(len(rows))
-
-
-def test_solve_rat():
-    # overdetermined but consistent
-    sol = solve_rat([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
-    assert sol == (Fraction(2), Fraction(3))
-    # inconsistent
-    assert solve_rat([[1, 0], [0, 1], [1, 1]], [2, 3, 6]) is None
-    # dependent columns
-    with pytest.raises(SingularMatrixError):
-        solve_rat([[1, 2], [2, 4]], [1, 2])
 
 
 def test_rank():

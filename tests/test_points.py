@@ -58,6 +58,13 @@ def test_cap_refusal():
     assert err.value.cap == 10
     assert err.value.required == 96
     assert "96 candidate points" in str(err.value)
+    # past Python's int-to-str digit limit the count prints as a power of two
+    side = 10**1500
+    huge = op.LatticeSimplex(((0, 0, 0), (side, 0, 0), (0, side, 0), (0, 0, side)))
+    with pytest.raises(op.EnumerationCapError) as err:
+        op.enumerate_interior(huge)
+    assert err.value.required == (side + 1) ** 3
+    assert f"at least 2^{3 * side.bit_length() - 1} candidate points" in str(err.value)
 
 
 def test_blichfeldt_frozen():

@@ -2,11 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onepoint as op
-from onepoint.simplex import RatSimplex, affine_coordinates
+from onepoint.exact import det_int, invert_rat
+from onepoint.simplex import RatSimplex
 
 
 def test_validation_errors():
@@ -73,6 +74,24 @@ def test_barycentric_roundtrip(simplex, weights):
     assert op.barycentric_of(simplex, point) == coords
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_functional_rows_match_rational_inverse(data):
+    # independent route: the rows are |det| times the Gauss-Jordan inverse
+    dim = data.draw(st.integers(2, 4))
+    simplex = data.draw(small_simplices(dim))
+    absdet = abs(det_int(simplex.hull_matrix))
+    scaled = [tuple(absdet * x for x in row) for row in invert_rat(simplex.hull_matrix)]
+    assert [coeffs + (const,) for coeffs, const in simplex.functional_rows] == scaled
+    point = data.draw(
+        st.lists(st.fractions(-9, 9, max_denominator=7), min_size=dim, max_size=dim)
+    )
+    coords = op.barycentric_of(simplex, point)
+    assert sum(coords) == 1
+    rebuilt = [sum(c * v[i] for c, v in zip(coords, simplex.vertices)) for i in range(dim)]
+    assert rebuilt == point
+
+
 def test_check_barycentric():
     assert op.check_barycentric([Fraction(1, 2), Fraction(1, 2)]) == (
         Fraction(1, 2),
@@ -84,16 +103,6 @@ def test_check_barycentric():
         op.check_barycentric([Fraction(3, 2), Fraction(-1, 2)])  # not positive
     with pytest.raises(ValueError):
         op.check_barycentric([Fraction(1)])  # needs at least two
-
-
-def test_affine_coordinates_on_embedded_face():
-    zpw3 = op.LatticeSimplex(((0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 7)))
-    face = op.face_of(zpw3, (0,))
-    # the midpoint mix of the three kept vertices
-    coords = affine_coordinates(face, (Fraction(2, 3), 1, Fraction(7, 3)))
-    assert coords == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    # off the affine hull of the face
-    assert affine_coordinates(face, (0, 0, 0)) is None
 
 
 def test_normalized_volume_frozen():
@@ -129,7 +138,6 @@ def test_section_simplex_frozen():
         (Fraction(2), Fraction(0)),
         (Fraction(0), Fraction(2)),
     )
-    assert affine_coordinates(section, (1, 1)) == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_linear_image_and_translate():
