@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import ceil, factorial, floor, prod
 from typing import Iterable, Sequence
 
-from .exact import RatMatrix, det_rat, rat_matrix
+from .exact import RatMatrix, rat_matrix
 from .points import DEFAULT_CAP, _capped_box, _scan, count_face_points, is_onepoint
 from .simplex import (
     LatticeSimplex,
@@ -159,18 +159,12 @@ def partition_matrix(coords: Sequence[Fraction | int], sum_side: Iterable[int]) 
 def partition_ratio(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -> Fraction:
     """Sum/product ratio of a partition; the inequality holds iff >= 1.
 
-    Computed by the closed formula and cross-checked, every call, against
-    the exact determinant of :func:`partition_matrix`.
+    The closed formula.  It equals the determinant of
+    :func:`partition_matrix`, an identity the test suite checks.
     """
     bary = check_barycentric(coords)
     left, right = _split(len(bary), sum_side)
-    ratio = sum(bary[i] for i in left) / prod((bary[j] for j in right), start=Fraction(1))
-    explicit = det_rat(partition_matrix(bary, left))
-    if ratio != explicit:
-        raise AssertionError(
-            f"ratio formula {ratio} disagrees with the system determinant {explicit}"
-        )
-    return ratio
+    return sum(bary[i] for i in left) / prod((bary[j] for j in right), start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +202,16 @@ class LowerBoundReport:
     passed: bool
 
 
-def coordinate_lower_bounds(
-    simplex: LatticeSimplex, cap: int = DEFAULT_CAP
-) -> LowerBoundReport:
+def coordinate_lower_bounds(coords: Sequence[Fraction | int]) -> LowerBoundReport:
     """Doubly exponential lower bounds on the sorted coordinates.
 
-    For a one-point simplex of dimension d the k-th largest barycentric
-    coordinate of the interior point is at least (d+1)^(-2^k).  Also checks
-    the relaxed recursion (d+1) * coords[k+1] >= prod(coords[:k+1]) that
-    drives the bound.
+    ``coords`` are the barycentric coordinates of the interior point of a
+    one-point simplex of dimension d = len(coords) - 1; the k-th largest
+    is at least (d+1)^(-2^k).  Also checks the relaxed recursion
+    (d+1) * coords[k+1] >= prod(coords[:k+1]) that drives the bound.
     """
-    _, bary = interior_coordinates(simplex, cap)
-    sorted_coords = sort_barycentric(bary)
-    d = simplex.dim
+    sorted_coords = sort_barycentric(coords)
+    d = len(sorted_coords.coords) - 1
     entries = []
     for k, value in enumerate(sorted_coords.coords):
         bound = Fraction(1, (d + 1) ** (2**k))
@@ -256,16 +247,19 @@ class ChainReport:
     passed: bool
 
 
-def chain_decompose(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> ChainReport:
+def chain_decompose(
+    simplex: LatticeSimplex, coords: Sequence[Fraction | int], cap: int = DEFAULT_CAP
+) -> ChainReport:
     """Bound the faces spanned by the vertices with the largest coordinates.
 
-    Level i keeps the i+1 heaviest vertices (by the interior point's
-    barycentric coordinates, descending).  Both the normalized volume and
-    the lattice point count of that face are bounded doubly exponentially
-    in i, uniformly over the whole one-point family of dimension d.
+    ``coords`` are the barycentric coordinates of the simplex's interior
+    point.  Level i keeps the i+1 heaviest vertices (by those coordinates,
+    descending).  Both the normalized volume and the lattice point count
+    of that face are bounded doubly exponentially in i, uniformly over the
+    whole one-point family of dimension d.  The top level omits nothing,
+    so its count is the closure count of the simplex.
     """
-    _, bary = interior_coordinates(simplex, cap)
-    sorted_coords = sort_barycentric(bary)
+    sorted_coords = sort_barycentric(coords)
     d = simplex.dim
     levels = []
     for i in range(1, d + 1):
@@ -344,18 +338,19 @@ class FaceVolumeBound:
 
 def face_volume_bound(
     simplex: LatticeSimplex,
+    coords: Sequence[Fraction | int],
     omitted: Iterable[int],
     weight_set: Iterable[int],
-    cap: int = DEFAULT_CAP,
 ) -> FaceVolumeBound:
     """Bound a face's volume by reciprocal coordinate products.
 
+    ``coords`` are the barycentric coordinates of the interior point.
     ``omitted`` spans the face (those vertices are dropped), ``weight_set``
     is disjoint from it and together they cover all but exactly one index.
     The face's normalized volume is at most
     1 / (|weight_set|! * prod(coords over weight_set)).
     """
-    _, bary = interior_coordinates(simplex, cap)
+    bary = check_barycentric(coords)
     dropped = tuple(sorted(set(omitted)))
     weights = tuple(sorted(set(weight_set)))
     if set(dropped) & set(weights):
@@ -422,17 +417,18 @@ class ParallelotopeCheck:
 
 
 def parallelotope_check(
-    simplex: LatticeSimplex, omit: int = 0, cap: int = DEFAULT_CAP
+    simplex: LatticeSimplex, point: Sequence[int], omit: int = 0, cap: int = DEFAULT_CAP
 ) -> ParallelotopeCheck:
     """The box spanned by doubled coordinates around the interior point.
 
-    In the frame where the omitted vertex is the origin and the edges to
-    the other vertices are the axes, the box is the product of [0, 2c_n]
-    over the interior point's coordinates c_n.  It is centrally symmetric
-    about the interior point, so with exactly one interior lattice point
-    its normalized volume cannot exceed 2^d.
+    ``point`` is the simplex's interior lattice point.  In the frame where
+    the omitted vertex is the origin and the edges to the other vertices
+    are the axes, the box is the product of [0, 2c_n] over the point's
+    coordinates c_n.  It is centrally symmetric about the point, so with
+    exactly one interior lattice point its normalized volume cannot exceed
+    2^d.  The lattice points strictly inside it are counted.
     """
-    point, bary = interior_coordinates(simplex, cap)
+    bary = check_barycentric(barycentric_of(simplex, point))
     d = simplex.dim
     if not 0 <= omit <= d:
         raise ValueError("omitted vertex index out of range")
@@ -467,7 +463,7 @@ def parallelotope_check(
         halfspaces.append((tuple(-c for c in coeffs), top - 1 - const))
     count = _scan(halfspaces, box, collect=False)
     passed = count == 1 and volume <= 2**d
-    return ParallelotopeCheck(point, omit, extents, volume, count, passed)
+    return ParallelotopeCheck(tuple(point), omit, extents, volume, count, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -488,40 +484,34 @@ class DimensionExtremes:
 
 
 def corpus_extremes(
-    corpus: Sequence[LatticeSimplex], cap: int = DEFAULT_CAP
+    members: Sequence[tuple[LatticeSimplex, Sequence[Fraction | int]]],
+    cap: int = DEFAULT_CAP,
 ) -> tuple[DimensionExtremes, ...]:
     """Extremal volume and coordinate statistics of verified one-point simplices.
 
-    Groups the corpus by dimension.  Reports the largest normalized volume
-    and lattice point count, the smallest barycentric coordinate, and the
-    doubly exponential bounds they must respect.  The much smaller
+    ``members`` are (simplex, coords) pairs, coords being the barycentric
+    coordinates of the simplex's interior point.  Groups them by dimension.
+    Reports the largest normalized volume and lattice point count, the
+    smallest coordinate, and the doubly exponential bounds they must respect.  The much smaller
     comparison bound 14^(-2^(d+1)) known from dimension-uniform arguments
     is included for context only.
     """
-    by_dim: dict[int, list[LatticeSimplex]] = {}
-    for index, member in enumerate(corpus):
+    by_dim: dict[int, list[tuple[LatticeSimplex, Sequence[Fraction | int]]]] = {}
+    for index, (member, coords) in enumerate(members):
         if not member.is_full_dimensional:
             raise ValueError(f"corpus member {index} is not full-dimensional")
-        by_dim.setdefault(member.dim, []).append(member)
+        by_dim.setdefault(member.dim, []).append((member, coords))
     summaries = []
-    for d in sorted(by_dim):
-        max_volume = Fraction(0)
-        max_count = 0
-        min_coord: Fraction | None = None
-        for member in by_dim[d]:
-            _, bary = interior_coordinates(member, cap)
-            max_volume = max(max_volume, normalized_volume(member))
-            max_count = max(max_count, count_face_points(member, (), cap))
-            smallest = min(bary)
-            min_coord = smallest if min_coord is None else min(min_coord, smallest)
-        if min_coord is None:
-            raise AssertionError(f"dimension {d} has no members")
+    for d, group in sorted(by_dim.items()):
+        max_volume = max(normalized_volume(member) for member, _ in group)
+        max_count = max(count_face_points(member, (), cap) for member, _ in group)
+        min_coord = min(min(check_barycentric(coords)) for _, coords in group)
         volume_bound = Fraction((d + 1) ** (2**d - 1), factorial(d))
         coordinate_bound = Fraction(1, (d + 1) ** (2**d))
         summaries.append(
             DimensionExtremes(
                 d,
-                len(by_dim[d]),
+                len(group),
                 max_volume,
                 max_count,
                 min_coord,

@@ -193,11 +193,13 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
 
 def _cmd_bounds(args: argparse.Namespace) -> Handled:
     simplex = _load(args.file)
-    if is_onepoint(simplex, args.cap) is None:
+    point = is_onepoint(simplex, args.cap)
+    if point is None:
         return 1, {"passed": False, "reason": "not a one-point simplex"}, [
             "the simplex does not have exactly one interior lattice point"
         ]
-    lower = coordinate_lower_bounds(simplex, args.cap)
+    coords = barycentric_of(simplex, point)
+    lower = coordinate_lower_bounds(coords)
     d = simplex.dim
     faces = []
     for excluded in range(d + 1):
@@ -205,9 +207,8 @@ def _cmd_bounds(args: argparse.Namespace) -> Handled:
         for mask in range(2**d):
             weight_set = tuple(rest[k] for k in range(d) if mask >> k & 1)
             omitted = tuple(i for i in rest if i not in weight_set)
-            faces.append(face_volume_bound(simplex, omitted, weight_set, args.cap))
-    box = parallelotope_check(simplex, 0, args.cap)
-    _, coords = interior_coordinates(simplex, args.cap)
+            faces.append(face_volume_bound(simplex, coords, omitted, weight_set))
+    box = parallelotope_check(simplex, point, 0, args.cap)
     sections = []
     for mask in range(2 ** (d + 1) - 1):
         omitted = tuple(i for i in range(d + 1) if mask >> i & 1)
@@ -280,11 +281,12 @@ def _cmd_bounds(args: argparse.Namespace) -> Handled:
 
 def _cmd_chain(args: argparse.Namespace) -> Handled:
     simplex = _load(args.file)
-    if is_onepoint(simplex, args.cap) is None:
+    point = is_onepoint(simplex, args.cap)
+    if point is None:
         return 1, {"passed": False, "reason": "not a one-point simplex"}, [
             "the simplex does not have exactly one interior lattice point"
         ]
-    report = chain_decompose(simplex, args.cap)
+    report = chain_decompose(simplex, barycentric_of(simplex, point), args.cap)
     payload = {
         "order": list(report.order),
         "levels": [
@@ -427,7 +429,7 @@ def _cmd_atlas2d(args: argparse.Namespace) -> Handled:
 
 
 def _cmd_report(args: argparse.Namespace) -> Handled:
-    corpus = []
+    members = []
     for path in args.files:
         simplex = _load(path)
         census = enumerate_interior(simplex, args.cap)
@@ -435,8 +437,8 @@ def _cmd_report(args: argparse.Namespace) -> Handled:
             return 1, {"passed": False, "reason": f"{path} is not a one-point simplex"}, [
                 f"{path}: {len(census.points)} interior lattice points, expected 1"
             ]
-        corpus.append(simplex)
-    extremes = corpus_extremes(corpus, args.cap)
+        members.append((simplex, barycentric_of(simplex, census.points[0])))
+    extremes = corpus_extremes(members, args.cap)
     payload = {
         "files": list(args.files),
         "dimensions": [

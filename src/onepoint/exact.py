@@ -6,11 +6,11 @@ Smith normal form divisors, and Hermite normal forms.  Matrices are
 immutable tuples of tuples, integers are plain Python ints, rationals are
 ``fractions.Fraction``.  There is no floating point anywhere.
 
-Determinants of integer matrices use fraction-free Bareiss elimination,
-rational inverses use Gauss-Jordan elimination, and Smith normal
-form is computed by repeated gcd row/column reduction.  The matrices this
-package sees are tiny (at most 8x8 or so), so simplicity and auditability
-win over asymptotics.
+Integer determinants and adjugates use fraction-free Bareiss elimination
+(in Gauss-Jordan form for the adjugate), rational inverses Gauss-Jordan
+elimination, and Smith normal form repeated gcd row/column reduction.
+The matrices this package sees are tiny (at most 8x8 or so), so
+simplicity and auditability win over asymptotics.
 """
 
 from __future__ import annotations
@@ -103,6 +103,39 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
+    """Determinant and adjugate of a square integer matrix.
+
+    Fraction-free Gauss-Jordan on [A | I]: each step divides exactly by
+    the previous pivot, so every entry stays an integer, and at the end
+    the left block is the determinant of the row-permuted matrix times I
+    while the right block is that determinant times the inverse.  Row
+    swaps flip the sign.  Raises :class:`SingularMatrixError` when the
+    matrix is singular.
+    """
+    m = int_matrix(matrix)
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("adjugate needs a square matrix")
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        if pivot != k:
+            aug[k], aug[pivot] = aug[pivot], aug[k]
+            sign = -sign
+        top, p = aug[k], aug[k][k]
+        for i in range(n):
+            if i != k:
+                row, f = aug[i], aug[i][k]
+                # exact: every entry is a minor of the row-permuted [A | I]
+                aug[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug)
 
 
 def det_rat(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:

@@ -16,15 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .bounds import (
-    chain_decompose,
-    check_all_partitions,
-    coordinate_lower_bounds,
-    interior_coordinates,
-)
+from .bounds import chain_decompose, check_all_partitions, coordinate_lower_bounds
 from .exact import IntMatrix, col_hnf, det_int, mat_vec, transpose
-from .points import DEFAULT_CAP, EnumerationCapError, count_face_points, enumerate_interior
-from .simplex import LatticeSimplex, normalized_volume
+from .points import DEFAULT_CAP, EnumerationCapError, enumerate_interior
+from .simplex import LatticeSimplex, barycentric_of, normalized_volume
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
@@ -131,7 +126,7 @@ def canonical_examples(
             census = enumerate_interior(simplex, cap)
             if census.points != (inner,):
                 raise AssertionError(f"interior census {census.points} is not {{{inner}}}")
-            _, bary = interior_coordinates(simplex, cap)
+            bary = barycentric_of(simplex, inner)
             if any(b != Fraction(1, dim + 1) for b in bary):
                 raise AssertionError("interior point is not the centroid")
     return dilated, reflected
@@ -265,19 +260,16 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
         census = enumerate_interior(member, cap)
         if census.points != ((0, 0),):
             raise AssertionError(f"class {form} fails the census: {census.points}")
-        _, bary = interior_coordinates(member, cap)
+        bary = barycentric_of(member, (0, 0))
         report = check_all_partitions(bary)
-        if not (
-            report.passed
-            and coordinate_lower_bounds(member, cap).passed
-            and chain_decompose(member, cap).passed
-        ):
+        chain = chain_decompose(member, bary, cap)
+        if not (report.passed and coordinate_lower_bounds(bary).passed and chain.passed):
             raise AssertionError(f"class {form} violates a bound it must satisfy")
         classes.append(
             AtlasClass(
                 member,
                 normalized_volume(member),
-                count_face_points(member, (), cap),
+                chain.levels[-1].count,
                 tuple(sorted(bary, reverse=True)),
                 report.min_slack,
             )

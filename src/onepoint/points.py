@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -27,9 +26,6 @@ from .simplex import LatticeSimplex, barycentric_of, normalized_volume
 Vector = tuple[int, ...]
 
 DEFAULT_CAP = 10**8
-
-# censuses kept per cache; one op revisits at most a few dozen simplices
-_CACHE_SIZE = 64
 
 
 def _count_text(n: int) -> str:
@@ -158,12 +154,8 @@ def _scan(
         if not alive:
             continue
         if collect:
-            for t in range(lo, hi + 1):
-                point = [0] * d
-                for a, val in zip(prefix_axes, prefix):
-                    point[a] = val
-                point[scan_axis] = t
-                found.append(tuple(point))
+            head, tail = prefix[:scan_axis], prefix[scan_axis:]
+            found.extend(head + (t,) + tail for t in range(lo, hi + 1))
         else:
             count += hi - lo + 1
     if collect:
@@ -172,7 +164,6 @@ def _scan(
     return count
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def enumerate_interior(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> InteriorCensus:
     """Enumerate every interior lattice point of a full-dimensional simplex.
 
@@ -187,18 +178,6 @@ def enumerate_interior(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> Inter
     return InteriorCensus(tuple(_scan(interior, box, collect=True)), box)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _count_face_points(simplex: LatticeSimplex, omitted: frozenset[int], cap: int) -> int:
-    kept = [j for j in range(len(simplex.vertices)) if j not in omitted]
-    if not kept:
-        raise ValueError("at least one vertex must remain on the face")
-    box = _capped_box(_vertex_box([simplex.vertices[j] for j in kept]), cap)
-    rows = simplex.functional_rows
-    # every functional nonnegative, and the omitted ones also nonpositive
-    negated = [(tuple(-c for c in rows[i][0]), -rows[i][1]) for i in sorted(omitted)]
-    return _scan(list(rows) + negated, box, collect=False)
-
-
 def count_face_points(
     simplex: LatticeSimplex, omitted: Iterable[int] = (), cap: int = DEFAULT_CAP
 ) -> int:
@@ -209,10 +188,17 @@ def count_face_points(
     functionals for zero, the rest for nonnegativity.
     """
     simplex._require_full()
-    dropped = frozenset(omitted)
+    dropped = set(omitted)
     if any(i < 0 or i >= len(simplex.vertices) for i in dropped):
         raise ValueError("face indexes out of range")
-    return _count_face_points(simplex, dropped, cap)
+    kept = [j for j in range(len(simplex.vertices)) if j not in dropped]
+    if not kept:
+        raise ValueError("at least one vertex must remain on the face")
+    box = _capped_box(_vertex_box([simplex.vertices[j] for j in kept]), cap)
+    rows = simplex.functional_rows
+    # every functional nonnegative, and the omitted ones also nonpositive
+    negated = [(tuple(-c for c in rows[i][0]), -rows[i][1]) for i in sorted(dropped)]
+    return _scan(list(rows) + negated, box, collect=False)
 
 
 def is_onepoint(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> Vector | None:

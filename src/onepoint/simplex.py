@@ -22,7 +22,7 @@ from functools import cached_property
 from math import factorial, lcm, prod
 from typing import Iterable, Sequence
 
-from .exact import RatVector, det_int, int_matrix, rank_rat, snf_divisors
+from .exact import RatVector, adjugate_int, int_matrix, rank_rat, snf_divisors
 
 Vector = tuple[int, ...]
 
@@ -98,19 +98,12 @@ class LatticeSimplex:
         """Integer forms of the barycentric functionals.
 
         Row i is (coeffs, const) with coeffs . x + const == bary_i(x) * D for
-        D = |det hull_matrix|: row i of the adjugate, Bareiss cofactors times
-        the determinant's sign.  The constants sum to D, and sign tests on
+        D = |det hull_matrix|: row i of the fraction-free adjugate times the
+        determinant's sign.  The constants sum to D, and sign tests on
         lattice points never touch Fractions.
         """
-        h = self.hull_matrix
-
-        def cofactor(i: int, j: int) -> int:
-            minor = [row[:j] + row[j + 1 :] for k, row in enumerate(h) if k != i]
-            return (-1) ** (i + j) * det_int(minor)
-
-        adjugate = [[cofactor(j, i) for j in range(len(h))] for i in range(len(h))]
-        # Laplace expansion along the bottom row of ones: det = sum of last entries
-        sign = 1 if sum(adj[-1] for adj in adjugate) > 0 else -1
+        det, adjugate = adjugate_int(self.hull_matrix)
+        sign = 1 if det > 0 else -1
         return tuple(
             (tuple(sign * a for a in adj[:-1]), sign * adj[-1]) for adj in adjugate
         )

@@ -71,7 +71,7 @@ def test_criterion_03_partition_inequalities(corpus):
 @criterion(4, "sorted coordinate lower bounds")
 def test_criterion_04_coordinate_lower_bounds(corpus, canonical_family):
     for member in corpus:
-        report = op.coordinate_lower_bounds(member)
+        report = op.coordinate_lower_bounds(op.interior_coordinates(member)[1])
         assert report.passed
         d = member.dim
         for k, entry in enumerate(report.entries):
@@ -80,13 +80,14 @@ def test_criterion_04_coordinate_lower_bounds(corpus, canonical_family):
             assert entry.value >= entry.bound
     for pair in canonical_family.values():
         for member in pair:
-            assert op.coordinate_lower_bounds(member).entries[0].tight
+            _, coords = op.interior_coordinates(member)
+            assert op.coordinate_lower_bounds(coords).entries[0].tight
 
 
 @criterion(5, "chain bounds, both directions")
 def test_criterion_05_chain_bounds(corpus):
     for member in corpus:
-        report = op.chain_decompose(member)
+        report = op.chain_decompose(member, op.interior_coordinates(member)[1])
         assert report.passed
         d = member.dim
         for level in report.levels:
@@ -167,15 +168,17 @@ def test_criterion_07_ratio_determinant(rng):
 def test_criterion_08_face_volume_bounds(corpus, canonical_family):
     for member in corpus:
         d = member.dim
+        _, coords = op.interior_coordinates(member)
         for uncovered in range(d + 1):
             rest = [i for i in range(d + 1) if i != uncovered]
             for mask in range(2**d):
                 weight_set = tuple(rest[k] for k in range(d) if mask >> k & 1)
                 omitted = tuple(i for i in rest if i not in weight_set)
-                assert op.face_volume_bound(member, omitted, weight_set).passed
+                assert op.face_volume_bound(member, coords, omitted, weight_set).passed
     for d in range(1, 5):
         dilated = canonical_family[d][0]
-        full = op.face_volume_bound(dilated, (), tuple(range(1, d + 1)))
+        _, coords = op.interior_coordinates(dilated)
+        full = op.face_volume_bound(dilated, coords, (), tuple(range(1, d + 1)))
         assert full.slack == 0
 
 

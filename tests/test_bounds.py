@@ -117,7 +117,7 @@ def test_unique_interior_point():
 
 
 def test_coordinate_lower_bounds_frozen():
-    report = op.coordinate_lower_bounds(ZPW3)
+    report = op.coordinate_lower_bounds(op.barycentric_of(ZPW3, (1, 1, 1)))
     assert report.passed
     assert report.order == (1, 2, 3, 0)
     values = tuple(e.value for e in report.entries)
@@ -134,7 +134,7 @@ def test_coordinate_lower_bounds_frozen():
         Fraction(17, 42),
         Fraction(1, 14),
     )
-    centroid = op.coordinate_lower_bounds(TRI3)
+    centroid = op.coordinate_lower_bounds(op.barycentric_of(TRI3, (1, 1)))
     assert centroid.entries[0].tight
     assert [e.bound for e in centroid.entries] == [
         Fraction(1, 3),
@@ -144,7 +144,7 @@ def test_coordinate_lower_bounds_frozen():
 
 
 def test_chain_decompose_frozen():
-    report = op.chain_decompose(ZPW3)
+    report = op.chain_decompose(ZPW3, op.barycentric_of(ZPW3, (1, 1, 1)))
     assert report.passed
     level1, level2, level3 = report.levels
     assert level1.omitted == (0, 3)
@@ -153,7 +153,8 @@ def test_chain_decompose_frozen():
     assert level2.volume == Fraction(1, 2)
     assert level3.volume == 7
     assert level3.count == 24
-    line = op.chain_decompose(op.LatticeSimplex(((0,), (2,))))
+    segment = op.LatticeSimplex(((0,), (2,)))
+    line = op.chain_decompose(segment, op.barycentric_of(segment, (1,)))
     assert line.levels[0].volume == 2 and line.levels[0].volume_bound == 2
 
 
@@ -170,16 +171,17 @@ def test_zpw_lower_chain_frozen():
 
 
 def test_face_volume_bound_frozen():
-    tight = op.face_volume_bound(TRI3, (), (1, 2))
+    centroid = (Fraction(1, 3),) * 3
+    tight = op.face_volume_bound(TRI3, centroid, (), (1, 2))
     assert tight.bound == Fraction(9, 2) and tight.slack == 0
-    loose = op.face_volume_bound(ZPW2, (), (0, 2))
+    loose = op.face_volume_bound(ZPW2, ZPW2_COORDS, (), (0, 2))
     assert loose.bound == 9 and loose.face_volume == 3 and loose.slack == 6
-    edge = op.face_volume_bound(ZPW2, (1,), (2,))
+    edge = op.face_volume_bound(ZPW2, ZPW2_COORDS, (1,), (2,))
     assert edge.bound == 3 and edge.face_volume == 3 and edge.slack == 0
     with pytest.raises(ValueError):
-        op.face_volume_bound(ZPW2, (0,), (0,))
+        op.face_volume_bound(ZPW2, ZPW2_COORDS, (0,), (0,))
     with pytest.raises(ValueError):
-        op.face_volume_bound(ZPW2, (0,), ())
+        op.face_volume_bound(ZPW2, ZPW2_COORDS, (0,), ())
 
 
 def test_section_volume_frozen():
@@ -198,13 +200,13 @@ def test_section_volume_frozen():
 
 
 def test_parallelotope_frozen():
-    box = op.parallelotope_check(ZPW2)
+    box = op.parallelotope_check(ZPW2, (1, 1))
     assert box.volume == 4 and box.interior_count == 1 and box.passed
     reflected = op.canonical_examples(3)[1]
-    small = op.parallelotope_check(reflected)
+    small = op.parallelotope_check(reflected, (0, 0, 0))
     assert small.volume == Fraction(1, 2) and small.passed
     for omit in range(3):
-        assert op.parallelotope_check(ZPW2, omit).passed
+        assert op.parallelotope_check(ZPW2, (1, 1), omit).passed
 
 
 def full_box_parallelotope(simplex, point, omit):
@@ -284,12 +286,12 @@ def test_parallelotope_matches_full_box_loop_on_corpus(corpus):
     for member in corpus:
         point = op.is_onepoint(member)
         for omit in range(member.dim + 1):
-            check = op.parallelotope_check(member, omit)
+            check = op.parallelotope_check(member, point, omit)
             assert check.interior_count == full_box_parallelotope(member, point, omit)[1]
 
 
 def test_corpus_extremes_frozen():
-    summary = op.corpus_extremes([ZPW2, TRI3])
+    summary = op.corpus_extremes([(ZPW2, ZPW2_COORDS), (TRI3, (Fraction(1, 3),) * 3)])
     assert len(summary) == 1
     d2 = summary[0]
     assert d2.dim == 2 and d2.members == 2
@@ -301,4 +303,4 @@ def test_corpus_extremes_frozen():
     assert d2.comparison_coordinate_bound == Fraction(1, 14**8)
     assert d2.passed
     with pytest.raises(ValueError):
-        op.corpus_extremes([op.face_of(ZPW2, (0,))])
+        op.corpus_extremes([(op.face_of(ZPW2, (0,)), ZPW2_COORDS)])

@@ -1,9 +1,12 @@
 import json
+import sys
 import time
 
 import pytest
 
 import onepoint as op
+import onepoint.points
+import onepoint.simplex
 from onepoint.cli import main
 
 
@@ -216,3 +219,56 @@ def test_structured_output_has_no_floats(files, capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+def record_calls(monkeypatch, module, name, calls, every_binding=True):
+    """Append (name, args, kwargs) to ``calls`` on each call of module.name.
+
+    With ``every_binding`` the recorder replaces the function wherever a
+    package module imported it, so calls through any binding are seen.
+    """
+    original = getattr(module, name)
+
+    def recorder(*args, **kwargs):
+        calls.append((name, args, tuple(sorted(kwargs.items()))))
+        return original(*args, **kwargs)
+
+    if not every_binding:
+        monkeypatch.setattr(module, name, recorder)
+        return
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "onepoint" or mod_name.startswith("onepoint."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, recorder)
+
+
+def test_bounds_finds_the_interior_point_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "zpw5.json"
+    path.write_text(op.simplex_to_text(op.zpw_simplex(5, verify=False)), encoding="utf-8")
+    bary, scans = [], []
+    record_calls(monkeypatch, onepoint.simplex, "barycentric_of", bary)
+    # census and face counts scan through this binding; the parallelotope has its own
+    record_calls(monkeypatch, onepoint.points, "_scan", scans, every_binding=False)
+    assert run(capsys, "bounds", str(path))[0] == 0
+    assert len(bary) <= 2
+    assert len(scans) == 1
+
+
+def test_chain_runs_one_census_and_one_count_per_level(files, monkeypatch, capsys):
+    censuses, counts = [], []
+    record_calls(monkeypatch, onepoint.points, "enumerate_interior", censuses)
+    record_calls(monkeypatch, onepoint.points, "count_face_points", counts)
+    assert run(capsys, "chain", files["zpw3"])[0] == 0
+    assert len(censuses) == 1
+    assert len(counts) == 3
+
+
+def test_atlas_repeats_no_points_call(monkeypatch, capsys):
+    calls = []
+    for name in onepoint.points.__all__:
+        if callable(getattr(onepoint.points, name)) and name[0].islower():
+            record_calls(monkeypatch, onepoint.points, name, calls)
+    assert run(capsys, "atlas2d", "--radius", "9")[0] == 0
+    keys = [repr(call) for call in calls]
+    assert keys and len(set(keys)) == len(keys)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from onepoint.exact import (
     SingularMatrixError,
+    adjugate_int,
     col_hnf,
     det_int,
     det_rat,
@@ -65,6 +66,52 @@ def test_det_frozen_values():
 @given(square_int_matrices(max_n=4, bound=6))
 def test_det_rat_agrees_with_det_int(rows):
     assert det_rat(rows) == det_int(rows)
+
+
+def cofactor_adjugate(rows):
+    # independent route: transposed cofactors, each a Bareiss minor
+    n = len(rows)
+
+    def cofactor(i, j):
+        minor = [row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i]
+        return (-1) ** (i + j) * det_int(minor)
+
+    return tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n))
+
+
+@given(
+    square_int_matrices(max_n=7, bound=3),
+    st.sampled_from(("drawn", "zero leading pivot", "singular")),
+)
+@settings(max_examples=150, deadline=None)
+def test_adjugate_int_matches_cofactor_expansion(rows, shape):
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    if shape == "zero leading pivot":
+        rows[0][0] = 0
+    elif shape == "singular":
+        rows[-1] = [2 * x for x in rows[0]] if n > 1 else [0]
+    det = det_int(rows)
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            adjugate_int(rows)
+        return
+    adjugate = cofactor_adjugate(rows)
+    assert adjugate_int(rows) == (det, adjugate)
+    assert mat_mul(rows, adjugate) == tuple(
+        tuple(det if i == j else 0 for j in range(n)) for i in range(n)
+    )
+
+
+def test_adjugate_int_frozen():
+    # hull matrix of conv{0, 2e1, 3e2}: the origin vertex puts a zero in the first pivot
+    hull = ((0, 2, 0), (0, 0, 3), (1, 1, 1))
+    assert adjugate_int(hull) == (6, ((-3, -2, 6), (3, 0, 0), (0, 2, 0)))
+    assert adjugate_int([]) == (1, ())
+    with pytest.raises(SingularMatrixError):
+        adjugate_int([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        adjugate_int([[1, 2]])
 
 
 def test_int_matrix_rejects_ragged_rows_and_bools():
