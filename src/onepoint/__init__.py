@@ -44,8 +44,10 @@ from .generators import (
     CanonicalForm,
     SylvesterSequence,
     canonical_examples,
+    dilated_simplex,
     normal_form_2d,
     onepoint_triangle_atlas,
+    reflected_simplex,
     sylvester,
     zpw_simplex,
 )

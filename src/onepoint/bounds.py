@@ -16,7 +16,6 @@ for parallel sections, and corpus-level extremal summaries.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, floor, prod
@@ -440,18 +439,19 @@ def parallelotope_check(
         * 2**d
         * prod((bary[n] for n in axes), start=Fraction(1))
     )
+    # a corner is base plus a subset of the scaled edges, so a coordinate is
+    # least on the subset of its negative terms and greatest on its positive
     base = simplex.vertices[omit]
-    corners = []
-    for picks in itertools.product((0, 1), repeat=d):
-        corner = [Fraction(x) for x in base]
-        for chosen, n, extent in zip(picks, axes, extents):
-            if chosen:
-                for c in range(d):
-                    corner[c] += extent * (simplex.vertices[n][c] - base[c])
-        corners.append(corner)
+    steps = [
+        [extent * (x - b) for x, b in zip(simplex.vertices[n], base)]
+        for n, extent in zip(axes, extents)
+    ]
     box = tuple(
-        (ceil(min(c[i] for c in corners)), floor(max(c[i] for c in corners)))
-        for i in range(d)
+        (
+            ceil(b + sum(min(0, step[i]) for step in steps)),
+            floor(b + sum(max(0, step[i]) for step in steps)),
+        )
+        for i, b in enumerate(base)
     )
     box = _capped_box(box, cap)
     # 0 < row(x) < 2 row(p) in the integer functional forms, per kept axis

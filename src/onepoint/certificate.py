@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .bounds import partition_matrix, partition_ratio, sort_barycentric
-from .exact import det_rat, invert_rat, rat_matrix
+from .exact import adjugate_int, rat_matrix
 from .points import classify_point
 from .simplex import LatticeSimplex, barycentric_of, check_barycentric
 
@@ -31,33 +31,39 @@ def minkowski_solve(matrix: Sequence[Sequence[Fraction | int]]) -> Vector:
     Minkowski's theorem guarantees one exists: the preimage of the open
     unit cube is a symmetric convex body of volume 2^n / |det A| > 2^n.
     The search space is the box spanned by the absolute row sums of the
-    inverse, which contains every solution.  Among all solutions, signs
-    are normalized to a positive leading nonzero entry and the vector
-    minimizing (reversed absolute entries, entries) is returned, so the
-    result is deterministic and the trailing entries are as small as the
-    solution set allows.
+    inverse, which contains every solution; the determinant and the
+    inverse both come from one fraction-free adjugate of the integer rows.
+    Among all solutions, signs are normalized to a positive leading nonzero
+    entry and the vector minimizing (reversed absolute entries, entries) is
+    returned, so the result is deterministic and the trailing entries are
+    as small as the solution set allows.
     """
     a = rat_matrix(matrix)
     n = len(a)
     if n == 0 or any(len(row) != n for row in a):
         raise ValueError("matrix must be square and nonempty")
-    determinant = det_rat(a)
-    if abs(determinant) >= 1:
-        raise ValueError(f"|det| = {abs(determinant)} is not below 1")
-    inverse = invert_rat(a)  # raises on a singular matrix
-    radii = [sum(abs(entry) for entry in row) for row in inverse]
-    box = [ceil(r) - 1 for r in radii]
-    # clear denominators once; each row test is then pure integer work
-    cleared = []
-    for row in a:
-        scale = lcm(*(entry.denominator for entry in row))
-        cleared.append(([int(entry * scale) for entry in row], scale))
+    # clear denominators once: A = diag(scales)^-1 B with B an integer
+    # matrix, so every row test below is pure integer work
+    scales = [lcm(*(entry.denominator for entry in row)) for row in a]
+    rows = [
+        [entry.numerator * (scale // entry.denominator) for entry in row]
+        for row, scale in zip(a, scales)
+    ]
+    det, adjugate = adjugate_int(rows)  # raises on a singular matrix
+    denominator = prod(scales)  # det A = det B / denominator
+    if abs(det) >= denominator:
+        raise ValueError(f"|det| = {Fraction(abs(det), denominator)} is not below 1")
+    # A^-1 = adj(B) diag(scales) / det B; box_i = ceil(row sum of |A^-1|) - 1
+    box = [
+        -(-sum(abs(x) * scale for x, scale in zip(adj, scales)) // abs(det)) - 1
+        for adj in adjugate
+    ]
     # depth-first over the box, last coordinate outermost; when picking
     # coordinate k, each row confines it to an interval once the free
     # coordinates below k are granted their maximal swing reach[i][k]
     reach = [
         [sum(abs(c) * b for c, b in zip(coeffs[:k], box)) for k in range(n + 1)]
-        for coeffs, _ in cleared
+        for coeffs in rows
     ]
     solutions = []
     stack = [(n, [0] * n)]
@@ -69,7 +75,7 @@ def minkowski_solve(matrix: Sequence[Sequence[Fraction | int]]) -> Vector:
             continue
         k -= 1
         lo, hi = -box[k], box[k]
-        for (coeffs, scale), spans in zip(cleared, reach):
+        for coeffs, scale, spans in zip(rows, scales, reach):
             partial = sum(c * x for c, x in zip(coeffs[k + 1 :], values[k + 1 :]))
             margin = scale + spans[k] - 1  # |partial + c * v| <= margin
             c = coeffs[k]

@@ -23,14 +23,14 @@ from .bounds import (
     coordinate_lower_bounds,
     corpus_extremes,
     face_volume_bound,
-    interior_coordinates,
     parallelotope_check,
     reduced_system,
     section_volume_check,
     sort_barycentric,
 )
 from .certificate import second_interior_point
-from .generators import canonical_examples, onepoint_triangle_atlas, sylvester, zpw_simplex
+from .generators import dilated_simplex, onepoint_triangle_atlas, reflected_simplex
+from .generators import sylvester, zpw_simplex
 from .points import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -360,14 +360,13 @@ def _cmd_cert(args: argparse.Namespace) -> Handled:
     return 0, payload, lines
 
 
-def _simplex_payload(simplex: LatticeSimplex, cap: int) -> dict[str, Any]:
-    point, coords = interior_coordinates(simplex, cap)
+def _simplex_payload(simplex: LatticeSimplex, point: tuple[int, ...]) -> dict[str, Any]:
     return {
         "dim": simplex.dim,
         "vertices": [list(v) for v in simplex.vertices],
         "interior_point": list(point),
         "volume": normalized_volume(simplex),
-        "coordinates": list(coords),
+        "coordinates": list(barycentric_of(simplex, point)),
     }
 
 
@@ -375,19 +374,17 @@ def _cmd_gen(args: argparse.Namespace) -> Handled:
     d = args.dim
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    wanted = args.family
     payload: dict[str, Any] = {"dim": d, "families": {}, "passed": True}
     lines: list[str] = []
-    if wanted in ("zpw", "all"):
-        simplex = zpw_simplex(d, verify=True, cap=args.cap)
+    # each family's builder verifies that its census is (inner,) * d alone
+    families = (("zpw", zpw_simplex, 1), ("dilated", dilated_simplex, 1),
+                ("reflected", reflected_simplex, 0))
+    for name, build, inner in families:
+        if args.family in (name, "all"):
+            simplex = build(d, verify=True, cap=args.cap)
+            payload["families"][name] = _simplex_payload(simplex, (inner,) * d)
+    if "zpw" in payload["families"]:
         payload["sylvester"] = list(sylvester(d).terms)
-        payload["families"]["zpw"] = _simplex_payload(simplex, args.cap)
-    if wanted in ("dilated", "reflected", "all"):
-        dilated, reflected = canonical_examples(d, verify=True, cap=args.cap)
-        if wanted in ("dilated", "all"):
-            payload["families"]["dilated"] = _simplex_payload(dilated, args.cap)
-        if wanted in ("reflected", "all"):
-            payload["families"]["reflected"] = _simplex_payload(reflected, args.cap)
     for name, info in payload["families"].items():
         lines.append(
             f"{name}: vertices {info['vertices']}, volume {_frac(info['volume'])}, "

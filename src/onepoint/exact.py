@@ -1,22 +1,22 @@
 """Exact linear algebra on small dense integer and rational matrices.
 
 Everything in this package ultimately reduces to a handful of matrix
-primitives, and all of them must be exact: determinants, inverses, ranks,
-Smith normal form divisors, and Hermite normal forms.  Matrices are
-immutable tuples of tuples, integers are plain Python ints, rationals are
+primitives, and all of them must be exact: determinants, adjugates, Smith
+normal form divisors, and Hermite normal forms.  Matrices are immutable
+tuples of tuples, integers are plain Python ints, rationals are
 ``fractions.Fraction``.  There is no floating point anywhere.
 
-Integer determinants and adjugates use fraction-free Bareiss elimination
-(in Gauss-Jordan form for the adjugate), rational inverses Gauss-Jordan
-elimination, and Smith normal form repeated gcd row/column reduction.
-The matrices this package sees are tiny (at most 8x8 or so), so
-simplicity and auditability win over asymptotics.
+Every elimination runs on integers.  Determinants and adjugates use
+fraction-free Bareiss elimination (in Gauss-Jordan form for the
+adjugate); callers holding rational rows clear denominators first.
+Smith normal form uses repeated gcd row/column reduction.  The matrices
+are small and dense, so simplicity and auditability win over
+asymptotics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -53,18 +53,6 @@ def rat_matrix(rows: Sequence[Sequence[Fraction | int]]) -> RatMatrix:
 
 def transpose(matrix: Sequence[Sequence]) -> tuple[tuple, ...]:
     return tuple(zip(*matrix)) if matrix else ()
-
-
-def identity_rat(n: int) -> RatMatrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions do not match")
-    cols = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
@@ -136,82 +124,6 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
                 aug[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug)
-
-
-def det_rat(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    """Determinant of a square rational matrix, exactly.
-
-    Clears denominators row by row and delegates to :func:`det_int`, so the
-    heavy lifting stays in integer arithmetic.
-    """
-    m = rat_matrix(matrix)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    scale = Fraction(1)
-    int_rows = []
-    for row in m:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= mult
-        int_rows.append([int(x * mult) for x in row])
-    return Fraction(det_int(int_rows), 1) / scale
-
-
-def invert_rat(matrix: Sequence[Sequence[Fraction | int]]) -> RatMatrix:
-    """Exact inverse of a square rational matrix via Gauss-Jordan.
-
-    Raises :class:`SingularMatrixError` when no inverse exists.
-    """
-    m = rat_matrix(matrix)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("inversion needs a square matrix")
-    aug = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def rank_rat(matrix: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank of a rational matrix by Gaussian elimination."""
-    rows = [list(row) for row in rat_matrix(matrix)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / rows[rank][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: (g, s, t) with a*s + b*t == g == gcd(a, b) >= 0."""
-    old_r, r = _check_int(a), _check_int(b)
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def snf_divisors(matrix: Sequence[Sequence[int]]) -> IntVector:

@@ -100,36 +100,47 @@ def zpw_simplex(dim: int, verify: bool = True, cap: int = DEFAULT_CAP) -> Lattic
     return simplex
 
 
+def _centroid_member(
+    dim: int, corner: int, step: int, inner: int, verify: bool, cap: int
+) -> LatticeSimplex:
+    # conv{corner * (1,...,1), step * e_1, ..., step * e_d}, whose census
+    # must be inner * (1,...,1) alone, at the centroid
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    vertices = [(corner,) * dim]
+    for i in range(dim):
+        vertices.append(tuple(step if c == i else 0 for c in range(dim)))
+    simplex = LatticeSimplex(tuple(vertices))
+    if verify:
+        point = (inner,) * dim
+        census = enumerate_interior(simplex, cap)
+        if census.points != (point,):
+            raise AssertionError(f"interior census {census.points} is not {{{point}}}")
+        bary = barycentric_of(simplex, point)
+        if any(b != Fraction(1, dim + 1) for b in bary):
+            raise AssertionError("interior point is not the centroid")
+    return simplex
+
+
+def dilated_simplex(dim: int, verify: bool = True, cap: int = DEFAULT_CAP) -> LatticeSimplex:
+    """conv{0, (d+1)e_1, ..., (d+1)e_d}; its one interior point is (1,...,1)."""
+    return _centroid_member(dim, 0, dim + 1, 1, verify, cap)
+
+
+def reflected_simplex(dim: int, verify: bool = True, cap: int = DEFAULT_CAP) -> LatticeSimplex:
+    """conv{-(1,...,1), e_1, ..., e_d}; its one interior point is the origin."""
+    return _centroid_member(dim, -1, 1, 0, verify, cap)
+
+
 def canonical_examples(
     dim: int, verify: bool = True, cap: int = DEFAULT_CAP
 ) -> tuple[LatticeSimplex, LatticeSimplex]:
-    """The two families whose interior point sits at the centroid.
+    """The dilated and the reflected simplex, verified as their builders do.
 
-    Returns the dilated standard simplex conv{0, (d+1)e_1, ..., (d+1)e_d}
-    and the reflected simplex conv{-(1,...,1), e_1, ..., e_d}.  Both have
-    exactly one interior lattice point with all barycentric coordinates
-    equal to 1/(d+1), which makes the coordinate lower bound tight at the
-    leading position.
+    Each has one interior lattice point, at the centroid: all barycentric
+    coordinates are 1/(d+1), so the coordinate lower bound is tight.
     """
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    scaled = [(0,) * dim]
-    for i in range(dim):
-        scaled.append(tuple(dim + 1 if c == i else 0 for c in range(dim)))
-    dilated = LatticeSimplex(tuple(scaled))
-    mirrored = [(-1,) * dim]
-    for i in range(dim):
-        mirrored.append(tuple(1 if c == i else 0 for c in range(dim)))
-    reflected = LatticeSimplex(tuple(mirrored))
-    if verify:
-        for simplex, inner in ((dilated, (1,) * dim), (reflected, (0,) * dim)):
-            census = enumerate_interior(simplex, cap)
-            if census.points != (inner,):
-                raise AssertionError(f"interior census {census.points} is not {{{inner}}}")
-            bary = barycentric_of(simplex, inner)
-            if any(b != Fraction(1, dim + 1) for b in bary):
-                raise AssertionError("interior point is not the centroid")
-    return dilated, reflected
+    return dilated_simplex(dim, verify, cap), reflected_simplex(dim, verify, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import cached_property
 from math import factorial, lcm, prod
 from typing import Iterable, Sequence
 
-from .exact import RatVector, adjugate_int, int_matrix, rank_rat, snf_divisors
+from .exact import RatVector, adjugate_int, det_int, int_matrix, snf_divisors
 
 Vector = tuple[int, ...]
 
@@ -55,9 +55,20 @@ def _validate_shape(vertices: tuple[tuple, ...]) -> None:
         raise ValueError("too many vertices for the ambient dimension")
     if len(set(vertices)) != len(vertices):
         raise ValueError("vertices are not distinct")
-    edges = [[x - vertices[0][c] for c, x in enumerate(v)] for v in vertices[1:]]
-    if edges and rank_rat(edges) != len(edges):
+    # Cauchy-Binet: the Gram determinant of the edges is nonzero exactly
+    # when the edge matrix has full row rank
+    edges, _ = _scaled_edges(vertices)
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
+    if det_int(gram) == 0:
         raise ValueError("vertices are affinely dependent")
+
+
+def _scaled_edges(vertices: tuple[tuple, ...]) -> tuple[list[list[int]], int]:
+    """Edges from the first vertex scaled to integers, and the scale used."""
+    base = vertices[0]
+    edges = [[x - b for x, b in zip(v, base)] for v in vertices[1:]]
+    scale = lcm(*(x.denominator for row in edges for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in edges], scale
 
 
 @dataclass(frozen=True)
@@ -195,10 +206,7 @@ def normalized_volume(simplex: LatticeSimplex | RatSimplex) -> Fraction:
     k = simplex.dim
     if k == 0:
         return Fraction(1)
-    base = simplex.vertices[0]
-    edges = [tuple(x - b for x, b in zip(v, base)) for v in simplex.vertices[1:]]
-    scale = lcm(*(Fraction(x).denominator for row in edges for x in row))
-    scaled = [[int(x * scale) for x in row] for row in edges]
+    scaled, scale = _scaled_edges(simplex.vertices)
     divisors = snf_divisors(scaled)
     if len(divisors) != k:
         raise AssertionError(f"edge matrix has rank {len(divisors)}, not {k}")

@@ -141,7 +141,7 @@ def test_criterion_06_certificates(corpus, rng):
 
 @criterion(7, "ratio equals the system determinant")
 def test_criterion_07_ratio_determinant(rng):
-    from onepoint.exact import det_rat
+    from oracles import det_rat
 
     passes = fails = 0
     for trial in range(1000):

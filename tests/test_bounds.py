@@ -1,15 +1,15 @@
 import itertools
 import random
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import onepoint as op
-from onepoint.exact import det_rat
 from onepoint.points import _scan
+from oracles import det_rat
 
 
 ZPW2 = op.LatticeSimplex(((0, 0), (2, 0), (0, 3)))
@@ -209,12 +209,8 @@ def test_parallelotope_frozen():
         assert op.parallelotope_check(ZPW2, (1, 1), omit).passed
 
 
-def full_box_parallelotope(simplex, point, omit):
-    """Corner box and full-box lattice point count of the doubled-coordinate box.
-
-    The loop parallelotope_check ran before the shared scan kernel: every
-    candidate of the corner box is tested against 0 < row(x) < 2 row(p).
-    """
+def corner_box(simplex, point, omit):
+    """Integer hull of the doubled-coordinate box's 2^d corners."""
     bary = op.barycentric_of(simplex, point)
     d = simplex.dim
     axes = [n for n in range(d + 1) if n != omit]
@@ -227,10 +223,20 @@ def full_box_parallelotope(simplex, point, omit):
                 for c in range(d):
                     corner[c] += 2 * bary[n] * (simplex.vertices[n][c] - base[c])
         corners.append(corner)
-    box = tuple(
+    return tuple(
         (ceil(min(c[i] for c in corners)), floor(max(c[i] for c in corners)))
         for i in range(d)
     )
+
+
+def full_box_parallelotope(simplex, point, omit):
+    """Corner box and full-box lattice point count of the doubled-coordinate box.
+
+    The loop parallelotope_check ran before the shared scan kernel: every
+    candidate of the corner box is tested against 0 < row(x) < 2 row(p).
+    """
+    box = corner_box(simplex, point, omit)
+    axes = [n for n in range(simplex.dim + 1) if n != omit]
     rows = simplex.functional_rows
     doubled = []
     for n in axes:
@@ -288,6 +294,17 @@ def test_parallelotope_matches_full_box_loop_on_corpus(corpus):
         for omit in range(member.dim + 1):
             check = op.parallelotope_check(member, point, omit)
             assert check.interior_count == full_box_parallelotope(member, point, omit)[1]
+
+
+def test_parallelotope_cap_meets_the_corner_box(corpus):
+    # the closed-form box is the corner loop's box: the cap refuses one below its size
+    for member in corpus:
+        point = op.is_onepoint(member)
+        for omit in range(member.dim + 1):
+            size = prod(hi - lo + 1 for lo, hi in corner_box(member, point, omit))
+            with pytest.raises(op.EnumerationCapError):
+                op.parallelotope_check(member, point, omit, cap=size - 1)
+            assert op.parallelotope_check(member, point, omit, cap=size).interior_count == 1
 
 
 def test_corpus_extremes_frozen():

@@ -5,7 +5,8 @@ from math import ceil
 import pytest
 
 import onepoint as op
-from onepoint.exact import SingularMatrixError, invert_rat, mat_mul
+from onepoint.exact import SingularMatrixError
+from oracles import invert_rat, mat_mul
 
 
 WIDE = op.LatticeSimplex(((0, 0), (7, 0), (0, 2)))

@@ -144,6 +144,20 @@ def test_gen_families(capsys):
     assert code == 2
 
 
+def test_gen_builds_only_the_requested_family(capsys):
+    # the reflected box holds 9 candidates; the dilated one, 16, is never built
+    code, out, err = run(capsys, "--cap", "10", "gen", "--dim", "2", "--family", "reflected")
+    assert code == 0, err
+    assert out.startswith("reflected:") and "dilated" not in out
+
+
+def test_gen_runs_one_census_per_family(monkeypatch, capsys):
+    scans = []
+    record_calls(monkeypatch, onepoint.points, "_scan", scans, every_binding=False)
+    assert run(capsys, "gen", "--dim", "5")[0] == 0
+    assert len(scans) == 3
+
+
 def test_gen_refuses_unverifiable_dimension(capsys):
     code, _, err = run(capsys, "gen", "--dim", "6", "--family", "zpw")
     assert code == 3

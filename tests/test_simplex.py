@@ -1,13 +1,15 @@
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onepoint as op
-from onepoint.exact import det_int, invert_rat
+from onepoint.exact import det_int
 from onepoint.simplex import RatSimplex
+from oracles import invert_rat, rank_rat
 
 
 def test_validation_errors():
@@ -21,6 +23,45 @@ def test_validation_errors():
         op.LatticeSimplex(((0,), (1,), (2,)))  # too many vertices for the line
     with pytest.raises(ValueError):
         op.LatticeSimplex(((0, 0), (1,)))
+
+
+@st.composite
+def vertex_sets(draw):
+    """k+1 <= d+1 vertices in Z^d, sometimes one an affine combination of the rest."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(0, d))
+    point = st.lists(st.integers(-4, 4).map(Fraction), min_size=d, max_size=d)
+    vertices = draw(st.lists(point, min_size=k + 1, max_size=k + 1))
+    shape = draw(st.sampled_from(("drawn", "integer combination", "rational combination")))
+    if shape != "drawn" and k >= 1:
+        j = draw(st.integers(0, k))
+        others = [v for i, v in enumerate(vertices) if i != j]
+        if shape == "integer combination":
+            weight = st.integers(-2, 2).map(Fraction)
+        else:
+            weight = st.fractions(-2, 2, max_denominator=3)
+        weights = draw(st.lists(weight, min_size=k - 1, max_size=k - 1))
+        weights.append(1 - sum(weights))
+        vertices[j] = [sum(w * v[c] for w, v in zip(weights, others)) for c in range(d)]
+    # scaling by a common denominator keeps (in)dependence and gives integers
+    scale = lcm(*(x.denominator for v in vertices for x in v))
+    return [tuple(int(x * scale) for x in v) for v in vertices], draw(st.integers(1, 3))
+
+
+@given(vertex_sets())
+@settings(max_examples=300, deadline=None)
+def test_simplices_accept_exactly_the_affinely_independent_sets(case):
+    # independent route: the rank of the edge matrix by rational elimination
+    vertices, denominator = case
+    edges = [[x - b for x, b in zip(v, vertices[0])] for v in vertices[1:]]
+    independent = rank_rat(edges) == len(edges)
+    rational = [tuple(Fraction(x, denominator) for x in v) for v in vertices]
+    for build, given_vertices in ((op.LatticeSimplex, vertices), (RatSimplex, rational)):
+        if independent:
+            assert build(given_vertices).vertices == tuple(given_vertices)
+        else:
+            with pytest.raises(ValueError):
+                build(given_vertices)
 
 
 def test_dimensions():

@@ -17,3 +17,22 @@ def test_no_bare_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_exact_holds_no_test_only_code():
+    # a function of exact that only the tests call belongs in tests/oracles.py
+    package = Path(onepoint.__file__).parent
+    tree = ast.parse((package / "exact.py").read_text())
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    used = {
+        node.id
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert len(public) >= 8
+    assert sorted(public - used) == []
