@@ -35,7 +35,6 @@ from .certificate import (
     AdmissibleWeights,
     SecondPointCertificate,
     find_admissible_weights,
-    minkowski_solve,
     second_interior_point,
 )
 from .generators import (

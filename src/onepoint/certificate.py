@@ -5,103 +5,24 @@ inequality, the violation is not just a numeric fact: the system matrix of
 the partition has determinant below 1 in absolute value, so by Minkowski's
 convex body theorem its unit ball holds a nonzero integer vector.  That
 vector's entries are weights from which an explicit second interior lattice
-point is assembled.  This module finds the vector, builds the point, and
-verifies every claimed property before returning.
+point is assembled.  The matrix's shape turns the search for the vector
+into a scan over one integer, the weights' total.  This module finds the
+vector, builds the point, and verifies every claimed property before
+returning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
 from typing import Sequence
 
-from .bounds import partition_matrix, partition_ratio, sort_barycentric
-from .exact import adjugate_int, rat_matrix
-from .points import classify_point
+from .bounds import partition_ratio, reduced_system, sort_barycentric
+from .points import DEFAULT_CAP, EnumerationCapError, classify_point
 from .simplex import LatticeSimplex, barycentric_of, check_barycentric
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
-
-
-def minkowski_solve(matrix: Sequence[Sequence[Fraction | int]]) -> Vector:
-    """A nonzero integer vector x with ||A x||_inf < 1, for |det A| < 1.
-
-    Minkowski's theorem guarantees one exists: the preimage of the open
-    unit cube is a symmetric convex body of volume 2^n / |det A| > 2^n.
-    The search space is the box spanned by the absolute row sums of the
-    inverse, which contains every solution; the determinant and the
-    inverse both come from one fraction-free adjugate of the integer rows.
-    Among all solutions, signs are normalized to a positive leading nonzero
-    entry and the vector minimizing (reversed absolute entries, entries) is
-    returned, so the result is deterministic and the trailing entries are
-    as small as the solution set allows.
-    """
-    a = rat_matrix(matrix)
-    n = len(a)
-    if n == 0 or any(len(row) != n for row in a):
-        raise ValueError("matrix must be square and nonempty")
-    # clear denominators once: A = diag(scales)^-1 B with B an integer
-    # matrix, so every row test below is pure integer work
-    scales = [lcm(*(entry.denominator for entry in row)) for row in a]
-    rows = [
-        [entry.numerator * (scale // entry.denominator) for entry in row]
-        for row, scale in zip(a, scales)
-    ]
-    det, adjugate = adjugate_int(rows)  # raises on a singular matrix
-    denominator = prod(scales)  # det A = det B / denominator
-    if abs(det) >= denominator:
-        raise ValueError(f"|det| = {Fraction(abs(det), denominator)} is not below 1")
-    # A^-1 = adj(B) diag(scales) / det B; box_i = ceil(row sum of |A^-1|) - 1
-    box = [
-        -(-sum(abs(x) * scale for x, scale in zip(adj, scales)) // abs(det)) - 1
-        for adj in adjugate
-    ]
-    # depth-first over the box, last coordinate outermost; when picking
-    # coordinate k, each row confines it to an interval once the free
-    # coordinates below k are granted their maximal swing reach[i][k]
-    reach = [
-        [sum(abs(c) * b for c, b in zip(coeffs[:k], box)) for k in range(n + 1)]
-        for coeffs in rows
-    ]
-    solutions = []
-    stack = [(n, [0] * n)]
-    while stack:
-        k, values = stack.pop()
-        if k == 0:
-            if any(values):
-                solutions.append(tuple(values))
-            continue
-        k -= 1
-        lo, hi = -box[k], box[k]
-        for coeffs, scale, spans in zip(rows, scales, reach):
-            partial = sum(c * x for c, x in zip(coeffs[k + 1 :], values[k + 1 :]))
-            margin = scale + spans[k] - 1  # |partial + c * v| <= margin
-            c = coeffs[k]
-            if c > 0:
-                lo = max(lo, -((margin + partial) // c))
-                hi = min(hi, (margin - partial) // c)
-            elif c < 0:
-                lo = max(lo, -((margin - partial) // -c))
-                hi = min(hi, (margin + partial) // -c)
-            elif abs(partial) > margin:
-                lo = hi + 1
-            if lo > hi:
-                break
-        for value in range(lo, hi + 1):
-            values[k] = value
-            stack.append((k, values.copy()))
-        values[k] = 0
-    if not solutions:
-        raise AssertionError("no short integer vector found; the search box is wrong")
-
-    def normalize(x: Vector) -> Vector:
-        lead = next(v for v in x if v)
-        return x if lead > 0 else tuple(-v for v in x)
-
-    normalized = {normalize(x) for x in solutions}
-    return min(normalized, key=lambda x: (tuple(abs(v) for v in reversed(x)), x))
 
 
 @dataclass(frozen=True)
@@ -117,30 +38,52 @@ class AdmissibleWeights:
 
 
 def find_admissible_weights(
-    coords: Sequence[Fraction | int], sum_side: Sequence[int]
+    coords: Sequence[Fraction | int], sum_side: Sequence[int], cap: int = DEFAULT_CAP
 ) -> AdmissibleWeights | None:
     """Weights for a partition, or None when its inequality holds.
 
-    Solves the partition's system matrix for a short integer vector and
-    orients it so the total is positive.  The total can never be zero: the
-    last system row forces |sum(weights) - total| < 1, so a zero total
-    would force all weights to vanish too.
+    The rows of the partition's system matrix say |w_k - T b_k| < b_k for
+    each product-side coordinate b_k and sum(w) = T, so each weight lies in
+    the integer interval [floor((T-1) b_k) + 1, ceil((T+1) b_k) - 1].  The
+    scan takes the smallest total T >= 1 whose intervals are nonempty and
+    bracket T between their sums; T = 0 would force every weight to 0.
+    Then, from the last weight down, each weight takes the least value that
+    leaves the others feasible.  All weights are positive, so this is the
+    short vector minimizing |T| first and then |w_t|, ..., |w_1|.
+
+    Minkowski's box bounds T by the last row sum of the matrix's inverse,
+    (2 - s) / s with s the sum-side total.  A scan that would pass ``cap``
+    values of T raises :class:`EnumerationCapError` naming that bound.
     """
     bary = check_barycentric(coords)
     if partition_ratio(bary, sum_side) >= 1:
         return None
-    system = partition_matrix(bary, sum_side)
-    solution = minkowski_solve(system)
-    if solution[-1] < 0:
-        solution = tuple(-v for v in solution)
-    weights, total = solution[:-1], solution[-1]
-    if total <= 0 or sum(weights) != total:
-        raise AssertionError(f"weights {weights} do not sum to a positive total {total}")
-    product_side = [j for j in range(len(bary)) if j not in set(sum_side)]
+    sides = set(sum_side)
+    product_side = [j for j in range(len(bary)) if j not in sides]
+    s = sum(bary[i] for i in sides)
+    bound = -((s - 2) // s) - 1  # ceil((2 - s) / s) - 1
+    parts = [(bary[j].numerator, bary[j].denominator) for j in product_side]
+    for total in range(1, bound + 1):
+        if total > cap:
+            raise EnumerationCapError(cap, bound, "T-scan steps", "certificate search may take")
+        lo = [(total - 1) * n // d + 1 for n, d in parts]
+        hi = [-(-(total + 1) * n // d) - 1 for n, d in parts]
+        if all(a <= b for a, b in zip(lo, hi)) and sum(lo) <= total <= sum(hi):
+            break
+    else:
+        raise AssertionError(f"no total up to the Minkowski bound {bound} is feasible")
+    weights = [0] * len(parts)
+    rest, below = total, sum(hi)
+    for k in reversed(range(len(parts))):
+        below -= hi[k]
+        weights[k] = max(lo[k], rest - below)
+        rest -= weights[k]
+    if rest != 0:
+        raise AssertionError(f"weights {weights} do not sum to the total {total}")
     for weight, j in zip(weights, product_side):
         if abs(weight - total * bary[j]) >= bary[j]:
             raise AssertionError(f"weight {weight} drifts too far from {total} * {bary[j]}")
-    return AdmissibleWeights(weights, total)
+    return AdmissibleWeights(tuple(weights), total)
 
 
 @dataclass(frozen=True)
@@ -167,33 +110,38 @@ class SecondPointCertificate:
 
 
 def second_interior_point(
-    simplex: LatticeSimplex, point: Sequence[int]
+    simplex: LatticeSimplex, point: Sequence[int], cap: int = DEFAULT_CAP
 ) -> SecondPointCertificate | None:
     """A second interior lattice point, certified, or None.
 
-    Scans the partitions of the vertex indexes (sum sides as bitmasks over
-    positions sorted by descending barycentric coordinate, smallest mask
-    first) for one whose sum/product ratio drops below 1.  The first hit
-    is turned into an explicit lattice point
+    None means every partition's inequality holds, which is exactly the
+    situation where no construction of this shape exists; the reduced
+    system on the sorted coordinates decides it without visiting the
+    partitions.  Otherwise the partitions of the vertex indexes are
+    scanned (sum sides as bitmasks over positions sorted by descending
+    barycentric coordinate, smallest mask first) for one whose
+    sum/product ratio drops below 1.  The first hit is turned into an
+    explicit lattice point
 
         q = (total + 1) * start - total * anchor
 
     which is verified to be integral, distinct from the start, and
-    interior before a certificate is returned.  None means every
-    partition's inequality holds, which is exactly the situation where no
-    construction of this shape exists.
+    interior before a certificate is returned.  ``cap`` limits the
+    T-scan of :func:`find_admissible_weights`.
     """
     start = tuple(int(x) for x in point)
     if classify_point(simplex, start).kind != "interior":
         raise ValueError(f"start point {start} is not an interior lattice point")
     bary = barycentric_of(simplex, start)
     sorted_coords = sort_barycentric(bary)
+    if all(slack >= 0 for slack in reduced_system(sorted_coords)):
+        return None
     n = len(bary)
     for mask in range(1, 2**n - 1):
         positions = [k for k in range(n) if mask >> k & 1]
         if partition_ratio(sorted_coords.coords, positions) >= 1:
             continue
-        admissible = find_admissible_weights(sorted_coords.coords, positions)
+        admissible = find_admissible_weights(sorted_coords.coords, positions, cap)
         if admissible is None:
             raise AssertionError(f"partition {positions} fails but has no admissible weights")
         complement = [k for k in range(n) if not mask >> k & 1]
@@ -224,4 +172,4 @@ def second_interior_point(
             start=start,
             point=found,
         )
-    return None
+    raise AssertionError("the reduced system fails but no partition inequality does")

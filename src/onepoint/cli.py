@@ -5,7 +5,7 @@ exact rational arithmetic, and reports either human-readable lines or a
 single machine-readable JSON document (``--format structured``).  Exit
 codes: 0 when all checks pass (or a query completes), 1 when a
 mathematical check fails, 2 on usage or parse errors, 3 when an
-enumeration refuses to run above the candidate cap.
+enumeration or a certificate search refuses to run above the cap.
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ def _cmd_cert(args: argparse.Namespace) -> Handled:
                 "no interior lattice point to start from"
             ]
         start = found
-    cert = second_interior_point(simplex, start)
+    cert = second_interior_point(simplex, start, args.cap)
     if cert is None:
         payload = {"start": list(start), "found": False, "passed": True}
         lines = [
@@ -480,7 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_CAP,
-        help="refuse enumerations with more candidate points than this",
+        help="refuse enumerations with more candidate points, and certificate "
+        "searches with more T-scan steps, than this",
     )
     parser.add_argument(
         "--format",

@@ -36,11 +36,21 @@ def _count_text(n: int) -> str:
 
 
 class EnumerationCapError(RuntimeError):
-    """A bounding-box scan would exceed the configured candidate cap."""
+    """A scan would exceed the configured cap, counted in ``unit``.
 
-    def __init__(self, cap: int, required: int):
+    ``required`` is the predicted work in that unit: the candidate count of
+    a bounding box, or the Minkowski bound on a certificate's T-scan.
+    """
+
+    def __init__(
+        self,
+        cap: int,
+        required: int,
+        unit: str = "candidate points",
+        scope: str = "bounding box holds",
+    ):
         super().__init__(
-            f"bounding box holds {_count_text(required)} candidate points, "
+            f"{scope} {_count_text(required)} {unit}, "
             f"above the enumeration cap of {_count_text(cap)}"
         )
         self.cap = cap

@@ -4,13 +4,21 @@ The package runs every elimination on integers (Bareiss determinants and
 the fraction-free adjugate).  These textbook routes over ``Fraction`` are
 the second computation the tests compare against: brute-force Minkowski
 boxes, the partition determinant identity, the barycentric functionals as
-a scaled inverse, and affine independence as a rank.
+a scaled inverse, and affine independence as a rank.  The generic
+short-vector search over a whole Minkowski box is the reference for the
+package's one-integer scan on partition matrices.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
-from onepoint.exact import SingularMatrixError, det_int, rat_matrix, transpose
+from onepoint.exact import (
+    SingularMatrixError,
+    adjugate_int,
+    det_int,
+    rat_matrix,
+    transpose,
+)
 
 
 def identity_rat(n):
@@ -77,3 +85,82 @@ def rank_rat(matrix):
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def minkowski_solve(matrix):
+    """A nonzero integer vector x with ||A x||_inf < 1, for |det A| < 1.
+
+    Minkowski's theorem guarantees one exists: the preimage of the open
+    unit cube is a symmetric convex body of volume 2^n / |det A| > 2^n.
+    The search space is the box spanned by the absolute row sums of the
+    inverse, which contains every solution; the determinant and the
+    inverse both come from one fraction-free adjugate of the integer rows.
+    Among all solutions, signs are normalized to a positive leading nonzero
+    entry and the vector minimizing (reversed absolute entries, entries) is
+    returned, so the result is deterministic and the trailing entries are
+    as small as the solution set allows.
+    """
+    a = rat_matrix(matrix)
+    n = len(a)
+    if n == 0 or any(len(row) != n for row in a):
+        raise ValueError("matrix must be square and nonempty")
+    # clear denominators once: A = diag(scales)^-1 B with B an integer
+    # matrix, so every row test below is pure integer work
+    scales = [lcm(*(entry.denominator for entry in row)) for row in a]
+    rows = [
+        [entry.numerator * (scale // entry.denominator) for entry in row]
+        for row, scale in zip(a, scales)
+    ]
+    det, adjugate = adjugate_int(rows)  # raises on a singular matrix
+    denominator = prod(scales)  # det A = det B / denominator
+    if abs(det) >= denominator:
+        raise ValueError(f"|det| = {Fraction(abs(det), denominator)} is not below 1")
+    # A^-1 = adj(B) diag(scales) / det B; box_i = ceil(row sum of |A^-1|) - 1
+    box = [
+        -(-sum(abs(x) * scale for x, scale in zip(adj, scales)) // abs(det)) - 1
+        for adj in adjugate
+    ]
+    # depth-first over the box, last coordinate outermost; when picking
+    # coordinate k, each row confines it to an interval once the free
+    # coordinates below k are granted their maximal swing reach[i][k]
+    reach = [
+        [sum(abs(c) * b for c, b in zip(coeffs[:k], box)) for k in range(n + 1)]
+        for coeffs in rows
+    ]
+    solutions = []
+    stack = [(n, [0] * n)]
+    while stack:
+        k, values = stack.pop()
+        if k == 0:
+            if any(values):
+                solutions.append(tuple(values))
+            continue
+        k -= 1
+        lo, hi = -box[k], box[k]
+        for coeffs, scale, spans in zip(rows, scales, reach):
+            partial = sum(c * x for c, x in zip(coeffs[k + 1 :], values[k + 1 :]))
+            margin = scale + spans[k] - 1  # |partial + c * v| <= margin
+            c = coeffs[k]
+            if c > 0:
+                lo = max(lo, -((margin + partial) // c))
+                hi = min(hi, (margin - partial) // c)
+            elif c < 0:
+                lo = max(lo, -((margin - partial) // -c))
+                hi = min(hi, (margin + partial) // -c)
+            elif abs(partial) > margin:
+                lo = hi + 1
+            if lo > hi:
+                break
+        for value in range(lo, hi + 1):
+            values[k] = value
+            stack.append((k, values.copy()))
+        values[k] = 0
+    if not solutions:
+        raise AssertionError("no short integer vector found; the search box is wrong")
+
+    def normalize(x):
+        lead = next(v for v in x if v)
+        return x if lead > 0 else tuple(-v for v in x)
+
+    normalized = {normalize(x) for x in solutions}
+    return min(normalized, key=lambda x: (tuple(abs(v) for v in reversed(x)), x))

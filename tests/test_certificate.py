@@ -1,12 +1,15 @@
 import itertools
+import time
 from fractions import Fraction
 from math import ceil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onepoint as op
 from onepoint.exact import SingularMatrixError
-from oracles import invert_rat, mat_mul
+from oracles import invert_rat, mat_mul, minkowski_solve
 
 
 WIDE = op.LatticeSimplex(((0, 0), (7, 0), (0, 2)))
@@ -32,21 +35,21 @@ def brute_minkowski(matrix):
 
 def test_minkowski_solve_frozen():
     half = Fraction(1, 2)
-    assert op.minkowski_solve([[half, 0], [0, half]]) == (1, 0)
-    assert op.minkowski_solve([[Fraction(1, 3), 0], [0, 1]]) == (1, 0)
+    assert minkowski_solve([[half, 0], [0, half]]) == (1, 0)
+    assert minkowski_solve([[Fraction(1, 3), 0], [0, 1]]) == (1, 0)
     system = op.partition_matrix(
         (Fraction(1, 2), Fraction(5, 14), Fraction(1, 7)), (2,)
     )
-    assert op.minkowski_solve(system) == (1, 1, 2)
+    assert minkowski_solve(system) == (1, 1, 2)
 
 
 def test_minkowski_solve_validation():
     with pytest.raises(ValueError):
-        op.minkowski_solve([[1, 0], [0, 1]])  # determinant not below 1
+        minkowski_solve([[1, 0], [0, 1]])  # determinant not below 1
     with pytest.raises(ValueError):
-        op.minkowski_solve([[Fraction(1, 2), 0]])  # not square
+        minkowski_solve([[Fraction(1, 2), 0]])  # not square
     with pytest.raises(SingularMatrixError):
-        op.minkowski_solve([[Fraction(1, 2), 0], [Fraction(1, 2), 0]])
+        minkowski_solve([[Fraction(1, 2), 0], [Fraction(1, 2), 0]])
 
 
 def random_contracting_matrix(rng, n):
@@ -76,9 +79,45 @@ def test_minkowski_solve_matches_brute_force(rng):
         ]
         if any(b > 40 for b in box):
             continue
-        assert op.minkowski_solve(matrix) == brute_minkowski(matrix)
+        assert minkowski_solve(matrix) == brute_minkowski(matrix)
         checked += 1
     assert checked >= 40
+
+
+# coordinates spread over three decades, so many partitions are violated
+coordinate_vectors = st.lists(
+    st.builds(lambda m, e: m * 10**e, st.integers(1, 9), st.integers(0, 2)),
+    min_size=3,
+    max_size=7,
+).map(lambda raw: tuple(Fraction(r, sum(raw)) for r in raw))
+
+
+@given(coordinate_vectors)
+@settings(max_examples=200, deadline=None)
+def test_t_scan_matches_the_minkowski_box_search(coords):
+    n = len(coords)
+    for mask in range(1, 2**n - 1):
+        side = [k for k in range(n) if mask >> k & 1]
+        weights = op.find_admissible_weights(coords, side)
+        if op.partition_ratio(coords, side) >= 1:
+            assert weights is None
+            continue
+        solution = minkowski_solve(op.partition_matrix(coords, side))
+        if solution[-1] < 0:
+            solution = tuple(-v for v in solution)
+        assert weights == op.AdmissibleWeights(solution[:-1], solution[-1])
+
+
+def test_t_scan_refuses_above_the_cap():
+    # sum side 1/29 of conv{0, 29e1, 26e2} at (1, 1): total 26 of at most 56
+    coords = op.barycentric_of(op.LatticeSimplex(((0, 0), (29, 0), (0, 26))), (1, 1))
+    assert op.find_admissible_weights(coords, (1,), cap=26) == op.AdmissibleWeights((25, 1), 26)
+    with pytest.raises(op.EnumerationCapError) as err:
+        op.find_admissible_weights(coords, (1,), cap=25)
+    assert (err.value.cap, err.value.required) == (25, 56)
+    assert str(err.value) == (
+        "certificate search may take 56 T-scan steps, above the enumeration cap of 25"
+    )
 
 
 def test_find_admissible_weights():
@@ -105,6 +144,27 @@ def test_second_interior_point_frozen():
     assert cert.anchor == (Fraction(0), Fraction(1))
     assert cert.point == (3, 1)
     assert cert.start == (1, 1)
+
+
+@pytest.mark.parametrize("n", [10**5, 10**7])
+def test_second_interior_point_on_wide_triangles(n):
+    # the old box search grew with the width: 5.3 s at n = 10^5
+    wide = op.LatticeSimplex(((0, 0), (n, 0), (0, 2)))
+    started = time.perf_counter()
+    cert = op.second_interior_point(wide, (1, 1))
+    assert time.perf_counter() - started < 1
+    assert cert.point == (3, 1)
+    assert cert.weights == (1, 1)
+    assert cert.total == 2
+
+
+def test_second_interior_point_on_a_large_member_skips_the_partitions():
+    # conv{-(1,...,1), e_1, ..., e_d} has 2^19 - 2 partitions at d = 18
+    d = 18
+    vertices = [(-1,) * d] + [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    started = time.perf_counter()
+    assert op.second_interior_point(op.LatticeSimplex(vertices), (0,) * d) is None
+    assert time.perf_counter() - started < 1
 
 
 def test_second_interior_point_requires_interior_start():

@@ -122,6 +122,21 @@ def test_cert_constructs_second_point(files, capsys):
     assert "ratio 4/5" in out
 
 
+def test_cert_caps_the_t_scan(tmp_path, capsys):
+    # from (1, 1) in conv{0, 29e1, 26e2} the certificate's total is 26
+    path = tmp_path / "tri.json"
+    path.write_text(
+        op.simplex_to_text(op.LatticeSimplex(((0, 0), (29, 0), (0, 26)))), encoding="utf-8"
+    )
+    code, _, err = run(capsys, "--cap", "25", "cert", str(path), "--point", "1,1")
+    assert code == 3
+    assert "56 T-scan steps, above the enumeration cap of 25" in err
+    code, out, _ = run(capsys, "--cap", "26", "cert", str(path), "--point", "1,1")
+    assert code == 0
+    assert "total 26" in out
+    assert "second interior point: (27, 1)" in out
+
+
 def test_cert_absent_on_member(files, capsys):
     code, out, _ = run(capsys, "cert", files["zpw2"])
     assert code == 0
