@@ -352,6 +352,8 @@ def face_volume_bound(
     bary = check_barycentric(coords)
     dropped = tuple(sorted(set(omitted)))
     weights = tuple(sorted(set(weight_set)))
+    if any(n < 0 or n > simplex.dim for n in weights):
+        raise ValueError(f"weight indexes must lie in [0, {simplex.dim + 1})")
     if set(dropped) & set(weights):
         raise ValueError("face indexes and weight indexes must be disjoint")
     if len(dropped) + len(weights) != simplex.dim:

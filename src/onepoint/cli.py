@@ -471,6 +471,17 @@ def _cmd_report(args: argparse.Namespace) -> Handled:
     return (0 if passed else 1), payload, lines
 
 
+def _cap(text: str) -> int:
+    """The ``--cap`` type: no enumeration or T-scan runs under a cap below 1."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onepoint",
@@ -478,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cap",
-        type=int,
+        type=_cap,
         default=DEFAULT_CAP,
         help="refuse enumerations with more candidate points, and certificate "
         "searches with more T-scan steps, than this",

@@ -1,17 +1,17 @@
 """Exact linear algebra on small dense integer and rational matrices.
 
-Everything in this package ultimately reduces to a handful of matrix
-primitives, and all of them must be exact: determinants, adjugates, Smith
-normal form divisors, and Hermite normal forms.  Matrices are immutable
-tuples of tuples, integers are plain Python ints, rationals are
-``fractions.Fraction``.  There is no floating point anywhere.
+Everything in this package ultimately reduces to two integer
+eliminations, and both must be exact: the adjugate with its determinant,
+and the Hermite normal form.  Matrices are immutable tuples of tuples,
+integers are plain Python ints, rationals are ``fractions.Fraction``.
+There is no floating point anywhere.
 
-Every elimination runs on integers.  Determinants and adjugates use
-fraction-free Bareiss elimination (in Gauss-Jordan form for the
-adjugate); callers holding rational rows clear denominators first.
-Smith normal form uses repeated gcd row/column reduction.  The matrices
-are small and dense, so simplicity and auditability win over
-asymptotics.
+Every elimination runs on integers.  The adjugate uses fraction-free
+Bareiss elimination in Gauss-Jordan form; callers holding rational rows
+clear denominators first.  The Hermite form uses repeated gcd row
+reduction and is the one route to lattice questions: rank, the index of
+a sublattice in its span, and canonical forms.  The matrices are small
+and dense, so simplicity and auditability win over asymptotics.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 RatMatrix = tuple[tuple[Fraction, ...], ...]
-IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
 
 
@@ -61,38 +60,6 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
-
-    Fraction-free: every intermediate value is an integer, and the single
-    division per step is exact.  Row swaps provide pivoting, flipping the
-    sign.  An empty matrix has determinant 1.
-    """
-    m = int_matrix(matrix)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact by the Bareiss divisibility theorem
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     """Determinant and adjugate of a square integer matrix.
 
@@ -124,63 +91,6 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
                 aug[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug)
-
-
-def snf_divisors(matrix: Sequence[Sequence[int]]) -> IntVector:
-    """Smith normal form divisors of an integer matrix.
-
-    Returns the positive diagonal entries (d_1, ..., d_r) of the Smith
-    normal form, each dividing the next, with r the rank.  Computed by
-    repeated gcd row/column reduction: shrink a minimal pivot until it
-    clears its row and column, fix up divisibility of the remaining block,
-    recurse on the block.
-    """
-    m = int_matrix(matrix)
-    a = [list(row) for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    divisors: list[int] = []
-    t = 0
-    while t < min(nrows, ncols):
-        # locate a minimal-magnitude nonzero entry to pivot on
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        reduced = True
-        for i in range(t + 1, nrows):
-            if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t] != 0:
-                    reduced = False
-        for j in range(t + 1, ncols):
-            if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                for row in a:
-                    row[j] -= q * row[t]
-                if a[t][j] != 0:
-                    reduced = False
-        if not reduced:
-            continue
-        offender = next(
-            (i for i in range(t + 1, nrows)
-             if any(a[i][j] % a[t][t] for j in range(t + 1, ncols))),
-            None,
-        )
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            continue
-        divisors.append(abs(a[t][t]))
-        t += 1
-    return tuple(divisors)
 
 
 def row_hnf(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:

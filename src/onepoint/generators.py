@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .bounds import chain_decompose, check_all_partitions, coordinate_lower_bounds
-from .exact import IntMatrix, col_hnf, det_int, mat_vec, transpose
+from .exact import IntMatrix, adjugate_int, col_hnf, mat_vec, transpose
 from .points import DEFAULT_CAP, EnumerationCapError, enumerate_interior
 from .simplex import LatticeSimplex, barycentric_of, normalized_volume
 
@@ -176,7 +176,7 @@ def _canonical_at(vertices: tuple[Vector, ...], anchor: Vector) -> tuple[
     )
     linear = transpose(v)
     offset = tuple(-x for x in mat_vec(linear, anchor))
-    if abs(det_int(linear)) != 1:
+    if abs(adjugate_int(linear)[0]) != 1:
         raise AssertionError("canonicalizing map is not unimodular")
     mapped = sorted(tuple(a + b for a, b in zip(mat_vec(linear, w), offset)) for w in vertices)
     if mapped != sorted(h):

@@ -22,7 +22,7 @@ from functools import cached_property
 from math import factorial, lcm, prod
 from typing import Iterable, Sequence
 
-from .exact import RatVector, adjugate_int, det_int, int_matrix, snf_divisors
+from .exact import RatVector, adjugate_int, int_matrix, row_hnf, transpose
 
 Vector = tuple[int, ...]
 
@@ -43,7 +43,8 @@ def _freeze_int_vertices(vertices: Iterable[Sequence[int]]) -> tuple[Vector, ...
     return tuple(frozen)
 
 
-def _validate_shape(vertices: tuple[tuple, ...]) -> None:
+def _validate_shape(vertices: tuple[tuple, ...]) -> Fraction:
+    """Check the vertices span a simplex and return its normalized volume."""
     if not vertices:
         raise ValueError("a simplex needs at least one vertex")
     ambient = len(vertices[0])
@@ -55,20 +56,18 @@ def _validate_shape(vertices: tuple[tuple, ...]) -> None:
         raise ValueError("too many vertices for the ambient dimension")
     if len(set(vertices)) != len(vertices):
         raise ValueError("vertices are not distinct")
-    # Cauchy-Binet: the Gram determinant of the edges is nonzero exactly
-    # when the edge matrix has full row rank
-    edges, _ = _scaled_edges(vertices)
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
-    if det_int(gram) == 0:
-        raise ValueError("vertices are affinely dependent")
-
-
-def _scaled_edges(vertices: tuple[tuple, ...]) -> tuple[list[list[int]], int]:
-    """Edges from the first vertex scaled to integers, and the scale used."""
-    base = vertices[0]
-    edges = [[x - b for x, b in zip(v, base)] for v in vertices[1:]]
+    # the column Hermite form of the k edges has one pivot per independent
+    # edge, and its k pivots multiply to the gcd of the k x k minors: the
+    # index of the edge lattice in the lattice of its span
+    k = len(vertices) - 1
+    edges = [[x - b for x, b in zip(v, vertices[0])] for v in vertices[1:]]
     scale = lcm(*(x.denominator for row in edges for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in edges], scale
+    scaled = [[x.numerator * (scale // x.denominator) for x in row] for row in edges]
+    h, _ = row_hnf(transpose(scaled))
+    pivots = [next(x for x in row if x) for row in h if any(row)]
+    if len(pivots) != k:
+        raise ValueError("vertices are affinely dependent")
+    return Fraction(prod(pivots), factorial(k)) / scale**k
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,9 @@ class LatticeSimplex:
 
     def __init__(self, vertices: Iterable[Sequence[int]]):
         frozen = _freeze_int_vertices(vertices)
-        _validate_shape(frozen)
+        volume = _validate_shape(frozen)
         object.__setattr__(self, "vertices", frozen)
+        object.__setattr__(self, "_volume", volume)
 
     @property
     def dim(self) -> int:
@@ -135,8 +135,9 @@ class RatSimplex:
 
     def __init__(self, vertices: Iterable[Sequence[Fraction | int]]):
         frozen = tuple(tuple(Fraction(x) for x in v) for v in vertices)
-        _validate_shape(frozen)
+        volume = _validate_shape(frozen)
         object.__setattr__(self, "vertices", frozen)
+        object.__setattr__(self, "_volume", volume)
 
     @property
     def dim(self) -> int:
@@ -198,19 +199,13 @@ def face_of(simplex: LatticeSimplex, omitted: Iterable[int]) -> LatticeSimplex:
 def normalized_volume(simplex: LatticeSimplex | RatSimplex) -> Fraction:
     """Volume against the lattice induced on the simplex's affine hull.
 
-    For an integer k-simplex this is the product of the Smith normal form
-    divisors of its edge matrix divided by k!.  Rational vertices are
-    scaled to a common denominator first and the scale divided back out.
-    A single vertex has volume 1 by convention.
+    For an integer k-simplex this is the product of the Hermite pivots of
+    its edge matrix divided by k!.  Rational vertices are scaled to a
+    common denominator first and the scale divided back out.  A single
+    vertex has volume 1 by convention.  The constructor computes it while
+    checking affine independence, so this reads the stored value.
     """
-    k = simplex.dim
-    if k == 0:
-        return Fraction(1)
-    scaled, scale = _scaled_edges(simplex.vertices)
-    divisors = snf_divisors(scaled)
-    if len(divisors) != k:
-        raise AssertionError(f"edge matrix has rank {len(divisors)}, not {k}")
-    return Fraction(prod(divisors), factorial(k)) / scale**k
+    return simplex._volume
 
 
 def section_simplex(

@@ -1,12 +1,15 @@
-"""Rational eliminations kept as independent references for the tests.
+"""Second computations kept as independent references for the tests.
 
-The package runs every elimination on integers (Bareiss determinants and
-the fraction-free adjugate).  These textbook routes over ``Fraction`` are
-the second computation the tests compare against: brute-force Minkowski
-boxes, the partition determinant identity, the barycentric functionals as
-a scaled inverse, and affine independence as a rank.  The generic
-short-vector search over a whole Minkowski box is the reference for the
-package's one-integer scan on partition matrices.
+The package runs every elimination on integers: the fraction-free
+adjugate, and the Hermite normal form for rank and lattice volume.  The
+routes here are the second computation the tests compare against.
+Bareiss determinants and Smith normal form divisors give affine
+independence and normalized volume by another elimination.  Textbook
+routes over ``Fraction`` give brute-force Minkowski boxes, the partition
+determinant identity, the barycentric functionals as a scaled inverse,
+and affine independence as a rank.  The generic short-vector search over
+a whole Minkowski box is the reference for the package's one-integer
+scan on partition matrices.
 """
 
 from fractions import Fraction
@@ -15,10 +18,99 @@ from math import lcm, prod
 from onepoint.exact import (
     SingularMatrixError,
     adjugate_int,
-    det_int,
+    int_matrix,
     rat_matrix,
     transpose,
 )
+
+
+def det_int(matrix):
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Fraction-free: every intermediate value is an integer, and the single
+    division per step is exact.  Row swaps provide pivoting, flipping the
+    sign.  An empty matrix has determinant 1.
+    """
+    m = int_matrix(matrix)
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # exact by the Bareiss divisibility theorem
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def snf_divisors(matrix):
+    """Smith normal form divisors of an integer matrix.
+
+    Returns the positive diagonal entries (d_1, ..., d_r) of the Smith
+    normal form, each dividing the next, with r the rank.  Computed by
+    repeated gcd row/column reduction: shrink a minimal pivot until it
+    clears its row and column, fix up divisibility of the remaining block,
+    recurse on the block.
+    """
+    m = int_matrix(matrix)
+    a = [list(row) for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    divisors = []
+    t = 0
+    while t < min(nrows, ncols):
+        # locate a minimal-magnitude nonzero entry to pivot on
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        a[t], a[bi] = a[bi], a[t]
+        for row in a:
+            row[t], row[bj] = row[bj], row[t]
+        reduced = True
+        for i in range(t + 1, nrows):
+            if a[i][t] != 0:
+                q = a[i][t] // a[t][t]
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                if a[i][t] != 0:
+                    reduced = False
+        for j in range(t + 1, ncols):
+            if a[t][j] != 0:
+                q = a[t][j] // a[t][t]
+                for row in a:
+                    row[j] -= q * row[t]
+                if a[t][j] != 0:
+                    reduced = False
+        if not reduced:
+            continue
+        offender = next(
+            (i for i in range(t + 1, nrows)
+             if any(a[i][j] % a[t][t] for j in range(t + 1, ncols))),
+            None,
+        )
+        if offender is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            continue
+        divisors.append(abs(a[t][t]))
+        t += 1
+    return tuple(divisors)
 
 
 def identity_rat(n):

@@ -182,6 +182,9 @@ def test_face_volume_bound_frozen():
         op.face_volume_bound(ZPW2, ZPW2_COORDS, (0,), (0,))
     with pytest.raises(ValueError):
         op.face_volume_bound(ZPW2, ZPW2_COORDS, (0,), ())
+    for weight_set in ((-1, 0), (5, 7), (0, 3)):
+        with pytest.raises(ValueError, match="weight indexes"):
+            op.face_volume_bound(ZPW2, ZPW2_COORDS, (), weight_set)
 
 
 def test_section_volume_frozen():

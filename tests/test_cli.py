@@ -65,6 +65,14 @@ def test_cap_refusal_exits_3(files, capsys):
     assert "enumeration cap" in err
 
 
+def test_cap_below_one_is_a_usage_error(files, capsys):
+    for cap in ("0", "-5"):
+        code, _, err = run(capsys, "--cap", cap, "verify", files["zpw2"])
+        assert code == 2
+        assert f"argument --cap: must be at least 1, got {cap}" in err
+    assert run(capsys, "--cap", "1", "bary", files["tri3"], "--point", "1,1")[0] == 0
+
+
 def test_bary_fractional_point(files, capsys):
     code, out, _ = run(capsys, "bary", files["tri3"], "--point", "3/2,3/2")
     assert code == 0

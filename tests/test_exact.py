@@ -9,15 +9,13 @@ from onepoint.exact import (
     SingularMatrixError,
     adjugate_int,
     col_hnf,
-    det_int,
     int_matrix,
     mat_vec,
     rat_matrix,
     row_hnf,
-    snf_divisors,
     transpose,
 )
-from oracles import det_rat, identity_rat, invert_rat, mat_mul, rank_rat
+from oracles import det_int, det_rat, identity_rat, invert_rat, mat_mul, rank_rat, snf_divisors
 
 
 def cofactor_det(rows):

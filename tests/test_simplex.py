@@ -1,15 +1,17 @@
+import inspect
 import json
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import onepoint as op
-from onepoint.exact import det_int
+import onepoint.simplex
 from onepoint.simplex import RatSimplex
-from oracles import invert_rat, rank_rat
+from oracles import det_int, invert_rat, rank_rat, snf_divisors
 
 
 def test_validation_errors():
@@ -163,6 +165,54 @@ def test_normalized_volume_frozen():
         )
     )
     assert op.normalized_volume(half) == Fraction(1, 8)
+
+
+def smith_volume(vertices):
+    # independent route: Smith divisors of the edges scaled to integers
+    k = len(vertices) - 1
+    edges = [[Fraction(x) - b for x, b in zip(v, vertices[0])] for v in vertices[1:]]
+    scale = lcm(*(x.denominator for row in edges for x in row))
+    divisors = snf_divisors([[int(x * scale) for x in row] for row in edges])
+    assert len(divisors) == k
+    return Fraction(prod(divisors), factorial(k)) / scale**k
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_normalized_volume_matches_smith_divisors(data):
+    d = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, d))
+    rational = data.draw(st.booleans())
+    entry = st.fractions(-9, 9, max_denominator=6) if rational else st.integers(-9, 9)
+    point = st.lists(entry, min_size=d, max_size=d).map(tuple)
+    vertices = data.draw(st.lists(point, min_size=k + 1, max_size=k + 1, unique=True))
+    edges = [[x - b for x, b in zip(v, vertices[0])] for v in vertices[1:]]
+    assume(rank_rat(edges) == k)
+    simplex = RatSimplex(vertices) if rational else op.LatticeSimplex(vertices)
+    assert op.normalized_volume(simplex) == smith_volume(vertices)
+
+
+def test_face_and_volume_take_one_hermite_form(monkeypatch):
+    zpw4 = op.zpw_simplex(4, verify=False)
+    expected = smith_volume(zpw4.vertices[1:])
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in list(vars(onepoint.simplex).items()):
+        if inspect.isfunction(fn) and fn.__module__ == "onepoint.exact":
+            monkeypatch.setattr(onepoint.simplex, name, counted(name, fn))
+    face = op.face_of(zpw4, (0,))
+    assert op.normalized_volume(face) == expected
+    # one Hermite form decides independence and gives the volume: no Gram
+    # determinant, no Smith form, and nothing more when the volume is read
+    del calls["transpose"]
+    assert calls == {"row_hnf": 1}
 
 
 @given(small_simplices(2))
