@@ -25,6 +25,8 @@ from .exact import RatMatrix, rat_matrix
 from .points import DEFAULT_CAP, _capped_box, _scan, count_face_points, is_onepoint
 from .simplex import (
     LatticeSimplex,
+    _complement,
+    _vertex_barycentric,
     barycentric_of,
     check_barycentric,
     face_of,
@@ -46,8 +48,8 @@ class PartitionRecord:
 
     sum_side: tuple[int, ...]
     product_side: tuple[int, ...]
-    sum_value: Fraction
-    product_value: Fraction
+    sum: Fraction
+    product: Fraction
     slack: Fraction
 
 
@@ -60,13 +62,10 @@ class InequalityReport:
 
 
 def _split(count: int, sum_side: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    left = tuple(sorted(set(sum_side)))
-    if any(i < 0 or i >= count for i in left):
-        raise ValueError(f"partition indexes must lie in [0, {count})")
-    right = tuple(i for i in range(count) if i not in set(left))
-    if not left or not right:
+    left = set(sum_side)
+    if not left or left == set(range(count)):
         raise ValueError("both partition sides must be nonempty")
-    return left, right
+    return _complement(count, left)
 
 
 def partition_slack(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -> Fraction:
@@ -258,7 +257,7 @@ def chain_decompose(
     whole one-point family of dimension d.  The top level omits nothing,
     so its count is the closure count of the simplex.
     """
-    sorted_coords = sort_barycentric(coords)
+    sorted_coords = sort_barycentric(_vertex_barycentric(simplex, coords))
     d = simplex.dim
     levels = []
     for i in range(1, d + 1):
@@ -349,7 +348,7 @@ def face_volume_bound(
     The face's normalized volume is at most
     1 / (|weight_set|! * prod(coords over weight_set)).
     """
-    bary = check_barycentric(coords)
+    bary = _vertex_barycentric(simplex, coords)
     dropped = tuple(sorted(set(omitted)))
     weights = tuple(sorted(set(weight_set)))
     if any(n < 0 or n > simplex.dim for n in weights):
@@ -369,7 +368,6 @@ def face_volume_bound(
 @dataclass(frozen=True)
 class SectionVolumeCheck:
     omitted: tuple[int, ...]
-    kept_weight: Fraction
     section_volume: Fraction
     face_volume: Fraction
     predicted: Fraction
@@ -387,19 +385,15 @@ def section_volume_check(
     values is a rescaled copy of the parallel face: its volume equals
     (sum of kept coordinates)^(face dim) times the face volume.
     """
-    bary = check_barycentric(coords)
-    dropped = tuple(sorted(set(omitted)))
-    kept = tuple(j for j in range(len(bary)) if j not in set(dropped))
-    if not kept:
-        raise ValueError("at least one vertex must be kept")
+    bary = _vertex_barycentric(simplex, coords)
+    dropped, kept = _complement(len(bary), omitted)
     section = section_simplex(simplex, bary, dropped)
     section_volume = normalized_volume(section)
     face_volume = normalized_volume(face_of(simplex, dropped))
     kept_weight = sum(bary[j] for j in kept)
     predicted = kept_weight ** (len(kept) - 1) * face_volume
     return SectionVolumeCheck(
-        dropped, kept_weight, section_volume, face_volume, predicted,
-        section_volume == predicted,
+        dropped, section_volume, face_volume, predicted, section_volume == predicted
     )
 
 
@@ -411,7 +405,6 @@ def section_volume_check(
 class ParallelotopeCheck:
     center: Vector
     omitted_index: int
-    extents: tuple[Fraction, ...]
     volume: Fraction
     interior_count: int
     passed: bool
@@ -465,7 +458,7 @@ def parallelotope_check(
         halfspaces.append((tuple(-c for c in coeffs), top - 1 - const))
     count = _scan(halfspaces, box, collect=False)
     passed = count == 1 and volume <= 2**d
-    return ParallelotopeCheck(tuple(point), omit, extents, volume, count, passed)
+    return ParallelotopeCheck(tuple(point), omit, volume, count, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +491,16 @@ def corpus_extremes(
     comparison bound 14^(-2^(d+1)) known from dimension-uniform arguments
     is included for context only.
     """
-    by_dim: dict[int, list[tuple[LatticeSimplex, Sequence[Fraction | int]]]] = {}
+    by_dim: dict[int, list[tuple[LatticeSimplex, RatVector]]] = {}
     for index, (member, coords) in enumerate(members):
         if not member.is_full_dimensional:
             raise ValueError(f"corpus member {index} is not full-dimensional")
-        by_dim.setdefault(member.dim, []).append((member, coords))
+        by_dim.setdefault(member.dim, []).append((member, _vertex_barycentric(member, coords)))
     summaries = []
     for d, group in sorted(by_dim.items()):
         max_volume = max(normalized_volume(member) for member, _ in group)
         max_count = max(count_face_points(member, (), cap) for member, _ in group)
-        min_coord = min(min(check_barycentric(coords)) for _, coords in group)
+        min_coord = min(min(coords) for _, coords in group)
         volume_bound = Fraction((d + 1) ** (2**d - 1), factorial(d))
         coordinate_bound = Fraction(1, (d + 1) ** (2**d))
         summaries.append(

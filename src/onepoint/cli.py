@@ -2,15 +2,18 @@
 
 Every subcommand reads simplices in the JSON exchange format, works in
 exact rational arithmetic, and reports either human-readable lines or a
-single machine-readable JSON document (``--format structured``).  Exit
-codes: 0 when all checks pass (or a query completes), 1 when a
-mathematical check fails, 2 on usage or parse errors, 3 when an
-enumeration or a certificate search refuses to run above the cap.
+single machine-readable JSON document (``--format structured``).  The
+document serializes the command's result records field by field, so a
+new record field is a new key in the output.  Exit codes: 0 when all
+checks pass (or a query completes), 1 when a mathematical check fails,
+2 on usage or parse errors, 3 when an enumeration or a certificate
+search refuses to run above the cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -54,11 +57,16 @@ def _frac(value: Fraction) -> str:
 
 
 def _jsonable(value: Any) -> Any:
-    """Exact JSON image: fractions become strings, never floats."""
+    """Exact JSON image: fractions become strings, never floats.
+
+    A result record becomes a dict of its fields, in declaration order.
+    """
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, Fraction):
         return _frac(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -92,9 +100,10 @@ def _point_arg(coords: tuple[Fraction, ...]) -> list[Fraction | int]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (exit code, payload, human lines)
+# subcommands; each returns (exit code, payload, human lines), the payload
+# being a dict or a result record
 
-Handled = tuple[int, dict[str, Any], list[str]]
+Handled = tuple[int, Any, list[str]]
 
 
 def _cmd_verify(args: argparse.Namespace) -> Handled:
@@ -104,8 +113,8 @@ def _cmd_verify(args: argparse.Namespace) -> Handled:
     passed = count == 1
     payload = {
         "interior_count": count,
-        "interior_points": [list(p) for p in census.points],
-        "scanned_box": [list(side) for side in census.scanned_box],
+        "interior_points": census.points,
+        "scanned_box": census.scanned_box,
         "passed": passed,
     }
     lines = [f"interior lattice points: {count}"]
@@ -123,8 +132,8 @@ def _cmd_bary(args: argparse.Namespace) -> Handled:
     coords = barycentric_of(simplex, _point_arg(point))
     kind = classify_point(simplex, _point_arg(point)).kind
     payload = {
-        "point": list(point),
-        "coordinates": list(coords),
+        "point": point,
+        "coordinates": coords,
         "classification": kind,
         "lattice_point": all(c.denominator == 1 for c in point),
         "passed": True,
@@ -160,19 +169,10 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
     report = check_all_partitions(coords)
     reduced = reduced_system(sort_barycentric(coords))
     payload = {
-        "coordinates": list(coords),
-        "partitions": [
-            {
-                "sum_side": list(r.sum_side),
-                "product_side": list(r.product_side),
-                "sum": r.sum_value,
-                "product": r.product_value,
-                "slack": r.slack,
-            }
-            for r in report.records
-        ],
+        "coordinates": coords,
+        "partitions": report.records,
         "min_slack": report.min_slack,
-        "reduced_slacks": list(reduced),
+        "reduced_slacks": reduced,
         "passed": report.passed,
     }
     worst = report.worst
@@ -185,8 +185,8 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
         lines.append("all partition inequalities hold")
     else:
         lines.append(
-            f"violated: sum over {list(worst.sum_side)} is {_frac(worst.sum_value)}, "
-            f"product over {list(worst.product_side)} is {_frac(worst.product_value)}"
+            f"violated: sum over {list(worst.sum_side)} is {_frac(worst.sum)}, "
+            f"product over {list(worst.product_side)} is {_frac(worst.product)}"
         )
     return (0 if report.passed else 1), payload, lines
 
@@ -220,49 +220,10 @@ def _cmd_bounds(args: argparse.Namespace) -> Handled:
         and all(s.passed for s in sections)
     )
     payload = {
-        "coordinate_bounds": {
-            "entries": [
-                {
-                    "position": e.position,
-                    "value": e.value,
-                    "bound": e.bound,
-                    "tight": e.tight,
-                    "ok": e.ok,
-                }
-                for e in lower.entries
-            ],
-            "recursion_slacks": list(lower.recursion_slacks),
-            "order": list(lower.order),
-            "passed": lower.passed,
-        },
-        "face_volume_bounds": [
-            {
-                "omitted": list(f.omitted),
-                "weight_set": list(f.weight_set),
-                "bound": f.bound,
-                "face_volume": f.face_volume,
-                "slack": f.slack,
-                "passed": f.passed,
-            }
-            for f in faces
-        ],
-        "parallelotope": {
-            "center": list(box.center),
-            "omitted_index": box.omitted_index,
-            "volume": box.volume,
-            "interior_count": box.interior_count,
-            "passed": box.passed,
-        },
-        "sections": [
-            {
-                "omitted": list(s.omitted),
-                "section_volume": s.section_volume,
-                "face_volume": s.face_volume,
-                "predicted": s.predicted,
-                "passed": s.passed,
-            }
-            for s in sections
-        ],
+        "coordinate_bounds": lower,
+        "face_volume_bounds": faces,
+        "parallelotope": box,
+        "sections": sections,
         "passed": passed,
     }
     worst_entry = min(lower.entries, key=lambda e: e.value / e.bound)
@@ -287,22 +248,6 @@ def _cmd_chain(args: argparse.Namespace) -> Handled:
             "the simplex does not have exactly one interior lattice point"
         ]
     report = chain_decompose(simplex, barycentric_of(simplex, point), args.cap)
-    payload = {
-        "order": list(report.order),
-        "levels": [
-            {
-                "level": l.level,
-                "omitted": list(l.omitted),
-                "volume": l.volume,
-                "volume_bound": l.volume_bound,
-                "count": l.count,
-                "count_bound": l.count_bound,
-                "ok": l.ok,
-            }
-            for l in report.levels
-        ],
-        "passed": report.passed,
-    }
     lines = [f"vertex order by coordinate: {list(report.order)}"]
     for level in report.levels:
         lines.append(
@@ -311,7 +256,7 @@ def _cmd_chain(args: argparse.Namespace) -> Handled:
             f"{'' if level.ok else '  VIOLATED'}"
         )
     lines.append(f"chain bounds hold: {'yes' if report.passed else 'no'}")
-    return (0 if report.passed else 1), payload, lines
+    return (0 if report.passed else 1), report, lines
 
 
 def _cmd_cert(args: argparse.Namespace) -> Handled:
@@ -329,25 +274,13 @@ def _cmd_cert(args: argparse.Namespace) -> Handled:
         start = found
     cert = second_interior_point(simplex, start, args.cap)
     if cert is None:
-        payload = {"start": list(start), "found": False, "passed": True}
+        payload = {"start": start, "found": False, "passed": True}
         lines = [
             f"start: {start}",
             "every partition inequality holds; no second point of this shape exists",
         ]
         return 0, payload, lines
-    payload = {
-        "start": list(cert.start),
-        "found": True,
-        "sum_side": list(cert.sum_side),
-        "product_side": list(cert.product_side),
-        "ratio": cert.ratio,
-        "weights": list(cert.weights),
-        "weight_order": list(cert.weight_order),
-        "total": cert.total,
-        "anchor": list(cert.anchor),
-        "point": list(cert.point),
-        "passed": True,
-    }
+    payload = {**_jsonable(cert), "found": True, "passed": True}
     lines = [
         f"start: {cert.start}",
         f"violated partition: sum side {list(cert.sum_side)}, "
@@ -366,7 +299,7 @@ def _simplex_payload(simplex: LatticeSimplex, point: tuple[int, ...]) -> dict[st
         "vertices": [list(v) for v in simplex.vertices],
         "interior_point": list(point),
         "volume": normalized_volume(simplex),
-        "coordinates": list(barycentric_of(simplex, point)),
+        "coordinates": barycentric_of(simplex, point),
     }
 
 
@@ -384,7 +317,7 @@ def _cmd_gen(args: argparse.Namespace) -> Handled:
             simplex = build(d, verify=True, cap=args.cap)
             payload["families"][name] = _simplex_payload(simplex, (inner,) * d)
     if "zpw" in payload["families"]:
-        payload["sylvester"] = list(sylvester(d).terms)
+        payload["sylvester"] = sylvester(d).terms
     for name, info in payload["families"].items():
         lines.append(
             f"{name}: vertices {info['vertices']}, volume {_frac(info['volume'])}, "
@@ -402,10 +335,10 @@ def _cmd_atlas2d(args: argparse.Namespace) -> Handled:
         "max_point_count": atlas.max_point_count,
         "classes": [
             {
-                "vertices": [list(v) for v in c.form.vertices],
+                "vertices": c.form.vertices,
                 "volume": c.volume,
                 "point_count": c.point_count,
-                "coordinates": list(c.coordinates),
+                "coordinates": c.coordinates,
                 "min_slack": c.min_slack,
             }
             for c in atlas.classes
@@ -436,24 +369,8 @@ def _cmd_report(args: argparse.Namespace) -> Handled:
             ]
         members.append((simplex, barycentric_of(simplex, census.points[0])))
     extremes = corpus_extremes(members, args.cap)
-    payload = {
-        "files": list(args.files),
-        "dimensions": [
-            {
-                "dim": e.dim,
-                "members": e.members,
-                "max_volume": e.max_volume,
-                "max_point_count": e.max_point_count,
-                "min_coordinate": e.min_coordinate,
-                "volume_bound": e.volume_bound,
-                "coordinate_bound": e.coordinate_bound,
-                "comparison_coordinate_bound": e.comparison_coordinate_bound,
-                "passed": e.passed,
-            }
-            for e in extremes
-        ],
-        "passed": all(e.passed for e in extremes),
-    }
+    passed = all(e.passed for e in extremes)
+    payload = {"files": args.files, "dimensions": extremes, "passed": passed}
     lines = []
     for e in extremes:
         lines.append(
@@ -466,7 +383,6 @@ def _cmd_report(args: argparse.Namespace) -> Handled:
             f"  dimension-uniform comparison bound: "
             f"{_frac(e.comparison_coordinate_bound)}"
         )
-    passed = all(e.passed for e in extremes)
     lines.append(f"all extremal bounds hold: {'yes' if passed else 'no'}")
     return (0 if passed else 1), payload, lines
 
@@ -567,13 +483,13 @@ def main(argv: list[str] | None = None) -> int:
     except (SimplexParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = {
-        "command": args.command,
-        "config": {"cap": args.cap, "format": args.format},
-        **payload,
-    }
     if args.format == "structured":
-        print(json.dumps(_jsonable(doc), sort_keys=True, indent=2))
+        doc = {
+            "command": args.command,
+            "config": {"cap": args.cap, "format": args.format},
+            **_jsonable(payload),
+        }
+        print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         for line in lines:
             print(line)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
 
-from .simplex import LatticeSimplex, barycentric_of, normalized_volume
+from .simplex import LatticeSimplex, _complement, barycentric_of, normalized_volume
 
 Vector = tuple[int, ...]
 
@@ -198,16 +198,11 @@ def count_face_points(
     functionals for zero, the rest for nonnegativity.
     """
     simplex._require_full()
-    dropped = set(omitted)
-    if any(i < 0 or i >= len(simplex.vertices) for i in dropped):
-        raise ValueError("face indexes out of range")
-    kept = [j for j in range(len(simplex.vertices)) if j not in dropped]
-    if not kept:
-        raise ValueError("at least one vertex must remain on the face")
+    dropped, kept = _complement(len(simplex.vertices), omitted)
     box = _capped_box(_vertex_box([simplex.vertices[j] for j in kept]), cap)
     rows = simplex.functional_rows
     # every functional nonnegative, and the omitted ones also nonpositive
-    negated = [(tuple(-c for c in rows[i][0]), -rows[i][1]) for i in sorted(dropped)]
+    negated = [(tuple(-c for c in rows[i][0]), -rows[i][1]) for i in dropped]
     return _scan(list(rows) + negated, box, collect=False)
 
 

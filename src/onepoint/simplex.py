@@ -180,6 +180,16 @@ def check_barycentric(coords: Sequence[Fraction | int]) -> RatVector:
     return frozen
 
 
+def _vertex_barycentric(
+    simplex: LatticeSimplex, coords: Sequence[Fraction | int]
+) -> RatVector:
+    """Validate ``coords`` as barycentric coordinates with one per vertex."""
+    bary = check_barycentric(coords)
+    if len(bary) != len(simplex.vertices):
+        raise ValueError("barycentric length does not match the vertex count")
+    return bary
+
+
 def _complement(count: int, omitted: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     dropped = sorted(set(omitted))
     if any(i < 0 or i >= count for i in dropped):
@@ -219,9 +229,7 @@ def section_simplex(
 
         sum(coords[i] * p_i for omitted i) + (sum of kept coords) * p_j
     """
-    bary = check_barycentric(coords)
-    if len(bary) != len(simplex.vertices):
-        raise ValueError("barycentric length does not match the vertex count")
+    bary = _vertex_barycentric(simplex, coords)
     dropped, kept = _complement(len(simplex.vertices), omitted)
     kept_weight = sum(bary[j] for j in kept)
     offset = [Fraction(0)] * simplex.ambient_dim

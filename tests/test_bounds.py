@@ -18,6 +18,9 @@ TRI3 = op.LatticeSimplex(((0, 0), (3, 0), (0, 3)))
 WIDE = op.LatticeSimplex(((0, 0), (7, 0), (0, 2)))
 
 ZPW2_COORDS = (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
+# coordinate vectors one entry too long and one too short for a triangle
+MISFITS = ((Fraction(1, 4),) * 4, (Fraction(1, 2),) * 2)
+LENGTH_ERROR = "barycentric length does not match the vertex count"
 WIDE_COORDS = (Fraction(5, 14), Fraction(1, 7), Fraction(1, 2))
 
 
@@ -30,6 +33,14 @@ def test_partition_slack_frozen():
         op.partition_slack(ZPW2_COORDS, ())
     with pytest.raises(ValueError):
         op.partition_slack(ZPW2_COORDS, (0, 1, 2))
+
+
+def test_partition_sides_must_be_nonempty():
+    for side in ((), (0, 1, 2)):
+        with pytest.raises(ValueError, match="both partition sides must be nonempty"):
+            op.partition_slack(ZPW2_COORDS, side)
+    with pytest.raises(ValueError, match=r"vertex indexes must lie in \[0, 3\)"):
+        op.partition_slack(ZPW2_COORDS, (0, 1, 2, 5))
 
 
 def test_check_all_partitions_order_and_worst():
@@ -156,6 +167,9 @@ def test_chain_decompose_frozen():
     segment = op.LatticeSimplex(((0,), (2,)))
     line = op.chain_decompose(segment, op.barycentric_of(segment, (1,)))
     assert line.levels[0].volume == 2 and line.levels[0].volume_bound == 2
+    for coords in MISFITS:
+        with pytest.raises(ValueError, match=LENGTH_ERROR):
+            op.chain_decompose(ZPW2, coords)
 
 
 def test_zpw_lower_chain_frozen():
@@ -185,6 +199,10 @@ def test_face_volume_bound_frozen():
     for weight_set in ((-1, 0), (5, 7), (0, 3)):
         with pytest.raises(ValueError, match="weight indexes"):
             op.face_volume_bound(ZPW2, ZPW2_COORDS, (), weight_set)
+    for coords in MISFITS:
+        for weight_set in ((0, 1), (0, 2)):
+            with pytest.raises(ValueError, match=LENGTH_ERROR):
+                op.face_volume_bound(ZPW2, coords, (), weight_set)
 
 
 def test_section_volume_frozen():
@@ -195,7 +213,7 @@ def test_section_volume_frozen():
     slanted = op.section_volume_check(ZPW2, coords, (0,))
     assert slanted.section_volume == Fraction(5, 6)
     assert slanted.face_volume == 1
-    assert slanted.kept_weight == Fraction(5, 6)
+    assert slanted.predicted == Fraction(5, 6) * slanted.face_volume
     assert slanted.passed
     whole = op.section_volume_check(ZPW2, coords, ())
     assert whole.section_volume == op.normalized_volume(ZPW2)
@@ -324,3 +342,6 @@ def test_corpus_extremes_frozen():
     assert d2.passed
     with pytest.raises(ValueError):
         op.corpus_extremes([(op.face_of(ZPW2, (0,)), ZPW2_COORDS)])
+    for coords in MISFITS:
+        with pytest.raises(ValueError, match=LENGTH_ERROR):
+            op.corpus_extremes([(TRI3, (Fraction(1, 3),) * 3), (ZPW2, coords)])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -309,3 +310,74 @@ def test_atlas_repeats_no_points_call(monkeypatch, capsys):
     assert run(capsys, "atlas2d", "--radius", "9")[0] == 0
     keys = [repr(call) for call in calls]
     assert keys and len(set(keys)) == len(keys)
+
+
+# SHA-256 of each structured document, dumped with sorted keys and no
+# whitespace; a change to any record field changes its digest
+FROZEN_DOCUMENTS = {
+    "verify zpw3": (
+        0, "fc78c5c3f1e84283324e59712c03e9cfb1f37a2824952d975cabdc662a591661"
+    ),
+    "verify big": (
+        1, "db063b334277304b983602c7aa390b1923a94577526880768d89cc20da1943f4"
+    ),
+    "bary zpw3 1,1,1": (
+        0, "13c83fe063d338405d55f99bcb5675a09089600e9e0d258479e99d67db836668"
+    ),
+    "bary tri3 3/2,3/2": (
+        0, "8dab2495864f6c4f853222928842448077d71e45e227a85db1e30255a1588fa9"
+    ),
+    "ineq zpw3": (
+        0, "9ab7de88f518cbab132f44627bd5a9a9aa47e93fc7bd505bfcd9fca9e7689ddb"
+    ),
+    "ineq zpw3 1/2,1/2,1/2": (
+        1, "a3cc752e2b603d4a4bbaa3dbbcb6933ffe72a3668e80f68cb3acf1cb96e1fdfc"
+    ),
+    "ineq wide": (
+        1, "9eb02d54ee0cd668a20ee02b937fe3dbf1a59ef63eba75842a20021366e40802"
+    ),
+    "bounds zpw3": (
+        0, "83d63501c72d370cf988e281cd36c50a5d43c04c7ba2b036fe0e9711414e4d51"
+    ),
+    "bounds big": (
+        1, "a285006c8b55c15002dee80717c98029a19b31ef47901a5dc1b95d7eb9fcf4b4"
+    ),
+    "chain zpw3": (
+        0, "d1edf949dd4a14307545bc47171d4d72b88619e25ab4a2def7eb944b7f7c563b"
+    ),
+    "cert zpw3": (
+        0, "a84511065f6bddaeabbc1e601701f4a9709639642309e74bc43d23cc60f27185"
+    ),
+    "cert wide 1,1": (
+        0, "7471280755846309b6a4dc109ca47751540ec5c18690f0dc2c051196f86fe57a"
+    ),
+    "gen 3": (
+        0, "f37179bbd7e4e0c5745cfc0f6517f718e3b129c2c9210e41287e3924ad4dc7bc"
+    ),
+    "atlas2d 9": (
+        0, "8a720f6015754452b734cddc0a9f543d876585205cf1079e3210fab5d4f318fe"
+    ),
+    "report zpw2 zpw3 tri3": (
+        0, "e2dc981b28f1227040f1d914d6d88b49640531056f0561c31b207f3ded7adf50"
+    ),
+}
+
+
+def test_structured_documents_match_frozen_digests(files, tmp_path, monkeypatch, capsys):
+    # file names relative to the working directory keep ``report`` paths stable
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for key in FROZEN_DOCUMENTS:
+        command, *rest = key.split()
+        if command == "gen":
+            argv = ["gen", "--dim", rest[0]]
+        elif command == "atlas2d":
+            argv = ["atlas2d", "--radius", rest[0]]
+        elif command == "report":
+            argv = ["report", *(f"{name}.json" for name in rest)]
+        else:
+            argv = [command, f"{rest[0]}.json"] + (["--point", rest[1]] if rest[1:] else [])
+        code, out, _ = run(capsys, "--format", "structured", *argv)
+        text = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+        got[key] = (code, hashlib.sha256(text.encode("utf-8")).hexdigest())
+    assert got == FROZEN_DOCUMENTS
