@@ -456,7 +456,7 @@ def parallelotope_check(
         top = 2 * (sum(c * x for c, x in zip(coeffs, point)) + const)
         halfspaces.append((coeffs, const - 1))
         halfspaces.append((tuple(-c for c in coeffs), top - 1 - const))
-    count = _scan(halfspaces, box, collect=False)
+    count = _scan(halfspaces, box, 0)[0]
     passed = count == 1 and volume <= 2**d
     return ParallelotopeCheck(tuple(point), omit, volume, count, passed)
 

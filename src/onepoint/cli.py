@@ -108,20 +108,21 @@ Handled = tuple[int, Any, list[str]]
 
 def _cmd_verify(args: argparse.Namespace) -> Handled:
     simplex = _load(args.file)
-    census = enumerate_interior(simplex, args.cap)
-    count = len(census.points)
-    passed = count == 1
+    # the human lines show 20 points; the document lists every one
+    limit = None if args.format == "structured" else 20
+    census = enumerate_interior(simplex, args.cap, limit)
+    passed = census.count == 1
     payload = {
-        "interior_count": count,
+        "interior_count": census.count,
         "interior_points": census.points,
         "scanned_box": census.scanned_box,
         "passed": passed,
     }
-    lines = [f"interior lattice points: {count}"]
+    lines = [f"interior lattice points: {census.count}"]
     for point in census.points[:20]:
         lines.append(f"  {point}")
-    if count > 20:
-        lines.append(f"  ... {count - 20} more")
+    if census.count > 20:
+        lines.append(f"  ... {census.count - 20} more")
     lines.append(f"one-point member: {'yes' if passed else 'no'}")
     return (0 if passed else 1), payload, lines
 
@@ -147,7 +148,7 @@ def _cmd_bary(args: argparse.Namespace) -> Handled:
 
 
 def _interior_start(simplex: LatticeSimplex, cap: int) -> tuple[int, ...] | None:
-    census = enumerate_interior(simplex, cap)
+    census = enumerate_interior(simplex, cap, limit=1)
     return census.points[0] if census.points else None
 
 
@@ -362,10 +363,10 @@ def _cmd_report(args: argparse.Namespace) -> Handled:
     members = []
     for path in args.files:
         simplex = _load(path)
-        census = enumerate_interior(simplex, args.cap)
-        if len(census.points) != 1:
+        census = enumerate_interior(simplex, args.cap, limit=1)
+        if census.count != 1:
             return 1, {"passed": False, "reason": f"{path} is not a one-point simplex"}, [
-                f"{path}: {len(census.points)} interior lattice points, expected 1"
+                f"{path}: {census.count} interior lattice points, expected 1"
             ]
         members.append((simplex, barycentric_of(simplex, census.points[0])))
     extremes = corpus_extremes(members, args.cap)
@@ -424,12 +425,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bary", help="barycentric coordinates of a point")
     p.add_argument("file")
-    p.add_argument("--point", required=True, help="comma-separated, fractions allowed")
+    p.add_argument("--point", required=True, help="comma-separated, fractions allowed: -1/3,2")
     p.set_defaults(handler=_cmd_bary)
 
     p = sub.add_parser("ineq", help="check all partition inequalities")
     p.add_argument("file")
-    p.add_argument("--point", help="interior point to test (default: lex-min interior)")
+    p.add_argument("--point", help="interior point to test, as -1/2,3; default lex-min interior")
     p.set_defaults(handler=_cmd_ineq)
 
     p = sub.add_parser("bounds", help="coordinate, face volume, and section checks")
@@ -442,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cert", help="construct a second interior point if one must exist")
     p.add_argument("file")
-    p.add_argument("--point", help="interior lattice point to start from")
+    p.add_argument("--point", help="interior lattice point to start from, as -2,1")
     p.set_defaults(handler=_cmd_cert)
 
     p = sub.add_parser("gen", help="build the extremal families")
@@ -471,8 +472,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    # argparse reads a value such as -1/3,2 as a flag, so "--point V" goes in as "--point=V"
+    words: list[str] = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1] == "--point":
+            words[-1] += "=" + word
+        else:
+            words.append(word)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(words)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

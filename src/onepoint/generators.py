@@ -94,7 +94,7 @@ def zpw_simplex(dim: int, verify: bool = True, cap: int = DEFAULT_CAP) -> Lattic
         vertices.append(tuple(t if c == i else 0 for c in range(dim)))
     simplex = LatticeSimplex(tuple(vertices))
     if verify:
-        census = enumerate_interior(simplex, cap)
+        census = enumerate_interior(simplex, cap, limit=2)
         if census.points != ((1,) * dim,):
             raise AssertionError(f"interior census {census.points} is not the all-ones point")
     return simplex
@@ -113,7 +113,7 @@ def _centroid_member(
     simplex = LatticeSimplex(tuple(vertices))
     if verify:
         point = (inner,) * dim
-        census = enumerate_interior(simplex, cap)
+        census = enumerate_interior(simplex, cap, limit=2)
         if census.points != (point,):
             raise AssertionError(f"interior census {census.points} is not {{{point}}}")
         bary = barycentric_of(simplex, point)
@@ -195,7 +195,7 @@ def normal_form_2d(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> Canonical
     """
     if simplex.dim != 2 or not simplex.is_full_dimensional:
         raise ValueError("only full-dimensional planar simplices have a normal form here")
-    census = enumerate_interior(simplex, cap)
+    census = enumerate_interior(simplex, cap, limit=1)
     if not census.points:
         raise ValueError("simplex has no interior lattice point to anchor at")
     form, linear, offset = _canonical_at(simplex.vertices, census.points[0])
@@ -268,7 +268,7 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
         if any(abs(x) > box_radius for v in form for x in v):
             raise AssertionError(f"class {form} does not fit in radius {box_radius}")
         member = LatticeSimplex(form)
-        census = enumerate_interior(member, cap)
+        census = enumerate_interior(member, cap, limit=2)
         if census.points != ((0, 0),):
             raise AssertionError(f"class {form} fails the census: {census.points}")
         bary = barycentric_of(member, (0, 0))

@@ -5,8 +5,10 @@ coordinates.  Bulk enumeration works on the integer forms of the same
 functionals: each barycentric functional times the positive hull
 determinant has integer coefficients, so the interior, a closed face and
 the parallelotope around the interior point are all integer half-spaces
-for one box scan.  It walks the box one axis short and solves the last
-axis as an integer interval, which keeps even million-point boxes cheap.
+for one box scan.  It walks the box depth-first from its shortest side,
+cuts each axis to the values every half-space still allows, counts each
+row of the longest axis as one integer interval, and builds only the
+lexicographically smallest points a caller asks for.
 
 Every scan is guarded by a candidate cap: when the bounding box holds more
 candidates than the cap allows, the scan refuses up front instead of
@@ -15,7 +17,7 @@ grinding.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -73,8 +75,9 @@ class PointClass:
 
 @dataclass(frozen=True)
 class InteriorCensus:
-    """All interior lattice points, in lexicographic order."""
+    """The interior lattice point count, and the first points in lexicographic order."""
 
+    count: int
     points: tuple[Vector, ...]
     scanned_box: tuple[tuple[int, int], ...]
 
@@ -116,76 +119,97 @@ def _capped_box(box: tuple[tuple[int, int], ...], cap: int) -> tuple[tuple[int, 
     return box
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def _scan(
     halfspaces: Sequence[tuple[tuple[int, ...], int]],
     box: Sequence[tuple[int, int]],
-    collect: bool,
-) -> int | list[Vector]:
-    """Count or collect the lattice points of ``box`` in every half-space.
+    limit: int | None,
+) -> tuple[int, list[Vector]]:
+    """Count the lattice points of ``box`` in every half-space; collect the first few.
 
     Each half-space is an integer pair (coeffs, const) meaning
     coeffs . x + const >= 0; a strict or an equality condition on an
-    integer form is written as one or two such pairs.  The longest box
-    axis is solved as an integer interval, the rest are walked directly.
-    Collected points come back sorted.  Callers pass a box from
+    integer form is written as one or two such pairs.  Returns the count
+    and the ``limit`` lexicographically smallest points, sorted: all of
+    them for None, none for 0.  Callers pass a box from
     :func:`_capped_box`, so the refusal comes before any row is built.
+
+    The walk is depth-first from the shortest box side to the longest,
+    so the axes fixed early bound the long ones; the longest is solved
+    per row as an integer interval whose length goes to the count.  Each
+    level carries one partial sum per half-space and cuts its axis to the
+    values at which every half-space can still hold with the axes not yet
+    fixed at their best box ends, so no value that one half-space rules
+    out alone is entered.  A row builds only the points that can still
+    be among the ``limit`` smallest, at most ``limit``, kept in a bounded
+    heap of negated points.
     """
     d = len(box)
-    scan_axis = max(range(d), key=lambda a: box[a][1] - box[a][0])
-    prefix_axes = [a for a in range(d) if a != scan_axis]
-    # (scan coefficient, prefix coefficients, constant) per half-space
-    prepared = [
-        (coeffs[scan_axis], [coeffs[a] for a in prefix_axes], const)
-        for coeffs, const in halfspaces
-    ]
-    scan_lo, scan_hi = box[scan_axis]
-    found: list[Vector] = []
+    order = sorted(range(d), key=lambda a: box[a][1] - box[a][0])
+    # per level, (coefficient of its axis, the most the later axes can add) per half-space
+    cuts, gains = [], [0] * len(halfspaces)
+    for a in reversed(order):
+        cuts.insert(0, [(c[a], g) for (c, _), g in zip(halfspaces, gains)])
+        gains = [g + max(c[a] * end for end in box[a]) for (c, _), g in zip(halfspaces, gains)]
     count = 0
-    ranges = [range(box[a][0], box[a][1] + 1) for a in prefix_axes]
-    for prefix in itertools.product(*ranges):
-        lo, hi = scan_lo, scan_hi
-        alive = True
-        for c, pcoeffs, const in prepared:
-            base = const + sum(p * x for p, x in zip(pcoeffs, prefix))
+    found: list[Vector] = []
+    point = [0] * d
+
+    def walk(level: int, sums: list[int]) -> None:
+        nonlocal count
+        axis = order[level]
+        lo, hi = box[axis]
+        for (c, rest), s in zip(cuts[level], sums):
             if c > 0:
-                lo = max(lo, _ceil_div(-base, c))
+                lo = max(lo, -((s + rest) // c))
             elif c < 0:
-                hi = min(hi, (-base) // c)
-            elif base < 0:
-                alive = False
-                break
-            if lo > hi:
-                alive = False
-                break
-        if not alive:
-            continue
-        if collect:
-            head, tail = prefix[:scan_axis], prefix[scan_axis:]
+                hi = min(hi, (s + rest) // -c)
+            elif s + rest < 0:
+                return
+        if level < d - 1:
+            for x in range(lo, hi + 1):
+                point[axis] = x
+                walk(level + 1, [s + c * x for (c, _), s in zip(cuts[level], sums)])
+            return
+        if lo > hi:
+            return
+        count += hi - lo + 1
+        if limit == 0:
+            return
+        head, tail = tuple(point[:axis]), tuple(point[axis + 1:])
+        if limit is None:
             found.extend(head + (t,) + tail for t in range(lo, hi + 1))
-        else:
-            count += hi - lo + 1
-    if collect:
-        found.sort()
-        return found
-    return count
+            return
+        for t in range(lo, min(hi, lo + limit - 1) + 1):
+            key = tuple(-x for x in head + (t,) + tail)  # found[0] is the largest point kept
+            if len(found) < limit:
+                heapq.heappush(found, key)
+            elif key > found[0]:
+                heapq.heapreplace(found, key)
+            else:
+                break
+
+    walk(0, [const for _, const in halfspaces])
+    if limit is None:
+        return count, sorted(found)
+    return count, sorted(tuple(-x for x in key) for key in found)
 
 
-def enumerate_interior(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> InteriorCensus:
-    """Enumerate every interior lattice point of a full-dimensional simplex.
+def enumerate_interior(
+    simplex: LatticeSimplex, cap: int = DEFAULT_CAP, limit: int | None = None
+) -> InteriorCensus:
+    """Count the interior lattice points of a full-dimensional simplex.
 
     Scans the componentwise vertex bounding box, refusing with
     :class:`EnumerationCapError` when the box holds more candidates than
-    ``cap``.  Points come back in lexicographic order.
+    ``cap``.  The census keeps the ``limit`` lexicographically smallest
+    points (all of them for None), in order.
     """
     simplex._require_full()
     box = _capped_box(_vertex_box(simplex.vertices), cap)
     # every functional strictly positive: row - 1 >= 0 on integers
     interior = [(coeffs, const - 1) for coeffs, const in simplex.functional_rows]
-    return InteriorCensus(tuple(_scan(interior, box, collect=True)), box)
+    count, points = _scan(interior, box, limit)
+    return InteriorCensus(count, tuple(points), box)
 
 
 def count_face_points(
@@ -203,15 +227,13 @@ def count_face_points(
     rows = simplex.functional_rows
     # every functional nonnegative, and the omitted ones also nonpositive
     negated = [(tuple(-c for c in rows[i][0]), -rows[i][1]) for i in dropped]
-    return _scan(list(rows) + negated, box, collect=False)
+    return _scan(list(rows) + negated, box, 0)[0]
 
 
 def is_onepoint(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> Vector | None:
     """The unique interior lattice point, or None if there is not exactly one."""
-    census = enumerate_interior(simplex, cap)
-    if len(census.points) == 1:
-        return census.points[0]
-    return None
+    census = enumerate_interior(simplex, cap, limit=1)
+    return census.points[0] if census.count == 1 else None
 
 
 def blichfeldt_check(simplex: LatticeSimplex, count: int) -> BlichfeldtCheck:

@@ -9,9 +9,11 @@ routes over ``Fraction`` give brute-force Minkowski boxes, the partition
 determinant identity, the barycentric functionals as a scaled inverse,
 and affine independence as a rank.  The generic short-vector search over
 a whole Minkowski box is the reference for the package's one-integer
-scan on partition matrices.
+scan on partition matrices.  A walk over every prefix of the box is the
+reference for the package's depth-first census kernel.
 """
 
+import itertools
 from fractions import Fraction
 from math import lcm, prod
 
@@ -256,3 +258,56 @@ def minkowski_solve(matrix):
 
     normalized = {normalize(x) for x in solutions}
     return min(normalized, key=lambda x: (tuple(abs(v) for v in reversed(x)), x))
+
+
+def _ceil_div(a, b):
+    return -((-a) // b)
+
+
+def box_walk(halfspaces, box, collect):
+    """Count or collect the lattice points of ``box`` in every half-space.
+
+    Each half-space is an integer pair (coeffs, const) meaning
+    coeffs . x + const >= 0.  Every prefix of the box off its longest axis
+    is walked, and each half-space is summed from scratch on every one;
+    the longest axis is solved as an integer interval.  Collected points
+    come back sorted.
+    """
+    d = len(box)
+    scan_axis = max(range(d), key=lambda a: box[a][1] - box[a][0])
+    prefix_axes = [a for a in range(d) if a != scan_axis]
+    # (scan coefficient, prefix coefficients, constant) per half-space
+    prepared = [
+        (coeffs[scan_axis], [coeffs[a] for a in prefix_axes], const)
+        for coeffs, const in halfspaces
+    ]
+    scan_lo, scan_hi = box[scan_axis]
+    found = []
+    count = 0
+    ranges = [range(box[a][0], box[a][1] + 1) for a in prefix_axes]
+    for prefix in itertools.product(*ranges):
+        lo, hi = scan_lo, scan_hi
+        alive = True
+        for c, pcoeffs, const in prepared:
+            base = const + sum(p * x for p, x in zip(pcoeffs, prefix))
+            if c > 0:
+                lo = max(lo, _ceil_div(-base, c))
+            elif c < 0:
+                hi = min(hi, (-base) // c)
+            elif base < 0:
+                alive = False
+                break
+            if lo > hi:
+                alive = False
+                break
+        if not alive:
+            continue
+        if collect:
+            head, tail = prefix[:scan_axis], prefix[scan_axis:]
+            found.extend(head + (t,) + tail for t in range(lo, hi + 1))
+        else:
+            count += hi - lo + 1
+    if collect:
+        found.sort()
+        return found
+    return count

@@ -305,7 +305,7 @@ def test_two_sided_scan_matches_full_box_loop(data):
             coeffs, const = simplex.functional_rows[n]
             top = 2 * (sum(c * x for c, x in zip(coeffs, point)) + const)
             halfspaces += [(coeffs, const - 1), (tuple(-c for c in coeffs), top - 1 - const)]
-    assert _scan(halfspaces, box, collect=False) == expected
+    assert _scan(halfspaces, box, 0) == (expected, [])
     assert expected >= 1  # the point itself
 
 

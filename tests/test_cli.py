@@ -49,6 +49,43 @@ def test_verify_nonmember(files, capsys):
     assert "one-point member: no" in out
 
 
+def test_verify_counts_millions_and_lists_twenty(tmp_path, capsys):
+    path = tmp_path / "tri3001.json"
+    tri = op.LatticeSimplex(((0, 0), (3001, 0), (0, 3000)))
+    path.write_text(op.simplex_to_text(tri), encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(path))
+    assert time.perf_counter() - started < 1
+    listed = [f"  (1, {y})" for y in range(1, 21)]
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "interior lattice points: 4498500",
+        *listed,
+        "  ... 4498480 more",
+        "one-point member: no",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bary", "--point", "-1/3,2"),
+        ("ineq", "--point", "-6,1/2"),
+        ("cert", "--point", "-7,1"),
+    ],
+)
+def test_point_takes_a_negative_first_coordinate(argv, tmp_path, capsys):
+    # conv{0, 7e1, 2e2} moved by -8e1: interior points (-7, 1), (-6, 1), (-5, 1)
+    path = tmp_path / "moved.json"
+    moved = op.LatticeSimplex(((-8, 0), (-1, 0), (-8, 2)))
+    path.write_text(op.simplex_to_text(moved), encoding="utf-8")
+    command, flag, value = argv
+    spaced = run(capsys, command, str(path), flag, value)
+    joined = run(capsys, command, str(path), f"{flag}={value}")
+    assert spaced == joined
+    assert spaced[0] == 0, spaced[2]
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 2, "vertices": [[0, 0], [1.5, 0], [0, 2]]}')

@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import onepoint as op
+from onepoint.points import _scan
+from oracles import box_walk
 
 
 ZPW2 = op.LatticeSimplex(((0, 0), (2, 0), (0, 3)))
@@ -44,6 +47,30 @@ def test_count_face_points_frozen():
         op.count_face_points(small, (0, 1, 2))
     with pytest.raises(ValueError):
         op.count_face_points(small, (5,))
+
+
+def test_census_counts_all_and_keeps_the_first_points():
+    big = op.LatticeSimplex(((0, 0), (6, 0), (0, 6)))
+    census = op.enumerate_interior(big, limit=3)
+    assert census.count == 10
+    assert census.points == ((1, 1), (1, 2), (1, 3))
+    assert op.enumerate_interior(big, limit=0).points == ()
+    everything = op.enumerate_interior(big)
+    assert everything.count == len(everything.points)
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [(5, 4, 3, 2, 1, 0), (3, 4, 5, 0, 1, 2), (2, 5, 0, 4, 1, 3), (6, 5, 4, 3, 2, 1, 0)],
+)
+def test_zpw_census_pays_for_the_simplex_not_its_box(perm):
+    # zpw(6)'s box holds 2.5e13 candidates, 7.6M rows off its longest axis; zpw(7)'s, 2.7e26
+    zpw = op.zpw_simplex(len(perm), verify=False)
+    moved = op.LatticeSimplex(tuple(tuple(v[a] for a in perm) for v in zpw.vertices))
+    started = time.perf_counter()
+    census = op.enumerate_interior(moved, cap=10**27, limit=2)
+    assert time.perf_counter() - started < 2
+    assert (census.count, census.points) == (1, ((1,) * len(perm),))
 
 
 def test_is_onepoint():
@@ -117,3 +144,55 @@ def test_closure_count_agrees_with_classification(simplex):
         for y in range(y0, y1 + 1)
     )
     assert count == direct
+
+
+@st.composite
+def scan_cases(draw):
+    """A simplex's interior, closed face or parallelotope, over its vertex box.
+
+    Some draws zero coefficients or hold one box axis to a single value.
+    """
+    d = draw(st.integers(1, 5))
+    side = (30, 8, 4, 3, 2)[d - 1]
+    coords = st.lists(st.integers(-side, side), min_size=d, max_size=d)
+    vertices = draw(st.lists(coords, min_size=d + 1, max_size=d + 1))
+    try:
+        simplex = op.LatticeSimplex(tuple(map(tuple, vertices)))
+    except ValueError:
+        assume(False)
+    rows = list(simplex.functional_rows)
+    kind = draw(st.sampled_from(("interior", "face", "parallelotope")))
+    if kind == "interior":
+        halfspaces = [(coeffs, const - 1) for coeffs, const in rows]
+    elif kind == "face":
+        omitted = draw(st.sets(st.integers(0, d), max_size=d))
+        halfspaces = rows + [(tuple(-c for c in rows[i][0]), -rows[i][1]) for i in omitted]
+    else:
+        omit = draw(st.integers(0, d))
+        point = [draw(st.integers(-side, side)) for _ in range(d)]
+        halfspaces = []
+        for coeffs, const in rows[:omit] + rows[omit + 1:]:
+            top = 2 * (sum(c * x for c, x in zip(coeffs, point)) + const)
+            halfspaces += [(coeffs, const - 1), (tuple(-c for c in coeffs), top - 1 - const)]
+    if draw(st.booleans()):  # zero some coefficients, leaving axes free of a half-space
+        halfspaces = [
+            (tuple(0 if draw(st.integers(0, 3)) == 0 else c for c in coeffs), const)
+            for coeffs, const in halfspaces
+        ]
+    box = [(min(v[a] for v in vertices), max(v[a] for v in vertices)) for a in range(d)]
+    if draw(st.booleans()):  # one axis holds a single value
+        flat = draw(st.integers(0, d - 1))
+        value = draw(st.integers(*box[flat]))
+        box[flat] = (value, value)
+    return halfspaces, box
+
+
+@given(scan_cases())
+@example(([((1, 0), 0), ((0, 0), -1)], [(0, 2), (0, 3)]))  # no axis meets the second
+@example(([((1, 0), 0), ((0, 0), 0)], [(0, 2), (0, 3)]))
+@settings(max_examples=150, deadline=None)
+def test_scan_matches_the_box_walk(case):
+    halfspaces, box = case
+    count, every = box_walk(halfspaces, box, False), box_walk(halfspaces, box, True)
+    for limit in (0, 1, 2, 20, None):
+        assert _scan(halfspaces, box, limit) == (count, every[:limit])

@@ -36,3 +36,22 @@ def test_exact_holds_no_test_only_code():
     }
     assert {"adjugate_int", "row_hnf", "col_hnf"} <= public
     assert sorted(public - used) == []
+
+
+def _names_itertools_product(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr == "product" and getattr(node.value, "id", None) == "itertools"
+    if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+        return any(alias.name == "product" for alias in node.names)
+    return False
+
+
+def test_one_box_walk_in_package():
+    # points._scan is the one census kernel; a product over the box would be a second walk
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(onepoint.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _names_itertools_product(node)
+    ]
+    assert found == []
