@@ -10,26 +10,24 @@ appear.
 """
 
 from .bounds import (
+    BoundsReport,
     ChainReport,
     InequalityReport,
     LowerBoundReport,
-    LowerChainReport,
     PartitionRecord,
     SortedBarycentrics,
+    bounds_report,
     chain_decompose,
     check_all_partitions,
     coordinate_lower_bounds,
     corpus_extremes,
-    face_volume_bound,
     interior_coordinates,
     parallelotope_check,
     partition_matrix,
     partition_ratio,
     partition_slack,
     reduced_system,
-    section_volume_check,
     sort_barycentric,
-    zpw_lower_chain,
 )
 from .certificate import (
     AdmissibleWeights,
@@ -41,6 +39,7 @@ from .generators import (
     Atlas2D,
     AtlasClass,
     CanonicalForm,
+    LowerChainReport,
     SylvesterSequence,
     canonical_examples,
     dilated_simplex,
@@ -48,6 +47,7 @@ from .generators import (
     onepoint_triangle_atlas,
     reflected_simplex,
     sylvester,
+    zpw_lower_chain,
     zpw_simplex,
 )
 from .points import (

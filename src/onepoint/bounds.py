@@ -272,54 +272,6 @@ def chain_decompose(
     return ChainReport(tuple(levels), sorted_coords.order, all(l.ok for l in levels))
 
 
-@dataclass(frozen=True)
-class LowerChainLevel:
-    level: int
-    volume: Fraction
-    volume_identity_ok: bool
-    volume_bound: Fraction
-    count: int
-    count_ok: bool
-    ok: bool
-
-
-@dataclass(frozen=True)
-class LowerChainReport:
-    dim: int
-    levels: tuple[LowerChainLevel, ...]
-    passed: bool
-
-
-def zpw_lower_chain(dim: int, cap: int = DEFAULT_CAP) -> LowerChainReport:
-    """Matching lower bounds along the Zaks-Perles-Wills chain.
-
-    Level i of the chain keeps the origin and the first i axis vertices.
-    Its normalized volume is exactly (t_{i+1} - 1)/i! in terms of the
-    Sylvester sequence, hence at least (2^(2^(i-1)) - 1)/i!, and its
-    lattice point count squared is at least 2^(2^(i-1)).
-    """
-    # local import: the generators module itself leans on this module
-    from .generators import sylvester, zpw_simplex
-
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    terms = sylvester(dim + 1).terms
-    simplex = zpw_simplex(dim, verify=False)
-    levels = []
-    for i in range(1, dim + 1):
-        omitted = tuple(range(i + 1, dim + 1))
-        volume = normalized_volume(face_of(simplex, omitted))
-        identity_ok = volume == Fraction(terms[i] - 1, factorial(i))
-        volume_bound = Fraction(2 ** (2 ** (i - 1)) - 1, factorial(i))
-        count = count_face_points(simplex, omitted, cap)
-        count_ok = count >= terms[i - 1] and count**2 >= 2 ** (2 ** (i - 1))
-        ok = identity_ok and volume >= volume_bound and count_ok
-        levels.append(
-            LowerChainLevel(i, volume, identity_ok, volume_bound, count, count_ok, ok)
-        )
-    return LowerChainReport(dim, tuple(levels), all(l.ok for l in levels))
-
-
 # ---------------------------------------------------------------------------
 # face volume bounds and the section law
 
@@ -334,37 +286,6 @@ class FaceVolumeBound:
     passed: bool
 
 
-def face_volume_bound(
-    simplex: LatticeSimplex,
-    coords: Sequence[Fraction | int],
-    omitted: Iterable[int],
-    weight_set: Iterable[int],
-) -> FaceVolumeBound:
-    """Bound a face's volume by reciprocal coordinate products.
-
-    ``coords`` are the barycentric coordinates of the interior point.
-    ``omitted`` spans the face (those vertices are dropped), ``weight_set``
-    is disjoint from it and together they cover all but exactly one index.
-    The face's normalized volume is at most
-    1 / (|weight_set|! * prod(coords over weight_set)).
-    """
-    bary = _vertex_barycentric(simplex, coords)
-    dropped = tuple(sorted(set(omitted)))
-    weights = tuple(sorted(set(weight_set)))
-    if any(n < 0 or n > simplex.dim for n in weights):
-        raise ValueError(f"weight indexes must lie in [0, {simplex.dim + 1})")
-    if set(dropped) & set(weights):
-        raise ValueError("face indexes and weight indexes must be disjoint")
-    if len(dropped) + len(weights) != simplex.dim:
-        raise ValueError("face and weight indexes must cover all but one vertex")
-    bound = Fraction(1) / (
-        factorial(len(weights)) * prod((bary[n] for n in weights), start=Fraction(1))
-    )
-    volume = normalized_volume(face_of(simplex, dropped))
-    slack = bound - volume
-    return FaceVolumeBound(dropped, weights, bound, volume, slack, slack >= 0)
-
-
 @dataclass(frozen=True)
 class SectionVolumeCheck:
     omitted: tuple[int, ...]
@@ -374,27 +295,58 @@ class SectionVolumeCheck:
     passed: bool
 
 
-def section_volume_check(
-    simplex: LatticeSimplex,
-    coords: Sequence[Fraction | int],
-    omitted: Iterable[int],
-) -> SectionVolumeCheck:
-    """Exact volume law for the section through an interior point.
+@dataclass(frozen=True)
+class BoundsReport:
+    coordinate_bounds: LowerBoundReport
+    face_volume_bounds: tuple[FaceVolumeBound, ...]
+    parallelotope: ParallelotopeCheck
+    sections: tuple[SectionVolumeCheck, ...]
+    passed: bool
 
-    The slice pinning the omitted coordinates at the interior point's
-    values is a rescaled copy of the parallel face: its volume equals
-    (sum of kept coordinates)^(face dim) times the face volume.
+
+def bounds_report(
+    simplex: LatticeSimplex, point: Sequence[int], cap: int = DEFAULT_CAP
+) -> BoundsReport:
+    """Every bound the single interior point forces, building each proper face once.
+
+    ``point`` is the simplex's interior lattice point, with coordinates c.
+    Face volumes: drop one vertex and split the rest into a weight set W
+    and the omitted vertices; the face's normalized volume is at most
+    1 / (|W|! * prod(c over W)).  Records run over the dropped vertex, then
+    over W as a bitmask of the rest.  Sections, in omitted-set bitmask
+    order: the slice pinning the omitted coordinates at c is a rescaled
+    copy of the parallel face, of volume (sum of kept c)^(face dim) times
+    the face volume, checked against the section's own vertices.  Also
+    the sorted coordinate bounds and the parallelotope around the point.
     """
-    bary = _vertex_barycentric(simplex, coords)
-    dropped, kept = _complement(len(bary), omitted)
-    section = section_simplex(simplex, bary, dropped)
-    section_volume = normalized_volume(section)
-    face_volume = normalized_volume(face_of(simplex, dropped))
-    kept_weight = sum(bary[j] for j in kept)
-    predicted = kept_weight ** (len(kept) - 1) * face_volume
-    return SectionVolumeCheck(
-        dropped, section_volume, face_volume, predicted, section_volume == predicted
-    )
+    bary = barycentric_of(simplex, point)
+    n = len(bary)
+    subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n - 1)]
+    # the sections read this table in its insertion order, the omitted-set bitmask order
+    face_volumes = {omitted: normalized_volume(face_of(simplex, omitted)) for omitted in subsets}
+    faces = []
+    for excluded in range(n):
+        rest = [i for i in range(n) if i != excluded]
+        for mask in range(2 ** (n - 1)):
+            weights = tuple(rest[k] for k in range(n - 1) if mask >> k & 1)
+            omitted = tuple(i for i in rest if i not in weights)
+            bound = Fraction(1) / (factorial(len(weights)) * prod(bary[i] for i in weights))
+            volume = face_volumes[omitted]
+            faces.append(
+                FaceVolumeBound(omitted, weights, bound, volume, bound - volume, bound >= volume)
+            )
+    sections = []
+    for omitted, face_volume in face_volumes.items():
+        volume = normalized_volume(section_simplex(simplex, bary, omitted))
+        kept_weight = 1 - sum(bary[i] for i in omitted)
+        predicted = kept_weight ** (n - len(omitted) - 1) * face_volume
+        sections.append(
+            SectionVolumeCheck(omitted, volume, face_volume, predicted, volume == predicted)
+        )
+    lower = coordinate_lower_bounds(bary)
+    box = parallelotope_check(simplex, point, 0, cap)
+    passed = lower.passed and box.passed and all(r.passed for r in (*faces, *sections))
+    return BoundsReport(lower, tuple(faces), box, tuple(sections), passed)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,11 @@ from pathlib import Path
 from typing import Any
 
 from .bounds import (
+    bounds_report,
     chain_decompose,
     check_all_partitions,
-    coordinate_lower_bounds,
     corpus_extremes,
-    face_volume_bound,
-    parallelotope_check,
     reduced_system,
-    section_volume_check,
     sort_barycentric,
 )
 from .certificate import second_interior_point
@@ -95,10 +92,6 @@ def _parse_point(text: str, dim: int, lattice: bool) -> tuple[Fraction, ...]:
     return coords
 
 
-def _point_arg(coords: tuple[Fraction, ...]) -> list[Fraction | int]:
-    return [int(c) if c.denominator == 1 else c for c in coords]
-
-
 # ---------------------------------------------------------------------------
 # subcommands; each returns (exit code, payload, human lines), the payload
 # being a dict or a result record
@@ -130,8 +123,8 @@ def _cmd_verify(args: argparse.Namespace) -> Handled:
 def _cmd_bary(args: argparse.Namespace) -> Handled:
     simplex = _load(args.file)
     point = _parse_point(args.point, simplex.ambient_dim, lattice=False)
-    coords = barycentric_of(simplex, _point_arg(point))
-    kind = classify_point(simplex, _point_arg(point)).kind
+    coords = barycentric_of(simplex, point)
+    kind = classify_point(simplex, point).kind
     payload = {
         "point": point,
         "coordinates": coords,
@@ -156,7 +149,7 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
     simplex = _load(args.file)
     if args.point is not None:
         coords = barycentric_of(
-            simplex, _point_arg(_parse_point(args.point, simplex.ambient_dim, lattice=False))
+            simplex, _parse_point(args.point, simplex.ambient_dim, lattice=False)
         )
         if any(c <= 0 for c in coords):
             raise ValueError("the partition system needs a point strictly inside")
@@ -192,62 +185,41 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
     return (0 if report.passed else 1), payload, lines
 
 
+# bounds and chain need the simplex's one interior point
+_NOT_ONEPOINT: Handled = (
+    1,
+    {"passed": False, "reason": "not a one-point simplex"},
+    ["the simplex does not have exactly one interior lattice point"],
+)
+
+
 def _cmd_bounds(args: argparse.Namespace) -> Handled:
     simplex = _load(args.file)
     point = is_onepoint(simplex, args.cap)
     if point is None:
-        return 1, {"passed": False, "reason": "not a one-point simplex"}, [
-            "the simplex does not have exactly one interior lattice point"
-        ]
-    coords = barycentric_of(simplex, point)
-    lower = coordinate_lower_bounds(coords)
-    d = simplex.dim
-    faces = []
-    for excluded in range(d + 1):
-        rest = [i for i in range(d + 1) if i != excluded]
-        for mask in range(2**d):
-            weight_set = tuple(rest[k] for k in range(d) if mask >> k & 1)
-            omitted = tuple(i for i in rest if i not in weight_set)
-            faces.append(face_volume_bound(simplex, coords, omitted, weight_set))
-    box = parallelotope_check(simplex, point, 0, args.cap)
-    sections = []
-    for mask in range(2 ** (d + 1) - 1):
-        omitted = tuple(i for i in range(d + 1) if mask >> i & 1)
-        sections.append(section_volume_check(simplex, coords, omitted))
-    passed = (
-        lower.passed
-        and all(f.passed for f in faces)
-        and box.passed
-        and all(s.passed for s in sections)
-    )
-    payload = {
-        "coordinate_bounds": lower,
-        "face_volume_bounds": faces,
-        "parallelotope": box,
-        "sections": sections,
-        "passed": passed,
-    }
+        return _NOT_ONEPOINT
+    report = bounds_report(simplex, point, args.cap)
+    lower, faces, box = report.coordinate_bounds, report.face_volume_bounds, report.parallelotope
     worst_entry = min(lower.entries, key=lambda e: e.value / e.bound)
     lines = [
         f"sorted coordinate bounds: {'ok' if lower.passed else 'VIOLATED'} "
         f"(closest at position {worst_entry.position}: "
         f"{_frac(worst_entry.value)} vs {_frac(worst_entry.bound)})",
         f"face volume bounds: {sum(f.passed for f in faces)}/{len(faces)} hold",
-        f"parallelotope: volume {_frac(box.volume)} <= {2**d}, "
+        f"parallelotope: volume {_frac(box.volume)} <= {2**simplex.dim}, "
         f"interior count {box.interior_count}",
-        f"sections: {sum(s.passed for s in sections)}/{len(sections)} match exactly",
-        f"all bounds hold: {'yes' if passed else 'no'}",
+        f"sections: {sum(s.passed for s in report.sections)}/{len(report.sections)} "
+        "match exactly",
+        f"all bounds hold: {'yes' if report.passed else 'no'}",
     ]
-    return (0 if passed else 1), payload, lines
+    return (0 if report.passed else 1), report, lines
 
 
 def _cmd_chain(args: argparse.Namespace) -> Handled:
     simplex = _load(args.file)
     point = is_onepoint(simplex, args.cap)
     if point is None:
-        return 1, {"passed": False, "reason": "not a one-point simplex"}, [
-            "the simplex does not have exactly one interior lattice point"
-        ]
+        return _NOT_ONEPOINT
     report = chain_decompose(simplex, barycentric_of(simplex, point), args.cap)
     lines = [f"vertex order by coordinate: {list(report.order)}"]
     for level in report.levels:

@@ -3,7 +3,8 @@
 The doubly exponential growth in this package is witnessed, not just
 bounded: the Zaks-Perles-Wills simplices built from the Sylvester
 sequence realize volumes within striking distance of the upper bounds.
-This module constructs them, the two centrally placed families that make
+This module constructs them, checks their matching lower bounds along
+the chain of faces, builds the two centrally placed families that make
 the coordinate lower bound tight, a canonical form for planar triangles
 under unimodular affine maps, and a complete atlas of the planar
 one-point triangles up to that equivalence.
@@ -14,12 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from .bounds import chain_decompose, check_all_partitions, coordinate_lower_bounds
 from .exact import IntMatrix, adjugate_int, col_hnf, mat_vec, transpose
-from .points import DEFAULT_CAP, EnumerationCapError, enumerate_interior
-from .simplex import LatticeSimplex, barycentric_of, normalized_volume
+from .points import DEFAULT_CAP, EnumerationCapError, count_face_points, enumerate_interior
+from .simplex import LatticeSimplex, barycentric_of, face_of, normalized_volume
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
@@ -141,6 +142,51 @@ def canonical_examples(
     coordinates are 1/(d+1), so the coordinate lower bound is tight.
     """
     return dilated_simplex(dim, verify, cap), reflected_simplex(dim, verify, cap)
+
+
+@dataclass(frozen=True)
+class LowerChainLevel:
+    level: int
+    volume: Fraction
+    volume_identity_ok: bool
+    volume_bound: Fraction
+    count: int
+    count_ok: bool
+    ok: bool
+
+
+@dataclass(frozen=True)
+class LowerChainReport:
+    dim: int
+    levels: tuple[LowerChainLevel, ...]
+    passed: bool
+
+
+def zpw_lower_chain(dim: int, cap: int = DEFAULT_CAP) -> LowerChainReport:
+    """Matching lower bounds along the Zaks-Perles-Wills chain.
+
+    Level i of the chain keeps the origin and the first i axis vertices.
+    Its normalized volume is exactly (t_{i+1} - 1)/i! in terms of the
+    Sylvester sequence, hence at least (2^(2^(i-1)) - 1)/i!, and its
+    lattice point count squared is at least 2^(2^(i-1)).
+    """
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    terms = sylvester(dim + 1).terms
+    simplex = zpw_simplex(dim, verify=False)
+    levels = []
+    for i in range(1, dim + 1):
+        omitted = tuple(range(i + 1, dim + 1))
+        volume = normalized_volume(face_of(simplex, omitted))
+        identity_ok = volume == Fraction(terms[i] - 1, factorial(i))
+        volume_bound = Fraction(2 ** (2 ** (i - 1)) - 1, factorial(i))
+        count = count_face_points(simplex, omitted, cap)
+        count_ok = count >= terms[i - 1] and count**2 >= 2 ** (2 ** (i - 1))
+        ok = identity_ok and volume >= volume_bound and count_ok
+        levels.append(
+            LowerChainLevel(i, volume, identity_ok, volume_bound, count, count_ok, ok)
+        )
+    return LowerChainReport(dim, tuple(levels), all(l.ok for l in levels))
 
 
 # ---------------------------------------------------------------------------

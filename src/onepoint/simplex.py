@@ -279,6 +279,10 @@ def parse_simplex_text(text: str) -> LatticeSimplex:
         raise SimplexParseError(
             f"invalid document at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except (RecursionError, ValueError) as err:
+        # nesting past the recursion limit, or an integer past int()'s digit limit
+        problem = "nested too deeply" if isinstance(err, RecursionError) else "too many digits"
+        raise SimplexParseError(f"invalid document: {problem}") from err
     if not isinstance(doc, dict):
         raise SimplexParseError("top level must be an object with dim and vertices")
     for field in ("dim", "vertices"):

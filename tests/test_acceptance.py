@@ -168,27 +168,28 @@ def test_criterion_07_ratio_determinant(rng):
 def test_criterion_08_face_volume_bounds(corpus, canonical_family):
     for member in corpus:
         d = member.dim
-        _, coords = op.interior_coordinates(member)
-        for uncovered in range(d + 1):
-            rest = [i for i in range(d + 1) if i != uncovered]
-            for mask in range(2**d):
-                weight_set = tuple(rest[k] for k in range(d) if mask >> k & 1)
-                omitted = tuple(i for i in rest if i not in weight_set)
-                assert op.face_volume_bound(member, coords, omitted, weight_set).passed
+        point, _ = op.interior_coordinates(member)
+        records = op.bounds_report(member, point).face_volume_bounds
+        assert len(records) == (d + 1) * 2**d
+        assert all(record.passed for record in records)
     for d in range(1, 5):
         dilated = canonical_family[d][0]
-        _, coords = op.interior_coordinates(dilated)
-        full = op.face_volume_bound(dilated, coords, (), tuple(range(1, d + 1)))
+        point, _ = op.interior_coordinates(dilated)
+        (full,) = [
+            record
+            for record in op.bounds_report(dilated, point).face_volume_bounds
+            if record.omitted == () and record.weight_set == tuple(range(1, d + 1))
+        ]
         assert full.slack == 0
 
 
 @criterion(9, "section volumes")
 def test_criterion_09_section_volumes(corpus):
     for member in (m for m in corpus if m.dim <= 3):
-        _, coords = op.interior_coordinates(member)
-        for mask in range(2 ** (member.dim + 1) - 1):
-            omitted = tuple(i for i in range(member.dim + 1) if mask >> i & 1)
-            check = op.section_volume_check(member, coords, omitted)
+        point, _ = op.interior_coordinates(member)
+        sections = op.bounds_report(member, point).sections
+        assert len(sections) == 2 ** (member.dim + 1) - 1
+        for check in sections:
             assert check.passed
             assert check.section_volume == check.predicted
 

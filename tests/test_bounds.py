@@ -184,38 +184,35 @@ def test_zpw_lower_chain_frozen():
         assert op.zpw_lower_chain(d).passed
 
 
+def _only(records, **fields):
+    (record,) = [r for r in records if all(getattr(r, k) == v for k, v in fields.items())]
+    return record
+
+
 def test_face_volume_bound_frozen():
-    centroid = (Fraction(1, 3),) * 3
-    tight = op.face_volume_bound(TRI3, centroid, (), (1, 2))
+    tri3 = op.bounds_report(TRI3, (1, 1)).face_volume_bounds
+    tight = _only(tri3, omitted=(), weight_set=(1, 2))
     assert tight.bound == Fraction(9, 2) and tight.slack == 0
-    loose = op.face_volume_bound(ZPW2, ZPW2_COORDS, (), (0, 2))
+    zpw2 = op.bounds_report(ZPW2, (1, 1)).face_volume_bounds
+    loose = _only(zpw2, omitted=(), weight_set=(0, 2))
     assert loose.bound == 9 and loose.face_volume == 3 and loose.slack == 6
-    edge = op.face_volume_bound(ZPW2, ZPW2_COORDS, (1,), (2,))
+    edge = _only(zpw2, omitted=(1,), weight_set=(2,))
     assert edge.bound == 3 and edge.face_volume == 3 and edge.slack == 0
-    with pytest.raises(ValueError):
-        op.face_volume_bound(ZPW2, ZPW2_COORDS, (0,), (0,))
-    with pytest.raises(ValueError):
-        op.face_volume_bound(ZPW2, ZPW2_COORDS, (0,), ())
-    for weight_set in ((-1, 0), (5, 7), (0, 3)):
-        with pytest.raises(ValueError, match="weight indexes"):
-            op.face_volume_bound(ZPW2, ZPW2_COORDS, (), weight_set)
-    for coords in MISFITS:
-        for weight_set in ((0, 1), (0, 2)):
-            with pytest.raises(ValueError, match=LENGTH_ERROR):
-                op.face_volume_bound(ZPW2, coords, (), weight_set)
 
 
 def test_section_volume_frozen():
-    bary = op.barycentric_of(TRI3, (1, 1))
-    check = op.section_volume_check(TRI3, bary, (0,))
+    check = op.bounds_report(TRI3, (1, 1)).sections[0b001]
+    assert check.omitted == (0,)
     assert check.section_volume == 2 and check.predicted == 2 and check.passed
-    coords = op.barycentric_of(ZPW2, (1, 1))
-    slanted = op.section_volume_check(ZPW2, coords, (0,))
+    sections = op.bounds_report(ZPW2, (1, 1)).sections
+    slanted = sections[0b001]
+    assert slanted.omitted == (0,)
     assert slanted.section_volume == Fraction(5, 6)
     assert slanted.face_volume == 1
     assert slanted.predicted == Fraction(5, 6) * slanted.face_volume
     assert slanted.passed
-    whole = op.section_volume_check(ZPW2, coords, ())
+    whole = sections[0]
+    assert whole.omitted == ()
     assert whole.section_volume == op.normalized_volume(ZPW2)
     assert whole.passed
 

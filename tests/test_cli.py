@@ -97,6 +97,20 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_hostile_documents_exit_2(tmp_path, capsys):
+    # nesting past the recursion limit, and an integer past the digit limit
+    documents = {
+        "deep.json": "[" * 200000,
+        "digits.json": '{"dim": 1, "vertices": [[' + "1" * 5000 + "], [0]]}",
+    }
+    for name, text in documents.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid document") and "set_int_max_str_digits" not in err
+
+
 def test_cap_refusal_exits_3(files, capsys):
     code, _, err = run(capsys, "--cap", "10", "verify", files["zpw3"])
     assert code == 3
@@ -328,6 +342,28 @@ def test_bounds_finds_the_interior_point_once(tmp_path, monkeypatch, capsys):
     assert run(capsys, "bounds", str(path))[0] == 0
     assert len(bary) <= 2
     assert len(scans) == 1
+
+
+def test_bounds_builds_each_face_once(files, monkeypatch, capsys):
+    faces = []
+    record_calls(monkeypatch, onepoint.simplex, "face_of", faces)
+    assert run(capsys, "bounds", files["zpw3"])[0] == 0
+    assert len(faces) == 2 ** (3 + 1) - 1
+    assert len({args[1] for _, args, _ in faces}) == len(faces)
+
+
+def test_bounds_structured_order_frozen(tmp_path, capsys):
+    # 448 face volume records in (excluded vertex, weight mask) order, then 127 sections
+    path = tmp_path / "reflected6.json"
+    path.write_text(op.simplex_to_text(op.reflected_simplex(6)), encoding="utf-8")
+    code, out, _ = run(capsys, "--format", "structured", "bounds", str(path))
+    doc = json.loads(out)
+    assert code == 0
+    assert (len(doc["face_volume_bounds"]), len(doc["sections"])) == (448, 127)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "0be3e94828494acaf1a1884b1f6eb37341a40393f0628c45ce9dc387438aee06"
+    )
 
 
 def test_chain_runs_one_census_and_one_count_per_level(files, monkeypatch, capsys):

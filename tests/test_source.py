@@ -55,3 +55,46 @@ def test_one_box_walk_in_package():
         if _names_itertools_product(node)
     ]
     assert found == []
+
+
+# each module may import only modules of a lower layer: exact <- simplex <-
+# points <- bounds <- certificate, generators <- cli
+LAYERS = {
+    "exact": 0,
+    "simplex": 1,
+    "points": 2,
+    "bounds": 3,
+    "certificate": 4,
+    "generators": 4,
+    "cli": 5,
+}
+
+
+def _package_imports(tree):
+    """Names of the package modules a module imports, function-local imports included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("onepoint"):
+                continue
+            path = (node.module or "").removeprefix("onepoint").strip(".")
+            if path:
+                yield path.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("onepoint."):
+                    yield alias.name.split(".")[1]
+
+
+def test_modules_import_only_lower_layers():
+    package = Path(onepoint.__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert modules == sorted(LAYERS)
+    upward = [
+        f"{name} imports {target}"
+        for name in modules
+        for target in _package_imports(ast.parse((package / f"{name}.py").read_text()))
+        if LAYERS.get(target, len(LAYERS)) >= LAYERS[name]
+    ]
+    assert upward == []
