@@ -64,7 +64,6 @@ from .points import (
 )
 from .simplex import (
     LatticeSimplex,
-    RatSimplex,
     SimplexParseError,
     barycentric_of,
     check_barycentric,

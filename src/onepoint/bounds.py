@@ -26,6 +26,7 @@ from .points import DEFAULT_CAP, _capped_box, _scan, count_face_points, is_onepo
 from .simplex import (
     LatticeSimplex,
     _complement,
+    _row_values,
     _vertex_barycentric,
     barycentric_of,
     check_barycentric,
@@ -310,16 +311,20 @@ def bounds_report(
     """Every bound the single interior point forces, building each proper face once.
 
     ``point`` is the simplex's interior lattice point, with coordinates c.
-    Face volumes: drop one vertex and split the rest into a weight set W
-    and the omitted vertices; the face's normalized volume is at most
-    1 / (|W|! * prod(c over W)).  Records run over the dropped vertex, then
-    over W as a bitmask of the rest.  Sections, in omitted-set bitmask
-    order: the slice pinning the omitted coordinates at c is a rescaled
-    copy of the parallel face, of volume (sum of kept c)^(face dim) times
-    the face volume, checked against the section's own vertices.  Also
-    the sorted coordinate bounds and the parallelotope around the point.
+    Everything but the sorted coordinate bounds runs on the integer row
+    values n = D * c, D = |det|.  Face volumes: drop one vertex and split
+    the rest into a weight set W and the omitted vertices; the face's
+    normalized volume is at most 1 / (|W|! * prod(c over W)).  Records run
+    over the dropped vertex, then over W as a bitmask of the rest.
+    Sections, in omitted-set bitmask order: the slice pinning the omitted
+    coordinates at c is a rescaled copy of the parallel face, of volume
+    (sum of kept c)^(face dim) times the face volume, checked against the
+    section's own vertices scaled by D.  Also the sorted coordinate bounds
+    and the parallelotope around the point.
     """
     bary = barycentric_of(simplex, point)
+    values = _row_values(simplex, point)
+    denominator = sum(values)
     n = len(bary)
     subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n - 1)]
     # the sections read this table in its insertion order, the omitted-set bitmask order
@@ -330,16 +335,21 @@ def bounds_report(
         for mask in range(2 ** (n - 1)):
             weights = tuple(rest[k] for k in range(n - 1) if mask >> k & 1)
             omitted = tuple(i for i in rest if i not in weights)
-            bound = Fraction(1) / (factorial(len(weights)) * prod(bary[i] for i in weights))
+            bound = Fraction(
+                denominator ** len(weights),
+                factorial(len(weights)) * prod(values[i] for i in weights),
+            )
             volume = face_volumes[omitted]
             faces.append(
                 FaceVolumeBound(omitted, weights, bound, volume, bound - volume, bound >= volume)
             )
     sections = []
     for omitted, face_volume in face_volumes.items():
-        volume = normalized_volume(section_simplex(simplex, bary, omitted))
-        kept_weight = 1 - sum(bary[i] for i in omitted)
-        predicted = kept_weight ** (n - len(omitted) - 1) * face_volume
+        section, _ = section_simplex(simplex, point, omitted)
+        scale = denominator**section.dim
+        volume = normalized_volume(section) / scale
+        kept_weight = denominator - sum(values[i] for i in omitted)
+        predicted = kept_weight**section.dim * face_volume / scale
         sections.append(
             SectionVolumeCheck(omitted, volume, face_volume, predicted, volume == predicted)
         )

@@ -5,8 +5,9 @@ affinely independent integer vertices.  A simplex may be full-dimensional
 (d+1 vertices in Z^d) or embedded (fewer vertices, e.g. a face of a larger
 simplex).  Full-dimensional simplices carry exact barycentric machinery:
 the affine functionals that evaluate to 1 on one vertex and 0 on the
-others.  :class:`RatSimplex` is the rational-vertex analogue, needed for
-sections of a simplex through an interior point.
+others.  A section through an interior lattice point has rational
+vertices over the common denominator D = |det|, so it is built as the
+integer simplex D times as large.
 
 Normalized volume is measured against the lattice induced on the simplex's
 own affine hull, so segments, faces, and full bodies all get exact rational
@@ -19,7 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .exact import RatVector, adjugate_int, int_matrix, row_hnf, transpose
@@ -43,7 +44,7 @@ def _freeze_int_vertices(vertices: Iterable[Sequence[int]]) -> tuple[Vector, ...
     return tuple(frozen)
 
 
-def _validate_shape(vertices: tuple[tuple, ...]) -> Fraction:
+def _validate_shape(vertices: tuple[Vector, ...]) -> Fraction:
     """Check the vertices span a simplex and return its normalized volume."""
     if not vertices:
         raise ValueError("a simplex needs at least one vertex")
@@ -61,13 +62,11 @@ def _validate_shape(vertices: tuple[tuple, ...]) -> Fraction:
     # index of the edge lattice in the lattice of its span
     k = len(vertices) - 1
     edges = [[x - b for x, b in zip(v, vertices[0])] for v in vertices[1:]]
-    scale = lcm(*(x.denominator for row in edges for x in row))
-    scaled = [[x.numerator * (scale // x.denominator) for x in row] for row in edges]
-    h, _ = row_hnf(transpose(scaled))
+    h, _ = row_hnf(transpose(edges))
     pivots = [next(x for x in row if x) for row in h if any(row)]
     if len(pivots) != k:
         raise ValueError("vertices are affinely dependent")
-    return Fraction(prod(pivots), factorial(k)) / scale**k
+    return Fraction(prod(pivots), factorial(k))
 
 
 @dataclass(frozen=True)
@@ -127,25 +126,15 @@ class LatticeSimplex:
             )
 
 
-@dataclass(frozen=True)
-class RatSimplex:
-    """An ordered simplex with rational vertices."""
-
-    vertices: tuple[RatVector, ...]
-
-    def __init__(self, vertices: Iterable[Sequence[Fraction | int]]):
-        frozen = tuple(tuple(Fraction(x) for x in v) for v in vertices)
-        volume = _validate_shape(frozen)
-        object.__setattr__(self, "vertices", frozen)
-        object.__setattr__(self, "_volume", volume)
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.vertices[0])
+def _row_values(simplex: LatticeSimplex, point: Sequence[Fraction | int]) -> tuple:
+    """The functional rows at a point: |det| times its barycentric coordinates."""
+    simplex._require_full()
+    if len(point) != simplex.ambient_dim:
+        raise ValueError("point dimension does not match the simplex")
+    return tuple(
+        sum(c * x for c, x in zip(coeffs, point)) + const
+        for coeffs, const in simplex.functional_rows
+    )
 
 
 def barycentric_of(simplex: LatticeSimplex, point: Sequence[Fraction | int]) -> RatVector:
@@ -154,15 +143,9 @@ def barycentric_of(simplex: LatticeSimplex, point: Sequence[Fraction | int]) -> 
     The returned tuple pairs with the simplex's vertex order and sums to
     exactly 1.  Requires a full-dimensional simplex.
     """
-    simplex._require_full()
-    if len(point) != simplex.ambient_dim:
-        raise ValueError("point dimension does not match the simplex")
-    rows = simplex.functional_rows
-    absdet = sum(const for _, const in rows)
-    coords = tuple(
-        Fraction(sum(c * x for c, x in zip(coeffs, point)) + const, absdet)
-        for coeffs, const in rows
-    )
+    values = _row_values(simplex, point)
+    absdet = sum(const for _, const in simplex.functional_rows)
+    coords = tuple(Fraction(value, absdet) for value in values)
     if sum(coords) != 1:
         raise AssertionError("barycentric coordinates do not sum to 1")
     return coords
@@ -191,13 +174,13 @@ def _vertex_barycentric(
 
 
 def _complement(count: int, omitted: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    dropped = sorted(set(omitted))
+    dropped = set(omitted)
     if any(i < 0 or i >= count for i in dropped):
         raise ValueError(f"vertex indexes must lie in [0, {count})")
-    kept = tuple(i for i in range(count) if i not in set(dropped))
+    kept = tuple(i for i in range(count) if i not in dropped)
     if not kept:
         raise ValueError("at least one vertex must remain")
-    return tuple(dropped), kept
+    return tuple(sorted(dropped)), kept
 
 
 def face_of(simplex: LatticeSimplex, omitted: Iterable[int]) -> LatticeSimplex:
@@ -206,41 +189,48 @@ def face_of(simplex: LatticeSimplex, omitted: Iterable[int]) -> LatticeSimplex:
     return LatticeSimplex(tuple(simplex.vertices[j] for j in kept))
 
 
-def normalized_volume(simplex: LatticeSimplex | RatSimplex) -> Fraction:
+def normalized_volume(simplex: LatticeSimplex) -> Fraction:
     """Volume against the lattice induced on the simplex's affine hull.
 
-    For an integer k-simplex this is the product of the Hermite pivots of
-    its edge matrix divided by k!.  Rational vertices are scaled to a
-    common denominator first and the scale divided back out.  A single
-    vertex has volume 1 by convention.  The constructor computes it while
-    checking affine independence, so this reads the stored value.
+    For a k-simplex this is the product of the Hermite pivots of its edge
+    matrix divided by k!.  A single vertex has volume 1 by convention.
+    The constructor computes it while checking affine independence, so
+    this reads the stored value.
     """
     return simplex._volume
 
 
 def section_simplex(
-    simplex: LatticeSimplex, coords: Sequence[Fraction | int], omitted: Iterable[int]
-) -> RatSimplex:
-    """Slice through an interior point, parallel to the face keeping ``kept``.
+    simplex: LatticeSimplex, point: Sequence[int], omitted: Iterable[int]
+) -> tuple[LatticeSimplex, int]:
+    """Slice through an interior lattice point, parallel to the kept face.
 
-    ``coords`` are the barycentric coordinates of an interior point.  The
-    section pins the omitted barycentric functionals at their values on
-    that point; its vertices are one affine step from each kept vertex:
+    The section pins the omitted barycentric functionals at their values
+    on ``point``.  With n_i the integer functional rows at the point and
+    D = sum(n_i) = |det|, the section's vertex for a kept vertex p_j is
+    one affine step from it, and D times that vertex is an integer:
 
-        sum(coords[i] * p_i for omitted i) + (sum of kept coords) * p_j
+        sum(n_i * p_i for omitted i) + (D - sum of omitted n_i) * p_j
+
+    Returns the integer simplex on those scaled vertices, together with
+    D; the section's normalized volume is that simplex's divided by D^k
+    for its dimension k.
     """
-    bary = _vertex_barycentric(simplex, coords)
+    values = _row_values(simplex, point)
+    if any(value <= 0 for value in values):
+        raise ValueError("the point must lie strictly inside the simplex")
     dropped, kept = _complement(len(simplex.vertices), omitted)
-    kept_weight = sum(bary[j] for j in kept)
-    offset = [Fraction(0)] * simplex.ambient_dim
+    denominator = sum(values)
+    offset = [0] * simplex.ambient_dim
     for i in dropped:
         for c, x in enumerate(simplex.vertices[i]):
-            offset[c] += bary[i] * x
+            offset[c] += values[i] * x
+    kept_weight = denominator - sum(values[i] for i in dropped)
     vertices = [
         tuple(off + kept_weight * x for off, x in zip(offset, simplex.vertices[j]))
         for j in kept
     ]
-    return RatSimplex(vertices)
+    return LatticeSimplex(vertices), denominator
 
 
 def translate(simplex: LatticeSimplex, shift: Sequence[int]) -> LatticeSimplex:

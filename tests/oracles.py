@@ -4,7 +4,9 @@ The package runs every elimination on integers: the fraction-free
 adjugate, and the Hermite normal form for rank and lattice volume.  The
 routes here are the second computation the tests compare against.
 Bareiss determinants and Smith normal form divisors give affine
-independence and normalized volume by another elimination.  Textbook
+independence and normalized volume by another elimination, also for
+rational vertices scaled by the lcm of their denominators, which is how
+sections through an interior point are measured here.  Textbook
 routes over ``Fraction`` give brute-force Minkowski boxes, the partition
 determinant identity, the barycentric functionals as a scaled inverse,
 and affine independence as a rank.  The generic short-vector search over
@@ -15,7 +17,7 @@ reference for the package's depth-first census kernel.
 
 import itertools
 from fractions import Fraction
-from math import lcm, prod
+from math import factorial, lcm, prod
 
 from onepoint.exact import (
     SingularMatrixError,
@@ -113,6 +115,43 @@ def snf_divisors(matrix):
         divisors.append(abs(a[t][t]))
         t += 1
     return tuple(divisors)
+
+
+def rational_volume(vertices):
+    """Normalized volume of rational vertices by Smith normal form divisors.
+
+    The edges are scaled to integers by the lcm of their denominators and
+    the scale divided back out.  Raises ValueError when the vertices are
+    affinely dependent.
+    """
+    k = len(vertices) - 1
+    edges = [[Fraction(x) - b for x, b in zip(v, vertices[0])] for v in vertices[1:]]
+    scale = lcm(*(x.denominator for row in edges for x in row))
+    divisors = snf_divisors([[int(x * scale) for x in row] for row in edges])
+    if len(divisors) != k:
+        raise ValueError("vertices are affinely dependent")
+    return Fraction(prod(divisors), factorial(k)) / scale**k
+
+
+def rational_section_volume(simplex, coords, omitted):
+    """Volume of the section through the point with barycentric ``coords``.
+
+    The section pins the omitted coordinates; its vertices are built in
+    Fractions, one affine step from each kept vertex p_j:
+    sum(coords[i] * p_i for omitted i) + (sum of kept coords) * p_j.
+    """
+    dropped = set(omitted)
+    kept = [j for j in range(len(coords)) if j not in dropped]
+    kept_weight = sum(Fraction(coords[j]) for j in kept)
+    offset = [
+        sum(Fraction(coords[i]) * simplex.vertices[i][c] for i in dropped)
+        for c in range(simplex.ambient_dim)
+    ]
+    vertices = [
+        tuple(off + kept_weight * x for off, x in zip(offset, simplex.vertices[j]))
+        for j in kept
+    ]
+    return rational_volume(vertices)
 
 
 def identity_rat(n):

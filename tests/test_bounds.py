@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import ceil, floor, prod
+from math import ceil, factorial, floor, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import onepoint as op
 from onepoint.points import _scan
-from oracles import det_rat
+from oracles import det_rat, rational_section_volume
 
 
 ZPW2 = op.LatticeSimplex(((0, 0), (2, 0), (0, 3)))
@@ -215,6 +215,37 @@ def test_section_volume_frozen():
     assert whole.omitted == ()
     assert whole.section_volume == op.normalized_volume(ZPW2)
     assert whole.passed
+
+
+@st.composite
+def simplices_with_an_interior_point(draw):
+    d = draw(st.integers(2, 5))
+    vertex = st.lists(st.integers(-6, 6), min_size=d, max_size=d).map(tuple)
+    vertices = draw(st.lists(vertex, min_size=d + 1, max_size=d + 1))
+    try:
+        simplex = op.LatticeSimplex(vertices)
+    except ValueError:
+        assume(False)
+    census = op.enumerate_interior(simplex, limit=1)
+    assume(census.count > 0)
+    return simplex, census.points[0]
+
+
+@given(simplices_with_an_interior_point())
+@settings(max_examples=60, deadline=None)
+def test_bounds_report_matches_rational_sections(case):
+    # independent routes: sections built in Fractions and measured by Smith
+    # divisors, and face bounds as a product of Fraction coordinates
+    simplex, point = case
+    bary = op.barycentric_of(simplex, point)
+    report = op.bounds_report(simplex, point)
+    assert len(report.sections) == 2 ** len(bary) - 1
+    for check in report.sections:
+        assert check.section_volume == rational_section_volume(simplex, bary, check.omitted)
+    for record in report.face_volume_bounds:
+        weights = record.weight_set
+        product = prod((bary[i] for i in weights), start=Fraction(1))
+        assert record.bound == 1 / (factorial(len(weights)) * product)
 
 
 def test_parallelotope_frozen():

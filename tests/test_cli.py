@@ -353,17 +353,31 @@ def test_bounds_builds_each_face_once(files, monkeypatch, capsys):
 
 
 def test_bounds_structured_order_frozen(tmp_path, capsys):
-    # 448 face volume records in (excluded vertex, weight mask) order, then 127 sections
-    path = tmp_path / "reflected6.json"
-    path.write_text(op.simplex_to_text(op.reflected_simplex(6)), encoding="utf-8")
-    code, out, _ = run(capsys, "--format", "structured", "bounds", str(path))
-    doc = json.loads(out)
+    # (d+1)*2^d face volume records in (excluded vertex, weight mask) order,
+    # then 2^(d+1) - 1 sections; for d = 8 also the human lines
+    frozen = {
+        6: (448, 127, "0be3e94828494acaf1a1884b1f6eb37341a40393f0628c45ce9dc387438aee06"),
+        8: (2304, 511, "87ba488bf5ad754f7dc356f3c309bbaac101147e54fa03448d3c2df4603cbd26"),
+    }
+    paths = {}
+    for dim, (faces, sections, digest) in frozen.items():
+        paths[dim] = tmp_path / f"reflected{dim}.json"
+        paths[dim].write_text(op.simplex_to_text(op.reflected_simplex(dim)), encoding="utf-8")
+        code, out, _ = run(capsys, "--format", "structured", "bounds", str(paths[dim]))
+        doc = json.loads(out)
+        assert code == 0
+        assert (len(doc["face_volume_bounds"]), len(doc["sections"])) == (faces, sections)
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    code, out, _ = run(capsys, "bounds", str(paths[8]))
     assert code == 0
-    assert (len(doc["face_volume_bounds"]), len(doc["sections"])) == (448, 127)
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "0be3e94828494acaf1a1884b1f6eb37341a40393f0628c45ce9dc387438aee06"
-    )
+    assert out.splitlines() == [
+        "sorted coordinate bounds: ok (closest at position 0: 1/9 vs 1/9)",
+        "face volume bounds: 2304/2304 hold",
+        "parallelotope: volume 256/4782969 <= 256, interior count 1",
+        "sections: 511/511 match exactly",
+        "all bounds hold: yes",
+    ]
 
 
 def test_chain_runs_one_census_and_one_count_per_level(files, monkeypatch, capsys):

@@ -2,7 +2,7 @@ import inspect
 import json
 from collections import Counter
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import onepoint as op
 import onepoint.simplex
-from onepoint.simplex import RatSimplex
-from oracles import det_int, invert_rat, rank_rat, snf_divisors
+from oracles import det_int, invert_rat, rank_rat, rational_volume
 
 
 def test_validation_errors():
@@ -55,15 +54,21 @@ def vertex_sets(draw):
 def test_simplices_accept_exactly_the_affinely_independent_sets(case):
     # independent route: the rank of the edge matrix by rational elimination
     vertices, denominator = case
+    k = len(vertices) - 1
     edges = [[x - b for x, b in zip(v, vertices[0])] for v in vertices[1:]]
-    independent = rank_rat(edges) == len(edges)
+    independent = rank_rat(edges) == k
+    # the same set over a common denominator: the rational oracle accepts it
+    # exactly when the integer simplex exists, and measures it scaled back
     rational = [tuple(Fraction(x, denominator) for x in v) for v in vertices]
-    for build, given_vertices in ((op.LatticeSimplex, vertices), (RatSimplex, rational)):
-        if independent:
-            assert build(given_vertices).vertices == tuple(given_vertices)
-        else:
-            with pytest.raises(ValueError):
-                build(given_vertices)
+    if independent:
+        simplex = op.LatticeSimplex(vertices)
+        assert simplex.vertices == tuple(vertices)
+        assert rational_volume(rational) == op.normalized_volume(simplex) / denominator**k
+    else:
+        with pytest.raises(ValueError):
+            op.LatticeSimplex(vertices)
+        with pytest.raises(ValueError):
+            rational_volume(rational)
 
 
 def test_dimensions():
@@ -156,25 +161,16 @@ def test_normalized_volume_frozen():
         ((0,) * 4, (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 7, 0), (0, 0, 0, 43))
     )
     assert op.normalized_volume(zpw4) == Fraction(301, 4)
-    # a rational simplex: half the unit square's diagonal triangle
-    half = RatSimplex(
-        (
-            (Fraction(0), Fraction(0)),
-            (Fraction(1, 2), Fraction(0)),
-            (Fraction(0), Fraction(1, 2)),
-        )
+    # a rational simplex: half the unit square's diagonal triangle, by the
+    # oracle and as the unit triangle over the common denominator 2
+    half = (
+        (Fraction(0), Fraction(0)),
+        (Fraction(1, 2), Fraction(0)),
+        (Fraction(0), Fraction(1, 2)),
     )
-    assert op.normalized_volume(half) == Fraction(1, 8)
-
-
-def smith_volume(vertices):
-    # independent route: Smith divisors of the edges scaled to integers
-    k = len(vertices) - 1
-    edges = [[Fraction(x) - b for x, b in zip(v, vertices[0])] for v in vertices[1:]]
-    scale = lcm(*(x.denominator for row in edges for x in row))
-    divisors = snf_divisors([[int(x * scale) for x in row] for row in edges])
-    assert len(divisors) == k
-    return Fraction(prod(divisors), factorial(k)) / scale**k
+    assert rational_volume(half) == Fraction(1, 8)
+    unit = op.LatticeSimplex(((0, 0), (1, 0), (0, 1)))
+    assert op.normalized_volume(unit) / 2**2 == Fraction(1, 8)
 
 
 @given(st.data())
@@ -188,13 +184,15 @@ def test_normalized_volume_matches_smith_divisors(data):
     vertices = data.draw(st.lists(point, min_size=k + 1, max_size=k + 1, unique=True))
     edges = [[x - b for x, b in zip(v, vertices[0])] for v in vertices[1:]]
     assume(rank_rat(edges) == k)
-    simplex = RatSimplex(vertices) if rational else op.LatticeSimplex(vertices)
-    assert op.normalized_volume(simplex) == smith_volume(vertices)
+    # rational vertices are measured as the integer simplex over their lcm
+    scale = lcm(*(Fraction(x).denominator for v in vertices for x in v))
+    simplex = op.LatticeSimplex([tuple(int(x * scale) for x in v) for v in vertices])
+    assert op.normalized_volume(simplex) / scale**k == rational_volume(vertices)
 
 
 def test_face_and_volume_take_one_hermite_form(monkeypatch):
     zpw4 = op.zpw_simplex(4, verify=False)
-    expected = smith_volume(zpw4.vertices[1:])
+    expected = rational_volume(zpw4.vertices[1:])
     calls = Counter()
 
     def counted(name, fn):
@@ -223,12 +221,14 @@ def test_translation_preserves_volume(simplex):
 
 def test_section_simplex_frozen():
     tri = op.LatticeSimplex(((0, 0), (3, 0), (0, 3)))
-    bary = op.barycentric_of(tri, (1, 1))
-    section = op.section_simplex(tri, bary, (0,))
-    assert section.vertices == (
-        (Fraction(2), Fraction(0)),
-        (Fraction(0), Fraction(2)),
-    )
+    section, denominator = op.section_simplex(tri, (1, 1), (0,))
+    assert section.vertices == ((18, 0), (0, 18)) and denominator == 9
+    # over the common denominator these are the rational vertices (2, 0), (0, 2)
+    rational = tuple(tuple(Fraction(x, denominator) for x in v) for v in section.vertices)
+    assert rational == ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2)))
+    assert op.normalized_volume(section) / denominator == rational_volume(rational) == 2
+    with pytest.raises(ValueError, match="strictly inside"):
+        op.section_simplex(tri, (0, 1), (0,))
 
 
 def test_linear_image_and_translate():
