@@ -442,8 +442,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command on ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    Safe to call again and again in one process: the parser is built once,
+    when this module is imported, and keeps no state between calls.
+    """
     # argparse reads a value such as -1/3,2 as a flag, so "--point V" goes in as "--point=V"
     words: list[str] = []
     for word in sys.argv[1:] if argv is None else argv:
@@ -452,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             words.append(word)
     try:
-        args = parser.parse_args(words)
+        args = _PARSER.parse_args(words)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

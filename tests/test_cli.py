@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import sys
@@ -308,6 +309,48 @@ def test_structured_output_has_no_floats(files, capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+def test_reused_parser_keeps_no_state_between_calls(files, capsys):
+    wide = files["wide"]
+    codes = {  # argv: exit code
+        ("ineq", "--point", "2,1", wide): 0,
+        ("ineq", wide): 1,
+        ("--cap", "1", "verify", wide): 3,
+        ("verify", wide): 1,
+        ("--format", "structured", "chain", wide): 1,
+        ("chain", wide): 1,
+        ("verify",): 2,
+        ("--cap", "0", "verify", wide): 2,
+        ("--help",): 0,
+    }
+    argvs = list(codes)
+    seen = {}
+    for argv in argvs + argvs[::-1]:
+        seen.setdefault(argv, []).append(run(capsys, *argv))
+    for argv, (first, again) in seen.items():
+        assert first == again, argv
+        assert first[0] == codes[argv], argv
+    # the first six pair up, each pair differing only by an option, so a leaked value would show
+    for given, default in zip(argvs[0:6:2], argvs[1:6:2]):
+        assert seen[given][0] != seen[default][0]
+
+
+def test_main_builds_no_parser(files, monkeypatch, capsys):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in [("verify", files["zpw2"]), ("cert", files["wide"]), ("frobnicate",)] * 6 + [
+        ("--format", "structured", "ineq", files["zpw2"]),
+        ("gen", "--dim", "2"),
+    ]:
+        run(capsys, *argv)
+    assert built == []
 
 
 def record_calls(monkeypatch, module, name, calls, every_binding=True):
