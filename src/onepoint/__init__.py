@@ -21,11 +21,9 @@ from .bounds import (
     check_all_partitions,
     coordinate_lower_bounds,
     corpus_extremes,
-    interior_coordinates,
     parallelotope_check,
     partition_matrix,
     partition_ratio,
-    partition_slack,
     reduced_system,
     sort_barycentric,
 )
@@ -41,7 +39,6 @@ from .generators import (
     CanonicalForm,
     LowerChainReport,
     SylvesterSequence,
-    canonical_examples,
     dilated_simplex,
     normal_form_2d,
     onepoint_triangle_atlas,

@@ -22,7 +22,7 @@ from math import ceil, factorial, floor, prod
 from typing import Iterable, Sequence
 
 from .exact import RatMatrix, rat_matrix
-from .points import DEFAULT_CAP, _capped_box, _scan, count_face_points, is_onepoint
+from .points import DEFAULT_CAP, _capped_box, _scan, count_face_points
 from .simplex import (
     LatticeSimplex,
     _complement,
@@ -67,13 +67,6 @@ def _split(count: int, sum_side: Iterable[int]) -> tuple[tuple[int, ...], tuple[
     if not left or left == set(range(count)):
         raise ValueError("both partition sides must be nonempty")
     return _complement(count, left)
-
-
-def partition_slack(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -> Fraction:
-    """Sum over one side minus product over the other; negative means violated."""
-    bary = check_barycentric(coords)
-    left, right = _split(len(bary), sum_side)
-    return sum(bary[i] for i in left) - prod((bary[j] for j in right), start=Fraction(1))
 
 
 def check_all_partitions(coords: Sequence[Fraction | int]) -> InequalityReport:
@@ -164,20 +157,6 @@ def partition_ratio(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -
     bary = check_barycentric(coords)
     left, right = _split(len(bary), sum_side)
     return sum(bary[i] for i in left) / prod((bary[j] for j in right), start=Fraction(1))
-
-
-# ---------------------------------------------------------------------------
-# the interior point
-
-
-def interior_coordinates(
-    simplex: LatticeSimplex, cap: int = DEFAULT_CAP
-) -> tuple[Vector, RatVector]:
-    """The unique interior lattice point and its barycentric coordinates."""
-    point = is_onepoint(simplex, cap)
-    if point is None:
-        raise ValueError("simplex does not have exactly one interior lattice point")
-    return point, barycentric_of(simplex, point)
 
 
 # ---------------------------------------------------------------------------

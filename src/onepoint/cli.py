@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -79,13 +80,26 @@ def _load(path: str) -> LatticeSimplex:
     return parse_simplex_text(text)
 
 
+# a coordinate is an integer, a decimal or p/q in ASCII digits; an exponent
+# such as 1e10000000 would have Fraction build a ten-million-digit power first
+_COORDINATE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+|\d+/\d+)", re.ASCII)
+# int() refuses longer digit strings, with advice that is no use on the command line
+_POINT_DIGITS = 4300
+
+
 def _parse_point(text: str, dim: int, lattice: bool) -> tuple[Fraction, ...]:
-    parts = text.split(",")
+    parts = [part.strip() for part in text.split(",")]
     if len(parts) != dim:
         raise ValueError(f"point needs {dim} comma-separated coordinates, got {len(parts)}")
+    for part in parts:
+        digits = sum(c.isdigit() for c in part)
+        if digits > _POINT_DIGITS:
+            raise ValueError(f"a point coordinate has {digits} digits, more than {_POINT_DIGITS}")
+        if not _COORDINATE.fullmatch(part):
+            raise ValueError(f"bad point {text!r}: {part!r} is not an integer, a decimal or p/q")
     try:
-        coords = tuple(Fraction(part.strip()) for part in parts)
-    except (ValueError, ZeroDivisionError) as exc:
+        coords = tuple(Fraction(part) for part in parts)
+    except ZeroDivisionError as exc:
         raise ValueError(f"bad point {text!r}: {exc}") from exc
     if lattice and any(c.denominator != 1 for c in coords):
         raise ValueError(f"point {text!r} must have integer coordinates")
@@ -287,7 +301,7 @@ def _cmd_gen(args: argparse.Namespace) -> Handled:
                 ("reflected", reflected_simplex, 0))
     for name, build, inner in families:
         if args.family in (name, "all"):
-            simplex = build(d, verify=True, cap=args.cap)
+            simplex = build(d, args.cap)
             payload["families"][name] = _simplex_payload(simplex, (inner,) * d)
     if "zpw" in payload["families"]:
         payload["sylvester"] = sylvester(d).terms
@@ -397,7 +411,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bary", help="barycentric coordinates of a point")
     p.add_argument("file")
-    p.add_argument("--point", required=True, help="comma-separated, fractions allowed: -1/3,2")
+    p.add_argument(
+        "--point", required=True, help="comma-separated integers, decimals or p/q: -1/3,0.5"
+    )
     p.set_defaults(handler=_cmd_bary)
 
     p = sub.add_parser("ineq", help="check all partition inequalities")

@@ -19,7 +19,8 @@ from math import factorial, gcd
 
 from .bounds import chain_decompose, check_all_partitions, coordinate_lower_bounds
 from .exact import IntMatrix, adjugate_int, col_hnf, mat_vec, transpose
-from .points import DEFAULT_CAP, EnumerationCapError, count_face_points, enumerate_interior
+from .points import DEFAULT_CAP, EnumerationCapError, count_face_points
+from .points import enumerate_interior, is_onepoint
 from .simplex import LatticeSimplex, barycentric_of, face_of, normalized_volume
 
 Vector = tuple[int, ...]
@@ -67,43 +68,36 @@ def sylvester(count: int) -> SylvesterSequence:
 # extremal families
 
 
-def zpw_simplex(dim: int, verify: bool = True, cap: int = DEFAULT_CAP) -> LatticeSimplex:
-    """The Zaks-Perles-Wills simplex: conv{0, t_1 e_1, ..., t_d e_d}.
+def zpw_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
+    """The Zaks-Perles-Wills simplex: conv{0, t_1 e_1, ..., t_d e_d}, census-verified.
 
     Its unique interior lattice point is the all-ones vector, and its
-    volume grows doubly exponentially with the dimension.  With ``verify``
-    the interior census is enumerated and checked; from dimension 6 on the
-    census blows past any practical cap, so callers wanting the raw
-    simplex pass ``verify=False``.  The census box, the product of the
-    t_i + 1, meets ``cap`` as the terms are built, before they grow huge.
+    volume grows doubly exponentially with the dimension.  The census box,
+    the product of the t_i + 1, meets ``cap`` as the terms are built,
+    before they grow huge; then the census must be the all-ones point alone.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    if verify:
-        box, term = 1, 2
-        for _ in range(dim):
-            box *= term + 1
-            # past 128 bits the error prints "at least 2^k", still true of a partial box
-            if box > cap and box.bit_length() > 128:
-                break
-            term = term * (term - 1) + 1
-        if box > cap:
-            raise EnumerationCapError(cap, box)
+    box, term = 1, 2
+    for _ in range(dim):
+        box *= term + 1
+        # past 128 bits the error prints "at least 2^k", still true of a partial box
+        if box > cap and box.bit_length() > 128:
+            break
+        term = term * (term - 1) + 1
+    if box > cap:
+        raise EnumerationCapError(cap, box)
     terms = sylvester(dim).terms
     vertices = [(0,) * dim]
     for i, t in enumerate(terms):
         vertices.append(tuple(t if c == i else 0 for c in range(dim)))
     simplex = LatticeSimplex(tuple(vertices))
-    if verify:
-        census = enumerate_interior(simplex, cap, limit=2)
-        if census.points != ((1,) * dim,):
-            raise AssertionError(f"interior census {census.points} is not the all-ones point")
+    if is_onepoint(simplex, cap) != (1,) * dim:
+        raise AssertionError("the interior census is not the all-ones point alone")
     return simplex
 
 
-def _centroid_member(
-    dim: int, corner: int, step: int, inner: int, verify: bool, cap: int
-) -> LatticeSimplex:
+def _centroid_member(dim: int, corner: int, step: int, inner: int, cap: int) -> LatticeSimplex:
     # conv{corner * (1,...,1), step * e_1, ..., step * e_d}, whose census
     # must be inner * (1,...,1) alone, at the centroid
     if dim < 1:
@@ -112,36 +106,22 @@ def _centroid_member(
     for i in range(dim):
         vertices.append(tuple(step if c == i else 0 for c in range(dim)))
     simplex = LatticeSimplex(tuple(vertices))
-    if verify:
-        point = (inner,) * dim
-        census = enumerate_interior(simplex, cap, limit=2)
-        if census.points != (point,):
-            raise AssertionError(f"interior census {census.points} is not {{{point}}}")
-        bary = barycentric_of(simplex, point)
-        if any(b != Fraction(1, dim + 1) for b in bary):
-            raise AssertionError("interior point is not the centroid")
+    point = (inner,) * dim
+    if is_onepoint(simplex, cap) != point:
+        raise AssertionError(f"the interior census is not {point} alone")
+    if any(b != Fraction(1, dim + 1) for b in barycentric_of(simplex, point)):
+        raise AssertionError("interior point is not the centroid")
     return simplex
 
 
-def dilated_simplex(dim: int, verify: bool = True, cap: int = DEFAULT_CAP) -> LatticeSimplex:
-    """conv{0, (d+1)e_1, ..., (d+1)e_d}; its one interior point is (1,...,1)."""
-    return _centroid_member(dim, 0, dim + 1, 1, verify, cap)
+def dilated_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
+    """conv{0, (d+1)e_1, ..., (d+1)e_d}; its one interior point, (1,...,1), is the centroid."""
+    return _centroid_member(dim, 0, dim + 1, 1, cap)
 
 
-def reflected_simplex(dim: int, verify: bool = True, cap: int = DEFAULT_CAP) -> LatticeSimplex:
-    """conv{-(1,...,1), e_1, ..., e_d}; its one interior point is the origin."""
-    return _centroid_member(dim, -1, 1, 0, verify, cap)
-
-
-def canonical_examples(
-    dim: int, verify: bool = True, cap: int = DEFAULT_CAP
-) -> tuple[LatticeSimplex, LatticeSimplex]:
-    """The dilated and the reflected simplex, verified as their builders do.
-
-    Each has one interior lattice point, at the centroid: all barycentric
-    coordinates are 1/(d+1), so the coordinate lower bound is tight.
-    """
-    return dilated_simplex(dim, verify, cap), reflected_simplex(dim, verify, cap)
+def reflected_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
+    """conv{-(1,...,1), e_1, ..., e_d}; its one interior point, the origin, is the centroid."""
+    return _centroid_member(dim, -1, 1, 0, cap)
 
 
 @dataclass(frozen=True)
@@ -172,8 +152,8 @@ def zpw_lower_chain(dim: int, cap: int = DEFAULT_CAP) -> LowerChainReport:
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
+    simplex = zpw_simplex(dim, cap)  # refuses above the cap before the terms grow huge
     terms = sylvester(dim + 1).terms
-    simplex = zpw_simplex(dim, verify=False)
     levels = []
     for i in range(1, dim + 1):
         omitted = tuple(range(i + 1, dim + 1))
@@ -314,9 +294,8 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
         if any(abs(x) > box_radius for v in form for x in v):
             raise AssertionError(f"class {form} does not fit in radius {box_radius}")
         member = LatticeSimplex(form)
-        census = enumerate_interior(member, cap, limit=2)
-        if census.points != ((0, 0),):
-            raise AssertionError(f"class {form} fails the census: {census.points}")
+        if is_onepoint(member, cap) != (0, 0):
+            raise AssertionError(f"class {form} fails the census")
         bary = barycentric_of(member, (0, 0))
         report = check_all_partitions(bary)
         chain = chain_decompose(member, bary, cap)

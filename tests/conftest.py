@@ -12,7 +12,7 @@ def zpw_family():
 
 @pytest.fixture(scope="session")
 def canonical_family():
-    return {d: op.canonical_examples(d) for d in range(1, 6)}
+    return {d: (op.dilated_simplex(d), op.reflected_simplex(d)) for d in range(1, 6)}
 
 
 @pytest.fixture(scope="session")

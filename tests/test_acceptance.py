@@ -16,6 +16,13 @@ import onepoint as op
 WIDE = op.LatticeSimplex(((0, 0), (7, 0), (0, 2)))
 
 
+def interior(member):
+    """The member's one interior lattice point and its barycentric coordinates."""
+    point = op.is_onepoint(member)
+    assert point is not None
+    return point, op.barycentric_of(member, point)
+
+
 def criterion(number, label):
     def decorate(fn):
         @functools.wraps(fn)
@@ -61,7 +68,7 @@ def test_criterion_02_zpw_reduced_slacks(zpw_family):
 @criterion(3, "partition inequalities corpus-wide")
 def test_criterion_03_partition_inequalities(corpus):
     for member in corpus:
-        _, coords = op.interior_coordinates(member)
+        _, coords = interior(member)
         report = op.check_all_partitions(coords)
         assert report.passed
         assert len(report.records) == 2 ** (member.dim + 1) - 2
@@ -71,7 +78,7 @@ def test_criterion_03_partition_inequalities(corpus):
 @criterion(4, "sorted coordinate lower bounds")
 def test_criterion_04_coordinate_lower_bounds(corpus, canonical_family):
     for member in corpus:
-        report = op.coordinate_lower_bounds(op.interior_coordinates(member)[1])
+        report = op.coordinate_lower_bounds(interior(member)[1])
         assert report.passed
         d = member.dim
         for k, entry in enumerate(report.entries):
@@ -80,14 +87,14 @@ def test_criterion_04_coordinate_lower_bounds(corpus, canonical_family):
             assert entry.value >= entry.bound
     for pair in canonical_family.values():
         for member in pair:
-            _, coords = op.interior_coordinates(member)
+            _, coords = interior(member)
             assert op.coordinate_lower_bounds(coords).entries[0].tight
 
 
 @criterion(5, "chain bounds, both directions")
 def test_criterion_05_chain_bounds(corpus):
     for member in corpus:
-        report = op.chain_decompose(member, op.interior_coordinates(member)[1])
+        report = op.chain_decompose(member, interior(member)[1])
         assert report.passed
         d = member.dim
         for level in report.levels:
@@ -134,7 +141,7 @@ def test_criterion_06_certificates(corpus, rng):
         produced += 1
 
     for member in corpus:
-        point, _ = op.interior_coordinates(member)
+        point, _ = interior(member)
         assert op.second_interior_point(member, point) is None
     assert time.perf_counter() - started < 60
 
@@ -168,13 +175,13 @@ def test_criterion_07_ratio_determinant(rng):
 def test_criterion_08_face_volume_bounds(corpus, canonical_family):
     for member in corpus:
         d = member.dim
-        point, _ = op.interior_coordinates(member)
+        point, _ = interior(member)
         records = op.bounds_report(member, point).face_volume_bounds
         assert len(records) == (d + 1) * 2**d
         assert all(record.passed for record in records)
     for d in range(1, 5):
         dilated = canonical_family[d][0]
-        point, _ = op.interior_coordinates(dilated)
+        point, _ = interior(dilated)
         (full,) = [
             record
             for record in op.bounds_report(dilated, point).face_volume_bounds
@@ -186,7 +193,7 @@ def test_criterion_08_face_volume_bounds(corpus, canonical_family):
 @criterion(9, "section volumes")
 def test_criterion_09_section_volumes(corpus):
     for member in (m for m in corpus if m.dim <= 3):
-        point, _ = op.interior_coordinates(member)
+        point, _ = interior(member)
         sections = op.bounds_report(member, point).sections
         assert len(sections) == 2 ** (member.dim + 1) - 1
         for check in sections:
@@ -233,8 +240,8 @@ def test_criterion_12_unimodular_invariance(corpus, rng, unimodular):
         assert op.normalized_volume(moved) == op.normalized_volume(member)
         census = op.enumerate_interior(moved)
         assert len(census.points) == 1
-        point, coords = op.interior_coordinates(moved)
-        _, original = op.interior_coordinates(member)
+        point, coords = interior(moved)
+        _, original = interior(member)
         assert op.sort_barycentric(coords).coords == op.sort_barycentric(original).coords
         ours = [r.slack for r in op.check_all_partitions(coords).records]
         theirs = [r.slack for r in op.check_all_partitions(original).records]

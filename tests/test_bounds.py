@@ -25,22 +25,19 @@ WIDE_COORDS = (Fraction(5, 14), Fraction(1, 7), Fraction(1, 2))
 
 
 def test_partition_slack_frozen():
-    assert op.partition_slack(ZPW2_COORDS, (0,)) == Fraction(0)
+    # records run in sum-side bitmask order: record 0 is sum side (0,), record 1 is (1,)
+    assert op.check_all_partitions(ZPW2_COORDS).records[0].slack == Fraction(0)
     centroid = (Fraction(1, 3),) * 3
-    assert op.partition_slack(centroid, (0,)) == Fraction(1, 3) - Fraction(1, 9)
-    assert op.partition_slack(WIDE_COORDS, (1,)) == Fraction(-1, 28)
-    with pytest.raises(ValueError):
-        op.partition_slack(ZPW2_COORDS, ())
-    with pytest.raises(ValueError):
-        op.partition_slack(ZPW2_COORDS, (0, 1, 2))
+    assert op.check_all_partitions(centroid).records[0].slack == Fraction(1, 3) - Fraction(1, 9)
+    assert op.check_all_partitions(WIDE_COORDS).records[1].slack == Fraction(-1, 28)
 
 
 def test_partition_sides_must_be_nonempty():
     for side in ((), (0, 1, 2)):
         with pytest.raises(ValueError, match="both partition sides must be nonempty"):
-            op.partition_slack(ZPW2_COORDS, side)
+            op.partition_ratio(ZPW2_COORDS, side)
     with pytest.raises(ValueError, match=r"vertex indexes must lie in \[0, 3\)"):
-        op.partition_slack(ZPW2_COORDS, (0, 1, 2, 5))
+        op.partition_ratio(ZPW2_COORDS, (0, 1, 2, 5))
 
 
 def test_check_all_partitions_order_and_worst():
@@ -122,9 +119,9 @@ def test_reduced_system_equivalent_to_full(rng):
 
 
 def test_unique_interior_point():
-    assert op.interior_coordinates(ZPW2) == ((1, 1), ZPW2_COORDS)
-    with pytest.raises(ValueError, match="exactly one interior lattice point"):
-        op.interior_coordinates(WIDE)
+    assert op.is_onepoint(ZPW2) == (1, 1)
+    assert op.barycentric_of(ZPW2, (1, 1)) == ZPW2_COORDS
+    assert op.is_onepoint(WIDE) is None
 
 
 def test_coordinate_lower_bounds_frozen():
@@ -251,7 +248,7 @@ def test_bounds_report_matches_rational_sections(case):
 def test_parallelotope_frozen():
     box = op.parallelotope_check(ZPW2, (1, 1))
     assert box.volume == 4 and box.interior_count == 1 and box.passed
-    reflected = op.canonical_examples(3)[1]
+    reflected = op.reflected_simplex(3)
     small = op.parallelotope_check(reflected, (0, 0, 0))
     assert small.volume == Fraction(1, 2) and small.passed
     for omit in range(3):

@@ -177,7 +177,7 @@ def test_second_interior_point_requires_interior_start():
 def test_second_interior_point_absent_on_one_point_members():
     for d in range(1, 5):
         assert op.second_interior_point(op.zpw_simplex(d), (1,) * d) is None
-    dilated, reflected = op.canonical_examples(3)
+    dilated, reflected = op.dilated_simplex(3), op.reflected_simplex(3)
     assert op.second_interior_point(dilated, (1, 1, 1)) is None
     assert op.second_interior_point(reflected, (0, 0, 0)) is None
 

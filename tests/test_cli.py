@@ -112,6 +112,33 @@ def test_hostile_documents_exit_2(tmp_path, capsys):
         assert err.startswith("error: invalid document") and "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("command", ["bary", "ineq", "cert"])
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ("1e10000000,0", "is not an integer, a decimal or p/q"),
+        ("1E3,0", "is not an integer, a decimal or p/q"),
+        ("1" * 5000 + ",0", "a point coordinate has 5000 digits, more than 4300"),
+        ("0,1/" + "3" * 4301, "a point coordinate has 4302 digits, more than 4300"),
+    ],
+)
+def test_hostile_points_exit_2(command, point, message, files, capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, command, files["wide"], "--point", point)
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert message in err and "set_int_max_str_digits" not in err
+
+
+def test_point_grammar_keeps_integers_decimals_and_fractions(files, capsys):
+    code, out, err = run(capsys, "bary", files["tri3"], "--point", " +1.5 , 3/2 ")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["point: (3/2, 3/2)", "coordinates: (0, 1/2, 1/2)"]
+    assert run(capsys, "bary", files["tri3"], "--point", ".5,1.")[0] == 0
+    code, _, err = run(capsys, "bary", files["tri3"], "--point", "1/0,1")
+    assert code == 2 and "bad point" in err
+
+
 def test_cap_refusal_exits_3(files, capsys):
     code, _, err = run(capsys, "--cap", "10", "verify", files["zpw3"])
     assert code == 3
@@ -377,7 +404,7 @@ def record_calls(monkeypatch, module, name, calls, every_binding=True):
 
 def test_bounds_finds_the_interior_point_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "zpw5.json"
-    path.write_text(op.simplex_to_text(op.zpw_simplex(5, verify=False)), encoding="utf-8")
+    path.write_text(op.simplex_to_text(op.zpw_simplex(5)), encoding="utf-8")
     bary, scans = [], []
     record_calls(monkeypatch, onepoint.simplex, "barycentric_of", bary)
     # census and face counts scan through this binding; the parallelotope has its own

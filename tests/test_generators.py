@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -39,27 +40,47 @@ def test_zpw_simplex_frozen():
 def test_zpw_simplex_cap_refusal():
     with pytest.raises(op.EnumerationCapError):
         op.zpw_simplex(4, cap=100)
-    # the unverified construction never enumerates
-    raw = op.zpw_simplex(4, verify=False, cap=100)
-    assert raw.vertices[-1] == (0, 0, 0, 43)
+
+
+def test_zpw_simplex_cap_is_its_box():
+    # the census box of zpw(4) is 3 * 4 * 8 * 44 = 4224 candidates
+    assert op.zpw_simplex(4, cap=4224).vertices[-1] == (0, 0, 0, 43)
+    with pytest.raises(op.EnumerationCapError, match="holds 4224 candidate points"):
+        op.zpw_simplex(4, cap=4223)
+
+
+@pytest.mark.parametrize("dim", range(6, 11))
+def test_zpw_simplex_verifies_past_the_default_cap(dim):
+    started = time.perf_counter()
+    simplex = op.zpw_simplex(dim, cap=10**400)
+    assert time.perf_counter() - started < 1
+    assert op.enumerate_interior(simplex, cap=10**400, limit=2).points == ((1,) * dim,)
+
+
+@pytest.mark.parametrize("build", [op.zpw_simplex, op.zpw_lower_chain])
+def test_zpw_refuses_huge_dimension_before_building_terms(build):
+    # the 41st Sylvester term has about 2^40 bits; the box guard refuses first
+    started = time.perf_counter()
+    with pytest.raises(op.EnumerationCapError):
+        build(40)
+    assert time.perf_counter() - started < 1
 
 
 def test_canonical_examples_frozen():
-    dilated, reflected = op.canonical_examples(2)
-    assert dilated.vertices == ((0, 0), (3, 0), (0, 3))
-    assert reflected.vertices == ((-1, -1), (1, 0), (0, 1))
-    line_a, line_b = op.canonical_examples(1)
-    assert op.enumerate_interior(line_a).points == ((1,),)
-    assert op.enumerate_interior(line_b).points == ((0,),)
-    with pytest.raises(ValueError):
-        op.canonical_examples(0)
+    assert op.dilated_simplex(2).vertices == ((0, 0), (3, 0), (0, 3))
+    assert op.reflected_simplex(2).vertices == ((-1, -1), (1, 0), (0, 1))
+    assert op.enumerate_interior(op.dilated_simplex(1)).points == ((1,),)
+    assert op.enumerate_interior(op.reflected_simplex(1)).points == ((0,),)
+    for build in (op.dilated_simplex, op.reflected_simplex):
+        with pytest.raises(ValueError):
+            build(0)
 
 
 def test_canonical_examples_sit_at_centroid(canonical_family):
-    for d, pair in canonical_family.items():
-        for simplex in pair:
-            _, bary = op.interior_coordinates(simplex)
-            assert bary == (Fraction(1, d + 1),) * (d + 1)
+    for d, (dilated, reflected) in canonical_family.items():
+        for simplex, point in ((dilated, (1,) * d), (reflected, (0,) * d)):
+            assert op.is_onepoint(simplex) == point
+            assert op.barycentric_of(simplex, point) == (Fraction(1, d + 1),) * (d + 1)
 
 
 def test_normal_form_2d_frozen():
@@ -79,13 +100,13 @@ def test_normal_form_2d_validation():
 
 
 def test_normal_form_2d_idempotent():
-    for seed in (op.zpw_simplex(2), op.canonical_examples(2)[1]):
+    for seed in (op.zpw_simplex(2), op.reflected_simplex(2)):
         form = op.normal_form_2d(seed).simplex
         assert op.normal_form_2d(form).simplex == form
 
 
 def test_normal_form_2d_unimodular_invariance(rng, unimodular):
-    seeds = [op.zpw_simplex(2), *op.canonical_examples(2)]
+    seeds = [op.zpw_simplex(2), op.dilated_simplex(2), op.reflected_simplex(2)]
     for simplex in seeds:
         reference = op.normal_form_2d(simplex).simplex
         for _ in range(20):

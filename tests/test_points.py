@@ -65,7 +65,7 @@ def test_census_counts_all_and_keeps_the_first_points():
 )
 def test_zpw_census_pays_for_the_simplex_not_its_box(perm):
     # zpw(6)'s box holds 2.5e13 candidates, 7.6M rows off its longest axis; zpw(7)'s, 2.7e26
-    zpw = op.zpw_simplex(len(perm), verify=False)
+    zpw = op.zpw_simplex(len(perm), cap=10**27)
     moved = op.LatticeSimplex(tuple(tuple(v[a] for a in perm) for v in zpw.vertices))
     started = time.perf_counter()
     census = op.enumerate_interior(moved, cap=10**27, limit=2)

@@ -191,7 +191,7 @@ def test_normalized_volume_matches_smith_divisors(data):
 
 
 def test_face_and_volume_take_one_hermite_form(monkeypatch):
-    zpw4 = op.zpw_simplex(4, verify=False)
+    zpw4 = op.zpw_simplex(4)
     expected = rational_volume(zpw4.vertices[1:])
     calls = Counter()
 

@@ -19,6 +19,18 @@ def test_no_bare_assert_in_package():
     assert found == []
 
 
+def test_no_verify_switch_in_package():
+    # every builder returns a census-verified member; a switch to skip the check is a second route
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(Path(onepoint.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "verify" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+    assert found == []
+
+
 def test_exact_holds_no_test_only_code():
     # a function of exact that only the tests call belongs in tests/oracles.py
     package = Path(onepoint.__file__).parent
