@@ -130,15 +130,6 @@ def test_hostile_points_exit_2(command, point, message, files, capsys):
     assert message in err and "set_int_max_str_digits" not in err
 
 
-def test_point_grammar_keeps_integers_decimals_and_fractions(files, capsys):
-    code, out, err = run(capsys, "bary", files["tri3"], "--point", " +1.5 , 3/2 ")
-    assert (code, err) == (0, "")
-    assert out.splitlines()[:2] == ["point: (3/2, 3/2)", "coordinates: (0, 1/2, 1/2)"]
-    assert run(capsys, "bary", files["tri3"], "--point", ".5,1.")[0] == 0
-    code, _, err = run(capsys, "bary", files["tri3"], "--point", "1/0,1")
-    assert code == 2 and "bad point" in err
-
-
 def test_cap_refusal_exits_3(files, capsys):
     code, _, err = run(capsys, "--cap", "10", "verify", files["zpw3"])
     assert code == 3
@@ -157,6 +148,11 @@ def test_bary_fractional_point(files, capsys):
     code, out, _ = run(capsys, "bary", files["tri3"], "--point", "3/2,3/2")
     assert code == 0
     assert "classification: boundary" in out
+    # a decimal, a sign and spaces read the same; so do ".5" and "1."
+    assert run(capsys, "bary", files["tri3"], "--point", " +1.5 , 3/2 ")[:2] == (0, out)
+    assert run(capsys, "bary", files["tri3"], "--point", ".5,1.")[0] == 0
+    code, _, err = run(capsys, "bary", files["tri3"], "--point", "1/0,1")
+    assert code == 2 and "bad point" in err
     code, out, _ = run(capsys, "bary", files["tri3"], "--point", "1,1")
     assert code == 0
     assert "classification: interior" in out

@@ -40,9 +40,6 @@ def test_zpw_simplex_frozen():
 def test_zpw_simplex_cap_refusal():
     with pytest.raises(op.EnumerationCapError):
         op.zpw_simplex(4, cap=100)
-
-
-def test_zpw_simplex_cap_is_its_box():
     # the census box of zpw(4) is 3 * 4 * 8 * 44 = 4224 candidates
     assert op.zpw_simplex(4, cap=4224).vertices[-1] == (0, 0, 0, 43)
     with pytest.raises(op.EnumerationCapError, match="holds 4224 candidate points"):
