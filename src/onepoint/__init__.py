@@ -22,7 +22,6 @@ from .bounds import (
     coordinate_lower_bounds,
     corpus_extremes,
     parallelotope_check,
-    partition_matrix,
     partition_ratio,
     reduced_system,
     sort_barycentric,

@@ -21,14 +21,11 @@ from fractions import Fraction
 from math import ceil, factorial, floor, prod
 from typing import Iterable, Sequence
 
-from .exact import RatMatrix, rat_matrix
 from .points import DEFAULT_CAP, _capped_box, _scan, count_face_points
 from .simplex import (
     LatticeSimplex,
     _complement,
-    _row_values,
-    _vertex_barycentric,
-    barycentric_of,
+    _interior_values,
     check_barycentric,
     face_of,
     normalized_volume,
@@ -37,6 +34,12 @@ from .simplex import (
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
+
+
+def _coordinates(values: Sequence[int]) -> RatVector:
+    # barycentric coordinates n_i / D from the rows at an interior point
+    denominator = sum(values)
+    return tuple(Fraction(value, denominator) for value in values)
 
 
 # ---------------------------------------------------------------------------
@@ -126,33 +129,12 @@ def reduced_system(sorted_coords: SortedBarycentrics) -> tuple[Fraction, ...]:
     return tuple(slacks)
 
 
-def partition_matrix(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -> RatMatrix:
-    """The system matrix attached to a partition.
-
-    For a product side of size t this is (t+1) x (t+1): reciprocal
-    coordinates on the diagonal, -1 down the last column and across the
-    last row, and 1 in the corner.  Its determinant equals the sum/product
-    ratio of the partition, which is the bridge between the inequality and
-    the constructive second-point certificate.
-    """
-    bary = check_barycentric(coords)
-    _, right = _split(len(bary), sum_side)
-    t = len(right)
-    rows = []
-    for k, j in enumerate(right):
-        row = [Fraction(0)] * (t + 1)
-        row[k] = 1 / bary[j]
-        row[t] = Fraction(-1)
-        rows.append(row)
-    rows.append([Fraction(-1)] * t + [Fraction(1)])
-    return rat_matrix(rows)
-
-
 def partition_ratio(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -> Fraction:
     """Sum/product ratio of a partition; the inequality holds iff >= 1.
 
-    The closed formula.  It equals the determinant of
-    :func:`partition_matrix`, an identity the test suite checks.
+    The closed formula.  It equals the determinant of the partition's
+    system matrix (see :mod:`onepoint.certificate`), an identity the test
+    suite checks against that matrix.
     """
     bary = check_barycentric(coords)
     left, right = _split(len(bary), sum_side)
@@ -226,18 +208,18 @@ class ChainReport:
 
 
 def chain_decompose(
-    simplex: LatticeSimplex, coords: Sequence[Fraction | int], cap: int = DEFAULT_CAP
+    simplex: LatticeSimplex, point: Sequence[int], cap: int = DEFAULT_CAP
 ) -> ChainReport:
     """Bound the faces spanned by the vertices with the largest coordinates.
 
-    ``coords`` are the barycentric coordinates of the simplex's interior
-    point.  Level i keeps the i+1 heaviest vertices (by those coordinates,
-    descending).  Both the normalized volume and the lattice point count
-    of that face are bounded doubly exponentially in i, uniformly over the
-    whole one-point family of dimension d.  The top level omits nothing,
-    so its count is the closure count of the simplex.
+    ``point`` is the simplex's interior lattice point.  Level i keeps the
+    i+1 heaviest vertices (by its barycentric coordinates, descending).
+    Both the normalized volume and the lattice point count of that face
+    are bounded doubly exponentially in i, uniformly over the whole
+    one-point family of dimension d.  The top level omits nothing, so its
+    count is the closure count of the simplex.
     """
-    sorted_coords = sort_barycentric(_vertex_barycentric(simplex, coords))
+    sorted_coords = sort_barycentric(_coordinates(_interior_values(simplex, point)))
     d = simplex.dim
     levels = []
     for i in range(1, d + 1):
@@ -301,9 +283,9 @@ def bounds_report(
     section's own vertices scaled by D.  Also the sorted coordinate bounds
     and the parallelotope around the point.
     """
-    bary = barycentric_of(simplex, point)
-    values = _row_values(simplex, point)
+    values = _interior_values(simplex, point)
     denominator = sum(values)
+    bary = _coordinates(values)
     n = len(bary)
     subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n - 1)]
     # the sections read this table in its insertion order, the omitted-set bitmask order
@@ -363,17 +345,18 @@ def parallelotope_check(
     exactly one interior lattice point its normalized volume cannot exceed
     2^d.  The lattice points strictly inside it are counted.
     """
-    bary = check_barycentric(barycentric_of(simplex, point))
+    values = _interior_values(simplex, point)
+    denominator = sum(values)
     d = simplex.dim
     if not 0 <= omit <= d:
         raise ValueError("omitted vertex index out of range")
     axes = tuple(n for n in range(d + 1) if n != omit)
-    extents = tuple(2 * bary[n] for n in axes)
+    extents = tuple(Fraction(2 * values[n], denominator) for n in axes)
     volume = (
         normalized_volume(simplex)
         * factorial(d)
         * 2**d
-        * prod((bary[n] for n in axes), start=Fraction(1))
+        * Fraction(prod(values[n] for n in axes), denominator**d)
     )
     # a corner is base plus a subset of the scaled edges, so a coordinate is
     # least on the subset of its negative terms and greatest on its positive
@@ -390,13 +373,12 @@ def parallelotope_check(
         for i, b in enumerate(base)
     )
     box = _capped_box(box, cap)
-    # 0 < row(x) < 2 row(p) in the integer functional forms, per kept axis
+    # 0 < row(x) < 2 n_i in the integer functional forms, per kept axis
     halfspaces = []
     for n in axes:
         coeffs, const = simplex.functional_rows[n]
-        top = 2 * (sum(c * x for c, x in zip(coeffs, point)) + const)
         halfspaces.append((coeffs, const - 1))
-        halfspaces.append((tuple(-c for c in coeffs), top - 1 - const))
+        halfspaces.append((tuple(-c for c in coeffs), 2 * values[n] - 1 - const))
     count = _scan(halfspaces, box, 0)[0]
     passed = count == 1 and volume <= 2**d
     return ParallelotopeCheck(tuple(point), omit, volume, count, passed)
@@ -420,23 +402,22 @@ class DimensionExtremes:
 
 
 def corpus_extremes(
-    members: Sequence[tuple[LatticeSimplex, Sequence[Fraction | int]]],
+    members: Sequence[tuple[LatticeSimplex, Sequence[int]]],
     cap: int = DEFAULT_CAP,
 ) -> tuple[DimensionExtremes, ...]:
     """Extremal volume and coordinate statistics of verified one-point simplices.
 
-    ``members`` are (simplex, coords) pairs, coords being the barycentric
-    coordinates of the simplex's interior point.  Groups them by dimension.
-    Reports the largest normalized volume and lattice point count, the
-    smallest coordinate, and the doubly exponential bounds they must respect.  The much smaller
+    ``members`` are (simplex, point) pairs, point being the simplex's
+    interior lattice point.  Groups them by dimension.  Reports the largest
+    normalized volume and lattice point count, the smallest coordinate,
+    and the doubly exponential bounds they must respect.  The much smaller
     comparison bound 14^(-2^(d+1)) known from dimension-uniform arguments
     is included for context only.
     """
     by_dim: dict[int, list[tuple[LatticeSimplex, RatVector]]] = {}
-    for index, (member, coords) in enumerate(members):
-        if not member.is_full_dimensional:
-            raise ValueError(f"corpus member {index} is not full-dimensional")
-        by_dim.setdefault(member.dim, []).append((member, _vertex_barycentric(member, coords)))
+    for member, point in members:
+        coords = _coordinates(_interior_values(member, point))
+        by_dim.setdefault(member.dim, []).append((member, coords))
     summaries = []
     for d, group in sorted(by_dim.items()):
         max_volume = max(normalized_volume(member) for member, _ in group)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bounds import partition_ratio, reduced_system, sort_barycentric
+from .exact import int_matrix
 from .points import DEFAULT_CAP, EnumerationCapError, classify_point
 from .simplex import LatticeSimplex, barycentric_of, check_barycentric
 
@@ -126,10 +127,11 @@ def second_interior_point(
         q = (total + 1) * start - total * anchor
 
     which is verified to be integral, distinct from the start, and
-    interior before a certificate is returned.  ``cap`` limits the
-    T-scan of :func:`find_admissible_weights`.
+    interior before a certificate is returned.  Every coordinate of
+    ``point`` must be an ``int``.  ``cap`` limits the T-scan of
+    :func:`find_admissible_weights`.
     """
-    start = tuple(int(x) for x in point)
+    (start,) = int_matrix([point])  # refused, not truncated, when not all ints
     if classify_point(simplex, start).kind != "interior":
         raise ValueError(f"start point {start} is not an interior lattice point")
     bary = barycentric_of(simplex, start)

@@ -54,21 +54,15 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _jsonable(value: Any) -> Any:
-    """Exact JSON image: fractions become strings, never floats.
+def _json_default(value: Any) -> Any:
+    """The ``json.dumps`` hook: a fraction becomes a string, never a float.
 
     A result record becomes a dict of its fields, in declaration order.
     """
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
     if isinstance(value, Fraction):
         return _frac(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -234,7 +228,7 @@ def _cmd_chain(args: argparse.Namespace) -> Handled:
     point = is_onepoint(simplex, args.cap)
     if point is None:
         return _NOT_ONEPOINT
-    report = chain_decompose(simplex, barycentric_of(simplex, point), args.cap)
+    report = chain_decompose(simplex, point, args.cap)
     lines = [f"vertex order by coordinate: {list(report.order)}"]
     for level in report.levels:
         lines.append(
@@ -267,7 +261,7 @@ def _cmd_cert(args: argparse.Namespace) -> Handled:
             "every partition inequality holds; no second point of this shape exists",
         ]
         return 0, payload, lines
-    payload = {**_jsonable(cert), "found": True, "passed": True}
+    payload = {**_json_default(cert), "found": True, "passed": True}
     lines = [
         f"start: {cert.start}",
         f"violated partition: sum side {list(cert.sum_side)}, "
@@ -354,7 +348,7 @@ def _cmd_report(args: argparse.Namespace) -> Handled:
             return 1, {"passed": False, "reason": f"{path} is not a one-point simplex"}, [
                 f"{path}: {census.count} interior lattice points, expected 1"
             ]
-        members.append((simplex, barycentric_of(simplex, census.points[0])))
+        members.append((simplex, census.points[0]))
     extremes = corpus_extremes(members, args.cap)
     passed = all(e.passed for e in extremes)
     payload = {"files": args.files, "dimensions": extremes, "passed": passed}
@@ -487,12 +481,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "structured":
-        doc = {
-            "command": args.command,
-            "config": {"cap": args.cap, "format": args.format},
-            **_jsonable(payload),
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        fields = payload if isinstance(payload, dict) else _json_default(payload)
+        doc = {"command": args.command, "config": {"cap": args.cap, "format": args.format}}
+        print(json.dumps({**doc, **fields}, default=_json_default, sort_keys=True, indent=2))
     else:
         for line in lines:
             print(line)

@@ -1,50 +1,41 @@
-"""Exact linear algebra on small dense integer and rational matrices.
+"""Exact linear algebra on small dense integer matrices.
 
 Everything in this package ultimately reduces to two integer
 eliminations, and both must be exact: the adjugate with its determinant,
-and the Hermite normal form.  Matrices are immutable tuples of tuples,
-integers are plain Python ints, rationals are ``fractions.Fraction``.
-There is no floating point anywhere.
+and the Hermite normal form.  Matrices are immutable tuples of tuples of
+plain Python ints; this module holds no rational and no floating point.
 
-Every elimination runs on integers.  The adjugate uses fraction-free
-Bareiss elimination in Gauss-Jordan form; callers holding rational rows
-clear denominators first.  The Hermite form uses repeated gcd row
-reduction and is the one route to lattice questions: rank, the index of
-a sublattice in its span, and canonical forms.  The matrices are small
-and dense, so simplicity and auditability win over asymptotics.
+The adjugate uses fraction-free Bareiss elimination in Gauss-Jordan
+form; callers holding rational rows clear denominators first.  The
+Hermite form uses repeated gcd row reduction and is the one route to
+lattice questions: rank, the index of a sublattice in its span, and
+canonical forms.  The matrices are small and dense, so simplicity and
+auditability win over asymptotics.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
-RatMatrix = tuple[tuple[Fraction, ...], ...]
-RatVector = tuple[Fraction, ...]
 
 
 class SingularMatrixError(ArithmeticError):
     """Raised when an inverse does not exist."""
 
 
-def _check_int(value: object) -> int:
-    # bool is an int subclass; keep it out of lattice data
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an exact integer, got {value!r}")
-    return value
+def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
+    """Validate and freeze a rectangular integer matrix.
 
-
-def int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """Validate and freeze a rectangular integer matrix."""
-    frozen = tuple(tuple(_check_int(x) for x in row) for row in rows)
-    if frozen and any(len(row) != len(frozen[0]) for row in frozen):
-        raise ValueError("matrix rows have unequal lengths")
-    return frozen
-
-def rat_matrix(rows: Sequence[Sequence[Fraction | int]]) -> RatMatrix:
-    """Validate and freeze a rectangular rational matrix."""
-    frozen = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    The package's one integer check: every simplex freezes its vertices
+    here, and every elimination its input.
+    """
+    frozen = tuple(map(tuple, rows))
+    for row in frozen:
+        for x in row:
+            # bool is an int subclass; keep it out of lattice data
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"expected an exact integer, got {x!r}")
     if frozen and any(len(row) != len(frozen[0]) for row in frozen):
         raise ValueError("matrix rows have unequal lengths")
     return frozen

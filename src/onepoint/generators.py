@@ -19,7 +19,7 @@ from math import factorial, gcd
 
 from .bounds import chain_decompose, check_all_partitions, coordinate_lower_bounds
 from .exact import IntMatrix, adjugate_int, col_hnf, mat_vec, transpose
-from .points import DEFAULT_CAP, EnumerationCapError, count_face_points
+from .points import DEFAULT_CAP, EnumerationCapError, _capped_box, count_face_points
 from .points import enumerate_interior, is_onepoint
 from .simplex import LatticeSimplex, barycentric_of, face_of, normalized_volume
 
@@ -99,9 +99,11 @@ def zpw_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
 
 def _centroid_member(dim: int, corner: int, step: int, inner: int, cap: int) -> LatticeSimplex:
     # conv{corner * (1,...,1), step * e_1, ..., step * e_d}, whose census
-    # must be inner * (1,...,1) alone, at the centroid
+    # must be inner * (1,...,1) alone, at the centroid; its census box is
+    # known before any vertex is built, so the cap refuses first
     if dim < 1:
         raise ValueError("dimension must be at least 1")
+    _capped_box(((min(corner, 0), max(corner, step)),) * dim, cap)
     vertices = [(corner,) * dim]
     for i in range(dim):
         vertices.append(tuple(step if c == i else 0 for c in range(dim)))
@@ -298,7 +300,7 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
             raise AssertionError(f"class {form} fails the census")
         bary = barycentric_of(member, (0, 0))
         report = check_all_partitions(bary)
-        chain = chain_decompose(member, bary, cap)
+        chain = chain_decompose(member, (0, 0), cap)
         if not (report.passed and coordinate_lower_bounds(bary).passed and chain.passed):
             raise AssertionError(f"class {form} violates a bound it must satisfy")
         classes.append(

@@ -202,8 +202,10 @@ def enumerate_interior(
     Scans the componentwise vertex bounding box, refusing with
     :class:`EnumerationCapError` when the box holds more candidates than
     ``cap``.  The census keeps the ``limit`` lexicographically smallest
-    points (all of them for None), in order.
+    points (all of them for None), in order; a negative ``limit`` is an error.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be None or at least 0, got {limit}")
     simplex._require_full()
     box = _capped_box(_vertex_box(simplex.vertices), cap)
     # every functional strictly positive: row - 1 >= 0 on integers

@@ -23,36 +23,23 @@ from functools import cached_property
 from math import factorial, prod
 from typing import Iterable, Sequence
 
-from .exact import RatVector, adjugate_int, int_matrix, row_hnf, transpose
+from .exact import adjugate_int, int_matrix, row_hnf, transpose
 
 Vector = tuple[int, ...]
+RatVector = tuple[Fraction, ...]
 
 
 class SimplexParseError(ValueError):
     """A simplex text document failed to parse or validate."""
 
 
-def _freeze_int_vertices(vertices: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
-    frozen = []
-    for vertex in vertices:
-        row = []
-        for x in vertex:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ValueError(f"vertex coordinate {x!r} is not an exact integer")
-            row.append(x)
-        frozen.append(tuple(row))
-    return tuple(frozen)
-
-
 def _validate_shape(vertices: tuple[Vector, ...]) -> Fraction:
-    """Check the vertices span a simplex and return its normalized volume."""
+    """Check frozen, equal-length vertices span a simplex; return its normalized volume."""
     if not vertices:
         raise ValueError("a simplex needs at least one vertex")
     ambient = len(vertices[0])
     if ambient < 1:
         raise ValueError("ambient dimension must be at least 1")
-    if any(len(v) != ambient for v in vertices):
-        raise ValueError("vertices have unequal coordinate counts")
     if len(vertices) > ambient + 1:
         raise ValueError("too many vertices for the ambient dimension")
     if len(set(vertices)) != len(vertices):
@@ -76,7 +63,7 @@ class LatticeSimplex:
     vertices: tuple[Vector, ...]
 
     def __init__(self, vertices: Iterable[Sequence[int]]):
-        frozen = _freeze_int_vertices(vertices)
+        frozen = int_matrix(vertices)
         volume = _validate_shape(frozen)
         object.__setattr__(self, "vertices", frozen)
         object.__setattr__(self, "_volume", volume)
@@ -137,6 +124,17 @@ def _row_values(simplex: LatticeSimplex, point: Sequence[Fraction | int]) -> tup
     )
 
 
+def _interior_values(simplex: LatticeSimplex, point: Sequence[int]) -> tuple[int, ...]:
+    """The rows at a point strictly inside: n_i = D * b_i > 0, summing to D = |det|.
+
+    The one test of "strictly inside" for the checks around the interior point.
+    """
+    values = _row_values(simplex, point)
+    if any(value <= 0 for value in values):
+        raise ValueError("the point must lie strictly inside the simplex")
+    return values
+
+
 def barycentric_of(simplex: LatticeSimplex, point: Sequence[Fraction | int]) -> RatVector:
     """Exact barycentric coordinates of a rational point.
 
@@ -161,16 +159,6 @@ def check_barycentric(coords: Sequence[Fraction | int]) -> RatVector:
     if any(x <= 0 for x in frozen):
         raise ValueError("barycentric coordinates must all be positive")
     return frozen
-
-
-def _vertex_barycentric(
-    simplex: LatticeSimplex, coords: Sequence[Fraction | int]
-) -> RatVector:
-    """Validate ``coords`` as barycentric coordinates with one per vertex."""
-    bary = check_barycentric(coords)
-    if len(bary) != len(simplex.vertices):
-        raise ValueError("barycentric length does not match the vertex count")
-    return bary
 
 
 def _complement(count: int, omitted: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -216,9 +204,7 @@ def section_simplex(
     D; the section's normalized volume is that simplex's divided by D^k
     for its dimension k.
     """
-    values = _row_values(simplex, point)
-    if any(value <= 0 for value in values):
-        raise ValueError("the point must lie strictly inside the simplex")
+    values = _interior_values(simplex, point)
     dropped, kept = _complement(len(simplex.vertices), omitted)
     denominator = sum(values)
     offset = [0] * simplex.ambient_dim

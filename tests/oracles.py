@@ -8,8 +8,9 @@ independence and normalized volume by another elimination, also for
 rational vertices scaled by the lcm of their denominators, which is how
 sections through an interior point are measured here.  Textbook
 routes over ``Fraction`` give brute-force Minkowski boxes, the partition
-determinant identity, the barycentric functionals as a scaled inverse,
-and affine independence as a rank.  The generic short-vector search over
+matrix whose determinant is the package's closed-form sum/product ratio,
+the barycentric functionals as a scaled inverse, and affine independence
+as a rank.  The generic short-vector search over
 a whole Minkowski box is the reference for the package's one-integer
 scan on partition matrices.  A walk over every prefix of the box is the
 reference for the package's depth-first census kernel.
@@ -19,13 +20,8 @@ import itertools
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from onepoint.exact import (
-    SingularMatrixError,
-    adjugate_int,
-    int_matrix,
-    rat_matrix,
-    transpose,
-)
+from onepoint.exact import SingularMatrixError, adjugate_int, int_matrix, transpose
+from onepoint.simplex import check_barycentric
 
 
 def det_int(matrix):
@@ -152,6 +148,39 @@ def rational_section_volume(simplex, coords, omitted):
         for j in kept
     ]
     return rational_volume(vertices)
+
+
+def rat_matrix(rows):
+    """Validate and freeze a rectangular rational matrix."""
+    frozen = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    if frozen and any(len(row) != len(frozen[0]) for row in frozen):
+        raise ValueError("matrix rows have unequal lengths")
+    return frozen
+
+
+def partition_matrix(coords, sum_side):
+    """The system matrix attached to a partition.
+
+    For a product side of size t this is (t+1) x (t+1): reciprocal
+    coordinates on the diagonal, -1 down the last column and across the
+    last row, and 1 in the corner.  Its determinant equals the sum/product
+    ratio of the partition, which is the bridge between the inequality and
+    the constructive second-point certificate.
+    """
+    bary = check_barycentric(coords)
+    left = set(sum_side)
+    right = [j for j in range(len(bary)) if j not in left]
+    if not left or not right:
+        raise ValueError("both partition sides must be nonempty")
+    t = len(right)
+    rows = []
+    for k, j in enumerate(right):
+        row = [Fraction(0)] * (t + 1)
+        row[k] = 1 / bary[j]
+        row[t] = Fraction(-1)
+        rows.append(row)
+    rows.append([Fraction(-1)] * t + [Fraction(1)])
+    return rat_matrix(rows)
 
 
 def identity_rat(n):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import onepoint as op
 from onepoint.points import _scan
-from oracles import det_rat, rational_section_volume
+from oracles import det_rat, partition_matrix, rational_section_volume
 
 
 ZPW2 = op.LatticeSimplex(((0, 0), (2, 0), (0, 3)))
@@ -18,9 +18,11 @@ TRI3 = op.LatticeSimplex(((0, 0), (3, 0), (0, 3)))
 WIDE = op.LatticeSimplex(((0, 0), (7, 0), (0, 2)))
 
 ZPW2_COORDS = (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
-# coordinate vectors one entry too long and one too short for a triangle
-MISFITS = ((Fraction(1, 4),) * 4, (Fraction(1, 2),) * 2)
-LENGTH_ERROR = "barycentric length does not match the vertex count"
+# points of the wrong dimension for a triangle, and points of zpw(2) on its
+# boundary, outside it, and at a vertex
+MISFITS = ((1, 1, 1), (1,))
+NOT_INSIDE = ((0, 1), (5, 5), (0, 0))
+INSIDE_ERROR = "the point must lie strictly inside the simplex"
 WIDE_COORDS = (Fraction(5, 14), Fraction(1, 7), Fraction(1, 2))
 
 
@@ -74,7 +76,7 @@ def test_reduced_system_frozen():
 
 def test_partition_matrix_frozen():
     sorted_coords = op.sort_barycentric(ZPW2_COORDS).coords  # (1/2, 1/3, 1/6)
-    matrix = op.partition_matrix(sorted_coords, (2,))
+    matrix = partition_matrix(sorted_coords, (2,))
     assert matrix == (
         (Fraction(2), Fraction(0), Fraction(-1)),
         (Fraction(0), Fraction(3), Fraction(-1)),
@@ -104,7 +106,7 @@ def test_ratio_equals_system_determinant_on_random_coordinates(rng):
         for mask in range(1, 2**n - 1):
             side = [i for i in range(n) if mask >> i & 1]
             ratio = op.partition_ratio(coords, side)
-            assert ratio == det_rat(op.partition_matrix(coords, side))
+            assert ratio == det_rat(partition_matrix(coords, side))
 
 
 def test_reduced_system_equivalent_to_full(rng):
@@ -152,7 +154,7 @@ def test_coordinate_lower_bounds_frozen():
 
 
 def test_chain_decompose_frozen():
-    report = op.chain_decompose(ZPW3, op.barycentric_of(ZPW3, (1, 1, 1)))
+    report = op.chain_decompose(ZPW3, (1, 1, 1))
     assert report.passed
     level1, level2, level3 = report.levels
     assert level1.omitted == (0, 3)
@@ -162,11 +164,11 @@ def test_chain_decompose_frozen():
     assert level3.volume == 7
     assert level3.count == 24
     segment = op.LatticeSimplex(((0,), (2,)))
-    line = op.chain_decompose(segment, op.barycentric_of(segment, (1,)))
+    line = op.chain_decompose(segment, (1,))
     assert line.levels[0].volume == 2 and line.levels[0].volume_bound == 2
-    for coords in MISFITS:
-        with pytest.raises(ValueError, match=LENGTH_ERROR):
-            op.chain_decompose(ZPW2, coords)
+    for point in MISFITS:
+        with pytest.raises(ValueError, match="point dimension does not match"):
+            op.chain_decompose(ZPW2, point)
 
 
 def test_zpw_lower_chain_frozen():
@@ -179,6 +181,8 @@ def test_zpw_lower_chain_frozen():
     assert all(level.volume_identity_ok for level in report.levels)
     for d in (1, 3, 4, 5):
         assert op.zpw_lower_chain(d).passed
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        op.zpw_lower_chain(0)
 
 
 def _only(records, **fields):
@@ -253,6 +257,9 @@ def test_parallelotope_frozen():
     assert small.volume == Fraction(1, 2) and small.passed
     for omit in range(3):
         assert op.parallelotope_check(ZPW2, (1, 1), omit).passed
+    for omit in (-1, 3):
+        with pytest.raises(ValueError, match="omitted vertex index out of range"):
+            op.parallelotope_check(ZPW2, (1, 1), omit)
 
 
 def corner_box(simplex, point, omit):
@@ -354,7 +361,7 @@ def test_parallelotope_cap_meets_the_corner_box(corpus):
 
 
 def test_corpus_extremes_frozen():
-    summary = op.corpus_extremes([(ZPW2, ZPW2_COORDS), (TRI3, (Fraction(1, 3),) * 3)])
+    summary = op.corpus_extremes([(ZPW2, (1, 1)), (TRI3, (1, 1))])
     assert len(summary) == 1
     d2 = summary[0]
     assert d2.dim == 2 and d2.members == 2
@@ -365,8 +372,23 @@ def test_corpus_extremes_frozen():
     assert d2.coordinate_bound == Fraction(1, 81)
     assert d2.comparison_coordinate_bound == Fraction(1, 14**8)
     assert d2.passed
-    with pytest.raises(ValueError):
-        op.corpus_extremes([(op.face_of(ZPW2, (0,)), ZPW2_COORDS)])
-    for coords in MISFITS:
-        with pytest.raises(ValueError, match=LENGTH_ERROR):
-            op.corpus_extremes([(TRI3, (Fraction(1, 3),) * 3), (ZPW2, coords)])
+    with pytest.raises(ValueError, match="full-dimensional"):
+        op.corpus_extremes([(op.face_of(ZPW2, (0,)), (1, 1))])
+    for point in MISFITS:
+        with pytest.raises(ValueError, match="point dimension does not match"):
+            op.corpus_extremes([(TRI3, (1, 1)), (ZPW2, point)])
+
+
+@pytest.mark.parametrize("point", NOT_INSIDE)
+def test_checks_around_the_point_refuse_a_point_not_inside(point):
+    # every check around the interior point refuses it with the one message
+    checks = (
+        lambda: op.bounds_report(ZPW2, point),
+        lambda: op.parallelotope_check(ZPW2, point),
+        lambda: op.chain_decompose(ZPW2, point),
+        lambda: op.corpus_extremes([(TRI3, (1, 1)), (ZPW2, point)]),
+        lambda: op.section_simplex(ZPW2, point, (0,)),
+    )
+    for check in checks:
+        with pytest.raises(ValueError, match=INSIDE_ERROR):
+            check()

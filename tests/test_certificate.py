@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import onepoint as op
 from onepoint.exact import SingularMatrixError
-from oracles import invert_rat, mat_mul, minkowski_solve
+from oracles import invert_rat, mat_mul, minkowski_solve, partition_matrix
 
 
 WIDE = op.LatticeSimplex(((0, 0), (7, 0), (0, 2)))
@@ -37,7 +37,7 @@ def test_minkowski_solve_frozen():
     half = Fraction(1, 2)
     assert minkowski_solve([[half, 0], [0, half]]) == (1, 0)
     assert minkowski_solve([[Fraction(1, 3), 0], [0, 1]]) == (1, 0)
-    system = op.partition_matrix(
+    system = partition_matrix(
         (Fraction(1, 2), Fraction(5, 14), Fraction(1, 7)), (2,)
     )
     assert minkowski_solve(system) == (1, 1, 2)
@@ -102,7 +102,7 @@ def test_t_scan_matches_the_minkowski_box_search(coords):
         if op.partition_ratio(coords, side) >= 1:
             assert weights is None
             continue
-        solution = minkowski_solve(op.partition_matrix(coords, side))
+        solution = minkowski_solve(partition_matrix(coords, side))
         if solution[-1] < 0:
             solution = tuple(-v for v in solution)
         assert weights == op.AdmissibleWeights(solution[:-1], solution[-1])
@@ -172,6 +172,10 @@ def test_second_interior_point_requires_interior_start():
         op.second_interior_point(WIDE, (0, 0))
     with pytest.raises(ValueError):
         op.second_interior_point(WIDE, (9, 9))
+    # a start that is not all ints is refused, not truncated onto (1, 1)
+    for start in ((Fraction(3, 2), 1), (1.9, 1.0), (True, 1)):
+        with pytest.raises(ValueError, match="expected an exact integer"):
+            op.second_interior_point(WIDE, start)
 
 
 def test_second_interior_point_absent_on_one_point_members():

@@ -21,6 +21,7 @@ def files(tmp_path):
         "wide": op.LatticeSimplex(((0, 0), (7, 0), (0, 2))),
         "big": op.LatticeSimplex(((0, 0), (4, 0), (0, 4))),
         "tri3": op.LatticeSimplex(((0, 0), (3, 0), (0, 3))),
+        "unit": op.LatticeSimplex(((0, 0), (1, 0), (0, 1))),
     }
     paths = {}
     for name, simplex in shapes.items():
@@ -142,6 +143,9 @@ def test_cap_below_one_is_a_usage_error(files, capsys):
         assert code == 2
         assert f"argument --cap: must be at least 1, got {cap}" in err
     assert run(capsys, "--cap", "1", "bary", files["tri3"], "--point", "1,1")[0] == 0
+    code, _, err = run(capsys, "--cap", "abc", "verify", files["zpw2"])
+    assert code == 2
+    assert "argument --cap: invalid int value: 'abc'" in err
 
 
 def test_bary_fractional_point(files, capsys):
@@ -227,6 +231,18 @@ def test_cert_absent_on_member(files, capsys):
     assert "no second point of this shape exists" in out
 
 
+def test_ineq_and_cert_need_an_interior_point(files, capsys):
+    # conv{0, e1, e2} has no interior lattice point to test or start from
+    assert run(capsys, "ineq", files["unit"]) == (1, "no interior lattice point to test\n", "")
+    assert run(capsys, "cert", files["unit"]) == (
+        1, "no interior lattice point to start from\n", ""
+    )
+    for command in ("ineq", "cert"):
+        code, out, _ = run(capsys, "--format", "structured", command, files["unit"])
+        assert code == 1
+        assert json.loads(out)["reason"] == "no interior lattice point"
+
+
 def test_cert_rejects_non_interior_start(files, capsys):
     code, _, err = run(capsys, "cert", files["wide"], "--point", "0,0")
     assert code == 2
@@ -280,6 +296,16 @@ def test_huge_boxes_refuse_with_exit_3(argv, tmp_path, capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, *(str(path) if a == "HUGE" else a for a in argv))
     assert time.perf_counter() - start < 5
+    assert code == 3
+    assert "enumeration cap" in err
+
+
+@pytest.mark.parametrize("family", ["reflected", "dilated"])
+def test_centroid_families_refuse_before_building(family, capsys):
+    # the census box is known before any of the 2000 vertices is built
+    start = time.perf_counter()
+    code, _, err = run(capsys, "gen", "--dim", "2000", "--family", family)
+    assert time.perf_counter() - start < 1
     assert code == 3
     assert "enumeration cap" in err
 

@@ -11,11 +11,19 @@ from onepoint.exact import (
     col_hnf,
     int_matrix,
     mat_vec,
-    rat_matrix,
     row_hnf,
     transpose,
 )
-from oracles import det_int, det_rat, identity_rat, invert_rat, mat_mul, rank_rat, snf_divisors
+from oracles import (
+    det_int,
+    det_rat,
+    identity_rat,
+    invert_rat,
+    mat_mul,
+    rank_rat,
+    rat_matrix,
+    snf_divisors,
+)
 
 
 def cofactor_det(rows):

@@ -79,6 +79,13 @@ def test_is_onepoint():
     assert op.is_onepoint(op.LatticeSimplex(((0, 0), (1, 0), (0, 1)))) is None
 
 
+def test_census_validation():
+    with pytest.raises(ValueError, match="needs a full-dimensional simplex"):
+        op.enumerate_interior(op.face_of(ZPW2, (0,)))
+    with pytest.raises(ValueError, match="limit must be None or at least 0"):
+        op.enumerate_interior(ZPW2, limit=-1)
+
+
 def test_cap_refusal():
     with pytest.raises(op.EnumerationCapError) as err:
         op.enumerate_interior(ZPW3, 10)

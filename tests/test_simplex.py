@@ -22,8 +22,13 @@ def test_validation_errors():
         op.LatticeSimplex(((0, 0), (1, 1), (2, 2)))  # collinear
     with pytest.raises(ValueError):
         op.LatticeSimplex(((0,), (1,), (2,)))  # too many vertices for the line
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix rows have unequal lengths"):
         op.LatticeSimplex(((0, 0), (1,)))
+    with pytest.raises(ValueError, match="ambient dimension must be at least 1"):
+        op.LatticeSimplex(((),))
+    for x in (1.0, True, Fraction(1)):
+        with pytest.raises(ValueError, match="expected an exact integer"):
+            op.LatticeSimplex(((0, 0), (x, 0), (0, 1)))
 
 
 @st.composite
@@ -94,6 +99,8 @@ def test_barycentric_frozen():
         Fraction(1, 3),
         Fraction(1, 7),
     )
+    with pytest.raises(ValueError, match="point dimension does not match the simplex"):
+        op.barycentric_of(tri, (1, 1, 1))
 
 
 def small_simplices(dim):
@@ -208,8 +215,9 @@ def test_face_and_volume_take_one_hermite_form(monkeypatch):
     face = op.face_of(zpw4, (0,))
     assert op.normalized_volume(face) == expected
     # one Hermite form decides independence and gives the volume: no Gram
-    # determinant, no Smith form, and nothing more when the volume is read
-    del calls["transpose"]
+    # determinant, no Smith form, and nothing more when the volume is read;
+    # freezing the vertices and transposing the edges are no eliminations
+    del calls["int_matrix"], calls["transpose"]
     assert calls == {"row_hnf": 1}
 
 
@@ -237,6 +245,8 @@ def test_linear_image_and_translate():
     assert image.vertices == ((0, 0), (2, 0), (3, 3))
     moved = op.translate(tri, (1, -1))
     assert moved.vertices == ((1, -1), (3, -1), (1, 2))
+    with pytest.raises(ValueError, match="shift dimension does not match"):
+        op.translate(tri, (1,))
 
 
 def test_parse_simplex_text():
@@ -249,6 +259,9 @@ def test_parse_simplex_text():
     "text, message",
     [
         ("{", "line 1"),
+        ("[]", "top level must be an object"),
+        ('{"dim": "1", "vertices": [[0], [1]]}', "field 'dim': expected an integer"),
+        ('{"dim": 1, "vertices": {}}', "field 'vertices': expected a list"),
         ('{"vertices": [[0], [1]]}', "dim"),
         ('{"dim": 1}', "vertices"),
         ('{"dim": 1, "vertices": [[0], [1]], "extra": 0}', "extra"),

@@ -19,16 +19,25 @@ def test_no_bare_assert_in_package():
     assert found == []
 
 
-def test_no_verify_switch_in_package():
-    # every builder returns a census-verified member; a switch to skip the check is a second route
-    found = [
+def _functions_taking(*names):
+    """Package functions with a parameter of each of ``names``."""
+    return [
         f"{path.name}:{node.lineno} {node.name}"
         for path in sorted(Path(onepoint.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and "verify" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        and set(names) <= {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
     ]
-    assert found == []
+
+
+def test_no_verify_switch_in_package():
+    # every builder returns a census-verified member; a switch to skip the check is a second route
+    assert _functions_taking("verify") == []
+
+
+def test_checks_beside_a_simplex_take_its_point():
+    # coordinates passed beside a simplex need not belong to it; the interior point does
+    assert _functions_taking("simplex", "coords") == []
 
 
 def test_exact_holds_no_test_only_code():
