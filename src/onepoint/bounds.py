@@ -26,10 +26,10 @@ from .simplex import (
     LatticeSimplex,
     _complement,
     _interior_values,
+    _section,
     check_barycentric,
     face_of,
     normalized_volume,
-    section_simplex,
 )
 
 Vector = tuple[int, ...]
@@ -306,7 +306,7 @@ def bounds_report(
             )
     sections = []
     for omitted, face_volume in face_volumes.items():
-        section, _ = section_simplex(simplex, point, omitted)
+        section = _section(simplex, values, omitted)
         scale = denominator**section.dim
         volume = normalized_volume(section) / scale
         kept_weight = denominator - sum(values[i] for i in omitted)

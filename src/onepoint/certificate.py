@@ -132,9 +132,9 @@ def second_interior_point(
     :func:`find_admissible_weights`.
     """
     (start,) = int_matrix([point])  # refused, not truncated, when not all ints
-    if classify_point(simplex, start).kind != "interior":
-        raise ValueError(f"start point {start} is not an interior lattice point")
     bary = barycentric_of(simplex, start)
+    if any(c <= 0 for c in bary):
+        raise ValueError(f"start point {start} is not an interior lattice point")
     sorted_coords = sort_barycentric(bary)
     if all(slack >= 0 for slack in reduced_system(sorted_coords)):
         return None

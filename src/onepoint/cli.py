@@ -1,23 +1,24 @@
 """Command line front end.
 
 Every subcommand reads simplices in the JSON exchange format, works in
-exact rational arithmetic, and reports either human-readable lines or a
-single machine-readable JSON document (``--format structured``).  The
-document serializes the command's result records field by field, so a
-new record field is a new key in the output.  Exit codes: 0 when all
-checks pass (or a query completes), 1 when a mathematical check fails,
-2 on usage or parse errors, 3 when an enumeration or a certificate
-search refuses to run above the cap.
+exact rational arithmetic, and prints human lines or, with ``--format
+structured``, one JSON document: what ``json.dumps(doc, sort_keys=True,
+indent=2)`` would print, ASCII-escaped and float-free, from one writer,
+:func:`_json`.  Result records go in field by field, so a new field is a
+new key.  Exit codes: 0 when all checks pass (or a query completes), 1
+when a mathematical check fails, 2 on usage or parse errors, 3 when an
+enumeration or a certificate search refuses to run above the cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
 
@@ -48,22 +49,43 @@ from .simplex import (
 )
 
 
-def _frac(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+# a leaf by its exact type; a fraction is its p/q string, never a float
+_LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+           type(None): lambda _: "null", Fraction: lambda value: f'"{value!s}"'}
 
 
-def _json_default(value: Any) -> Any:
-    """The ``json.dumps`` hook: a fraction becomes a string, never a float.
+@lru_cache(maxsize=64)  # a record type's field names, sorted once, and their "name": prefixes
+def _record_keys(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    # dataclasses.fields raises TypeError on any type that is not a record
+    names = tuple(sorted(f.name for f in dataclasses.fields(cls)))
+    return names, tuple(_quote(name) + ": " for name in names)
 
-    A result record becomes a dict of its fields, in declaration order.
+
+def _json(value: Any, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it.
+
+    ``indent`` is the newline and spaces that close the value.  A record is
+    an object of its fields; any other type, a float included, raises TypeError.
     """
-    if isinstance(value, Fraction):
-        return _frac(value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    if isinstance(value, (list, tuple)):
+        brackets, prefixes, items = "[]", [""] * len(value), value
+    elif isinstance(value, dict):
+        brackets, keys = "{}", sorted(value)
+        prefixes, items = [_quote(k) + ": " for k in keys], [value[k] for k in keys]
+    else:
+        (names, prefixes), brackets = _record_keys(type(value)), "{}"
+        items = [getattr(value, name) for name in names]
+    if not items:
+        return brackets
+    inner = indent + "  "
+    parts = []
+    for prefix, item in zip(prefixes, items):
+        leaf = _LEAVES.get(type(item))
+        parts.append(prefix + (_json(item, inner) if leaf is None else leaf(item)))
+    return brackets[0] + inner + ("," + inner).join(parts) + indent + brackets[1]
 
 
 def _load(path: str) -> LatticeSimplex:
@@ -101,10 +123,9 @@ def _parse_point(text: str, dim: int, lattice: bool) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (exit code, payload, human lines), the payload
-# being a dict or a result record
+# subcommands; each returns (exit code, payload, human lines), a record's payload its vars()
 
-Handled = tuple[int, Any, list[str]]
+Handled = tuple[int, dict[str, Any], list[str]]
 
 
 def _cmd_verify(args: argparse.Namespace) -> Handled:
@@ -141,8 +162,8 @@ def _cmd_bary(args: argparse.Namespace) -> Handled:
         "passed": True,
     }
     lines = [
-        f"point: ({', '.join(_frac(c) for c in point)})",
-        f"coordinates: ({', '.join(_frac(c) for c in coords)})",
+        f"point: ({', '.join(map(str, point))})",
+        f"coordinates: ({', '.join(map(str, coords))})",
         f"classification: {kind}",
     ]
     return 0, payload, lines
@@ -180,15 +201,15 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
     worst = report.worst
     lines = [
         f"partitions checked: {len(report.records)}",
-        f"reduced slacks: ({', '.join(_frac(s) for s in reduced)})",
-        f"minimal slack: {_frac(report.min_slack)} at sum side {list(worst.sum_side)}",
+        f"reduced slacks: ({', '.join(map(str, reduced))})",
+        f"minimal slack: {report.min_slack} at sum side {list(worst.sum_side)}",
     ]
     if report.passed:
         lines.append("all partition inequalities hold")
     else:
         lines.append(
-            f"violated: sum over {list(worst.sum_side)} is {_frac(worst.sum)}, "
-            f"product over {list(worst.product_side)} is {_frac(worst.product)}"
+            f"violated: sum over {list(worst.sum_side)} is {worst.sum}, "
+            f"product over {list(worst.product_side)} is {worst.product}"
         )
     return (0 if report.passed else 1), payload, lines
 
@@ -212,15 +233,15 @@ def _cmd_bounds(args: argparse.Namespace) -> Handled:
     lines = [
         f"sorted coordinate bounds: {'ok' if lower.passed else 'VIOLATED'} "
         f"(closest at position {worst_entry.position}: "
-        f"{_frac(worst_entry.value)} vs {_frac(worst_entry.bound)})",
+        f"{worst_entry.value} vs {worst_entry.bound})",
         f"face volume bounds: {sum(f.passed for f in faces)}/{len(faces)} hold",
-        f"parallelotope: volume {_frac(box.volume)} <= {2**simplex.dim}, "
+        f"parallelotope: volume {box.volume} <= {2**simplex.dim}, "
         f"interior count {box.interior_count}",
         f"sections: {sum(s.passed for s in report.sections)}/{len(report.sections)} "
         "match exactly",
         f"all bounds hold: {'yes' if report.passed else 'no'}",
     ]
-    return (0 if report.passed else 1), report, lines
+    return (0 if report.passed else 1), vars(report), lines
 
 
 def _cmd_chain(args: argparse.Namespace) -> Handled:
@@ -232,12 +253,12 @@ def _cmd_chain(args: argparse.Namespace) -> Handled:
     lines = [f"vertex order by coordinate: {list(report.order)}"]
     for level in report.levels:
         lines.append(
-            f"level {level.level}: volume {_frac(level.volume)} <= "
-            f"{_frac(level.volume_bound)}, points {level.count} <= {level.count_bound}"
+            f"level {level.level}: volume {level.volume} <= "
+            f"{level.volume_bound}, points {level.count} <= {level.count_bound}"
             f"{'' if level.ok else '  VIOLATED'}"
         )
     lines.append(f"chain bounds hold: {'yes' if report.passed else 'no'}")
-    return (0 if report.passed else 1), report, lines
+    return (0 if report.passed else 1), vars(report), lines
 
 
 def _cmd_cert(args: argparse.Namespace) -> Handled:
@@ -261,14 +282,14 @@ def _cmd_cert(args: argparse.Namespace) -> Handled:
             "every partition inequality holds; no second point of this shape exists",
         ]
         return 0, payload, lines
-    payload = {**_json_default(cert), "found": True, "passed": True}
+    payload = {**vars(cert), "found": True, "passed": True}
     lines = [
         f"start: {cert.start}",
         f"violated partition: sum side {list(cert.sum_side)}, "
-        f"product side {list(cert.product_side)} (ratio {_frac(cert.ratio)})",
+        f"product side {list(cert.product_side)} (ratio {cert.ratio})",
         f"weights {list(cert.weights)} on vertices {list(cert.weight_order)}, "
         f"total {cert.total}",
-        f"anchor: ({', '.join(_frac(c) for c in cert.anchor)})",
+        f"anchor: ({', '.join(map(str, cert.anchor))})",
         f"second interior point: {cert.point}",
     ]
     return 0, payload, lines
@@ -301,7 +322,7 @@ def _cmd_gen(args: argparse.Namespace) -> Handled:
         payload["sylvester"] = sylvester(d).terms
     for name, info in payload["families"].items():
         lines.append(
-            f"{name}: vertices {info['vertices']}, volume {_frac(info['volume'])}, "
+            f"{name}: vertices {info['vertices']}, volume {info['volume']}, "
             f"interior point {info['interior_point']}"
         )
     return 0, payload, lines
@@ -329,11 +350,11 @@ def _cmd_atlas2d(args: argparse.Namespace) -> Handled:
     lines = [f"equivalence classes within radius {atlas.radius}: {len(atlas.classes)}"]
     for c in atlas.classes:
         lines.append(
-            f"  volume {_frac(c.volume)}, {c.point_count} lattice points, "
+            f"  volume {c.volume}, {c.point_count} lattice points, "
             f"vertices {[list(v) for v in c.form.vertices]}"
         )
     lines.append(
-        f"largest volume {_frac(atlas.max_volume)}, "
+        f"largest volume {atlas.max_volume}, "
         f"largest point count {atlas.max_point_count}"
     )
     return 0, payload, lines
@@ -356,13 +377,13 @@ def _cmd_report(args: argparse.Namespace) -> Handled:
     for e in extremes:
         lines.append(
             f"dimension {e.dim} ({e.members} members): "
-            f"max volume {_frac(e.max_volume)} <= {_frac(e.volume_bound)}, "
+            f"max volume {e.max_volume} <= {e.volume_bound}, "
             f"max points {e.max_point_count}, "
-            f"min coordinate {_frac(e.min_coordinate)} >= {_frac(e.coordinate_bound)}"
+            f"min coordinate {e.min_coordinate} >= {e.coordinate_bound}"
         )
         lines.append(
             f"  dimension-uniform comparison bound: "
-            f"{_frac(e.comparison_coordinate_bound)}"
+            f"{e.comparison_coordinate_bound}"
         )
     lines.append(f"all extremal bounds hold: {'yes' if passed else 'no'}")
     return (0 if passed else 1), payload, lines
@@ -481,9 +502,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "structured":
-        fields = payload if isinstance(payload, dict) else _json_default(payload)
         doc = {"command": args.command, "config": {"cap": args.cap, "format": args.format}}
-        print(json.dumps({**doc, **fields}, default=_json_default, sort_keys=True, indent=2))
+        print(_json({**doc, **payload}))
     else:
         for line in lines:
             print(line)

@@ -205,18 +205,23 @@ def section_simplex(
     for its dimension k.
     """
     values = _interior_values(simplex, point)
+    return _section(simplex, values, omitted), sum(values)
+
+
+def _section(simplex: LatticeSimplex, values: Sequence[int],
+             omitted: Iterable[int]) -> LatticeSimplex:
+    # section_simplex at the point whose functional rows are ``values``, all positive
     dropped, kept = _complement(len(simplex.vertices), omitted)
-    denominator = sum(values)
     offset = [0] * simplex.ambient_dim
     for i in dropped:
         for c, x in enumerate(simplex.vertices[i]):
             offset[c] += values[i] * x
-    kept_weight = denominator - sum(values[i] for i in dropped)
+    kept_weight = sum(values[j] for j in kept)
     vertices = [
         tuple(off + kept_weight * x for off, x in zip(offset, simplex.vertices[j]))
         for j in kept
     ]
-    return LatticeSimplex(vertices), denominator
+    return LatticeSimplex(vertices)
 
 
 def translate(simplex: LatticeSimplex, shift: Sequence[int]) -> LatticeSimplex:

@@ -13,9 +13,11 @@ the barycentric functionals as a scaled inverse, and affine independence
 as a rank.  The generic short-vector search over
 a whole Minkowski box is the reference for the package's one-integer
 scan on partition matrices.  A walk over every prefix of the box is the
-reference for the package's depth-first census kernel.
+reference for the package's depth-first census kernel.  ``json.dumps``
+with :func:`json_hook` is the reference for the structured output writer.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import factorial, lcm, prod
@@ -379,3 +381,18 @@ def box_walk(halfspaces, box, collect):
         found.sort()
         return found
     return count
+
+
+def json_hook(value):
+    """The ``json.dumps`` default for structured output.
+
+    A fraction becomes its p/q string (an integer when the denominator is
+    1) and a result record a dict of its fields; anything else is refused.
+    """
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import onepoint as op
+import onepoint.simplex
 from onepoint.points import _scan
 from oracles import det_rat, partition_matrix, rational_section_volume
 
@@ -199,6 +200,21 @@ def test_face_volume_bound_frozen():
     assert loose.bound == 9 and loose.face_volume == 3 and loose.slack == 6
     edge = _only(zpw2, omitted=(1,), weight_set=(2,))
     assert edge.bound == 3 and edge.face_volume == 3 and edge.slack == 0
+
+
+def test_bounds_report_evaluates_the_rows_once_per_check(monkeypatch):
+    # the report and its parallelotope each read the point's rows; the sections reuse them
+    calls = []
+    original = onepoint.simplex._row_values
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(onepoint.simplex, "_row_values", counting)
+    report = op.bounds_report(ZPW3, (1, 1, 1))
+    assert len(report.sections) == 2 ** (3 + 1) - 1
+    assert len(calls) == 2
 
 
 def test_section_volume_frozen():

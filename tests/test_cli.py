@@ -1,15 +1,21 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onepoint as op
+import onepoint.bounds
+import onepoint.certificate
 import onepoint.points
 import onepoint.simplex
-from onepoint.cli import main
+from onepoint.cli import _json, main
+from oracles import json_hook
 
 
 @pytest.fixture
@@ -243,9 +249,17 @@ def test_ineq_and_cert_need_an_interior_point(files, capsys):
         assert json.loads(out)["reason"] == "no interior lattice point"
 
 
+def test_cert_evaluates_the_start_once(files, monkeypatch, capsys):
+    bary = []
+    record_calls(monkeypatch, onepoint.simplex, "barycentric_of", bary)
+    assert run(capsys, "cert", files["zpw3"])[0] == 0
+    assert len(bary) == 1
+
+
 def test_cert_rejects_non_interior_start(files, capsys):
     code, _, err = run(capsys, "cert", files["wide"], "--point", "0,0")
     assert code == 2
+    assert "start point (0, 0) is not an interior lattice point" in err
     code, _, err = run(capsys, "cert", files["wide"], "--point", "1/2,1")
     assert code == 2
     assert "integer coordinates" in err
@@ -557,6 +571,87 @@ def test_structured_documents_match_frozen_digests(files, tmp_path, monkeypatch,
         else:
             argv = [command, f"{rest[0]}.json"] + (["--point", rest[1]] if rest[1:] else [])
         code, out, _ = run(capsys, "--format", "structured", *argv)
+        # the digests hash a re-serialized form, blind to whitespace; the layout is checked here
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", key
         text = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
         got[key] = (code, hashlib.sha256(text.encode("utf-8")).hexdigest())
     assert got == FROZEN_DOCUMENTS
+
+
+def test_structured_stdout_bytes_frozen(tmp_path, capsysbinary):
+    # SHA-256 of the raw stdout, indentation and escapes included
+    frozen = {
+        ("bounds", "reflected3"): (
+            9640, "4c5c3f3f4fd029a8df813f5da746c4ffaf0803c18883c486ef9dfafd575544fa"
+        ),
+        ("ineq", "zpw3"): (
+            2859, "ac8c144e7e7518c9632b7baa0363e2b894ba5fe4d0e2c8a037b3fd3984aed5f5"
+        ),
+    }
+    shapes = {"reflected3": op.reflected_simplex(3), "zpw3": op.zpw_simplex(3)}
+    got = {}
+    for command, name in frozen:
+        path = tmp_path / f"{name}.json"
+        path.write_text(op.simplex_to_text(shapes[name]), encoding="utf-8")
+        assert main(["--format", "structured", command, str(path)]) == 0
+        out = capsysbinary.readouterr().out
+        got[command, name] = (len(out), hashlib.sha256(out).hexdigest())
+    assert got == frozen
+
+
+# the package's result records, built below with arbitrary field values
+RECORDS = sorted(
+    (
+        value
+        for module in (onepoint.bounds, onepoint.certificate, onepoint.points)
+        for value in vars(module).values()
+        if isinstance(value, type) and dataclasses.is_dataclass(value)
+        and value is not op.LatticeSimplex
+    ),
+    key=lambda cls: cls.__name__,
+)
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'),
+                         st.characters()))
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**80), max_value=10**80),
+    st.fractions(),
+    st.fractions(max_denominator=10**30),
+    TEXT,
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+        st.sampled_from(RECORDS).flatmap(
+            lambda cls: st.builds(cls, *[children] * len(dataclasses.fields(cls)))
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(LEAVES, _containers, max_leaves=40))
+def test_writer_matches_json_dumps(payload):
+    assert _json(payload) == json.dumps(payload, default=json_hook, sort_keys=True, indent=2)
+
+
+def test_writer_payloads_hold_every_result_record():
+    carried = {
+        "PartitionRecord", "BoundsReport", "LowerBoundReport", "LowerBoundEntry",
+        "FaceVolumeBound", "ParallelotopeCheck", "SectionVolumeCheck", "ChainReport",
+        "ChainLevel", "SecondPointCertificate", "DimensionExtremes",
+    }
+    assert carried <= {cls.__name__ for cls in RECORDS}
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, [0, {"a": -0.0}], {1, 2}, frozenset(), object(), op.PartitionRecord]
+)
+def test_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)
