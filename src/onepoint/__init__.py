@@ -10,6 +10,7 @@ appear.
 """
 
 from .bounds import (
+    BoundSizeError,
     BoundsReport,
     ChainReport,
     InequalityReport,

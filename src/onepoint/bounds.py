@@ -26,7 +26,6 @@ from .simplex import (
     LatticeSimplex,
     _complement,
     _interior_values,
-    _section,
     check_barycentric,
     face_of,
     normalized_volume,
@@ -34,6 +33,31 @@ from .simplex import (
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
+
+
+# str() refuses an int past 4,300 digits by default, so no bound is built past them
+MAX_DIGITS = 4300
+
+
+class BoundSizeError(ArithmeticError):
+    """A bound would have more digits than :data:`MAX_DIGITS`, so it could not be printed."""
+
+
+def _power(base: int, exponent: int) -> int:
+    """``base ** exponent`` for ``base >= 2``, refused before it is built past MAX_DIGITS.
+
+    Its digits are counted on a lower bound lead * 10**shift, squared with each product
+    cut to 10 digits more than the exponent has: exact unless 10^-8 above a power of ten.
+    """
+    keep, lead, shift = len(str(exponent)) + 10, 1, 0
+    for bit in bin(exponent)[2:]:
+        lead = lead * lead * (base if bit == "1" else 1)
+        cut = max(len(str(lead)) - keep, 0)
+        lead, shift = lead // 10**cut, 2 * shift + cut
+    if len(str(lead)) + shift > MAX_DIGITS:
+        raise BoundSizeError(f"the bound {base}^{exponent} has {len(str(lead)) + shift} "
+                             f"digits, more than the {MAX_DIGITS} that can be printed")
+    return base**exponent
 
 
 def _coordinates(values: Sequence[int]) -> RatVector:
@@ -63,13 +87,6 @@ class InequalityReport:
     passed: bool
     min_slack: Fraction
     worst: PartitionRecord
-
-
-def _split(count: int, sum_side: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    left = set(sum_side)
-    if not left or left == set(range(count)):
-        raise ValueError("both partition sides must be nonempty")
-    return _complement(count, left)
 
 
 def check_all_partitions(coords: Sequence[Fraction | int]) -> InequalityReport:
@@ -137,7 +154,10 @@ def partition_ratio(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -
     suite checks against that matrix.
     """
     bary = check_barycentric(coords)
-    left, right = _split(len(bary), sum_side)
+    left = set(sum_side)
+    if not left or left == set(range(len(bary))):
+        raise ValueError("both partition sides must be nonempty")
+    left, right = _complement(len(bary), left)
     return sum(bary[i] for i in left) / prod((bary[j] for j in right), start=Fraction(1))
 
 
@@ -174,7 +194,7 @@ def coordinate_lower_bounds(coords: Sequence[Fraction | int]) -> LowerBoundRepor
     d = len(sorted_coords.coords) - 1
     entries = []
     for k, value in enumerate(sorted_coords.coords):
-        bound = Fraction(1, (d + 1) ** (2**k))
+        bound = Fraction(1, _power(d + 1, 2**k))
         entries.append(LowerBoundEntry(k, value, bound, value == bound, value >= bound))
     slacks = []
     running = Fraction(1)
@@ -224,11 +244,11 @@ def chain_decompose(
     levels = []
     for i in range(1, d + 1):
         omitted = tuple(sorted(sorted_coords.order[i + 1 :]))
-        face = face_of(simplex, omitted)
-        volume = normalized_volume(face)
-        volume_bound = Fraction((d + 1) ** (2**i - 1), factorial(i))
+        power = _power(d + 1, 2**i - 1)
+        volume = normalized_volume(face_of(simplex, omitted))
+        volume_bound = Fraction(power, factorial(i))
         count = count_face_points(simplex, omitted, cap)
-        count_bound = i + (d + 1) ** (2**i - 1)
+        count_bound = i + power
         ok = volume <= volume_bound and count <= count_bound
         levels.append(ChainLevel(i, omitted, volume, volume_bound, count, count_bound, ok))
     return ChainReport(tuple(levels), sorted_coords.order, all(l.ok for l in levels))
@@ -250,6 +270,8 @@ class FaceVolumeBound:
 
 @dataclass(frozen=True)
 class SectionVolumeCheck:
+    """A section's volume by the law, which holds by construction: ``predicted`` repeats it."""
+
     omitted: tuple[int, ...]
     section_volume: Fraction
     face_volume: Fraction
@@ -278,14 +300,16 @@ def bounds_report(
     normalized volume is at most 1 / (|W|! * prod(c over W)).  Records run
     over the dropped vertex, then over W as a bitmask of the rest.
     Sections, in omitted-set bitmask order: the slice pinning the omitted
-    coordinates at c is a rescaled copy of the parallel face, of volume
-    (sum of kept c)^(face dim) times the face volume, checked against the
-    section's own vertices scaled by D.  Also the sorted coordinate bounds
-    and the parallelotope around the point.
+    coordinates at c is the parallel face scaled by K / D, K = D - sum of
+    omitted n, so its volume is K^k * (face volume) / D^k for the face
+    dimension k; no section is built (see :func:`onepoint.section_simplex`).
+    Also the sorted coordinate bounds and the parallelotope around the point.
     """
     values = _interior_values(simplex, point)
     denominator = sum(values)
     bary = _coordinates(values)
+    # first, as its bounds refuse when too large to print
+    lower = coordinate_lower_bounds(bary)
     n = len(bary)
     subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n - 1)]
     # the sections read this table in its insertion order, the omitted-set bitmask order
@@ -306,15 +330,9 @@ def bounds_report(
             )
     sections = []
     for omitted, face_volume in face_volumes.items():
-        section = _section(simplex, values, omitted)
-        scale = denominator**section.dim
-        volume = normalized_volume(section) / scale
-        kept_weight = denominator - sum(values[i] for i in omitted)
-        predicted = kept_weight**section.dim * face_volume / scale
-        sections.append(
-            SectionVolumeCheck(omitted, volume, face_volume, predicted, volume == predicted)
-        )
-    lower = coordinate_lower_bounds(bary)
+        k, kept_weight = n - 1 - len(omitted), denominator - sum(values[i] for i in omitted)
+        volume = Fraction(kept_weight**k, denominator**k) * face_volume
+        sections.append(SectionVolumeCheck(omitted, volume, face_volume, volume, True))
     box = parallelotope_check(simplex, point, 0, cap)
     passed = lower.passed and box.passed and all(r.passed for r in (*faces, *sections))
     return BoundsReport(lower, tuple(faces), box, tuple(sections), passed)
@@ -420,22 +438,13 @@ def corpus_extremes(
         by_dim.setdefault(member.dim, []).append((member, coords))
     summaries = []
     for d, group in sorted(by_dim.items()):
+        volume_bound = Fraction(_power(d + 1, 2**d - 1), factorial(d))
+        coordinate_bound = Fraction(1, _power(d + 1, 2**d))
+        comparison = Fraction(1, _power(14, 2 ** (d + 1)))
         max_volume = max(normalized_volume(member) for member, _ in group)
         max_count = max(count_face_points(member, (), cap) for member, _ in group)
         min_coord = min(min(coords) for _, coords in group)
-        volume_bound = Fraction((d + 1) ** (2**d - 1), factorial(d))
-        coordinate_bound = Fraction(1, (d + 1) ** (2**d))
-        summaries.append(
-            DimensionExtremes(
-                d,
-                len(group),
-                max_volume,
-                max_count,
-                min_coord,
-                volume_bound,
-                coordinate_bound,
-                Fraction(1, 14 ** (2 ** (d + 1))),
-                max_volume <= volume_bound and min_coord >= coordinate_bound,
-            )
-        )
+        passed = max_volume <= volume_bound and min_coord >= coordinate_bound
+        summaries.append(DimensionExtremes(d, len(group), max_volume, max_count, min_coord,
+                                           volume_bound, coordinate_bound, comparison, passed))
     return tuple(summaries)

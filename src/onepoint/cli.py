@@ -7,7 +7,8 @@ indent=2)`` would print, ASCII-escaped and float-free, from one writer,
 :func:`_json`.  Result records go in field by field, so a new field is a
 new key.  Exit codes: 0 when all checks pass (or a query completes), 1
 when a mathematical check fails, 2 on usage or parse errors, 3 when an
-enumeration or a certificate search refuses to run above the cap.
+enumeration or a certificate search refuses to run above the cap, or a
+bound would have too many digits to print.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from pathlib import Path
 from typing import Any
 
 from .bounds import (
+    MAX_DIGITS,
+    BoundSizeError,
     bounds_report,
     chain_decompose,
     check_all_partitions,
@@ -36,7 +39,7 @@ from .generators import sylvester, zpw_simplex
 from .points import (
     DEFAULT_CAP,
     EnumerationCapError,
-    classify_point,
+    _classify,
     enumerate_interior,
     is_onepoint,
 )
@@ -99,8 +102,6 @@ def _load(path: str) -> LatticeSimplex:
 # a coordinate is an integer, a decimal or p/q in ASCII digits; an exponent
 # such as 1e10000000 would have Fraction build a ten-million-digit power first
 _COORDINATE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+|\d+/\d+)", re.ASCII)
-# int() refuses longer digit strings, with advice that is no use on the command line
-_POINT_DIGITS = 4300
 
 
 def _parse_point(text: str, dim: int, lattice: bool) -> tuple[Fraction, ...]:
@@ -108,9 +109,10 @@ def _parse_point(text: str, dim: int, lattice: bool) -> tuple[Fraction, ...]:
     if len(parts) != dim:
         raise ValueError(f"point needs {dim} comma-separated coordinates, got {len(parts)}")
     for part in parts:
+        # int() refuses longer digit strings, with advice that is no use on the command line
         digits = sum(c.isdigit() for c in part)
-        if digits > _POINT_DIGITS:
-            raise ValueError(f"a point coordinate has {digits} digits, more than {_POINT_DIGITS}")
+        if digits > MAX_DIGITS:
+            raise ValueError(f"a point coordinate has {digits} digits, more than {MAX_DIGITS}")
         if not _COORDINATE.fullmatch(part):
             raise ValueError(f"bad point {text!r}: {part!r} is not an integer, a decimal or p/q")
     try:
@@ -153,7 +155,7 @@ def _cmd_bary(args: argparse.Namespace) -> Handled:
     simplex = _load(args.file)
     point = _parse_point(args.point, simplex.ambient_dim, lattice=False)
     coords = barycentric_of(simplex, point)
-    kind = classify_point(simplex, point).kind
+    kind = _classify(coords).kind
     payload = {
         "point": point,
         "coordinates": coords,
@@ -420,34 +422,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="census the interior lattice points")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("bary", help="barycentric coordinates of a point")
-    p.add_argument("file")
-    p.add_argument(
-        "--point", required=True, help="comma-separated integers, decimals or p/q: -1/3,0.5"
+    # the commands on one simplex file, and the --point each takes
+    on_file = (
+        ("verify", _cmd_verify, "census the interior lattice points", None),
+        ("bary", _cmd_bary, "barycentric coordinates of a point",
+         "comma-separated integers, decimals or p/q: -1/3,0.5"),
+        ("ineq", _cmd_ineq, "check all partition inequalities",
+         "interior point to test, as -1/2,3; default lex-min interior"),
+        ("bounds", _cmd_bounds, "coordinate, face volume, and section checks", None),
+        ("chain", _cmd_chain, "bounds along the heaviest-face chain", None),
+        ("cert", _cmd_cert, "construct a second interior point if one must exist",
+         "interior lattice point to start from, as -2,1"),
     )
-    p.set_defaults(handler=_cmd_bary)
-
-    p = sub.add_parser("ineq", help="check all partition inequalities")
-    p.add_argument("file")
-    p.add_argument("--point", help="interior point to test, as -1/2,3; default lex-min interior")
-    p.set_defaults(handler=_cmd_ineq)
-
-    p = sub.add_parser("bounds", help="coordinate, face volume, and section checks")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("chain", help="bounds along the heaviest-face chain")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_chain)
-
-    p = sub.add_parser("cert", help="construct a second interior point if one must exist")
-    p.add_argument("file")
-    p.add_argument("--point", help="interior lattice point to start from, as -2,1")
-    p.set_defaults(handler=_cmd_cert)
+    for name, handler, text, point in on_file:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        if point is not None:
+            p.add_argument("--point", required=name == "bary", help=point)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("gen", help="build the extremal families")
     p.add_argument("--dim", type=int, required=True)
@@ -495,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, payload, lines = args.handler(args)
-    except EnumerationCapError as exc:
+    except (EnumerationCapError, BoundSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (SimplexParseError, ValueError) as exc:

@@ -2,14 +2,15 @@
 
 Everything in this package ultimately reduces to two integer
 eliminations, and both must be exact: the adjugate with its determinant,
-and the Hermite normal form.  Matrices are immutable tuples of tuples of
+and the gcd row echelon form.  Matrices are immutable tuples of tuples of
 plain Python ints; this module holds no rational and no floating point.
 
 The adjugate uses fraction-free Bareiss elimination in Gauss-Jordan
 form; callers holding rational rows clear denominators first.  The
-Hermite form uses repeated gcd row reduction and is the one route to
-lattice questions: rank, the index of a sublattice in its span, and
-canonical forms.  The matrices are small and dense, so simplicity and
+echelon uses repeated gcd row reduction and is the one route to lattice
+questions: its pivots alone give rank and the index of a sublattice in
+its span, and the Hermite normal form runs it on [M | I] for canonical
+forms.  The matrices are small and dense, so simplicity and
 auditability win over asymptotics.
 """
 
@@ -28,7 +29,7 @@ def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
     """Validate and freeze a rectangular integer matrix.
 
     The package's one integer check: every simplex freezes its vertices
-    here, and every elimination its input.
+    here, and ``adjugate_int`` and ``row_hnf`` their input.
     """
     frozen = tuple(map(tuple, rows))
     for row in frozen:
@@ -84,52 +85,61 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug)
 
 
+def echelon(rows: list[list[int]], ncols: int) -> list[int]:
+    """Bring ``rows`` to a gcd row echelon form on their first ``ncols`` columns, in place.
+
+    No transform, nothing reduced above a pivot.  Returns the pivot columns, top
+    row first: their count is the rank; with independent columns the pivots
+    multiply to the gcd of the maximal minors, up to sign.  Entries must be
+    plain ints, as :func:`int_matrix` leaves them; they are not checked again.
+    """
+    nrows, r, pivot_cols = len(rows), 0, []
+    for col in range(ncols):
+        while r < nrows:
+            # floor division by the smallest entry until it alone is left
+            pivot, least = None, 0
+            for i in range(r, nrows):
+                x = abs(rows[i][col])
+                if x and (pivot is None or x < least):
+                    pivot, least = i, x
+            if pivot is None:
+                break
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            top, p, dirty = rows[r], rows[r][col], False
+            for i in range(r + 1, nrows):
+                f = rows[i][col]
+                if f:
+                    q = f // p
+                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+                    dirty = dirty or f != q * p
+            if not dirty:
+                pivot_cols.append(col)
+                r += 1
+                break
+    return pivot_cols
+
+
 def row_hnf(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 
     Returns (h, u) with h = u @ matrix, u unimodular, h in row echelon form
     with positive pivots, zeros below each pivot, and entries above reduced
-    into [0, pivot).  This form is the unique canonical representative of
-    the left GL_n(Z) orbit of the input.
+    into [0, pivot): :func:`echelon` on [M | I], then reduction above each
+    pivot.  The unique canonical representative of the left GL_n(Z) orbit.
     """
     m = int_matrix(matrix)
-    nrows = len(m)
-    h = [list(row) for row in m]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        while True:
-            pivot = None
-            for i in range(r, nrows):
-                if h[i][col] != 0 and (pivot is None or abs(h[i][col]) < abs(h[pivot][col])):
-                    pivot = i
-            if pivot is None:
-                break
-            h[r], h[pivot] = h[pivot], h[r]
-            u[r], u[pivot] = u[pivot], u[r]
-            dirty = False
-            for i in range(r + 1, nrows):
-                if h[i][col] != 0:
-                    q = h[i][col] // h[r][col]
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                    dirty = dirty or h[i][col] != 0
-            if not dirty:
-                break
-        if r < nrows and h[r][col] != 0:
-            if h[r][col] < 0:
-                h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
-            for i in range(r):
-                q = h[i][col] // h[r][col]
-                if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-            r += 1
-            if r == nrows:
-                break
-    return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    aug = [list(row) + [int(i == j) for j in range(nrows)] for i, row in enumerate(m)]
+    for r, col in enumerate(echelon(aug, ncols)):
+        if aug[r][col] < 0:
+            aug[r] = [-x for x in aug[r]]
+        top, p = aug[r], aug[r][col]
+        for i in range(r):
+            q = aug[i][col] // p
+            if q:
+                aug[i] = [x - q * y for x, y in zip(aug[i], top)]
+    return (tuple(tuple(row[:ncols]) for row in aug),
+            tuple(tuple(row[ncols:]) for row in aug))
 
 
 def col_hnf(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:

@@ -93,7 +93,10 @@ class BlichfeldtCheck:
 
 def classify_point(simplex: LatticeSimplex, point: Sequence[Fraction | int]) -> PointClass:
     """Classify a rational point by the signs of its barycentric coordinates."""
-    coords = barycentric_of(simplex, point)
+    return _classify(barycentric_of(simplex, point))
+
+
+def _classify(coords: Sequence[Fraction]) -> PointClass:
     if any(x < 0 for x in coords):
         return PointClass("outside")
     zeros = tuple(i for i, x in enumerate(coords) if x == 0)

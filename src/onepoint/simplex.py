@@ -23,7 +23,7 @@ from functools import cached_property
 from math import factorial, prod
 from typing import Iterable, Sequence
 
-from .exact import adjugate_int, int_matrix, row_hnf, transpose
+from .exact import adjugate_int, echelon, int_matrix
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
@@ -44,16 +44,15 @@ def _validate_shape(vertices: tuple[Vector, ...]) -> Fraction:
         raise ValueError("too many vertices for the ambient dimension")
     if len(set(vertices)) != len(vertices):
         raise ValueError("vertices are not distinct")
-    # the column Hermite form of the k edges has one pivot per independent
-    # edge, and its k pivots multiply to the gcd of the k x k minors: the
-    # index of the edge lattice in the lattice of its span
-    k = len(vertices) - 1
-    edges = [[x - b for x, b in zip(v, vertices[0])] for v in vertices[1:]]
-    h, _ = row_hnf(transpose(edges))
-    pivots = [next(x for x in row if x) for row in h if any(row)]
+    # eliminating the coordinates of the k edges leaves one pivot per
+    # independent edge, and the k pivots multiply to the gcd of the k x k
+    # minors up to sign: the index of the edge lattice in the lattice of its span
+    k, base = len(vertices) - 1, vertices[0]
+    edges = [[v[c] - b for v in vertices[1:]] for c, b in enumerate(base)]
+    pivots = [edges[r][col] for r, col in enumerate(echelon(edges, k))]
     if len(pivots) != k:
         raise ValueError("vertices are affinely dependent")
-    return Fraction(prod(pivots), factorial(k))
+    return Fraction(abs(prod(pivots)), factorial(k))
 
 
 @dataclass(frozen=True)
@@ -85,10 +84,7 @@ class LatticeSimplex:
     def hull_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Columns are the vertices, bottom row is all ones (full-dim only)."""
         self._require_full()
-        d = self.dim
-        rows = [tuple(v[r] for v in self.vertices) for r in range(d)]
-        rows.append(tuple(1 for _ in self.vertices))
-        return tuple(rows)
+        return (*zip(*self.vertices), (1,) * len(self.vertices))
 
     @cached_property
     def functional_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -202,26 +198,19 @@ def section_simplex(
 
     Returns the integer simplex on those scaled vertices, together with
     D; the section's normalized volume is that simplex's divided by D^k
-    for its dimension k.
+    for its dimension k.  The tests check the volume law that
+    :func:`onepoint.bounds_report` reports against it.
     """
     values = _interior_values(simplex, point)
-    return _section(simplex, values, omitted), sum(values)
-
-
-def _section(simplex: LatticeSimplex, values: Sequence[int],
-             omitted: Iterable[int]) -> LatticeSimplex:
-    # section_simplex at the point whose functional rows are ``values``, all positive
     dropped, kept = _complement(len(simplex.vertices), omitted)
-    offset = [0] * simplex.ambient_dim
-    for i in dropped:
-        for c, x in enumerate(simplex.vertices[i]):
-            offset[c] += values[i] * x
+    offset = [sum(values[i] * simplex.vertices[i][c] for i in dropped)
+              for c in range(simplex.ambient_dim)]
     kept_weight = sum(values[j] for j in kept)
     vertices = [
         tuple(off + kept_weight * x for off, x in zip(offset, simplex.vertices[j]))
         for j in kept
     ]
-    return LatticeSimplex(vertices)
+    return LatticeSimplex(vertices), sum(values)
 
 
 def translate(simplex: LatticeSimplex, shift: Sequence[int]) -> LatticeSimplex:
@@ -284,13 +273,11 @@ def parse_simplex_text(text: str) -> LatticeSimplex:
         raise SimplexParseError(
             f"field 'vertices': expected {dim + 1} vertices, got {len(vertices)}"
         )
-    frozen = []
     for i, vertex in enumerate(vertices):
         if not isinstance(vertex, list) or len(vertex) != dim:
             raise SimplexParseError(
                 f"field 'vertices[{i}]': expected a vector of length {dim}"
             )
-        row = []
         for j, x in enumerate(vertex):
             if isinstance(x, _Inexact):
                 raise SimplexParseError(
@@ -300,9 +287,7 @@ def parse_simplex_text(text: str) -> LatticeSimplex:
                 raise SimplexParseError(
                     f"field 'vertices[{i}][{j}]': expected an integer, got {x!r}"
                 )
-            row.append(x)
-        frozen.append(tuple(row))
-    return LatticeSimplex(tuple(frozen))
+    return LatticeSimplex(vertices)
 
 
 def simplex_to_text(simplex: LatticeSimplex) -> str:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import ceil, factorial, floor, prod
 
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import onepoint as op
+import onepoint.bounds
 import onepoint.simplex
 from onepoint.points import _scan
 from oracles import det_rat, partition_matrix, rational_section_volume
@@ -408,3 +410,24 @@ def test_checks_around_the_point_refuse_a_point_not_inside(point):
     for check in checks:
         with pytest.raises(ValueError, match=INSIDE_ERROR):
             check()
+
+
+@given(
+    st.integers(2, 60),
+    st.one_of(
+        st.integers(0, 6000),
+        st.integers(1, 15).map(lambda k: 2**k),
+        st.integers(1, 15).map(lambda k: 2**k - 1),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_bound_digits_are_counted_before_the_power(base, exponent):
+    # the refusal names the power's exact digit count; checked in integers, not str()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(onepoint.bounds, "MAX_DIGITS", 0)
+        with pytest.raises(op.BoundSizeError) as refusal:
+            onepoint.bounds._power(base, exponent)
+        digits = int(re.search(r"has (\d+) digits", str(refusal.value)).group(1))
+        assert 10 ** (digits - 1) <= base**exponent < 10**digits
+        patch.setattr(onepoint.bounds, "MAX_DIGITS", digits)
+        assert onepoint.bounds._power(base, exponent) == base**exponent

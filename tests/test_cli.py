@@ -168,6 +168,14 @@ def test_bary_fractional_point(files, capsys):
     assert "classification: interior" in out
 
 
+def test_bary_evaluates_the_point_once(files, monkeypatch, capsys):
+    bary = []
+    record_calls(monkeypatch, onepoint.simplex, "barycentric_of", bary)
+    code, out, _ = run(capsys, "bary", files["zpw3"], "--point", "1,1,1")
+    assert code == 0 and "classification: interior" in out
+    assert len(bary) == 1
+
+
 def test_bary_wrong_arity_exits_2(files, capsys):
     code, _, err = run(capsys, "bary", files["tri3"], "--point", "1,2,3")
     assert code == 2
@@ -214,6 +222,27 @@ def test_cert_constructs_second_point(files, capsys):
     assert code == 0
     assert "second interior point: (3, 1)" in out
     assert "ratio 4/5" in out
+
+
+@pytest.mark.parametrize(
+    "dim, argv, size",
+    [
+        # 14^(2^(d+1)), the comparison bound of the report
+        (11, ("report",), "the bound 14^4096 has 4695 digits"),
+        # (d+1)^(2^i - 1), the volume bound of the chain's top level
+        (12, ("chain",), "the bound 13^4095 has 4562 digits"),
+        (12, ("--format", "structured", "chain"), "the bound 13^4095 has 4562 digits"),
+        # (d+1)^(2^k), the last sorted coordinate bound
+        (12, ("bounds",), "the bound 13^4096 has 4563 digits"),
+        (12, ("--format", "structured", "bounds"), "the bound 13^4096 has 4563 digits"),
+    ],
+)
+def test_bounds_too_large_to_print_exit_3(dim, argv, size, tmp_path, capsys):
+    path = tmp_path / f"reflected{dim}.json"
+    path.write_text(op.simplex_to_text(op.reflected_simplex(dim)), encoding="utf-8")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (3, "")
+    assert f"error: {size}, more than the 4300 that can be printed" in err
 
 
 def test_cert_caps_the_t_scan(tmp_path, capsys):

@@ -9,6 +9,7 @@ from onepoint.exact import (
     SingularMatrixError,
     adjugate_int,
     col_hnf,
+    echelon,
     int_matrix,
     mat_vec,
     row_hnf,
@@ -170,8 +171,8 @@ def test_snf_invariant_under_transpose(rows):
     assert snf_divisors(rows) == snf_divisors(transpose(rows))
 
 
-def rect_int_matrices(bound=7):
-    return st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+def rect_int_matrices(bound=7, side=3):
+    return st.tuples(st.integers(1, side), st.integers(1, side)).flatmap(
         lambda shape: st.lists(
             st.lists(st.integers(-bound, bound), min_size=shape[1], max_size=shape[1]),
             min_size=shape[0],
@@ -225,3 +226,31 @@ def test_row_hnf_invariant_under_row_operations(rows, mix):
 
 def test_mat_vec():
     assert mat_vec([[1, 2], [3, 4]], [5, 6]) == (17, 39)
+
+
+@given(
+    rect_int_matrices(bound=9, side=6),
+    st.sampled_from(("drawn", "zero", "rank-deficient", "negative")),
+)
+@settings(max_examples=200)
+def test_echelon_pivots_give_rank_and_hermite_pivot_product(rows, shape):
+    # tall, wide and square shapes; the rank comes from the rational oracle
+    rows = [list(row) for row in rows]
+    if shape == "zero":
+        rows = [[0] * len(row) for row in rows]
+    elif shape == "rank-deficient":
+        rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])
+    elif shape == "negative":
+        rows = [[-abs(x) for x in row] for row in rows]
+    reduced = [list(row) for row in rows]
+    cols = echelon(reduced, len(rows[0]))
+    pivots = [reduced[r][c] for r, c in enumerate(cols)]
+    h, _ = row_hnf(rows)
+    hermite = [next(x for x in row if x) for row in h if any(row)]
+    assert len(pivots) == rank_rat(rows) == len(hermite)
+    assert abs(math.prod(pivots)) == math.prod(hermite)
+    # an echelon: pivot columns increase, zeros below each pivot, zero rows last
+    assert cols == sorted(set(cols))
+    for r, c in enumerate(cols):
+        assert reduced[r][c] != 0 and all(row[c] == 0 for row in reduced[r + 1 :])
+    assert not any(any(row) for row in reduced[len(cols) :])
