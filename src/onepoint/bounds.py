@@ -89,21 +89,30 @@ class InequalityReport:
     worst: PartitionRecord
 
 
+def _partition(bary: RatVector, mask: int) -> PartitionRecord:
+    """The one evaluation of a partition: ``mask`` marks the sum side of a checked vector."""
+    left = tuple(i for i in range(len(bary)) if mask >> i & 1)
+    right = tuple(i for i in range(len(bary)) if not mask >> i & 1)
+    total = sum(bary[i] for i in left)
+    product = prod((bary[j] for j in right), start=Fraction(1))
+    return PartitionRecord(left, right, total, product, total - product)
+
+
+def _sum_side_mask(count: int, sum_side: Iterable[int]) -> int:
+    """The bitmask of a sum side of ``count`` indexes; both sides must be nonempty."""
+    left = set(sum_side)
+    if not left or left == set(range(count)):
+        raise ValueError("both partition sides must be nonempty")
+    _complement(count, left)  # refuses an index outside [0, count)
+    return sum(1 << i for i in range(count) if i in left)
+
+
 def check_all_partitions(coords: Sequence[Fraction | int]) -> InequalityReport:
     """Evaluate every proper two-sided partition, in sum-side bitmask order."""
     bary = check_barycentric(coords)
-    n = len(bary)
-    records = []
-    for mask in range(1, 2**n - 1):
-        left = tuple(i for i in range(n) if mask >> i & 1)
-        right = tuple(i for i in range(n) if not mask >> i & 1)
-        sum_value = sum(bary[i] for i in left)
-        product_value = prod((bary[j] for j in right), start=Fraction(1))
-        records.append(
-            PartitionRecord(left, right, sum_value, product_value, sum_value - product_value)
-        )
+    records = tuple(_partition(bary, mask) for mask in range(1, 2 ** len(bary) - 1))
     worst = min(records, key=lambda r: r.slack)
-    return InequalityReport(tuple(records), worst.slack >= 0, worst.slack, worst)
+    return InequalityReport(records, worst.slack >= 0, worst.slack, worst)
 
 
 @dataclass(frozen=True)
@@ -135,30 +144,21 @@ def reduced_system(sorted_coords: SortedBarycentrics) -> tuple[Fraction, ...]:
     coords = sorted_coords.coords
     if any(a < b for a, b in zip(coords, coords[1:])):
         raise ValueError("coordinates must be sorted in descending order")
-    d = len(coords) - 1
-    slacks = []
-    running = Fraction(1)
-    tail = sum(coords)
-    for j in range(d):
-        running *= coords[j]
-        tail -= coords[j]
-        slacks.append(tail - running)
-    return tuple(slacks)
+    # entry j's sum side is the tail after position j: every bit but those of the block 0..j
+    full = 2 ** len(coords) - 1
+    return tuple(_partition(coords, full ^ ((2 << j) - 1)).slack for j in range(len(coords) - 1))
 
 
 def partition_ratio(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -> Fraction:
     """Sum/product ratio of a partition; the inequality holds iff >= 1.
 
     The closed formula.  It equals the determinant of the partition's
-    system matrix (see :mod:`onepoint.certificate`), an identity the test
-    suite checks against that matrix.
+    system matrix, which the test suite builds as its second route
+    (``tests/oracles.py::partition_matrix``) and holds this ratio to.
     """
     bary = check_barycentric(coords)
-    left = set(sum_side)
-    if not left or left == set(range(len(bary))):
-        raise ValueError("both partition sides must be nonempty")
-    left, right = _complement(len(bary), left)
-    return sum(bary[i] for i in left) / prod((bary[j] for j in right), start=Fraction(1))
+    record = _partition(bary, _sum_side_mask(len(bary), sum_side))
+    return record.sum / record.product
 
 
 # ---------------------------------------------------------------------------

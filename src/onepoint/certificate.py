@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import partition_ratio, reduced_system, sort_barycentric
+from .bounds import _partition, _sum_side_mask, reduced_system, sort_barycentric
 from .exact import int_matrix
 from .points import DEFAULT_CAP, EnumerationCapError, classify_point
 from .simplex import LatticeSimplex, barycentric_of, check_barycentric
@@ -57,13 +57,11 @@ def find_admissible_weights(
     values of T raises :class:`EnumerationCapError` naming that bound.
     """
     bary = check_barycentric(coords)
-    if partition_ratio(bary, sum_side) >= 1:
+    record = _partition(bary, _sum_side_mask(len(bary), sum_side))
+    if record.slack >= 0:
         return None
-    sides = set(sum_side)
-    product_side = [j for j in range(len(bary)) if j not in sides]
-    s = sum(bary[i] for i in sides)
-    bound = -((s - 2) // s) - 1  # ceil((2 - s) / s) - 1
-    parts = [(bary[j].numerator, bary[j].denominator) for j in product_side]
+    bound = -((record.sum - 2) // record.sum) - 1  # ceil((2 - s) / s) - 1
+    parts = [(bary[j].numerator, bary[j].denominator) for j in record.product_side]
     for total in range(1, bound + 1):
         if total > cap:
             raise EnumerationCapError(cap, bound, "T-scan steps", "certificate search may take")
@@ -81,7 +79,7 @@ def find_admissible_weights(
         rest -= weights[k]
     if rest != 0:
         raise AssertionError(f"weights {weights} do not sum to the total {total}")
-    for weight, j in zip(weights, product_side):
+    for weight, j in zip(weights, record.product_side):
         if abs(weight - total * bary[j]) >= bary[j]:
             raise AssertionError(f"weight {weight} drifts too far from {total} * {bary[j]}")
     return AdmissibleWeights(tuple(weights), total)
@@ -118,11 +116,12 @@ def second_interior_point(
     None means every partition's inequality holds, which is exactly the
     situation where no construction of this shape exists; the reduced
     system on the sorted coordinates decides it without visiting the
-    partitions.  Otherwise the partitions of the vertex indexes are
-    scanned (sum sides as bitmasks over positions sorted by descending
-    barycentric coordinate, smallest mask first) for one whose
-    sum/product ratio drops below 1.  The first hit is turned into an
-    explicit lattice point
+    partitions.  Otherwise the sorted coordinates, checked once, go
+    through the one partition evaluator of :mod:`onepoint.bounds` mask
+    by mask (sum sides as bitmasks over positions sorted by descending
+    barycentric coordinate, smallest mask first) until a partition's sum
+    falls below its product.  That first hit is turned into an explicit
+    lattice point
 
         q = (total + 1) * start - total * anchor
 
@@ -138,40 +137,40 @@ def second_interior_point(
     sorted_coords = sort_barycentric(bary)
     if all(slack >= 0 for slack in reduced_system(sorted_coords)):
         return None
-    n = len(bary)
-    for mask in range(1, 2**n - 1):
-        positions = [k for k in range(n) if mask >> k & 1]
-        if partition_ratio(sorted_coords.coords, positions) >= 1:
-            continue
-        admissible = find_admissible_weights(sorted_coords.coords, positions, cap)
-        if admissible is None:
-            raise AssertionError(f"partition {positions} fails but has no admissible weights")
-        complement = [k for k in range(n) if not mask >> k & 1]
-        weight_order = tuple(sorted_coords.order[k] for k in complement)
-        total = admissible.total
-        anchor = tuple(
-            sum(
-                (Fraction(w, total) * simplex.vertices[j][c] for w, j in
-                 zip(admissible.weights, weight_order)),
-                start=Fraction(0),
-            )
-            for c in range(simplex.ambient_dim)
+    coords, order = sorted_coords.coords, sorted_coords.order
+    records = (_partition(coords, mask) for mask in range(1, 2 ** len(coords) - 1))
+    record = next((r for r in records if r.slack < 0), None)
+    if record is None:
+        raise AssertionError("the reduced system fails but no partition inequality does")
+    admissible = find_admissible_weights(coords, record.sum_side, cap)
+    if admissible is None:
+        raise AssertionError(
+            f"partition {list(record.sum_side)} fails but has no admissible weights"
         )
-        second = tuple((total + 1) * p - total * r for p, r in zip(start, anchor))
-        if any(x.denominator != 1 for x in second):
-            raise AssertionError(f"constructed point {second} is not integral")
-        found = tuple(int(x) for x in second)
-        if found == start or classify_point(simplex, found).kind != "interior":
-            raise AssertionError(f"constructed point {found} fails verification")
-        return SecondPointCertificate(
-            sum_side=tuple(sorted(sorted_coords.order[k] for k in positions)),
-            product_side=tuple(sorted(weight_order)),
-            ratio=partition_ratio(bary, [sorted_coords.order[k] for k in positions]),
-            weights=admissible.weights,
-            weight_order=weight_order,
-            total=total,
-            anchor=anchor,
-            start=start,
-            point=found,
+    weight_order = tuple(order[k] for k in record.product_side)
+    total = admissible.total
+    anchor = tuple(
+        sum(
+            (Fraction(w, total) * simplex.vertices[j][c] for w, j in
+             zip(admissible.weights, weight_order)),
+            start=Fraction(0),
         )
-    raise AssertionError("the reduced system fails but no partition inequality does")
+        for c in range(simplex.ambient_dim)
+    )
+    second = tuple((total + 1) * p - total * r for p, r in zip(start, anchor))
+    if any(x.denominator != 1 for x in second):
+        raise AssertionError(f"constructed point {second} is not integral")
+    found = tuple(int(x) for x in second)
+    if found == start or classify_point(simplex, found).kind != "interior":
+        raise AssertionError(f"constructed point {found} fails verification")
+    return SecondPointCertificate(
+        sum_side=tuple(sorted(order[k] for k in record.sum_side)),
+        product_side=tuple(sorted(weight_order)),
+        ratio=record.sum / record.product,
+        weights=admissible.weights,
+        weight_order=weight_order,
+        total=total,
+        anchor=anchor,
+        start=start,
+        point=found,
+    )

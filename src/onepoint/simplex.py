@@ -109,11 +109,22 @@ class LatticeSimplex:
             )
 
 
+def _exact(values: Iterable) -> tuple:
+    """The values frozen, refused unless each is an int or a Fraction."""
+    frozen = tuple(values)
+    for x in frozen:
+        # a float or a string would be read inexactly; bool is an int subclass
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise ValueError(f"expected an int or a Fraction, got {x!r}")
+    return frozen
+
+
 def _row_values(simplex: LatticeSimplex, point: Sequence[Fraction | int]) -> tuple:
     """The functional rows at a point: |det| times its barycentric coordinates."""
     simplex._require_full()
     if len(point) != simplex.ambient_dim:
         raise ValueError("point dimension does not match the simplex")
+    point = _exact(point)
     return tuple(
         sum(c * x for c, x in zip(coeffs, point)) + const
         for coeffs, const in simplex.functional_rows
@@ -146,8 +157,8 @@ def barycentric_of(simplex: LatticeSimplex, point: Sequence[Fraction | int]) -> 
 
 
 def check_barycentric(coords: Sequence[Fraction | int]) -> RatVector:
-    """Validate a positive barycentric vector (sums to 1, dimension >= 1)."""
-    frozen = tuple(Fraction(x) for x in coords)
+    """Validate a positive barycentric vector (ints and Fractions, sum 1, dimension >= 1)."""
+    frozen = tuple(Fraction(x) for x in _exact(coords))
     if len(frozen) < 2:
         raise ValueError("need at least two barycentric coordinates")
     if sum(frozen) != 1:

@@ -106,10 +106,13 @@ def test_ratio_equals_system_determinant_on_random_coordinates(rng):
     for _ in range(120):
         coords = random_barycentric(rng, rng.randint(2, 5))
         n = len(coords)
-        for mask in range(1, 2**n - 1):
+        records = op.check_all_partitions(coords).records
+        assert len(records) == 2**n - 2
+        for mask, record in zip(range(1, 2**n - 1), records):
             side = [i for i in range(n) if mask >> i & 1]
-            ratio = op.partition_ratio(coords, side)
-            assert ratio == det_rat(partition_matrix(coords, side))
+            det = det_rat(partition_matrix(coords, side))
+            assert op.partition_ratio(coords, side) == det
+            assert record.sum_side == tuple(side) and record.sum / record.product == det
 
 
 def test_reduced_system_equivalent_to_full(rng):

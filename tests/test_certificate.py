@@ -212,10 +212,17 @@ def test_random_violated_simplices_all_certified(rng):
         if len(census) < 2:
             continue
         start = census[0]
-        if op.check_all_partitions(op.barycentric_of(simplex, start)).passed:
+        coords = op.barycentric_of(simplex, start)
+        if op.check_all_partitions(coords).passed:
             continue
         cert = op.second_interior_point(simplex, start)
         assert cert is not None
+        # the certificate is built on the first violated partition of the sorted coordinates
+        ordered = op.sort_barycentric(coords)
+        first = next(r for r in op.check_all_partitions(ordered.coords).records if r.slack < 0)
+        assert cert.sum_side == tuple(sorted(ordered.order[k] for k in first.sum_side))
+        assert cert.weight_order == tuple(ordered.order[k] for k in first.product_side)
+        assert cert.ratio == first.sum / first.product
         assert cert.point != start
         assert cert.point in census  # soundness, via the census route
         assert sum(cert.weights) == cert.total > 0

@@ -278,11 +278,25 @@ def test_ineq_and_cert_need_an_interior_point(files, capsys):
         assert json.loads(out)["reason"] == "no interior lattice point"
 
 
-def test_cert_evaluates_the_start_once(files, monkeypatch, capsys):
+def test_cert_evaluates_the_start_once(files, tmp_path, monkeypatch, capsys):
     bary = []
     record_calls(monkeypatch, onepoint.simplex, "barycentric_of", bary)
     assert run(capsys, "cert", files["zpw3"])[0] == 0
     assert len(bary) == 1
+    # the vector is checked a fixed number of times, however many masks are tried:
+    # the first violated mask is the 4th of 6 on the wide triangle and the last, the 30th, at d = 4
+    late = tmp_path / "late.json"
+    late.write_text(op.simplex_to_text(op.LatticeSimplex(
+        ((4, 4, -5, 4), (5, 0, -4, -1), (0, -1, 2, 0), (-3, 2, 2, -3), (-5, -1, -5, 0))
+    )), encoding="utf-8")
+    checks, counts = [], []
+    record_calls(monkeypatch, onepoint.simplex, "check_barycentric", checks)
+    for path, second in ((files["wide"], "(3, 1)"), (str(late), "(-1, 1, -3, 0)")):
+        checks.clear()
+        code, out, _ = run(capsys, "cert", path)
+        assert code == 0 and out.splitlines()[-1] == f"second interior point: {second}"
+        counts.append(len(checks))
+    assert counts[0] == counts[1] <= 3
 
 
 def test_cert_rejects_non_interior_start(files, capsys):

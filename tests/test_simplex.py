@@ -101,6 +101,11 @@ def test_barycentric_frozen():
     )
     with pytest.raises(ValueError, match="point dimension does not match the simplex"):
         op.barycentric_of(tri, (1, 1, 1))
+    # a float coordinate is refused by name, not read inexactly
+    zpw2 = op.zpw_simplex(2)
+    for check in (op.barycentric_of, op.classify_point):
+        with pytest.raises(ValueError, match=r"expected an int or a Fraction, got 0\.5"):
+            check(zpw2, (0.5, 0.5))
 
 
 def small_simplices(dim):
@@ -158,6 +163,15 @@ def test_check_barycentric():
         op.check_barycentric([Fraction(3, 2), Fraction(-1, 2)])  # not positive
     with pytest.raises(ValueError):
         op.check_barycentric([Fraction(1)])  # needs at least two
+    # ints and Fractions only: a float, a string or a bool is refused by name
+    for coords, named in (((0.5, 0.25, 0.25), "0.5"), (("1/2", "1/4", "1/4"), "'1/2'"),
+                          ((Fraction(1, 2), True), "True")):
+        with pytest.raises(ValueError, match=f"expected an int or a Fraction, got {named}"):
+            op.check_barycentric(coords)
+    with pytest.raises(ValueError, match="got 0.5"):
+        op.check_all_partitions((0.5, 0.25, 0.25))
+    with pytest.raises(ValueError, match="got '1/2'"):
+        op.partition_ratio(("1/2", "1/4", "1/4"), (0,))
 
 
 def test_normalized_volume_frozen():
