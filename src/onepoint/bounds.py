@@ -128,7 +128,11 @@ class SortedBarycentrics:
 
 
 def sort_barycentric(coords: Sequence[Fraction | int]) -> SortedBarycentrics:
-    bary = check_barycentric(coords)
+    return _descending(check_barycentric(coords))
+
+
+def _descending(bary: RatVector) -> SortedBarycentrics:
+    """:func:`sort_barycentric` on a vector that ``check_barycentric`` has passed."""
     order = tuple(sorted(range(len(bary)), key=lambda i: (-bary[i], i)))
     return SortedBarycentrics(tuple(bary[i] for i in order), order)
 
@@ -239,7 +243,7 @@ def chain_decompose(
     one-point family of dimension d.  The top level omits nothing, so its
     count is the closure count of the simplex.
     """
-    sorted_coords = sort_barycentric(_coordinates(_interior_values(simplex, point)))
+    sorted_coords = _descending(_coordinates(_interior_values(simplex, point)))
     d = simplex.dim
     levels = []
     for i in range(1, d + 1):

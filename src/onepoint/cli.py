@@ -26,12 +26,12 @@ from typing import Any
 from .bounds import (
     MAX_DIGITS,
     BoundSizeError,
+    _descending,
     bounds_report,
     chain_decompose,
     check_all_partitions,
     corpus_extremes,
     reduced_system,
-    sort_barycentric,
 )
 from .certificate import second_interior_point
 from .generators import dilated_simplex, onepoint_triangle_atlas, reflected_simplex
@@ -191,8 +191,8 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
                 "no interior lattice point to test"
             ]
         coords = barycentric_of(simplex, start)
-    report = check_all_partitions(coords)
-    reduced = reduced_system(sort_barycentric(coords))
+    report = check_all_partitions(coords)  # the one check of the vector
+    reduced = reduced_system(_descending(coords))
     payload = {
         "coordinates": coords,
         "partitions": report.records,

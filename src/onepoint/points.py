@@ -6,9 +6,9 @@ functionals: each barycentric functional times the positive hull
 determinant has integer coefficients, so the interior, a closed face and
 the parallelotope around the interior point are all integer half-spaces
 for one box scan.  It walks the box depth-first from its shortest side,
-cuts each axis to the values every half-space still allows, counts each
-row of the longest axis as one integer interval, and builds only the
-lexicographically smallest points a caller asks for.
+cuts each axis to the values every half-space still allows, solves each
+row of the longest axis inline as one integer interval, and keeps only
+the lexicographically smallest points a caller asks for, in a sorted list.
 
 Every scan is guarded by a candidate cap: when the bounding box holds more
 candidates than the cap allows, the scan refuses up front instead of
@@ -17,10 +17,10 @@ grinding.
 
 from __future__ import annotations
 
-import heapq
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .simplex import LatticeSimplex, _complement, barycentric_of, normalized_volume
@@ -106,17 +106,12 @@ def _classify(coords: Sequence[Fraction]) -> PointClass:
 
 
 def _vertex_box(vertices: Sequence[Vector]) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (min(v[c] for v in vertices), max(v[c] for v in vertices))
-        for c in range(len(vertices[0]))
-    )
+    return tuple((min(axis), max(axis)) for axis in zip(*vertices))
 
 
 def _capped_box(box: tuple[tuple[int, int], ...], cap: int) -> tuple[tuple[int, int], ...]:
     """The box itself, or a refusal when it holds more than ``cap`` candidates."""
-    required = 1
-    for lo, hi in box:
-        required *= hi - lo + 1
+    required = prod(hi - lo + 1 for lo, hi in box)
     if required > cap:
         raise EnumerationCapError(cap, required)
     return box
@@ -136,65 +131,75 @@ def _scan(
     them for None, none for 0.  Callers pass a box from
     :func:`_capped_box`, so the refusal comes before any row is built.
 
-    The walk is depth-first from the shortest box side to the longest,
-    so the axes fixed early bound the long ones; the longest is solved
-    per row as an integer interval whose length goes to the count.  Each
-    level carries one partial sum per half-space and cuts its axis to the
-    values at which every half-space can still hold with the axes not yet
-    fixed at their best box ends, so no value that one half-space rules
-    out alone is entered.  A row builds only the points that can still
-    be among the ``limit`` smallest, at most ``limit``, kept in a bounded
-    heap of negated points.
+    The walk is depth-first from the shortest box side to the longest.
+    Each level carries one partial sum per half-space and cuts its axis
+    to the values at which every half-space can still hold with the axes
+    not yet fixed at their best box ends.  The level above the longest
+    axis solves each of its values inline as a row of that axis: one
+    integer interval, whose length goes to the count.  The ``limit``
+    smallest points are kept as a sorted list of tuples, and a row stops
+    at its first point that is not below the largest one kept.
     """
-    d = len(box)
-    order = sorted(range(d), key=lambda a: box[a][1] - box[a][0])
-    # per level, (coefficient of its axis, the most the later axes can add) per half-space
-    cuts, gains = [], [0] * len(halfspaces)
-    for a in reversed(order):
-        cuts.insert(0, [(c[a], g) for (c, _), g in zip(halfspaces, gains)])
+    *outer, row = sorted(range(len(box)), key=lambda a: box[a][1] - box[a][0])
+    row_coeffs = [c[row] for c, _ in halfspaces]
+    # per level above the row: axis, box side, (its coefficient, most the later axes add)
+    levels, gains = [], [max(r * end for end in box[row]) for r in row_coeffs]
+    for a in reversed(outer):
+        levels.insert(0, (a, *box[a], [(c[a], g) for (c, _), g in zip(halfspaces, gains)]))
         gains = [g + max(c[a] * end for end in box[a]) for (c, _), g in zip(halfspaces, gains)]
-    count = 0
-    found: list[Vector] = []
-    point = [0] * d
+    levels = levels or [(row, 0, 0, [(0, g) for g in gains])]  # one axis: a single row
+    count, found, point = 0, [], [0] * len(box)
 
     def walk(level: int, sums: list[int]) -> None:
         nonlocal count
-        axis = order[level]
-        lo, hi = box[axis]
-        for (c, rest), s in zip(cuts[level], sums):
+        axis, lo, hi, cut = levels[level]
+        for (c, rest), s in zip(cut, sums):
             if c > 0:
                 lo = max(lo, -((s + rest) // c))
             elif c < 0:
                 hi = min(hi, (s + rest) // -c)
             elif s + rest < 0:
                 return
-        if level < d - 1:
+        if level < len(levels) - 1:
             for x in range(lo, hi + 1):
                 point[axis] = x
-                walk(level + 1, [s + c * x for (c, _), s in zip(cuts[level], sums)])
+                walk(level + 1, [s + c * x for (c, _), s in zip(cut, sums)])
             return
-        if lo > hi:
-            return
-        count += hi - lo + 1
-        if limit == 0:
-            return
-        head, tail = tuple(point[:axis]), tuple(point[axis + 1:])
-        if limit is None:
-            found.extend(head + (t,) + tail for t in range(lo, hi + 1))
-            return
-        for t in range(lo, min(hi, lo + limit - 1) + 1):
-            key = tuple(-x for x in head + (t,) + tail)  # found[0] is the largest point kept
-            if len(found) < limit:
-                heapq.heappush(found, key)
-            elif key > found[0]:
-                heapq.heapreplace(found, key)
-            else:
-                break
+        # the cut above is exact where the row coefficient is 0; the others bound each row
+        ups = [(c, r, s) for (c, _), r, s in zip(cut, row_coeffs, sums) if r > 0]
+        downs = [(c, -r, s) for (c, _), r, s in zip(cut, row_coeffs, sums) if r < 0]
+        for x in range(lo, hi + 1):
+            first, end = box[row]
+            for c, r, s in ups:
+                t = -((s + c * x) // r)
+                if t > first:
+                    first = t
+            for c, r, s in downs:
+                t = (s + c * x) // r
+                if t < end:
+                    end = t
+            if first > end:
+                continue
+            count += end - first + 1
+            if limit == 0:
+                continue
+            point[axis] = x
+            if limit is None:
+                for point[row] in range(first, end + 1):
+                    found.append(tuple(point))
+                continue
+            for point[row] in range(first, end + 1):
+                key = tuple(point)
+                if len(found) == limit:
+                    if key >= found[-1]:  # found[-1] is the largest point kept
+                        break
+                    found.pop()
+                insort(found, key)
 
     walk(0, [const for _, const in halfspaces])
     if limit is None:
-        return count, sorted(found)
-    return count, sorted(tuple(-x for x in key) for key in found)
+        found.sort()
+    return count, found
 
 
 def enumerate_interior(

@@ -33,8 +33,8 @@ class SimplexParseError(ValueError):
     """A simplex text document failed to parse or validate."""
 
 
-def _validate_shape(vertices: tuple[Vector, ...]) -> Fraction:
-    """Check frozen, equal-length vertices span a simplex; return its normalized volume."""
+def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> None:
+    """Check integer vertices span a simplex; give ``simplex`` them and its normalized volume."""
     if not vertices:
         raise ValueError("a simplex needs at least one vertex")
     ambient = len(vertices[0])
@@ -52,7 +52,8 @@ def _validate_shape(vertices: tuple[Vector, ...]) -> Fraction:
     pivots = [edges[r][col] for r, col in enumerate(echelon(edges, k))]
     if len(pivots) != k:
         raise ValueError("vertices are affinely dependent")
-    return Fraction(abs(prod(pivots)), factorial(k))
+    object.__setattr__(simplex, "vertices", vertices)
+    object.__setattr__(simplex, "_volume", Fraction(abs(prod(pivots)), factorial(k)))
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,7 @@ class LatticeSimplex:
     vertices: tuple[Vector, ...]
 
     def __init__(self, vertices: Iterable[Sequence[int]]):
-        frozen = int_matrix(vertices)
-        volume = _validate_shape(frozen)
-        object.__setattr__(self, "vertices", frozen)
-        object.__setattr__(self, "_volume", volume)
+        _set_shape(self, int_matrix(vertices))
 
     @property
     def dim(self) -> int:
@@ -181,7 +179,9 @@ def _complement(count: int, omitted: Iterable[int]) -> tuple[tuple[int, ...], tu
 def face_of(simplex: LatticeSimplex, omitted: Iterable[int]) -> LatticeSimplex:
     """The face spanned by all vertices except the omitted ones."""
     _, kept = _complement(len(simplex.vertices), omitted)
-    return LatticeSimplex(tuple(simplex.vertices[j] for j in kept))
+    face = object.__new__(LatticeSimplex)  # its vertices are integers checked already
+    _set_shape(face, tuple(simplex.vertices[j] for j in kept))
+    return face
 
 
 def normalized_volume(simplex: LatticeSimplex) -> Fraction:

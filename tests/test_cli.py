@@ -196,6 +196,16 @@ def test_ineq_names_violated_partition(files, capsys):
     assert "1/7" in out
 
 
+def test_ineq_checks_its_vector_once(files, monkeypatch, capsys):
+    checks = []
+    record_calls(monkeypatch, onepoint.simplex, "check_barycentric", checks)
+    for argv, code in (((files["zpw3"],), 0), ((files["wide"],), 1),
+                       ((files["wide"], "--point", "2,1"), 0)):
+        checks.clear()
+        assert run(capsys, "ineq", *argv)[0] == code
+        assert len(checks) == 1
+
+
 def test_ineq_rejects_boundary_point(files, capsys):
     code, _, err = run(capsys, "ineq", files["wide"], "--point", "0,0")
     assert code == 2

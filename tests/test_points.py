@@ -203,3 +203,22 @@ def test_scan_matches_the_box_walk(case):
     count, every = box_walk(halfspaces, box, False), box_walk(halfspaces, box, True)
     for limit in (0, 1, 2, 20, None):
         assert _scan(halfspaces, box, limit) == (count, every[:limit])
+
+
+@pytest.mark.parametrize(
+    "vertices, total",
+    [
+        (((0, 0, 0), (60, 0, 0), (0, 60, 0), (0, 0, 60)), 32509),
+        (((0, 0), (300, 0), (0, 300)), 44551),
+    ],
+)
+def test_large_census_matches_the_box_walk(vertices, total):
+    # the drawn boxes above have sides of at most 30; these keep the first
+    # points over hundreds or thousands of rows of up to 298 points each
+    simplex = op.LatticeSimplex(vertices)
+    interior = [(coeffs, const - 1) for coeffs, const in simplex.functional_rows]
+    every = box_walk(interior, op.enumerate_interior(simplex, limit=0).scanned_box, True)
+    assert len(every) == total
+    for limit in (0, 1, 20, None):
+        census = op.enumerate_interior(simplex, limit=limit)
+        assert (census.count, census.points) == (total, tuple(every[:limit]))
