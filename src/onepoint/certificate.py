@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import _partition, _sum_side_mask, reduced_system, sort_barycentric
+from .bounds import PartitionRecord, _partition, _sum_side_mask, reduced_system, sort_barycentric
 from .exact import int_matrix
 from .points import DEFAULT_CAP, EnumerationCapError, classify_point
 from .simplex import LatticeSimplex, barycentric_of, check_barycentric
@@ -58,8 +58,11 @@ def find_admissible_weights(
     """
     bary = check_barycentric(coords)
     record = _partition(bary, _sum_side_mask(len(bary), sum_side))
-    if record.slack >= 0:
-        return None
+    return None if record.slack >= 0 else _admissible(bary, record, cap)
+
+
+def _admissible(bary: RatVector, record: PartitionRecord, cap: int) -> AdmissibleWeights:
+    """:func:`find_admissible_weights` on a checked vector and its violated partition."""
     bound = -((record.sum - 2) // record.sum) - 1  # ceil((2 - s) / s) - 1
     parts = [(bary[j].numerator, bary[j].denominator) for j in record.product_side]
     for total in range(1, bound + 1):
@@ -142,11 +145,7 @@ def second_interior_point(
     record = next((r for r in records if r.slack < 0), None)
     if record is None:
         raise AssertionError("the reduced system fails but no partition inequality does")
-    admissible = find_admissible_weights(coords, record.sum_side, cap)
-    if admissible is None:
-        raise AssertionError(
-            f"partition {list(record.sum_side)} fails but has no admissible weights"
-        )
+    admissible = _admissible(coords, record, cap)
     weight_order = tuple(order[k] for k in record.product_side)
     total = admissible.total
     anchor = tuple(

@@ -254,19 +254,23 @@ class Atlas2D:
 def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atlas2D:
     """Every planar one-point triangle up to lattice symmetry, verified.
 
-    Sweeps triangles (v0, v1, v2) around the origin in counterclockwise
-    order, one per orbit of the first two vertices under SL2(Z).  Writing
-    the determinants of consecutive vertices as positive integers d0, d1,
-    d2, their sum is the doubled area, which for a single interior point
-    cannot exceed 27, and d0 v0 + d1 v1 + d2 v2 = 0.  A unimodular map
-    sends v0 to (g, 0) with g = gcd(v0); then v1 = (a, d2/g), and the
-    shears fixing (g, 0) reduce a to 0 <= a < d2/g.  The sweep runs over
-    these representatives and all splits of the budget, so its work does
-    not depend on the radius.  A doubled-area-equals-boundary-count filter
-    keeps exactly the one-interior-point triangles, each surviving triangle
-    is folded into its canonical form, and every class is then re-verified
-    from scratch: interior census of size one, all partition inequalities,
-    coordinate lower bounds, and the chain bounds.
+    Sweeps triangles (v0, v1, v2) counterclockwise around the interior
+    point 0.  The determinants d0, d1, d2 of consecutive vertices satisfy
+    d0 v0 + d1 v1 + d2 v2 = 0, and their sum is the doubled area, at most
+    27 by the package's volume bound (d+1)^(2^d-1)/d! at d = 2.  Each
+    open spoke from 0 to a vertex lies inside, so every vertex is
+    primitive and a unimodular map sends v0 to (1, 0).  Each spoke
+    triangle conv(0, v_i, v_{i+1}) has no interior point, so by Pick's
+    theorem its determinant is the lattice length of its outer edge:
+    with v1 = (a, d2) and 0 <= a < d2 after a shear fixing (1, 0),
+    gcd(a - 1, d2) = d2 forces a = 1 % d2.  A cyclic relabelling rotates
+    (d0, d1, d2), so d2 is taken as the largest.  The sweep runs over d2
+    and (d0, d1) = (u, t) alone, so its work does not depend on the radius.
+    As e01 = d2, the doubled-area-equals-boundary-count filter
+    u + t = e12 + e20 keeps exactly the one-interior-point triangles, each
+    survivor is folded into its canonical form, and every class is then
+    re-verified from scratch: interior census of size one, all partition
+    inequalities, coordinate lower bounds, and the chain bounds.
 
     The radius names the box |x|, |y| <= box_radius that every reported
     form is checked to fit in; from 9 on the box holds every class.
@@ -275,22 +279,18 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
         raise ValueError("a box radius below 9 cannot reach every class")
     forms: set[tuple[Vector, ...]] = set()
     for d2 in range(1, 26):
-        budget = 27 - d2
-        for g in (k for k in range(1, d2 + 1) if d2 % k == 0):
-            b = d2 // g
-            for a in range(b):
-                edge01 = gcd(a - g, b)
-                for u in range(1, budget):
-                    # (u, t) = (d0, d1); d2 v2 = -(u v0 + t v1) has y = -t b, so g | t
-                    for t in range(g, budget - u + 1, g):
-                        nx = -(u * g + t * a)
-                        if nx % d2:
-                            continue
-                        cx, cy = nx // d2, -(t // g)
-                        if u + t + d2 != edge01 + gcd(cx - a, cy - b) + gcd(g - cx, cy):
-                            continue
-                        form, _, _ = _canonical_at(((g, 0), (a, b), (cx, cy)), (0, 0))
-                        forms.add(form)
+        a = 1 % d2
+        for u in range(1, min(d2, 26 - d2) + 1):
+            for t in range(1, min(d2, 27 - d2 - u) + 1):
+                # d2 v2 = -(u v0 + t v1) = -(u + t a, t d2)
+                nx = -(u + t * a)
+                if nx % d2:
+                    continue
+                cx = nx // d2
+                if u + t != gcd(cx - a, t + d2) + gcd(1 - cx, t):
+                    continue
+                form, _, _ = _canonical_at(((1, 0), (a, d2), (cx, -t)), (0, 0))
+                forms.add(form)
     classes = []
     for form in forms:
         if any(abs(x) > box_radius for v in form for x in v):

@@ -13,14 +13,16 @@ the barycentric functionals as a scaled inverse, and affine independence
 as a rank.  The generic short-vector search over
 a whole Minkowski box is the reference for the package's one-integer
 scan on partition matrices.  A walk over every prefix of the box is the
-reference for the package's depth-first census kernel.  ``json.dumps``
-with :func:`json_hook` is the reference for the structured output writer.
+reference for the package's depth-first census kernel, and the planar
+sweep over every orbit representative, unpruned, is the reference for
+the atlas sweep's pruning.  ``json.dumps`` with :func:`json_hook` is the
+reference for the structured output writer.
 """
 
 import dataclasses
 import itertools
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from onepoint.exact import SingularMatrixError, adjugate_int, int_matrix, transpose
 from onepoint.simplex import check_barycentric
@@ -381,6 +383,37 @@ def box_walk(halfspaces, box, collect):
         found.sort()
         return found
     return count
+
+
+def atlas_sweep():
+    """The unpruned planar sweep's one-point triangles, before canonicalization.
+
+    Every orbit representative of the first two vertices under SL2(Z),
+    v0 = (g, 0) with g | d2 for every d2 and v1 = (a, d2 / g) for every
+    0 <= a < d2 / g, meets every split (u, t) = (d0, d1) of what is left
+    of the doubled-area budget 27, with d0 v0 + d1 v1 + d2 v2 = 0.  A
+    triangle survives when its doubled area equals its boundary count,
+    which by Pick's theorem means exactly one interior lattice point.  The
+    survivors come back as counterclockwise vertex triples.
+    """
+    survivors = []
+    for d2 in range(1, 26):
+        budget = 27 - d2
+        for g in (k for k in range(1, d2 + 1) if d2 % k == 0):
+            b = d2 // g
+            for a in range(b):
+                edge01 = gcd(a - g, b)
+                for u in range(1, budget):
+                    # d2 v2 = -(u v0 + t v1) has y = -t b, so g | t
+                    for t in range(g, budget - u + 1, g):
+                        nx = -(u * g + t * a)
+                        if nx % d2:
+                            continue
+                        cx, cy = nx // d2, -(t // g)
+                        if u + t + d2 != edge01 + gcd(cx - a, cy - b) + gcd(g - cx, cy):
+                            continue
+                        survivors.append(((g, 0), (a, b), (cx, cy)))
+    return survivors
 
 
 def json_hook(value):

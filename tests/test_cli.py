@@ -293,7 +293,7 @@ def test_cert_evaluates_the_start_once(files, tmp_path, monkeypatch, capsys):
     record_calls(monkeypatch, onepoint.simplex, "barycentric_of", bary)
     assert run(capsys, "cert", files["zpw3"])[0] == 0
     assert len(bary) == 1
-    # the vector is checked a fixed number of times, however many masks are tried:
+    # the vector is checked once, however many masks are tried:
     # the first violated mask is the 4th of 6 on the wide triangle and the last, the 30th, at d = 4
     late = tmp_path / "late.json"
     late.write_text(op.simplex_to_text(op.LatticeSimplex(
@@ -306,7 +306,7 @@ def test_cert_evaluates_the_start_once(files, tmp_path, monkeypatch, capsys):
         code, out, _ = run(capsys, "cert", path)
         assert code == 0 and out.splitlines()[-1] == f"second interior point: {second}"
         counts.append(len(checks))
-    assert counts[0] == counts[1] <= 3
+    assert counts[0] == counts[1] == 1
 
 
 def test_cert_rejects_non_interior_start(files, capsys):

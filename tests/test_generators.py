@@ -1,11 +1,13 @@
 import itertools
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import onepoint as op
 from onepoint import generators
+from oracles import atlas_sweep
 
 
 def test_sylvester_frozen():
@@ -152,8 +154,21 @@ def test_atlas_work_does_not_grow_with_radius(monkeypatch):
         assert got == ATLAS_CLASSES
         assert atlas.radius == radius
         counts.append(calls)
-    assert counts[0] > 0
+    assert 0 < counts[0] <= 36  # 6 triangles, each in its 3! vertex orders
     assert counts == [counts[0]] * 3
+
+
+def test_atlas_sweep_oracle_obeys_the_spoke_lemma():
+    """The unpruned sweep's survivors have primitive spokes and empty spoke triangles."""
+    survivors = atlas_sweep()
+    assert survivors
+    for vertices in survivors:
+        for i, v in enumerate(vertices):
+            w = vertices[(i + 1) % 3]
+            assert gcd(*v) == 1
+            assert v[0] * w[1] - v[1] * w[0] == gcd(w[0] - v[0], w[1] - v[1])
+    forms = {generators._canonical_at(vertices, (0, 0))[0] for vertices in survivors}
+    assert forms == {vertices for vertices, _, _ in ATLAS_CLASSES}
 
 
 def test_atlas_rejects_small_radius():
