@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, floor, prod
+from math import factorial, lcm, prod
 from typing import Iterable, Sequence
 
 from .points import DEFAULT_CAP, _capped_box, _scan, count_face_points
@@ -89,13 +89,55 @@ class InequalityReport:
     worst: PartitionRecord
 
 
-def _partition(bary: RatVector, mask: int) -> PartitionRecord:
-    """The one evaluation of a partition: ``mask`` marks the sum side of a checked vector."""
-    left = tuple(i for i in range(len(bary)) if mask >> i & 1)
-    right = tuple(i for i in range(len(bary)) if not mask >> i & 1)
-    total = sum(bary[i] for i in left)
-    product = prod((bary[j] for j in right), start=Fraction(1))
-    return PartitionRecord(left, right, total, product, total - product)
+def _integer_rows(bary: RatVector) -> tuple[Vector, int]:
+    """A checked vector as integer row values n over one denominator D: b_i = n_i / D."""
+    denominator = lcm(*(c.denominator for c in bary))
+    return tuple(c.numerator * (denominator // c.denominator) for c in bary), denominator
+
+
+def _partition(values: Sequence[int], denominator: int, mask: int) -> PartitionRecord:
+    """The one evaluation of a partition: ``mask`` marks the sum side of rows n over D.
+
+    Sum S and product P of the r product-side rows are integers, and each
+    field is one fraction: S/D, P/D^r and the slack (S*D^(r-1) - P)/D^r.
+    """
+    left = tuple(i for i in range(len(values)) if mask >> i & 1)
+    right = tuple(i for i in range(len(values)) if not mask >> i & 1)
+    total, product = sum(values[i] for i in left), prod(values[j] for j in right)
+    power = denominator ** len(right)
+    return PartitionRecord(left, right, Fraction(total, denominator), Fraction(product, power),
+                           Fraction(total * (power // denominator) - product, power))
+
+
+def _first_mask(values: Vector, denominator: int, bound: Fraction, strict: bool) -> int | None:
+    """The first mask in bitmask order whose slack is below ``bound`` (or at it), or None.
+
+    Bits go from the top down, 0 (product side) first, kept when some completion of the
+    lower bits qualifies: for t lower rows on the product side, the t largest do best.
+    """
+    # (slack - bound) * D^r * q for bound = p / q is an integer, at most `most` to qualify
+    p, q, most = bound.numerator * denominator, bound.denominator, -1 if strict else 0
+
+    def completes(bit: int, total: int, product: int, right: int) -> bool:
+        free = sorted(values[:bit], reverse=True)  # the rows of the lower bits
+        total += sum(free)
+        for t in range(bit + 1):
+            scale = denominator ** max(right + t - 1, 0)
+            if 0 < right + t < len(values) and (total * scale - product) * q - p * scale <= most:
+                return True
+            if t < bit:
+                total, product = total - free[t], product * free[t]
+        return False
+
+    if not completes(len(values), 0, 1, 0):
+        return None
+    mask, total, product, right = 0, 0, 1, 0
+    for bit in reversed(range(len(values))):
+        if completes(bit, total, product * values[bit], right + 1):
+            product, right = product * values[bit], right + 1
+        else:
+            mask, total = mask | 1 << bit, total + values[bit]
+    return mask
 
 
 def _sum_side_mask(count: int, sum_side: Iterable[int]) -> int:
@@ -109,8 +151,16 @@ def _sum_side_mask(count: int, sum_side: Iterable[int]) -> int:
 
 def check_all_partitions(coords: Sequence[Fraction | int]) -> InequalityReport:
     """Evaluate every proper two-sided partition, in sum-side bitmask order."""
-    bary = check_barycentric(coords)
-    records = tuple(_partition(bary, mask) for mask in range(1, 2 ** len(bary) - 1))
+    return _inequalities(check_barycentric(coords))
+
+
+def _inequalities(bary: RatVector, least: Fraction | None = None) -> InequalityReport:
+    """:func:`check_all_partitions` on a checked vector; given the least slack, ``worst`` alone."""
+    rows = _integer_rows(bary)
+    if least is not None:
+        worst = _partition(*rows, _first_mask(*rows, least, False))
+        return InequalityReport((), least >= 0, least, worst)
+    records = tuple(_partition(*rows, mask) for mask in range(1, 2 ** len(bary) - 1))
     worst = min(records, key=lambda r: r.slack)
     return InequalityReport(records, worst.slack >= 0, worst.slack, worst)
 
@@ -149,8 +199,8 @@ def reduced_system(sorted_coords: SortedBarycentrics) -> tuple[Fraction, ...]:
     if any(a < b for a, b in zip(coords, coords[1:])):
         raise ValueError("coordinates must be sorted in descending order")
     # entry j's sum side is the tail after position j: every bit but those of the block 0..j
-    full = 2 ** len(coords) - 1
-    return tuple(_partition(coords, full ^ ((2 << j) - 1)).slack for j in range(len(coords) - 1))
+    rows, full = _integer_rows(coords), 2 ** len(coords) - 1
+    return tuple(_partition(*rows, full ^ ((2 << j) - 1)).slack for j in range(len(coords) - 1))
 
 
 def partition_ratio(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -> Fraction:
@@ -161,7 +211,7 @@ def partition_ratio(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -
     (``tests/oracles.py::partition_matrix``) and holds this ratio to.
     """
     bary = check_barycentric(coords)
-    record = _partition(bary, _sum_side_mask(len(bary), sum_side))
+    record = _partition(*_integer_rows(bary), _sum_side_mask(len(bary), sum_side))
     return record.sum / record.product
 
 
@@ -194,17 +244,17 @@ def coordinate_lower_bounds(coords: Sequence[Fraction | int]) -> LowerBoundRepor
     is at least (d+1)^(-2^k).  Also checks the relaxed recursion
     (d+1) * coords[k+1] >= prod(coords[:k+1]) that drives the bound.
     """
-    sorted_coords = sort_barycentric(coords)
-    d = len(sorted_coords.coords) - 1
-    entries = []
-    for k, value in enumerate(sorted_coords.coords):
-        bound = Fraction(1, _power(d + 1, 2**k))
-        entries.append(LowerBoundEntry(k, value, bound, value == bound, value >= bound))
-    slacks = []
-    running = Fraction(1)
-    for k in range(d):
-        running *= sorted_coords.coords[k]
-        slacks.append((d + 1) * sorted_coords.coords[k + 1] - running)
+    return _lower_bounds(check_barycentric(coords))
+
+
+def _lower_bounds(bary: RatVector) -> LowerBoundReport:
+    """:func:`coordinate_lower_bounds` on a vector that ``check_barycentric`` has passed."""
+    sorted_coords = _descending(bary)
+    coords, d = sorted_coords.coords, len(bary) - 1
+    bounds = [Fraction(1, _power(d + 1, 2**k)) for k in range(d + 1)]
+    entries = [LowerBoundEntry(k, c, b, c == b, c >= b) for k, c, b in
+               zip(range(d + 1), coords, bounds)]
+    slacks = [(d + 1) * coords[k + 1] - prod(coords[: k + 1]) for k in range(d)]
     passed = all(e.ok for e in entries) and all(s >= 0 for s in slacks)
     return LowerBoundReport(tuple(entries), tuple(slacks), sorted_coords.order, passed)
 
@@ -313,7 +363,7 @@ def bounds_report(
     denominator = sum(values)
     bary = _coordinates(values)
     # first, as its bounds refuse when too large to print
-    lower = coordinate_lower_bounds(bary)
+    lower = _lower_bounds(bary)
     n = len(bary)
     subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n - 1)]
     # the sections read this table in its insertion order, the omitted-set bitmask order
@@ -324,19 +374,18 @@ def bounds_report(
         for mask in range(2 ** (n - 1)):
             weights = tuple(rest[k] for k in range(n - 1) if mask >> k & 1)
             omitted = tuple(i for i in rest if i not in weights)
-            bound = Fraction(
-                denominator ** len(weights),
-                factorial(len(weights)) * prod(values[i] for i in weights),
-            )
+            top = denominator ** len(weights)
+            bottom = factorial(len(weights)) * prod(values[i] for i in weights)
             volume = face_volumes[omitted]
-            faces.append(
-                FaceVolumeBound(omitted, weights, bound, volume, bound - volume, bound >= volume)
-            )
+            excess = top * volume.denominator - volume.numerator * bottom
+            faces.append(FaceVolumeBound(omitted, weights, Fraction(top, bottom), volume,
+                                         Fraction(excess, bottom * volume.denominator),
+                                         excess >= 0))
     sections = []
-    for omitted, face_volume in face_volumes.items():
-        k, kept_weight = n - 1 - len(omitted), denominator - sum(values[i] for i in omitted)
-        volume = Fraction(kept_weight**k, denominator**k) * face_volume
-        sections.append(SectionVolumeCheck(omitted, volume, face_volume, volume, True))
+    for omitted, face in face_volumes.items():
+        k, kept = n - 1 - len(omitted), denominator - sum(values[i] for i in omitted)
+        volume = Fraction(kept**k * face.numerator, denominator**k * face.denominator)
+        sections.append(SectionVolumeCheck(omitted, volume, face, volume, True))
     box = parallelotope_check(simplex, point, 0, cap)
     passed = lower.passed and box.passed and all(r.passed for r in (*faces, *sections))
     return BoundsReport(lower, tuple(faces), box, tuple(sections), passed)
@@ -373,27 +422,19 @@ def parallelotope_check(
     if not 0 <= omit <= d:
         raise ValueError("omitted vertex index out of range")
     axes = tuple(n for n in range(d + 1) if n != omit)
-    extents = tuple(Fraction(2 * values[n], denominator) for n in axes)
     volume = (
         normalized_volume(simplex)
         * factorial(d)
         * 2**d
         * Fraction(prod(values[n] for n in axes), denominator**d)
     )
-    # a corner is base plus a subset of the scaled edges, so a coordinate is
-    # least on the subset of its negative terms and greatest on its positive
+    # a corner is base plus a subset of the edges scaled by 2 n / D, so D times a
+    # coordinate is least on the subset of its negative terms and greatest on its positive
     base = simplex.vertices[omit]
-    steps = [
-        [extent * (x - b) for x, b in zip(simplex.vertices[n], base)]
-        for n, extent in zip(axes, extents)
-    ]
-    box = tuple(
-        (
-            ceil(b + sum(min(0, step[i]) for step in steps)),
-            floor(b + sum(max(0, step[i]) for step in steps)),
-        )
-        for i, b in enumerate(base)
-    )
+    steps = [[2 * values[n] * (x - b) for x, b in zip(simplex.vertices[n], base)] for n in axes]
+    low = [denominator * b + sum(min(0, step[i]) for step in steps) for i, b in enumerate(base)]
+    high = [denominator * b + sum(max(0, step[i]) for step in steps) for i, b in enumerate(base)]
+    box = tuple((-(-lo // denominator), hi // denominator) for lo, hi in zip(low, high))
     box = _capped_box(box, cap)
     # 0 < row(x) < 2 n_i in the integer functional forms, per kept axis
     halfspaces = []

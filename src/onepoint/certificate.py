@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import PartitionRecord, _partition, _sum_side_mask, reduced_system, sort_barycentric
+from .bounds import PartitionRecord, _first_mask, _integer_rows, _partition, _sum_side_mask
 from .exact import int_matrix
 from .points import DEFAULT_CAP, EnumerationCapError, classify_point
-from .simplex import LatticeSimplex, barycentric_of, check_barycentric
+from .simplex import LatticeSimplex, _interior_values, check_barycentric
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
@@ -56,20 +56,21 @@ def find_admissible_weights(
     (2 - s) / s with s the sum-side total.  A scan that would pass ``cap``
     values of T raises :class:`EnumerationCapError` naming that bound.
     """
-    bary = check_barycentric(coords)
-    record = _partition(bary, _sum_side_mask(len(bary), sum_side))
-    return None if record.slack >= 0 else _admissible(bary, record, cap)
+    rows = _integer_rows(check_barycentric(coords))
+    record = _partition(*rows, _sum_side_mask(len(rows[0]), sum_side))
+    return None if record.slack >= 0 else _admissible(*rows, record, cap)
 
 
-def _admissible(bary: RatVector, record: PartitionRecord, cap: int) -> AdmissibleWeights:
-    """:func:`find_admissible_weights` on a checked vector and its violated partition."""
+def _admissible(values: Vector, denominator: int, record: PartitionRecord,
+                cap: int) -> AdmissibleWeights:
+    """:func:`find_admissible_weights` on rows n over D and their violated partition."""
     bound = -((record.sum - 2) // record.sum) - 1  # ceil((2 - s) / s) - 1
-    parts = [(bary[j].numerator, bary[j].denominator) for j in record.product_side]
+    parts = [values[j] for j in record.product_side]
     for total in range(1, bound + 1):
         if total > cap:
             raise EnumerationCapError(cap, bound, "T-scan steps", "certificate search may take")
-        lo = [(total - 1) * n // d + 1 for n, d in parts]
-        hi = [-(-(total + 1) * n // d) - 1 for n, d in parts]
+        lo = [(total - 1) * n // denominator + 1 for n in parts]
+        hi = [-(-(total + 1) * n // denominator) - 1 for n in parts]
         if all(a <= b for a, b in zip(lo, hi)) and sum(lo) <= total <= sum(hi):
             break
     else:
@@ -82,9 +83,9 @@ def _admissible(bary: RatVector, record: PartitionRecord, cap: int) -> Admissibl
         rest -= weights[k]
     if rest != 0:
         raise AssertionError(f"weights {weights} do not sum to the total {total}")
-    for weight, j in zip(weights, record.product_side):
-        if abs(weight - total * bary[j]) >= bary[j]:
-            raise AssertionError(f"weight {weight} drifts too far from {total} * {bary[j]}")
+    for weight, n in zip(weights, parts):
+        if abs(weight * denominator - total * n) >= n:
+            raise AssertionError(f"weight {weight} is not within 1 of {total} * {n}/{denominator}")
     return AdmissibleWeights(tuple(weights), total)
 
 
@@ -117,59 +118,45 @@ def second_interior_point(
     """A second interior lattice point, certified, or None.
 
     None means every partition's inequality holds, which is exactly the
-    situation where no construction of this shape exists; the reduced
-    system on the sorted coordinates decides it without visiting the
-    partitions.  Otherwise the sorted coordinates, checked once, go
-    through the one partition evaluator of :mod:`onepoint.bounds` mask
-    by mask (sum sides as bitmasks over positions sorted by descending
-    barycentric coordinate, smallest mask first) until a partition's sum
-    falls below its product.  That first hit is turned into an explicit
+    situation where no construction of this shape exists.  The start's
+    integer rows n = D * b, sorted descending, go to the bitwise search of
+    :mod:`onepoint.bounds`, which finds the first partition (sum sides as
+    bitmasks over the sorted positions, smallest mask first) whose sum
+    falls below its product without visiting the partitions one by one;
+    only that hit is evaluated as a record.  It is turned into an explicit
     lattice point
 
         q = (total + 1) * start - total * anchor
 
-    which is verified to be integral, distinct from the start, and
-    interior before a certificate is returned.  Every coordinate of
+    which is integral, as total * anchor is an integer combination of the
+    vertices, and is verified to be distinct from the start and interior
+    before a certificate is returned.  Every coordinate of
     ``point`` must be an ``int``.  ``cap`` limits the T-scan of
     :func:`find_admissible_weights`.
     """
     (start,) = int_matrix([point])  # refused, not truncated, when not all ints
-    bary = barycentric_of(simplex, start)
-    if any(c <= 0 for c in bary):
-        raise ValueError(f"start point {start} is not an interior lattice point")
-    sorted_coords = sort_barycentric(bary)
-    if all(slack >= 0 for slack in reduced_system(sorted_coords)):
+    refusal = f"start point {start} is not an interior lattice point"
+    values = _interior_values(simplex, start, refusal)
+    denominator = sum(values)
+    order = tuple(sorted(range(len(values)), key=lambda i: (-values[i], i)))
+    ranked = tuple(values[i] for i in order)
+    mask = _first_mask(ranked, denominator, Fraction(0), strict=True)
+    if mask is None:
         return None
-    coords, order = sorted_coords.coords, sorted_coords.order
-    records = (_partition(coords, mask) for mask in range(1, 2 ** len(coords) - 1))
-    record = next((r for r in records if r.slack < 0), None)
-    if record is None:
-        raise AssertionError("the reduced system fails but no partition inequality does")
-    admissible = _admissible(coords, record, cap)
+    record = _partition(ranked, denominator, mask)
+    admissible = _admissible(ranked, denominator, record, cap)
     weight_order = tuple(order[k] for k in record.product_side)
     total = admissible.total
-    anchor = tuple(
-        sum(
-            (Fraction(w, total) * simplex.vertices[j][c] for w, j in
-             zip(admissible.weights, weight_order)),
-            start=Fraction(0),
-        )
-        for c in range(simplex.ambient_dim)
-    )
-    second = tuple((total + 1) * p - total * r for p, r in zip(start, anchor))
-    if any(x.denominator != 1 for x in second):
-        raise AssertionError(f"constructed point {second} is not integral")
-    found = tuple(int(x) for x in second)
+    # total * anchor is the integer sum of the weighted product-side vertices
+    pulls = [sum(w * simplex.vertices[j][c] for w, j in zip(admissible.weights, weight_order))
+             for c in range(simplex.ambient_dim)]
+    anchor = tuple(Fraction(pull, total) for pull in pulls)
+    found = tuple((total + 1) * p - pull for p, pull in zip(start, pulls))
     if found == start or classify_point(simplex, found).kind != "interior":
         raise AssertionError(f"constructed point {found} fails verification")
     return SecondPointCertificate(
         sum_side=tuple(sorted(order[k] for k in record.sum_side)),
-        product_side=tuple(sorted(weight_order)),
-        ratio=record.sum / record.product,
-        weights=admissible.weights,
-        weight_order=weight_order,
-        total=total,
-        anchor=anchor,
-        start=start,
-        point=found,
+        product_side=tuple(sorted(weight_order)), ratio=record.sum / record.product,
+        weights=admissible.weights, weight_order=weight_order, total=total,
+        anchor=anchor, start=start, point=found,
     )

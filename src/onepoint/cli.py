@@ -27,9 +27,9 @@ from .bounds import (
     MAX_DIGITS,
     BoundSizeError,
     _descending,
+    _inequalities,
     bounds_report,
     chain_decompose,
-    check_all_partitions,
     corpus_extremes,
     reduced_system,
 )
@@ -47,6 +47,7 @@ from .simplex import (
     LatticeSimplex,
     SimplexParseError,
     barycentric_of,
+    check_barycentric,
     normalized_volume,
     parse_simplex_text,
 )
@@ -191,8 +192,9 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
                 "no interior lattice point to test"
             ]
         coords = barycentric_of(simplex, start)
-    report = check_all_partitions(coords)  # the one check of the vector
-    reduced = reduced_system(_descending(coords))
+    bary = check_barycentric(coords)  # the one check of the vector
+    reduced = reduced_system(_descending(bary))
+    report = _inequalities(bary, None if args.format == "structured" else min(reduced))
     payload = {
         "coordinates": coords,
         "partitions": report.records,
@@ -202,7 +204,7 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
     }
     worst = report.worst
     lines = [
-        f"partitions checked: {len(report.records)}",
+        f"partitions checked: {2 ** len(bary) - 2}",
         f"reduced slacks: ({', '.join(map(str, reduced))})",
         f"minimal slack: {report.min_slack} at sum side {list(worst.sum_side)}",
     ]

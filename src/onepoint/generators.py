@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
-from .bounds import chain_decompose, check_all_partitions, coordinate_lower_bounds
+from .bounds import _lower_bounds, chain_decompose, check_all_partitions
 from .exact import IntMatrix, adjugate_int, col_hnf, mat_vec, transpose
 from .points import DEFAULT_CAP, EnumerationCapError, _capped_box, count_face_points
 from .points import enumerate_interior, is_onepoint
@@ -301,7 +301,7 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
         bary = barycentric_of(member, (0, 0))
         report = check_all_partitions(bary)
         chain = chain_decompose(member, (0, 0), cap)
-        if not (report.passed and coordinate_lower_bounds(bary).passed and chain.passed):
+        if not (report.passed and _lower_bounds(bary).passed and chain.passed):
             raise AssertionError(f"class {form} violates a bound it must satisfy")
         classes.append(
             AtlasClass(

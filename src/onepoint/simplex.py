@@ -129,14 +129,14 @@ def _row_values(simplex: LatticeSimplex, point: Sequence[Fraction | int]) -> tup
     )
 
 
-def _interior_values(simplex: LatticeSimplex, point: Sequence[int]) -> tuple[int, ...]:
+def _interior_values(simplex: LatticeSimplex, point: Sequence[int], refusal: str = "") -> Vector:
     """The rows at a point strictly inside: n_i = D * b_i > 0, summing to D = |det|.
 
-    The one test of "strictly inside" for the checks around the interior point.
+    The one test of "strictly inside" around the interior point; ``refusal`` words its error.
     """
     values = _row_values(simplex, point)
     if any(value <= 0 for value in values):
-        raise ValueError("the point must lie strictly inside the simplex")
+        raise ValueError(refusal or "the point must lie strictly inside the simplex")
     return values
 
 

@@ -10,9 +10,12 @@ sections through an interior point are measured here.  Textbook
 routes over ``Fraction`` give brute-force Minkowski boxes, the partition
 matrix whose determinant is the package's closed-form sum/product ratio,
 the barycentric functionals as a scaled inverse, and affine independence
-as a rank.  The generic short-vector search over
-a whole Minkowski box is the reference for the package's one-integer
-scan on partition matrices.  A walk over every prefix of the box is the
+as a rank.  Chained ``Fraction`` sums and products evaluate a partition
+for the package's integer-row evaluator, and a walk over every mask is
+the reference for its bit-by-bit search of the first qualifying
+partition.  The generic short-vector search over a whole Minkowski box
+is the reference for the package's one-integer scan on partition
+matrices.  A walk over every prefix of the box is the
 reference for the package's depth-first census kernel, and the planar
 sweep over every orbit representative, unpruned, is the reference for
 the atlas sweep's pruning.  ``json.dumps`` with :func:`json_hook` is the
@@ -24,6 +27,7 @@ import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
+from onepoint.bounds import PartitionRecord
 from onepoint.exact import SingularMatrixError, adjugate_int, int_matrix, transpose
 from onepoint.simplex import check_barycentric
 
@@ -185,6 +189,32 @@ def partition_matrix(coords, sum_side):
         rows.append(row)
     rows.append([Fraction(-1)] * t + [Fraction(1)])
     return rat_matrix(rows)
+
+
+def fraction_partition(coords, mask):
+    """A partition's record by chained ``Fraction`` sums and products of the coordinates.
+
+    ``mask`` marks the sum side of a checked vector; the package evaluates
+    the same record on integer rows over one denominator.
+    """
+    left = tuple(i for i in range(len(coords)) if mask >> i & 1)
+    right = tuple(i for i in range(len(coords)) if not mask >> i & 1)
+    total = sum(coords[i] for i in left)
+    product = prod((coords[j] for j in right), start=Fraction(1))
+    return PartitionRecord(left, right, total, product, total - product)
+
+
+def first_partition_walk(coords, bound, strict):
+    """The first sum-side bitmask whose slack is below ``bound`` (or at it, unless strict).
+
+    Walks every proper partition in bitmask order; None when none qualifies.
+    This is the reference for the package's bit-by-bit search.
+    """
+    for mask in range(1, 2 ** len(coords) - 1):
+        slack = fraction_partition(coords, mask).slack
+        if slack < bound or (slack == bound and not strict):
+            return mask
+    return None
 
 
 def identity_rat(n):

@@ -12,7 +12,8 @@ import onepoint as op
 import onepoint.bounds
 import onepoint.simplex
 from onepoint.points import _scan
-from oracles import det_rat, partition_matrix, rational_section_volume
+from oracles import det_rat, first_partition_walk, fraction_partition, partition_matrix
+from oracles import rational_section_volume
 
 
 ZPW2 = op.LatticeSimplex(((0, 0), (2, 0), (0, 3)))
@@ -124,6 +125,62 @@ def test_reduced_system_equivalent_to_full(rng):
         assert full == reduced
         hits += not full
     assert hits > 0  # the sample must exercise both outcomes
+
+
+# weights from a short range tie often; the normalized coordinates have unequal denominators
+WEIGHTS = st.lists(st.one_of(st.integers(1, 4), st.integers(1, 60)), min_size=2, max_size=9)
+
+
+def _normalized(weights):
+    return tuple(Fraction(w, sum(weights)) for w in weights)
+
+
+def test_partition_records_match_chained_fractions_frozen():
+    coords = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    assert onepoint.bounds._integer_rows(coords) == ((3, 2, 1), 6)
+    records = op.check_all_partitions(coords).records
+    assert records == tuple(fraction_partition(coords, mask) for mask in range(1, 7))
+    assert records[3] == onepoint.bounds.PartitionRecord(
+        (2,), (0, 1), Fraction(1, 6), Fraction(1, 6), Fraction(0)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(WEIGHTS.filter(lambda w: len(w) <= 7).map(_normalized))
+def test_partition_records_match_chained_fractions(coords):
+    records = op.check_all_partitions(coords).records
+    assert records == tuple(fraction_partition(coords, m) for m in range(1, 2 ** len(coords) - 1))
+    ranked = op.sort_barycentric(coords).coords
+    full = 2 ** len(coords) - 1
+    assert op.reduced_system(op.sort_barycentric(coords)) == tuple(
+        fraction_partition(ranked, full ^ ((2 << j) - 1)).slack for j in range(len(coords) - 1)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(WEIGHTS.map(_normalized), st.data())
+def test_first_mask_search_matches_the_walk(coords, data):
+    search, rows = onepoint.bounds._first_mask, onepoint.bounds._integer_rows
+    # the certificate's use: the first violated partition of the descending coordinates
+    ranked = op.sort_barycentric(coords)
+    assert search(*rows(ranked.coords), Fraction(0), True) == first_partition_walk(
+        ranked.coords, 0, True
+    )
+    # human ineq's use: the first partition of least slack, over the original indexes;
+    # the reduced system's minimum is the minimum over every partition
+    slacks = [fraction_partition(coords, m).slack for m in range(1, 2 ** len(coords) - 1)]
+    least = min(op.reduced_system(ranked))
+    assert least == min(slacks)
+    mask = search(*rows(coords), least, False)
+    assert mask == first_partition_walk(coords, least, False) == slacks.index(least) + 1
+    worst = onepoint.bounds._inequalities(coords, least)
+    assert worst.records == () and worst.worst == op.check_all_partitions(coords).worst
+    # any bound at or beside a slack, strict or not
+    bound = data.draw(st.sampled_from(slacks)) + data.draw(st.sampled_from((-1, 0, 1))) * Fraction(
+        1, 10**6
+    )
+    strict = data.draw(st.booleans())
+    assert search(*rows(coords), bound, strict) == first_partition_walk(coords, bound, strict)
 
 
 def test_unique_interior_point():

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 import time
 
@@ -289,24 +290,25 @@ def test_ineq_and_cert_need_an_interior_point(files, capsys):
 
 
 def test_cert_evaluates_the_start_once(files, tmp_path, monkeypatch, capsys):
-    bary = []
-    record_calls(monkeypatch, onepoint.simplex, "barycentric_of", bary)
+    # the start's integer rows are read once and never checked as a vector again
+    rows, checks = [], []
+    record_calls(monkeypatch, onepoint.simplex, "_row_values", rows)
+    record_calls(monkeypatch, onepoint.simplex, "check_barycentric", checks)
     assert run(capsys, "cert", files["zpw3"])[0] == 0
-    assert len(bary) == 1
-    # the vector is checked once, however many masks are tried:
-    # the first violated mask is the 4th of 6 on the wide triangle and the last, the 30th, at d = 4
+    assert [args[1] for _, args, _ in rows] == [(1, 1, 1)] and checks == []
+    # however late the first violated mask is: the 4th of 6 on the wide triangle and the
+    # last, the 30th, at d = 4; the constructed point is read once more, as it is verified
     late = tmp_path / "late.json"
     late.write_text(op.simplex_to_text(op.LatticeSimplex(
         ((4, 4, -5, 4), (5, 0, -4, -1), (0, -1, 2, 0), (-3, 2, 2, -3), (-5, -1, -5, 0))
     )), encoding="utf-8")
-    checks, counts = [], []
-    record_calls(monkeypatch, onepoint.simplex, "check_barycentric", checks)
-    for path, second in ((files["wide"], "(3, 1)"), (str(late), "(-1, 1, -3, 0)")):
-        checks.clear()
+    for path, second in ((files["wide"], (3, 1)), (str(late), (-1, 1, -3, 0))):
+        rows.clear()
         code, out, _ = run(capsys, "cert", path)
         assert code == 0 and out.splitlines()[-1] == f"second interior point: {second}"
-        counts.append(len(checks))
-    assert counts[0] == counts[1] == 1
+        start = tuple(int(x) for x in re.findall(r"-?\d+", out.splitlines()[0]))
+        assert [args[1] for _, args, _ in rows] == [start, second]
+    assert checks == []
 
 
 def test_cert_rejects_non_interior_start(files, capsys):
@@ -501,6 +503,17 @@ def test_bounds_finds_the_interior_point_once(tmp_path, monkeypatch, capsys):
     assert run(capsys, "bounds", str(path))[0] == 0
     assert len(bary) <= 2
     assert len(scans) == 1
+
+
+def test_atlas_and_bounds_check_each_vector_once(files, monkeypatch, capsys):
+    # the atlas checks each of its 5 classes' vectors once; bounds reads its rows, never a vector
+    checks = []
+    record_calls(monkeypatch, onepoint.simplex, "check_barycentric", checks)
+    assert run(capsys, "atlas2d", "--radius", "9")[0] == 0
+    assert len(checks) == 5
+    checks.clear()
+    assert run(capsys, "bounds", files["zpw3"])[0] == 0
+    assert checks == []
 
 
 def test_bounds_builds_each_face_once(files, monkeypatch, capsys):
