@@ -28,8 +28,8 @@ class SingularMatrixError(ArithmeticError):
 def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
     """Validate and freeze a rectangular integer matrix.
 
-    The package's one integer check: every simplex freezes its vertices
-    here, and ``adjugate_int`` and ``row_hnf`` their input.
+    The package's one integer check: a simplex built from outside freezes
+    its vertices here, and ``row_hnf`` its input.
     """
     frozen = tuple(map(tuple, rows))
     for row in frozen:
@@ -60,13 +60,12 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     the left block is the determinant of the row-permuted matrix times I
     while the right block is that determinant times the inverse.  Row
     swaps flip the sign.  Raises :class:`SingularMatrixError` when the
-    matrix is singular.
+    matrix is singular.  Entries must be plain ints; they are not checked again.
     """
-    m = int_matrix(matrix)
-    n = len(m)
-    if any(len(row) != n for row in m):
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("adjugate needs a square matrix")
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)

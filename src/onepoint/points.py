@@ -9,6 +9,9 @@ for one box scan.  It walks the box depth-first from its shortest side,
 cuts each axis to the values every half-space still allows, solves each
 row of the longest axis inline as one integer interval, and keeps only
 the lexicographically smallest points a caller asks for, in a sorted list.
+Once no point left in a level can be kept, a level of ``CLOSED_FORM_ROWS``
+rows or more is counted in closed form: its row lengths are floors of linear
+functions, summed in O(log) steps on each piece where the same two bind.
 
 Every scan is guarded by a candidate cap: when the bounding box holds more
 candidates than the cap allows, the scan refuses up front instead of
@@ -117,6 +120,53 @@ def _capped_box(box: tuple[tuple[int, int], ...], cap: int) -> tuple[tuple[int, 
     return box
 
 
+# A level only counted is summed in closed form from this many values on; below
+# that, finding the binding half-spaces costs more than the sums save (timed).
+CLOSED_FORM_ROWS = 8
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of floor((a*i + b) / m) over i in [0, n), m > 0, in O(log m) Euclid-like steps."""
+    total = 0
+    while n > 0:
+        (qa, a), (qb, b) = divmod(a, m), divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        (n, b), m, a = divmod(a * n + b, m), a, m  # the same floors with a and m exchanged
+    return total
+
+
+def _rows_total(ups: list[Vector], downs: list[Vector], ends: Vector, x: int, hi: int) -> int:
+    """The points in the rows at x to ``hi``, summed piece by piece instead of row by row.
+
+    A line (c, r, s) is (s + c*x)/r; the row at x runs from -floor(least of ``ups``)
+    to floor(least of ``downs``), inside its box ``ends``.  A piece on which one line
+    of each side stays least adds two floor sums and its length, where the bounds meet.
+    """
+    total, ups, downs = 0, ups + [(0, 1, -ends[0])], downs + [(0, 1, ends[1])]
+    while x <= hi:
+        stop, least = hi, []
+        for lines in (ups, downs):
+            c0, r0, s0 = lines[0]
+            for c, r, s in lines[1:]:
+                lower = (s + c * x) * r0 - (s0 + c0 * x) * r
+                if lower < 0 or lower == 0 and c * r0 < c0 * r:
+                    c0, r0, s0 = c, r, s
+            for c, r, s in lines:
+                if c * r0 < c0 * r:
+                    stop = min(stop, (s * r0 - s0 * r) // (c0 * r - c * r0))
+            least.append((c0, r0, s0))
+        (c1, r1, s1), (c2, r2, s2) = least
+        # the bounds meet where (s1 + c1*x)/r1 + (s2 + c2*x)/r2 >= 0, that is a*x >= b
+        a, b = c1 * r2 + c2 * r1, -(s1 * r2 + s2 * r1)
+        first = max(x, -(-b // a)) if a > 0 else x if a or b <= 0 else stop + 1
+        last = min(stop, b // a) if a < 0 else stop
+        n, x = last - first + 1, stop + 1
+        if n > 0:
+            total += n + _floor_sum(n, r1, c1, s1 + c1 * first)
+            total += _floor_sum(n, r2, c2, s2 + c2 * first)
+    return total
+
+
 def _scan(
     halfspaces: Sequence[tuple[tuple[int, ...], int]],
     box: Sequence[tuple[int, int]],
@@ -138,7 +188,9 @@ def _scan(
     axis solves each of its values inline as a row of that axis: one
     integer interval, whose length goes to the count.  The ``limit``
     smallest points are kept as a sorted list of tuples, and a row stops
-    at its first point that is not below the largest one kept.
+    at its first point that is not below the largest one kept.  Once no
+    point left in the level can be kept, ``CLOSED_FORM_ROWS`` values or
+    more are counted by :func:`_rows_total`, one piece per binding pair.
     """
     *outer, row = sorted(range(len(box)), key=lambda a: box[a][1] - box[a][0])
     row_coeffs = [c[row] for c, _ in halfspaces]
@@ -148,6 +200,7 @@ def _scan(
         levels.insert(0, (a, *box[a], [(c[a], g) for (c, _), g in zip(halfspaces, gains)]))
         gains = [g + max(c[a] * end for end in box[a]) for (c, _), g in zip(halfspaces, gains)]
     levels = levels or [(row, 0, 0, [(0, g) for g in gains])]  # one axis: a single row
+    ahead = min(levels[-1][0] + 1, row)  # the coordinates a row's points share ahead of its own
     count, found, point = 0, [], [0] * len(box)
 
     def walk(level: int, sums: list[int]) -> None:
@@ -168,6 +221,10 @@ def _scan(
         # the cut above is exact where the row coefficient is 0; the others bound each row
         ups = [(c, r, s) for (c, _), r, s in zip(cut, row_coeffs, sums) if r > 0]
         downs = [(c, -r, s) for (c, _), r, s in zip(cut, row_coeffs, sums) if r < 0]
+        listing = limit != 0
+        if not listing and hi - lo + 1 >= CLOSED_FORM_ROWS:
+            count += _rows_total(ups, downs, box[row], lo, hi)
+            return
         for x in range(lo, hi + 1):
             first, end = box[row]
             for c, r, s in ups:
@@ -181,9 +238,14 @@ def _scan(
             if first > end:
                 continue
             count += end - first + 1
-            if limit == 0:
+            if listing:
+                point[axis] = x
+                listing = len(found) != limit or tuple(point[:ahead]) <= found[-1][:ahead]
+            if not listing:  # no point left in the level can be kept
+                if hi - x >= CLOSED_FORM_ROWS:
+                    count += _rows_total(ups, downs, box[row], x + 1, hi)
+                    return
                 continue
-            point[axis] = x
             if limit is None:
                 for point[row] in range(first, end + 1):
                     found.append(tuple(point))

@@ -33,7 +33,7 @@ class SimplexParseError(ValueError):
     """A simplex text document failed to parse or validate."""
 
 
-def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> None:
+def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> LatticeSimplex:
     """Check integer vertices span a simplex; give ``simplex`` them and its normalized volume."""
     if not vertices:
         raise ValueError("a simplex needs at least one vertex")
@@ -54,6 +54,7 @@ def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> None:
         raise ValueError("vertices are affinely dependent")
     object.__setattr__(simplex, "vertices", vertices)
     object.__setattr__(simplex, "_volume", Fraction(abs(prod(pivots)), factorial(k)))
+    return simplex
 
 
 @dataclass(frozen=True)
@@ -177,11 +178,9 @@ def _complement(count: int, omitted: Iterable[int]) -> tuple[tuple[int, ...], tu
 
 
 def face_of(simplex: LatticeSimplex, omitted: Iterable[int]) -> LatticeSimplex:
-    """The face spanned by all vertices except the omitted ones."""
+    """The face spanned by all vertices except the omitted ones, integers not checked again."""
     _, kept = _complement(len(simplex.vertices), omitted)
-    face = object.__new__(LatticeSimplex)  # its vertices are integers checked already
-    _set_shape(face, tuple(simplex.vertices[j] for j in kept))
-    return face
+    return _set_shape(object.__new__(LatticeSimplex), tuple(simplex.vertices[j] for j in kept))
 
 
 def normalized_volume(simplex: LatticeSimplex) -> Fraction:
@@ -298,7 +297,7 @@ def parse_simplex_text(text: str) -> LatticeSimplex:
                 raise SimplexParseError(
                     f"field 'vertices[{i}][{j}]': expected an integer, got {x!r}"
                 )
-    return LatticeSimplex(vertices)
+    return _set_shape(object.__new__(LatticeSimplex), tuple(map(tuple, vertices)))  # checked above
 
 
 def simplex_to_text(simplex: LatticeSimplex) -> str:

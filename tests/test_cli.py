@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import onepoint as op
 import onepoint.bounds
 import onepoint.certificate
+import onepoint.exact
 import onepoint.points
 import onepoint.simplex
 from onepoint.cli import _json, main
@@ -309,6 +310,21 @@ def test_cert_evaluates_the_start_once(files, tmp_path, monkeypatch, capsys):
         start = tuple(int(x) for x in re.findall(r"-?\d+", out.splitlines()[0]))
         assert [args[1] for _, args, _ in rows] == [start, second]
     assert checks == []
+
+
+def test_vertex_integers_are_checked_once(files, monkeypatch, capsys):
+    # the exchange-format parser checks every coordinate; no route inside checks them again
+    checks = []
+    record_calls(monkeypatch, onepoint.exact, "int_matrix", checks)
+    for argv, code in ((("verify", files["zpw3"]), 0), (("verify", files["big"]), 1),
+                       (("--format", "structured", "verify", files["wide"]), 1)):
+        assert run(capsys, *argv)[0] == code
+    assert checks == []
+    # cert checks only the start point it is handed, once
+    for path, start in ((files["zpw3"], (1, 1, 1)), (files["wide"], (1, 1))):
+        checks.clear()
+        assert run(capsys, "cert", path)[0] == 0
+        assert [args for _, args, _ in checks] == [([start],)]
 
 
 def test_cert_rejects_non_interior_start(files, capsys):

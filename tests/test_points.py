@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import onepoint as op
-from onepoint.points import _scan
+from onepoint.points import CLOSED_FORM_ROWS, _floor_sum, _scan
 from oracles import box_walk
 
 
@@ -203,6 +203,74 @@ def test_scan_matches_the_box_walk(case):
     count, every = box_walk(halfspaces, box, False), box_walk(halfspaces, box, True)
     for limit in (0, 1, 2, 20, None):
         assert _scan(halfspaces, box, limit) == (count, every[:limit])
+
+
+@st.composite
+def long_level_cases(draw):
+    """Half-spaces over a box whose level above the row axis is longer than the crossover.
+
+    Half-spaces cut through the box at drawn points, so that several bind
+    each end of the rows in turn, and some come in thin slabs between two
+    opposite half-spaces, which leave empty rows inside a level.  The two
+    long axes come in either order, ahead of or behind the short ones.
+    """
+    d = draw(st.integers(2, 3))
+    sides = [draw(st.integers(CLOSED_FORM_ROWS, 50)) for _ in range(2)] + [draw(st.integers(0, 4))]
+    sides = draw(st.permutations(sides[:d]))
+    box = [(lo, lo + side) for lo, side in zip(draw(st.lists(st.integers(-20, 20), min_size=d,
+                                                           max_size=d)), sides)]
+    halfspaces = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = tuple(draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)))
+        through = sum(c * draw(st.integers(*end)) for c, end in zip(coeffs, box))
+        halfspaces.append((coeffs, draw(st.integers(-20, 20)) - through))
+        if draw(st.booleans()):  # the opposite side of a slab of width 0 to 3
+            width = draw(st.integers(0, 3))
+            halfspaces.append((tuple(-c for c in coeffs), width - halfspaces[-1][1]))
+    return halfspaces, box
+
+
+@given(long_level_cases())
+@example(([((1, 1), -5)], [(0, 30), (0, 40)]))  # one level, cut by one half-space only
+@example(([((3, -7), 0), ((-3, 7), 1)], [(0, 40), (0, 20)]))  # a slab: most rows are empty
+@settings(max_examples=150, deadline=None)
+def test_closed_form_levels_match_the_box_walk(case):
+    halfspaces, box = case
+    count, every = box_walk(halfspaces, box, False), box_walk(halfspaces, box, True)
+    for limit in (0, 1, 2, 20, None):
+        assert _scan(halfspaces, box, limit) == (count, every[:limit])
+
+
+@given(
+    st.integers(0, 60), st.integers(1, 10**6),
+    st.integers(-10**12, 10**12), st.integers(-10**12, 10**12),
+)
+@example(0, 5, -3, 7)
+@example(25, 1, -4, -9)
+@example(40, 7, -3, -100)
+@settings(max_examples=300, deadline=None)
+def test_floor_sum_matches_the_plain_sum(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_floor_sum_takes_thousands_of_euclid_steps():
+    # over a full period, the floors of a*i/m sum to (a-1)(m-1)/2 for coprime a and m;
+    # consecutive Fibonacci numbers of some 2,000 bits need about 3,000 steps
+    fib = [1, 2]
+    while len(fib) < 3000:
+        fib.append(fib[-1] + fib[-2])
+    m, a = fib[-1], fib[-2]
+    assert _floor_sum(m, m, a, 0) == (a - 1) * (m - 1) // 2
+
+
+def test_long_rows_are_summed_not_solved():
+    # 10^6 - 1 rows of up to 999,998 points: counted in closed form once 20 are kept
+    n = 10**6
+    started = time.perf_counter()
+    census = op.enumerate_interior(op.LatticeSimplex(((0, 0), (n, 0), (0, n))), cap=10**13, limit=20)
+    assert time.perf_counter() - started < 1
+    assert census.count == (n - 1) * (n - 2) // 2
+    assert census.points == tuple((1, y) for y in range(1, 21))
 
 
 @pytest.mark.parametrize(
