@@ -68,7 +68,6 @@ from .simplex import (
     linear_image,
     normalized_volume,
     parse_simplex_text,
-    section_simplex,
     simplex_to_text,
     translate,
 )

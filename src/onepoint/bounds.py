@@ -26,8 +26,8 @@ from .simplex import (
     LatticeSimplex,
     _complement,
     _interior_values,
+    _volume_of,
     check_barycentric,
-    face_of,
     normalized_volume,
 )
 
@@ -95,14 +95,25 @@ def _integer_rows(bary: RatVector) -> tuple[Vector, int]:
     return tuple(c.numerator * (denominator // c.denominator) for c in bary), denominator
 
 
-def _partition(values: Sequence[int], denominator: int, mask: int) -> PartitionRecord:
+def _subsets(count: int) -> list[tuple[int, ...]]:
+    """The ascending index tuple of every bitmask below 2**count, at its mask."""
+    table: list[tuple[int, ...]] = [()]
+    for i in range(count):
+        table += [side + (i,) for side in table]
+    return table
+
+
+def _partition(values: Sequence[int], denominator: int, mask: int,
+               sides: list[tuple[int, ...]] | None = None) -> PartitionRecord:
     """The one evaluation of a partition: ``mask`` marks the sum side of rows n over D.
 
     Sum S and product P of the r product-side rows are integers, and each
     field is one fraction: S/D, P/D^r and the slack (S*D^(r-1) - P)/D^r.
+    The sides are read from ``sides``, a table of :func:`_subsets`, if given.
     """
-    left = tuple(i for i in range(len(values)) if mask >> i & 1)
-    right = tuple(i for i in range(len(values)) if not mask >> i & 1)
+    left, right = (sides[mask], sides[(len(sides) - 1) ^ mask]) if sides else (
+        tuple(i for i in range(len(values)) if mask >> i & 1),
+        tuple(i for i in range(len(values)) if not mask >> i & 1))
     total, product = sum(values[i] for i in left), prod(values[j] for j in right)
     power = denominator ** len(right)
     return PartitionRecord(left, right, Fraction(total, denominator), Fraction(product, power),
@@ -160,7 +171,8 @@ def _inequalities(bary: RatVector, least: Fraction | None = None) -> InequalityR
     if least is not None:
         worst = _partition(*rows, _first_mask(*rows, least, False))
         return InequalityReport((), least >= 0, least, worst)
-    records = tuple(_partition(*rows, mask) for mask in range(1, 2 ** len(bary) - 1))
+    sides = _subsets(len(bary))
+    records = tuple(_partition(*rows, mask, sides) for mask in range(1, len(sides) - 1))
     worst = min(records, key=lambda r: r.slack)
     return InequalityReport(records, worst.slack >= 0, worst.slack, worst)
 
@@ -299,7 +311,7 @@ def chain_decompose(
     for i in range(1, d + 1):
         omitted = tuple(sorted(sorted_coords.order[i + 1 :]))
         power = _power(d + 1, 2**i - 1)
-        volume = normalized_volume(face_of(simplex, omitted))
+        volume = _volume_of([simplex.vertices[j] for j in sorted(sorted_coords.order[: i + 1])])
         volume_bound = Fraction(power, factorial(i))
         count = count_face_points(simplex, omitted, cap)
         count_bound = i + power
@@ -345,47 +357,49 @@ class BoundsReport:
 def bounds_report(
     simplex: LatticeSimplex, point: Sequence[int], cap: int = DEFAULT_CAP
 ) -> BoundsReport:
-    """Every bound the single interior point forces, building each proper face once.
+    """Every bound the single interior point forces, measuring each proper face once.
 
-    ``point`` is the simplex's interior lattice point, with coordinates c.
-    Everything but the sorted coordinate bounds runs on the integer row
-    values n = D * c, D = |det|.  Face volumes: drop one vertex and split
-    the rest into a weight set W and the omitted vertices; the face's
-    normalized volume is at most 1 / (|W|! * prod(c over W)).  Records run
-    over the dropped vertex, then over W as a bitmask of the rest.
-    Sections, in omitted-set bitmask order: the slice pinning the omitted
-    coordinates at c is the parallel face scaled by K / D, K = D - sum of
-    omitted n, so its volume is K^k * (face volume) / D^k for the face
-    dimension k; no section is built (see :func:`onepoint.section_simplex`).
-    Also the sorted coordinate bounds and the parallelotope around the point.
+    ``point`` is the simplex's interior lattice point, with coordinates c;
+    all but the sorted coordinate bounds run on the integer row values
+    n = D * c, D = |det|.  Face volumes: drop one vertex and split the rest
+    into a weight set W and the omitted vertices; the face's normalized
+    volume is at most 1 / (|W|! * prod(c over W)), one bound per W.  The
+    (d+1) * 2^d records run over the dropped vertex, then over W as a
+    bitmask of the rest.  The 2^(d+1) - 1 sections, in omitted-set bitmask
+    order: the slice pinning the omitted coordinates at c is the parallel
+    face scaled by K / D, K = D - sum of omitted n, so its volume is
+    K^k * (face volume) / D^k for the face dimension k; none is built.
+    Also the parallelotope around the point.  No listing cap is needed:
+    the coordinate bound (d+1)^(2^d) passes :data:`MAX_DIGITS` from d = 12
+    on, so the report raises :class:`BoundSizeError` (exit 3) before any face.
     """
     values = _interior_values(simplex, point)
-    denominator = sum(values)
-    bary = _coordinates(values)
+    denominator, n = sum(values), len(values)
     # first, as its bounds refuse when too large to print
-    lower = _lower_bounds(bary)
-    n = len(bary)
-    subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n - 1)]
-    # the sections read this table in its insertion order, the omitted-set bitmask order
-    face_volumes = {omitted: normalized_volume(face_of(simplex, omitted)) for omitted in subsets}
+    lower = _lower_bounds(_coordinates(values))
+    sides, powers = _subsets(n), [denominator**k for k in range(n)]
+    full, vertices = len(sides) - 1, simplex.vertices
+    # each proper face's volume by omitted-set bitmask, one echelon each; the whole is stored
+    volumes = [normalized_volume(simplex)] + [
+        _volume_of([vertices[j] for j in sides[full ^ omitted]]) for omitted in range(1, full)]
+    # each weight set's bound D^|W| / (|W|! * prod n_W), in integers and as one fraction
+    bottoms = [factorial(len(side)) * prod(values[i] for i in side) for side in sides[:full]]
+    bounds = [Fraction(powers[len(side)], bottom) for side, bottom in zip(sides, bottoms)]
     faces = []
     for excluded in range(n):
-        rest = [i for i in range(n) if i != excluded]
+        low, rest = (1 << excluded) - 1, full ^ 1 << excluded
         for mask in range(2 ** (n - 1)):
-            weights = tuple(rest[k] for k in range(n - 1) if mask >> k & 1)
-            omitted = tuple(i for i in rest if i not in weights)
-            top = denominator ** len(weights)
-            bottom = factorial(len(weights)) * prod(values[i] for i in weights)
-            volume = face_volumes[omitted]
-            excess = top * volume.denominator - volume.numerator * bottom
-            faces.append(FaceVolumeBound(omitted, weights, Fraction(top, bottom), volume,
+            weights = (mask & low) | (mask >> excluded << excluded + 1)
+            omitted, bottom, volume = rest ^ weights, bottoms[weights], volumes[rest ^ weights]
+            excess = powers[len(sides[weights])] * volume.denominator - volume.numerator * bottom
+            faces.append(FaceVolumeBound(sides[omitted], sides[weights], bounds[weights], volume,
                                          Fraction(excess, bottom * volume.denominator),
                                          excess >= 0))
     sections = []
-    for omitted, face in face_volumes.items():
-        k, kept = n - 1 - len(omitted), denominator - sum(values[i] for i in omitted)
-        volume = Fraction(kept**k * face.numerator, denominator**k * face.denominator)
-        sections.append(SectionVolumeCheck(omitted, volume, face, volume, True))
+    for omitted, face in enumerate(volumes):
+        k, kept = n - 1 - len(sides[omitted]), denominator - sum(values[i] for i in sides[omitted])
+        volume = Fraction(kept**k * face.numerator, powers[k] * face.denominator)
+        sections.append(SectionVolumeCheck(sides[omitted], volume, face, volume, True))
     box = parallelotope_check(simplex, point, 0, cap)
     passed = lower.passed and box.passed and all(r.passed for r in (*faces, *sections))
     return BoundsReport(lower, tuple(faces), box, tuple(sections), passed)

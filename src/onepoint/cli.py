@@ -20,8 +20,9 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from .bounds import (
     MAX_DIGITS,
@@ -58,11 +59,14 @@ _LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.
            type(None): lambda _: "null", Fraction: lambda value: f'"{value!s}"'}
 
 
-@lru_cache(maxsize=64)  # a record type's field names, sorted once, and their "name": prefixes
-def _record_keys(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+@lru_cache(maxsize=256)  # a record type's getter of its values sorted by name, and their heads
+def _record_heads(cls: type, indent: str) -> tuple[Callable[[Any], Sequence], tuple[str, ...]]:
     # dataclasses.fields raises TypeError on any type that is not a record
-    names = tuple(sorted(f.name for f in dataclasses.fields(cls)))
-    return names, tuple(_quote(name) + ": " for name in names)
+    names, inner = sorted(f.name for f in dataclasses.fields(cls)), indent + "  "
+    heads = tuple(("," if k else "{") + inner + _quote(n) + ": " for k, n in enumerate(names))
+    # attrgetter returns a tuple of values only for two names or more
+    return (attrgetter(*names) if len(names) > 1
+            else lambda record: [getattr(record, name) for name in names]), heads
 
 
 def _json(value: Any, indent: str = "\n") -> str:
@@ -74,22 +78,30 @@ def _json(value: Any, indent: str = "\n") -> str:
     leaf = _LEAVES.get(type(value))
     if leaf is not None:
         return leaf(value)
-    if isinstance(value, (list, tuple)):
-        brackets, prefixes, items = "[]", [""] * len(value), value
-    elif isinstance(value, dict):
-        brackets, keys = "{}", sorted(value)
-        prefixes, items = [_quote(k) + ": " for k in keys], [value[k] for k in keys]
-    else:
-        (names, prefixes), brackets = _record_keys(type(value)), "{}"
-        items = [getattr(value, name) for name in names]
-    if not items:
-        return brackets
     inner = indent + "  "
-    parts = []
-    for prefix, item in zip(prefixes, items):
+    if isinstance(value, (list, tuple)):
+        heads, items, close = ["[" + inner] + ["," + inner] * (len(value) - 1), value, "]"
+    elif isinstance(value, dict):
+        keys, close = sorted(value), "}"
+        heads = [("," if k else "{") + inner + _quote(key) + ": " for k, key in enumerate(keys)]
+        items = [value[key] for key in keys]
+    else:
+        (fields, heads), close = _record_heads(type(value), indent), "}"
+        items = fields(value)
+    if not items:
+        return "[]" if close == "]" else "{}"
+    parts, deeper = [], inner + "  "
+    for head, item in zip(heads, items):
         leaf = _LEAVES.get(type(item))
-        parts.append(prefix + (_json(item, inner) if leaf is None else leaf(item)))
-    return brackets[0] + inner + ("," + inner).join(parts) + indent + brackets[1]
+        if leaf is not None:
+            parts += head, leaf(item)
+        elif type(item) in (list, tuple) and item and all(type(x) is int for x in item):
+            # a row of ints, by exact type so that no bool passes, in one join
+            parts += head, "[", deeper, ("," + deeper).join(map(int.__repr__, item)), inner, "]"
+        else:
+            parts += head, _json(item, inner)
+    parts += indent, close
+    return "".join(parts)
 
 
 def _load(path: str) -> LatticeSimplex:

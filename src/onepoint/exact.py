@@ -29,7 +29,7 @@ def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
     """Validate and freeze a rectangular integer matrix.
 
     The package's one integer check: a simplex built from outside freezes
-    its vertices here, and ``row_hnf`` its input.
+    its vertices here, and ``row_hnf`` its input, also for ``col_hnf``.
     """
     frozen = tuple(map(tuple, rows))
     for row in frozen:
@@ -43,7 +43,8 @@ def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
 
 
 def transpose(matrix: Sequence[Sequence]) -> tuple[tuple, ...]:
-    return tuple(zip(*matrix)) if matrix else ()
+    # strict: rows of unequal lengths are refused, not cut to the shortest
+    return tuple(zip(*matrix, strict=True)) if matrix else ()
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
@@ -142,6 +143,6 @@ def row_hnf(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
 
 
 def col_hnf(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
-    """Column-style Hermite normal form: returns (h, v) with h = matrix @ v."""
-    ht, ut = row_hnf(transpose(int_matrix(matrix)))
+    """Column-style Hermite normal form: (h, v) with h = matrix @ v, by one row_hnf check."""
+    ht, ut = row_hnf(transpose(matrix))
     return transpose(ht), transpose(ut)

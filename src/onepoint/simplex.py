@@ -5,9 +5,7 @@ affinely independent integer vertices.  A simplex may be full-dimensional
 (d+1 vertices in Z^d) or embedded (fewer vertices, e.g. a face of a larger
 simplex).  Full-dimensional simplices carry exact barycentric machinery:
 the affine functionals that evaluate to 1 on one vertex and 0 on the
-others.  A section through an interior lattice point has rational
-vertices over the common denominator D = |det|, so it is built as the
-integer simplex D times as large.
+others.
 
 Normalized volume is measured against the lattice induced on the simplex's
 own affine hull, so segments, faces, and full bodies all get exact rational
@@ -33,6 +31,19 @@ class SimplexParseError(ValueError):
     """A simplex text document failed to parse or validate."""
 
 
+def _volume_of(vertices: Sequence[Vector]) -> Fraction:
+    """The one volume route, for simplices and faces: refused when affinely dependent."""
+    # eliminating the coordinates of the k edges leaves one pivot per
+    # independent edge, and the k pivots multiply to the gcd of the k x k
+    # minors up to sign: the index of the edge lattice in the lattice of its span
+    k, base, rest = len(vertices) - 1, vertices[0], vertices[1:]
+    edges = [[v[c] - b for v in rest] for c, b in enumerate(base)]
+    pivots = [edges[r][col] for r, col in enumerate(echelon(edges, k))]
+    if len(pivots) != k:
+        raise ValueError("vertices are affinely dependent")
+    return Fraction(abs(prod(pivots)), factorial(k))
+
+
 def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> LatticeSimplex:
     """Check integer vertices span a simplex; give ``simplex`` them and its normalized volume."""
     if not vertices:
@@ -44,16 +55,8 @@ def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> Lattice
         raise ValueError("too many vertices for the ambient dimension")
     if len(set(vertices)) != len(vertices):
         raise ValueError("vertices are not distinct")
-    # eliminating the coordinates of the k edges leaves one pivot per
-    # independent edge, and the k pivots multiply to the gcd of the k x k
-    # minors up to sign: the index of the edge lattice in the lattice of its span
-    k, base = len(vertices) - 1, vertices[0]
-    edges = [[v[c] - b for v in vertices[1:]] for c, b in enumerate(base)]
-    pivots = [edges[r][col] for r, col in enumerate(echelon(edges, k))]
-    if len(pivots) != k:
-        raise ValueError("vertices are affinely dependent")
+    object.__setattr__(simplex, "_volume", _volume_of(vertices))
     object.__setattr__(simplex, "vertices", vertices)
-    object.__setattr__(simplex, "_volume", Fraction(abs(prod(pivots)), factorial(k)))
     return simplex
 
 
@@ -192,35 +195,6 @@ def normalized_volume(simplex: LatticeSimplex) -> Fraction:
     this reads the stored value.
     """
     return simplex._volume
-
-
-def section_simplex(
-    simplex: LatticeSimplex, point: Sequence[int], omitted: Iterable[int]
-) -> tuple[LatticeSimplex, int]:
-    """Slice through an interior lattice point, parallel to the kept face.
-
-    The section pins the omitted barycentric functionals at their values
-    on ``point``.  With n_i the integer functional rows at the point and
-    D = sum(n_i) = |det|, the section's vertex for a kept vertex p_j is
-    one affine step from it, and D times that vertex is an integer:
-
-        sum(n_i * p_i for omitted i) + (D - sum of omitted n_i) * p_j
-
-    Returns the integer simplex on those scaled vertices, together with
-    D; the section's normalized volume is that simplex's divided by D^k
-    for its dimension k.  The tests check the volume law that
-    :func:`onepoint.bounds_report` reports against it.
-    """
-    values = _interior_values(simplex, point)
-    dropped, kept = _complement(len(simplex.vertices), omitted)
-    offset = [sum(values[i] * simplex.vertices[i][c] for i in dropped)
-              for c in range(simplex.ambient_dim)]
-    kept_weight = sum(values[j] for j in kept)
-    vertices = [
-        tuple(off + kept_weight * x for off, x in zip(offset, simplex.vertices[j]))
-        for j in kept
-    ]
-    return LatticeSimplex(vertices), sum(values)
 
 
 def translate(simplex: LatticeSimplex, shift: Sequence[int]) -> LatticeSimplex:

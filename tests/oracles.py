@@ -6,7 +6,10 @@ routes here are the second computation the tests compare against.
 Bareiss determinants and Smith normal form divisors give affine
 independence and normalized volume by another elimination, also for
 rational vertices scaled by the lcm of their denominators, which is how
-sections through an interior point are measured here.  Textbook
+sections through an interior point are measured here.  A section is
+also built from its own vertices, as the integer simplex D times as
+large, and the per-record loop over faces built one by one is the
+reference for the bitmask tables of ``bounds_report``.  Textbook
 routes over ``Fraction`` give brute-force Minkowski boxes, the partition
 matrix whose determinant is the package's closed-form sum/product ratio,
 the barycentric functionals as a scaled inverse, and affine independence
@@ -27,9 +30,16 @@ import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
-from onepoint.bounds import PartitionRecord
+from onepoint.bounds import FaceVolumeBound, PartitionRecord, SectionVolumeCheck
 from onepoint.exact import SingularMatrixError, adjugate_int, int_matrix, transpose
-from onepoint.simplex import check_barycentric
+from onepoint.simplex import (
+    LatticeSimplex,
+    _complement,
+    _interior_values,
+    check_barycentric,
+    face_of,
+    normalized_volume,
+)
 
 
 def det_int(matrix):
@@ -156,6 +166,66 @@ def rational_section_volume(simplex, coords, omitted):
         for j in kept
     ]
     return rational_volume(vertices)
+
+
+def section_simplex(simplex, point, omitted):
+    """Slice through an interior lattice point, parallel to the kept face.
+
+    The section pins the omitted barycentric functionals at their values
+    on ``point``.  With n_i the integer functional rows at the point and
+    D = sum(n_i) = |det|, the section's vertex for a kept vertex p_j is
+    one affine step from it, and D times that vertex is an integer:
+
+        sum(n_i * p_i for omitted i) + (D - sum of omitted n_i) * p_j
+
+    Returns the integer simplex on those scaled vertices, together with
+    D; the section's normalized volume is that simplex's divided by D^k
+    for its dimension k.  This is the second route for the volume law
+    that ``bounds_report`` reports.
+    """
+    values = _interior_values(simplex, point)
+    dropped, kept = _complement(len(simplex.vertices), omitted)
+    offset = [sum(values[i] * simplex.vertices[i][c] for i in dropped)
+              for c in range(simplex.ambient_dim)]
+    kept_weight = sum(values[j] for j in kept)
+    vertices = [
+        tuple(off + kept_weight * x for off, x in zip(offset, simplex.vertices[j]))
+        for j in kept
+    ]
+    return LatticeSimplex(vertices), sum(values)
+
+
+def face_bound_records(simplex, point):
+    """``bounds_report``'s face table, face volume records and sections, face by face.
+
+    Each proper face is built through ``face_of`` and measured on its own,
+    keyed by its omitted index tuple in omitted-set bitmask order; each
+    record scans the index tuples of its weight set and omitted set and
+    builds its bound from them.  Returns (face volumes, records, sections).
+    """
+    values = _interior_values(simplex, point)
+    denominator, n = sum(values), len(values)
+    subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n - 1)]
+    face_volumes = {omitted: normalized_volume(face_of(simplex, omitted)) for omitted in subsets}
+    faces = []
+    for excluded in range(n):
+        rest = [i for i in range(n) if i != excluded]
+        for mask in range(2 ** (n - 1)):
+            weights = tuple(rest[k] for k in range(n - 1) if mask >> k & 1)
+            omitted = tuple(i for i in rest if i not in weights)
+            top = denominator ** len(weights)
+            bottom = factorial(len(weights)) * prod(values[i] for i in weights)
+            volume = face_volumes[omitted]
+            excess = top * volume.denominator - volume.numerator * bottom
+            faces.append(FaceVolumeBound(omitted, weights, Fraction(top, bottom), volume,
+                                         Fraction(excess, bottom * volume.denominator),
+                                         excess >= 0))
+    sections = []
+    for omitted, face in face_volumes.items():
+        k, kept = n - 1 - len(omitted), denominator - sum(values[i] for i in omitted)
+        volume = Fraction(kept**k * face.numerator, denominator**k * face.denominator)
+        sections.append(SectionVolumeCheck(omitted, volume, face, volume, True))
+    return list(face_volumes.values()), faces, sections
 
 
 def rat_matrix(rows):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -13,7 +14,7 @@ import onepoint.bounds
 import onepoint.simplex
 from onepoint.points import _scan
 from oracles import det_rat, first_partition_walk, fraction_partition, partition_matrix
-from oracles import rational_section_volume
+from oracles import face_bound_records, rational_section_volume, section_simplex
 
 
 ZPW2 = op.LatticeSimplex(((0, 0), (2, 0), (0, 3)))
@@ -297,8 +298,8 @@ def test_section_volume_frozen():
 
 
 @st.composite
-def simplices_with_an_interior_point(draw):
-    d = draw(st.integers(2, 5))
+def simplices_with_an_interior_point(draw, least_dim=2):
+    d = draw(st.integers(least_dim, 5))
     vertex = st.lists(st.integers(-6, 6), min_size=d, max_size=d).map(tuple)
     vertices = draw(st.lists(vertex, min_size=d + 1, max_size=d + 1))
     try:
@@ -325,6 +326,26 @@ def test_bounds_report_matches_rational_sections(case):
         weights = record.weight_set
         product = prod((bary[i] for i in weights), start=Fraction(1))
         assert record.bound == 1 / (factorial(len(weights)) * product)
+
+
+def _typed_fields(record):
+    return [(f.name, type(getattr(record, f.name)), getattr(record, f.name))
+            for f in dataclasses.fields(record)]
+
+
+@given(simplices_with_an_interior_point(1))
+@settings(max_examples=60, deadline=None)
+def test_bounds_tables_match_the_face_by_face_loop(case):
+    # the bitmask face table and records against each face built and measured on its own
+    simplex, point = case
+    volumes, faces, sections = face_bound_records(simplex, point)
+    report = op.bounds_report(simplex, point)
+    # the sections carry the face table, in omitted-set bitmask order
+    assert [check.face_volume for check in report.sections] == volumes
+    assert len(report.face_volume_bounds) == len(faces) == (simplex.dim + 1) * 2**simplex.dim
+    assert len(report.sections) == len(sections) == 2 ** (simplex.dim + 1) - 1
+    for got, want in zip((*report.face_volume_bounds, *report.sections), (*faces, *sections)):
+        assert type(got) is type(want) and _typed_fields(got) == _typed_fields(want)
 
 
 def test_parallelotope_frozen():
@@ -465,7 +486,7 @@ def test_checks_around_the_point_refuse_a_point_not_inside(point):
         lambda: op.parallelotope_check(ZPW2, point),
         lambda: op.chain_decompose(ZPW2, point),
         lambda: op.corpus_extremes([(TRI3, (1, 1)), (ZPW2, point)]),
-        lambda: op.section_simplex(ZPW2, point, (0,)),
+        lambda: section_simplex(ZPW2, point, (0,)),
     )
     for check in checks:
         with pytest.raises(ValueError, match=INSIDE_ERROR):

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import re
 import sys
@@ -533,11 +534,28 @@ def test_atlas_and_bounds_check_each_vector_once(files, monkeypatch, capsys):
 
 
 def test_bounds_builds_each_face_once(files, monkeypatch, capsys):
-    faces = []
-    record_calls(monkeypatch, onepoint.simplex, "face_of", faces)
+    # one elimination per vertex set: the parser's of the whole simplex, then the
+    # face table's of every proper face, each omitted set once
+    vertices = op.zpw_simplex(3).vertices
+    eliminations = []
+    record_calls(monkeypatch, onepoint.simplex, "_volume_of", eliminations)
     assert run(capsys, "bounds", files["zpw3"])[0] == 0
-    assert len(faces) == 2 ** (3 + 1) - 1
-    assert len({args[1] for _, args, _ in faces}) == len(faces)
+    omitted = [frozenset(i for i, v in enumerate(vertices) if v not in args[0])
+               for _, args, _ in eliminations]
+    assert len(omitted) == 2 ** (3 + 1) - 1
+    assert set(omitted) == {frozenset(side) for k in range(4)
+                            for side in itertools.combinations(range(4), k)}
+
+
+def test_atlas_checks_its_integers_once_per_form(monkeypatch, capsys):
+    # each of the 6 triangles' 3! vertex orders goes through col_hnf, whose row_hnf
+    # checks its integers once, and each of the 5 classes is built as a simplex once
+    checks, forms = [], []
+    record_calls(monkeypatch, onepoint.exact, "int_matrix", checks)
+    record_calls(monkeypatch, onepoint.exact, "col_hnf", forms)
+    assert run(capsys, "atlas2d", "--radius", "9")[0] == 0
+    assert len(forms) == 6 * 3 * 2
+    assert len(checks) == len(forms) + 5
 
 
 def test_bounds_structured_order_frozen(tmp_path, capsys):
@@ -694,14 +712,27 @@ RECORDS = sorted(
 )
 TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'),
                          st.characters()))
+INTS = st.one_of(st.integers(), st.integers(min_value=-(10**80), max_value=10**80))
+# lists and tuples of ints alone, empty ones included, take the writer's fast path;
+# a bool among ints must not
+INT_ROWS = st.one_of(
+    st.lists(INTS, max_size=5),
+    st.lists(INTS, max_size=5).map(tuple),
+    st.lists(st.one_of(INTS, st.booleans()), max_size=5),
+    st.lists(st.one_of(INTS, st.booleans()), max_size=5).map(tuple),
+)
 LEAVES = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(10**80), max_value=10**80),
+    INTS,
     st.fractions(),
     st.fractions(max_denominator=10**30),
     TEXT,
+    INT_ROWS,
+    st.sampled_from(RECORDS).flatmap(
+        lambda cls: st.builds(cls, *[st.lists(INTS, max_size=5).map(tuple)] * len(
+            dataclasses.fields(cls)))
+    ),
 )
 
 
@@ -732,7 +763,9 @@ def test_writer_payloads_hold_every_result_record():
 
 
 @pytest.mark.parametrize(
-    "value", [1.5, [0, {"a": -0.0}], {1, 2}, frozenset(), object(), op.PartitionRecord]
+    "value",
+    [1.5, [0, {"a": -0.0}], {1, 2}, frozenset(), object(), op.PartitionRecord, (1, 2, 1.5),
+     op.PartitionRecord((0, 0.5), (1,), 1, 1, 0)],
 )
 def test_writer_refuses_other_types(value):
     with pytest.raises(TypeError):

