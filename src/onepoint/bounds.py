@@ -49,6 +49,9 @@ def _power(base: int, exponent: int) -> int:
     Its digits are counted on a lower bound lead * 10**shift, squared with each product
     cut to 10 digits more than the exponent has: exact unless 10^-8 above a power of ten.
     """
+    # fewer than MAX_DIGITS digits, as log10(2) < 0.302: no digit to count
+    if exponent * base.bit_length() * 302 < (MAX_DIGITS - 1) * 1000:
+        return base**exponent
     keep, lead, shift = len(str(exponent)) + 10, 1, 0
     for bit in bin(exponent)[2:]:
         lead = lead * lead * (base if bit == "1" else 1)
@@ -193,9 +196,9 @@ def sort_barycentric(coords: Sequence[Fraction | int]) -> SortedBarycentrics:
     return _descending(check_barycentric(coords))
 
 
-def _descending(bary: RatVector) -> SortedBarycentrics:
-    """:func:`sort_barycentric` on a vector that ``check_barycentric`` has passed."""
-    order = tuple(sorted(range(len(bary)), key=lambda i: (-bary[i], i)))
+def _descending(bary: Sequence) -> SortedBarycentrics:
+    """:func:`sort_barycentric` on a checked vector, or its rows n; ties keep index order."""
+    order = tuple(sorted(range(len(bary)), key=bary.__getitem__, reverse=True))
     return SortedBarycentrics(tuple(bary[i] for i in order), order)
 
 
@@ -261,14 +264,18 @@ def coordinate_lower_bounds(coords: Sequence[Fraction | int]) -> LowerBoundRepor
 
 def _lower_bounds(bary: RatVector) -> LowerBoundReport:
     """:func:`coordinate_lower_bounds` on a vector that ``check_barycentric`` has passed."""
-    sorted_coords = _descending(bary)
-    coords, d = sorted_coords.coords, len(bary) - 1
-    bounds = [Fraction(1, _power(d + 1, 2**k)) for k in range(d + 1)]
-    entries = [LowerBoundEntry(k, c, b, c == b, c >= b) for k, c, b in
-               zip(range(d + 1), coords, bounds)]
-    slacks = [(d + 1) * coords[k + 1] - prod(coords[: k + 1]) for k in range(d)]
-    passed = all(e.ok for e in entries) and all(s >= 0 for s in slacks)
-    return LowerBoundReport(tuple(entries), tuple(slacks), sorted_coords.order, passed)
+    # on the sorted rows n over D: n_k (d+1)^(2^k) against D, the k-th slack over D^(k+1)
+    values, denominator = _integer_rows(bary)
+    ranked, d = _descending(values), len(bary) - 1
+    order, rows = ranked.order, ranked.coords
+    powers = [_power(d + 1, 2**k) for k in range(d + 1)]
+    entries = [LowerBoundEntry(k, bary[i], Fraction(1, p), n * p == denominator,
+                               n * p >= denominator)
+               for k, (i, n, p) in enumerate(zip(order, rows, powers))]
+    tops = [(d + 1) * rows[k + 1] * denominator**k - prod(rows[: k + 1]) for k in range(d)]
+    slacks = [Fraction(top, denominator ** (k + 1)) for k, top in enumerate(tops)]
+    passed = all(e.ok for e in entries) and all(top >= 0 for top in tops)
+    return LowerBoundReport(tuple(entries), tuple(slacks), order, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +312,24 @@ def chain_decompose(
     one-point family of dimension d.  The top level omits nothing, so its
     count is the closure count of the simplex.
     """
-    sorted_coords = _descending(_coordinates(_interior_values(simplex, point)))
-    d = simplex.dim
+    return _chain(simplex, _interior_values(simplex, point), cap)
+
+
+def _chain(simplex: LatticeSimplex, values: Vector, cap: int) -> ChainReport:
+    """:func:`chain_decompose` on the rows n at the point; the top level's volume is stored."""
+    order, d = _descending(values).order, simplex.dim
     levels = []
     for i in range(1, d + 1):
-        omitted = tuple(sorted(sorted_coords.order[i + 1 :]))
+        omitted = tuple(sorted(order[i + 1 :]))
         power = _power(d + 1, 2**i - 1)
-        volume = _volume_of([simplex.vertices[j] for j in sorted(sorted_coords.order[: i + 1])])
+        volume = normalized_volume(simplex) if i == d else _volume_of(
+            [simplex.vertices[j] for j in sorted(order[: i + 1])])
         volume_bound = Fraction(power, factorial(i))
         count = count_face_points(simplex, omitted, cap)
         count_bound = i + power
         ok = volume <= volume_bound and count <= count_bound
         levels.append(ChainLevel(i, omitted, volume, volume_bound, count, count_bound, ok))
-    return ChainReport(tuple(levels), sorted_coords.order, all(l.ok for l in levels))
+    return ChainReport(tuple(levels), order, all(l.ok for l in levels))
 
 
 # ---------------------------------------------------------------------------

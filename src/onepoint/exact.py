@@ -66,11 +66,13 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("adjugate needs a square matrix")
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    aug = [[*row, *(0,) * i, 1, *(0,) * (n - 1 - i)] for i, row in enumerate(matrix)]
     sign, prev = 1, 1
     for k in range(n):
-        pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot is None:
+        for pivot in range(k, n):
+            if aug[pivot][k]:
+                break
+        else:
             raise SingularMatrixError("matrix is singular")
         if pivot != k:
             aug[k], aug[pivot] = aug[pivot], aug[k]
@@ -82,7 +84,9 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
                 # exact: every entry is a minor of the row-permuted [A | I]
                 aug[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug)
+    if sign < 0:
+        return -prev, tuple(tuple(-x for x in row[n:]) for row in aug)
+    return prev, tuple(tuple(row[n:]) for row in aug)
 
 
 def echelon(rows: list[list[int]], ncols: int) -> list[int]:
@@ -129,7 +133,7 @@ def row_hnf(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
     """
     m = int_matrix(matrix)
     nrows, ncols = len(m), len(m[0]) if m else 0
-    aug = [list(row) + [int(i == j) for j in range(nrows)] for i, row in enumerate(m)]
+    aug = [[*row, *(0,) * i, 1, *(0,) * (nrows - 1 - i)] for i, row in enumerate(m)]
     for r, col in enumerate(echelon(aug, ncols)):
         if aug[r][col] < 0:
             aug[r] = [-x for x in aug[r]]

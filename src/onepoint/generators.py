@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
-from .bounds import _lower_bounds, chain_decompose, check_all_partitions
+from .bounds import _chain, _coordinates, _inequalities, _lower_bounds
 from .exact import IntMatrix, adjugate_int, col_hnf, mat_vec, transpose
 from .points import DEFAULT_CAP, EnumerationCapError, _capped_box, count_face_points
 from .points import enumerate_interior, is_onepoint
-from .simplex import LatticeSimplex, barycentric_of, face_of, normalized_volume
+from .simplex import LatticeSimplex, _interior_values, barycentric_of, check_barycentric
+from .simplex import face_of, normalized_volume
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
@@ -264,8 +265,11 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
     theorem its determinant is the lattice length of its outer edge:
     with v1 = (a, d2) and 0 <= a < d2 after a shear fixing (1, 0),
     gcd(a - 1, d2) = d2 forces a = 1 % d2.  A cyclic relabelling rotates
-    (d0, d1, d2), so d2 is taken as the largest.  The sweep runs over d2
-    and (d0, d1) = (u, t) alone, so its work does not depend on the radius.
+    (d0, d1, d2), so d2 is taken as the largest.  A reflection reverses
+    the orientation and maps the triangle with weights (u, t, d2) to one
+    with (t, u, d2), also in the sweep's range and in the same class, so
+    u <= t is enough: one survivor per class.  The sweep runs over d2 and
+    (d0, d1) = (u, t) alone, so its work does not depend on the radius.
     As e01 = d2, the doubled-area-equals-boundary-count filter
     u + t = e12 + e20 keeps exactly the one-interior-point triangles, each
     survivor is folded into its canonical form, and every class is then
@@ -281,7 +285,7 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
     for d2 in range(1, 26):
         a = 1 % d2
         for u in range(1, min(d2, 26 - d2) + 1):
-            for t in range(1, min(d2, 27 - d2 - u) + 1):
+            for t in range(u, min(d2, 27 - d2 - u) + 1):
                 # d2 v2 = -(u v0 + t v1) = -(u + t a, t d2)
                 nx = -(u + t * a)
                 if nx % d2:
@@ -298,9 +302,10 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
         member = LatticeSimplex(form)
         if is_onepoint(member, cap) != (0, 0):
             raise AssertionError(f"class {form} fails the census")
-        bary = barycentric_of(member, (0, 0))
-        report = check_all_partitions(bary)
-        chain = chain_decompose(member, (0, 0), cap)
+        values = _interior_values(member, (0, 0))
+        bary = check_barycentric(_coordinates(values))
+        report = _inequalities(bary)
+        chain = _chain(member, values, cap)
         if not (report.passed and _lower_bounds(bary).passed and chain.passed):
             raise AssertionError(f"class {form} violates a bound it must satisfy")
         classes.append(

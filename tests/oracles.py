@@ -14,15 +14,16 @@ routes over ``Fraction`` give brute-force Minkowski boxes, the partition
 matrix whose determinant is the package's closed-form sum/product ratio,
 the barycentric functionals as a scaled inverse, and affine independence
 as a rank.  Chained ``Fraction`` sums and products evaluate a partition
-for the package's integer-row evaluator, and a walk over every mask is
-the reference for its bit-by-bit search of the first qualifying
-partition.  The generic short-vector search over a whole Minkowski box
-is the reference for the package's one-integer scan on partition
-matrices.  A walk over every prefix of the box is the
-reference for the package's depth-first census kernel, and the planar
-sweep over every orbit representative, unpruned, is the reference for
-the atlas sweep's pruning.  ``json.dumps`` with :func:`json_hook` is the
-reference for the structured output writer.
+for the package's integer-row evaluator, and the coordinate lower bounds
+for its integer comparisons; a walk over every mask is the reference
+for its bit-by-bit search of the first qualifying partition.  The
+generic short-vector search over a whole Minkowski box is the reference
+for the package's one-integer scan on partition matrices.  A walk over
+every prefix of the box is the reference for the package's depth-first
+census kernel, and the planar sweep over every orbit representative,
+unpruned, is the reference for the atlas sweep's pruning.
+``json.dumps`` with :func:`json_hook` is the reference for the
+structured output writer.
 """
 
 import dataclasses
@@ -30,7 +31,8 @@ import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
-from onepoint.bounds import FaceVolumeBound, PartitionRecord, SectionVolumeCheck
+from onepoint.bounds import FaceVolumeBound, LowerBoundEntry, LowerBoundReport
+from onepoint.bounds import PartitionRecord, SectionVolumeCheck
 from onepoint.exact import SingularMatrixError, adjugate_int, int_matrix, transpose
 from onepoint.simplex import (
     LatticeSimplex,
@@ -272,6 +274,24 @@ def fraction_partition(coords, mask):
     total = sum(coords[i] for i in left)
     product = prod((coords[j] for j in right), start=Fraction(1))
     return PartitionRecord(left, right, total, product, total - product)
+
+
+def fraction_lower_bounds(coords):
+    """The coordinate lower bounds by ``Fraction`` sorting, comparisons and products.
+
+    The k-th largest coordinate against (d+1)^(-2^k), and the recursion
+    slacks (d+1) c_(k+1) - prod(c_0..c_k), on a checked vector; the package
+    compares integer rows over one denominator instead.
+    """
+    d = len(coords) - 1
+    order = tuple(sorted(range(d + 1), key=lambda i: (-coords[i], i)))
+    ranked = tuple(coords[i] for i in order)
+    bounds = [Fraction(1, (d + 1) ** (2**k)) for k in range(d + 1)]
+    entries = tuple(LowerBoundEntry(k, c, b, c == b, c >= b)
+                    for k, c, b in zip(range(d + 1), ranked, bounds))
+    slacks = tuple((d + 1) * ranked[k + 1] - prod(ranked[: k + 1]) for k in range(d))
+    passed = all(e.ok for e in entries) and all(s >= 0 for s in slacks)
+    return LowerBoundReport(entries, slacks, order, passed)
 
 
 def first_partition_walk(coords, bound, strict):

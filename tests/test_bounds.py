@@ -13,7 +13,8 @@ import onepoint as op
 import onepoint.bounds
 import onepoint.simplex
 from onepoint.points import _scan
-from oracles import det_rat, first_partition_walk, fraction_partition, partition_matrix
+from oracles import det_rat, first_partition_walk, fraction_lower_bounds, fraction_partition
+from oracles import partition_matrix
 from oracles import face_bound_records, rational_section_volume, section_simplex
 
 
@@ -182,6 +183,23 @@ def test_first_mask_search_matches_the_walk(coords, data):
     )
     strict = data.draw(st.booleans())
     assert search(*rows(coords), bound, strict) == first_partition_walk(coords, bound, strict)
+
+
+# a few distinct weights drawn again and again: ties on purpose
+TIED_WEIGHTS = st.lists(st.integers(1, 60), min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(WEIGHTS, TIED_WEIGHTS).map(_normalized))
+def test_lower_bounds_match_the_fraction_oracle(coords):
+    report, oracle = op.coordinate_lower_bounds(coords), fraction_lower_bounds(coords)
+    assert report == oracle
+    fractions = [x for e in report.entries for x in (e.value, e.bound)]
+    assert all(type(x) is Fraction for x in fractions + list(report.recursion_slacks))
+    assert [(type(e.tight), type(e.ok)) for e in report.entries] == [(bool, bool)] * len(coords)
+    assert op.sort_barycentric(coords).order == tuple(
+        sorted(range(len(coords)), key=lambda i: (-coords[i], i)))
 
 
 def test_unique_interior_point():
@@ -512,3 +530,18 @@ def test_bound_digits_are_counted_before_the_power(base, exponent):
         assert 10 ** (digits - 1) <= base**exponent < 10**digits
         patch.setattr(onepoint.bounds, "MAX_DIGITS", digits)
         assert onepoint.bounds._power(base, exponent) == base**exponent
+
+
+@given(st.integers(2, 1000), st.integers(0, 300), st.integers(-2, 2))
+@settings(max_examples=300, deadline=None)
+def test_power_refuses_exactly_past_max_digits(base, exponent, offset):
+    # small limits around the power's digit count, on both sides of the no-count fast path
+    power = base**exponent
+    limit = max(len(str(power)) + offset, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(onepoint.bounds, "MAX_DIGITS", limit)
+        if len(str(power)) <= limit:
+            assert onepoint.bounds._power(base, exponent) == power
+        else:
+            with pytest.raises(op.BoundSizeError):
+                onepoint.bounds._power(base, exponent)

@@ -548,14 +548,14 @@ def test_bounds_builds_each_face_once(files, monkeypatch, capsys):
 
 
 def test_atlas_checks_its_integers_once_per_form(monkeypatch, capsys):
-    # each of the 6 triangles' 3! vertex orders goes through col_hnf, whose row_hnf
+    # each of the 5 triangles' 3! vertex orders goes through col_hnf, whose row_hnf
     # checks its integers once, and each of the 5 classes is built as a simplex once
     checks, forms = [], []
     record_calls(monkeypatch, onepoint.exact, "int_matrix", checks)
     record_calls(monkeypatch, onepoint.exact, "col_hnf", forms)
     assert run(capsys, "atlas2d", "--radius", "9")[0] == 0
-    assert len(forms) == 6 * 3 * 2
-    assert len(checks) == len(forms) + 5
+    assert len(forms) == 5 * 3 * 2
+    assert len(checks) == len(forms) + 5 == 35
 
 
 def test_bounds_structured_order_frozen(tmp_path, capsys):
@@ -593,6 +593,15 @@ def test_chain_runs_one_census_and_one_count_per_level(files, monkeypatch, capsy
     assert run(capsys, "chain", files["zpw3"])[0] == 0
     assert len(censuses) == 1
     assert len(counts) == 3
+
+
+def test_chain_reads_the_stored_volume_at_the_top(files, monkeypatch, capsys):
+    # the parser eliminates the whole simplex once; then one elimination per proper level
+    eliminations = []
+    record_calls(monkeypatch, onepoint.simplex, "_volume_of", eliminations)
+    assert run(capsys, "chain", files["zpw3"])[0] == 0
+    assert [len(args[0]) for _, args, _ in eliminations] == [4, 2, 3]
+    assert tuple(eliminations[0][1][0]) == op.zpw_simplex(3).vertices
 
 
 def test_atlas_repeats_no_points_call(monkeypatch, capsys):

@@ -110,8 +110,13 @@ def test_adjugate_int_frozen():
     hull = ((0, 2, 0), (0, 0, 3), (1, 1, 1))
     assert adjugate_int(hull) == (6, ((-3, -2, 6), (3, 0, 0), (0, 2, 0)))
     assert adjugate_int([]) == (1, ())
+    # one row swap: the sign flips the determinant and every adjugate entry
+    assert adjugate_int([[0, 1], [1, 0]]) == (-1, ((0, -1), (-1, 0)))
     with pytest.raises(SingularMatrixError):
         adjugate_int([[1, 2], [2, 4]])
+    # the first pivot is 1; the second column has no nonzero entry left below it
+    with pytest.raises(SingularMatrixError):
+        adjugate_int([[1, 2, 3], [2, 4, 7], [1, 2, 5]])
     with pytest.raises(ValueError):
         adjugate_int([[1, 2]])
 
@@ -200,6 +205,13 @@ def test_row_hnf_reproduces_and_is_canonical(rows):
         assert pivot > seen
         assert row[pivot] > 0
         seen = pivot
+
+
+def test_row_hnf_frozen():
+    # a zero first column, and two negative pivots made positive before reducing above them
+    assert row_hnf([[0, -2, 1], [0, 0, -3]]) == (((0, 2, 2), (0, 0, 3)), ((-1, -1), (0, -1)))
+    assert row_hnf([[0, -2], [0, 6], [0, 3]]) == (
+        ((0, 1), (0, 0), (0, 0)), ((-2, 0, -1), (3, 1, 0), (-3, 0, -2)))
 
 
 @given(rect_int_matrices())
