@@ -65,11 +65,9 @@ from .simplex import (
     barycentric_of,
     check_barycentric,
     face_of,
-    linear_image,
     normalized_volume,
     parse_simplex_text,
     simplex_to_text,
-    translate,
 )
 
 __version__ = "0.1.0"

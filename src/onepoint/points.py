@@ -9,9 +9,11 @@ for one box scan.  It walks the box depth-first from its shortest side,
 cuts each axis to the values every half-space still allows, solves each
 row of the longest axis inline as one integer interval, and keeps only
 the lexicographically smallest points a caller asks for, in a sorted list.
-Once no point left in a level can be kept, a level of ``CLOSED_FORM_ROWS``
-rows or more is counted in closed form: its row lengths are floors of linear
-functions, summed in O(log) steps on each piece where the same two bind.
+A subtree in which no point can be kept any more is settled: only counted.
+A level of ``CLOSED_FORM_ROWS`` rows or more is counted in closed form before
+any row of it is solved: its row lengths are floors of linear functions,
+summed in O(log) steps on each piece where the same two bind.  Only a level
+that holds points and is not settled is then listed, row by row.
 
 Every scan is guarded by a candidate cap: when the bounding box holds more
 candidates than the cap allows, the scan refuses up front instead of
@@ -24,6 +26,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
+from operator import add
 from typing import Iterable, Sequence
 
 from .simplex import LatticeSimplex, _complement, barycentric_of, normalized_volume
@@ -182,83 +185,116 @@ def _scan(
     :func:`_capped_box`, so the refusal comes before any row is built.
 
     The walk is depth-first from the shortest box side to the longest.
-    Each level carries one partial sum per half-space and cuts its axis
-    to the values at which every half-space can still hold with the axes
-    not yet fixed at their best box ends.  The level above the longest
-    axis solves each of its values inline as a row of that axis: one
-    integer interval, whose length goes to the count.  The ``limit``
-    smallest points are kept as a sorted list of tuples, and a row stops
-    at its first point that is not below the largest one kept.  Once no
-    point left in the level can be kept, ``CLOSED_FORM_ROWS`` values or
-    more are counted by :func:`_rows_total`, one piece per binding pair.
+    Each level carries one partial sum per half-space, stepped by its
+    coefficient column, and cuts its axis to the values at which every
+    half-space, split once per scan by the sign of that coefficient, can
+    still hold with the axes not yet fixed at their best box ends.  The
+    level above the longest axis solves each value as a row of that axis:
+    one integer interval.  The ``limit`` smallest points are kept as a
+    sorted list of tuples, and a row stops at its first point that is not
+    below the largest one kept.  A subtree or a row whose fixed coordinates
+    ahead of the first free one sort after the largest kept is settled:
+    only counted.  A last level of ``CLOSED_FORM_ROWS`` values or more is
+    first summed by :func:`_rows_total`, one piece per binding pair; it is
+    done then if it is settled or empty, else its rows are listed until
+    all the points it holds are met or it settles.
     """
     *outer, row = sorted(range(len(box)), key=lambda a: box[a][1] - box[a][0])
-    row_coeffs = [c[row] for c, _ in halfspaces]
-    # per level above the row: axis, box side, (its coefficient, most the later axes add)
-    levels, gains = [], [max(r * end for end in box[row]) for r in row_coeffs]
+    ends = box[row]
+    # per level above the row: axis, box side, the half-spaces by the sign of the axis
+    # coefficient with the most the later axes add, and the coefficient column
+    levels, gains = [], [c[row] * (ends[1] if c[row] > 0 else ends[0]) for c, _ in halfspaces]
     for a in reversed(outer):
-        levels.insert(0, (a, *box[a], [(c[a], g) for (c, _), g in zip(halfspaces, gains)]))
-        gains = [g + max(c[a] * end for end in box[a]) for (c, _), g in zip(halfspaces, gains)]
-    levels = levels or [(row, 0, 0, [(0, g) for g in gains])]  # one axis: a single row
-    ahead = min(levels[-1][0] + 1, row)  # the coordinates a row's points share ahead of its own
+        (lo, hi), col = box[a], [c[a] for c, _ in halfspaces]
+        cut = list(enumerate(zip(col, gains)))
+        levels.insert(0, (a, lo, hi, [(i, c, g) for i, (c, g) in cut if c > 0],
+                          [(i, -c, g) for i, (c, g) in cut if c < 0],
+                          [(i, g) for i, (c, g) in cut if c == 0], col))
+        gains = [g + (c * hi if c > 0 else c * lo) for c, g in zip(col, gains)]
+    # one axis: a single row
+    levels = levels or [(row, 0, 0, [], [], list(enumerate(gains)), [0] * len(gains))]
+    col = levels[-1][-1]
+    ups = [(i, col[i], c[row]) for i, (c, _) in enumerate(halfspaces) if c[row] > 0]
+    downs = [(i, col[i], -c[row]) for i, (c, _) in enumerate(halfspaces) if c[row] < 0]
+    # the first coordinate a node of each level has not fixed; those a row's points share ahead
+    heads = [min(outer[k:] + [row]) for k in range(len(levels))]
+    ahead, last = min(levels[-1][0] + 1, row), len(levels) - 1
     count, found, point = 0, [], [0] * len(box)
 
-    def walk(level: int, sums: list[int]) -> None:
+    def walk(level: int, sums: list[int], listing: bool) -> None:
         nonlocal count
-        axis, lo, hi, cut = levels[level]
-        for (c, rest), s in zip(cut, sums):
-            if c > 0:
-                lo = max(lo, -((s + rest) // c))
-            elif c < 0:
-                hi = min(hi, (s + rest) // -c)
-            elif s + rest < 0:
+        axis, lo, hi, pos, neg, zero, col = levels[level]
+        for i, rest in zero:
+            if sums[i] + rest < 0:
                 return
-        if level < len(levels) - 1:
+        for i, c, rest in pos:
+            t = -((sums[i] + rest) // c)
+            if t > lo:
+                lo = t
+        for i, c, rest in neg:
+            t = (sums[i] + rest) // c
+            if t < hi:
+                hi = t
+        if lo > hi:
+            return
+        if level < last:
+            head = heads[level + 1]
+            sums = [s + c * lo for s, c in zip(sums, col)]
             for x in range(lo, hi + 1):
                 point[axis] = x
-                walk(level + 1, [s + c * x for (c, _), s in zip(cut, sums)])
+                if listing and len(found) == limit and tuple(point[:head]) > found[-1][:head]:
+                    listing = False  # settled, and so is every later value of this axis
+                walk(level + 1, sums, listing)
+                sums = list(map(add, sums, col))
             return
         # the cut above is exact where the row coefficient is 0; the others bound each row
-        ups = [(c, r, s) for (c, _), r, s in zip(cut, row_coeffs, sums) if r > 0]
-        downs = [(c, -r, s) for (c, _), r, s in zip(cut, row_coeffs, sums) if r < 0]
-        listing = limit != 0
-        if not listing and hi - lo + 1 >= CLOSED_FORM_ROWS:
-            count += _rows_total(ups, downs, box[row], lo, hi)
-            return
+        up = [(c, r, sums[i]) for i, c, r in ups]
+        down = [(c, r, sums[i]) for i, c, r in downs]
+        summed = hi - lo + 1 >= CLOSED_FORM_ROWS
+        if summed:
+            left = _rows_total(up, down, ends, lo, hi)
+            count += left
+            if not (listing and left):
+                return
         for x in range(lo, hi + 1):
-            first, end = box[row]
-            for c, r, s in ups:
+            first, end = ends
+            for c, r, s in up:
                 t = -((s + c * x) // r)
                 if t > first:
                     first = t
-            for c, r, s in downs:
+            for c, r, s in down:
                 t = (s + c * x) // r
                 if t < end:
                     end = t
             if first > end:
                 continue
-            count += end - first + 1
-            if listing:
-                point[axis] = x
-                listing = len(found) != limit or tuple(point[:ahead]) <= found[-1][:ahead]
-            if not listing:  # no point left in the level can be kept
-                if hi - x >= CLOSED_FORM_ROWS:
-                    count += _rows_total(ups, downs, box[row], x + 1, hi)
+            if not summed:
+                count += end - first + 1
+            if not listing:
+                continue
+            point[axis] = x
+            if len(found) == limit and tuple(point[:ahead]) > found[-1][:ahead]:
+                if summed:  # no point left in the level can be kept, and all are counted
                     return
+                listing = False
                 continue
             if limit is None:
                 for point[row] in range(first, end + 1):
                     found.append(tuple(point))
-                continue
-            for point[row] in range(first, end + 1):
-                key = tuple(point)
-                if len(found) == limit:
-                    if key >= found[-1]:  # found[-1] is the largest point kept
-                        break
-                    found.pop()
-                insort(found, key)
+            else:
+                for point[row] in range(first, end + 1):
+                    key = tuple(point)
+                    if len(found) == limit:
+                        if key >= found[-1]:  # found[-1] is the largest point kept
+                            break
+                        found.pop()
+                    insort(found, key)
+            if summed:
+                left -= end - first + 1
+                if not left:  # the later rows are empty
+                    return
 
-    walk(0, [const for _, const in halfspaces])
+    walk(0, [const for _, const in halfspaces], limit != 0)
     if limit is None:
         found.sort()
     return count, found

@@ -197,22 +197,6 @@ def normalized_volume(simplex: LatticeSimplex) -> Fraction:
     return simplex._volume
 
 
-def translate(simplex: LatticeSimplex, shift: Sequence[int]) -> LatticeSimplex:
-    if len(shift) != simplex.ambient_dim:
-        raise ValueError("shift dimension does not match")
-    return LatticeSimplex(
-        tuple(tuple(x + s for x, s in zip(v, shift)) for v in simplex.vertices)
-    )
-
-
-def linear_image(simplex: LatticeSimplex, matrix: Sequence[Sequence[int]]) -> LatticeSimplex:
-    """Apply an integer linear map (rows act on column vectors)."""
-    m = int_matrix(matrix)
-    return LatticeSimplex(
-        tuple(tuple(sum(c * x for c, x in zip(row, v)) for row in m) for v in simplex.vertices)
-    )
-
-
 class _Inexact:
     """Marker for any non-integer numeric literal met while parsing."""
 

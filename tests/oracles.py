@@ -23,7 +23,8 @@ every prefix of the box is the reference for the package's depth-first
 census kernel, and the planar sweep over every orbit representative,
 unpruned, is the reference for the atlas sweep's pruning.
 ``json.dumps`` with :func:`json_hook` is the reference for the
-structured output writer.
+structured output writer.  Translations and integer linear images build
+the moved inputs of the invariance checks and the sheared censuses.
 """
 
 import dataclasses
@@ -195,6 +196,23 @@ def section_simplex(simplex, point, omitted):
         for j in kept
     ]
     return LatticeSimplex(vertices), sum(values)
+
+
+def translate(simplex, shift):
+    """The simplex moved by an integer vector."""
+    if len(shift) != simplex.ambient_dim:
+        raise ValueError("shift dimension does not match")
+    return LatticeSimplex(
+        tuple(tuple(x + s for x, s in zip(v, shift)) for v in simplex.vertices)
+    )
+
+
+def linear_image(simplex, matrix):
+    """Apply an integer linear map (rows act on column vectors)."""
+    m = int_matrix(matrix)
+    return LatticeSimplex(
+        tuple(tuple(sum(c * x for c, x in zip(row, v)) for row in m) for v in simplex.vertices)
+    )
 
 
 def face_bound_records(simplex, point):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 import onepoint as op
-from oracles import section_simplex
+from oracles import linear_image, section_simplex, translate
 
 WIDE = op.LatticeSimplex(((0, 0), (7, 0), (0, 2)))
 
@@ -239,7 +239,7 @@ def test_criterion_12_unimodular_invariance(corpus, rng, unimodular):
         d = member.dim
         linear = unimodular(d, rng)
         shift = tuple(rng.randint(-7, 7) for _ in range(d))
-        moved = op.translate(op.linear_image(member, linear), shift)
+        moved = translate(linear_image(member, linear), shift)
 
         assert op.normalized_volume(moved) == op.normalized_volume(member)
         census = op.enumerate_interior(moved)

@@ -7,7 +7,7 @@ import pytest
 
 import onepoint as op
 from onepoint import generators
-from oracles import atlas_sweep
+from oracles import atlas_sweep, linear_image, translate
 
 
 def test_sylvester_frozen():
@@ -111,7 +111,7 @@ def test_normal_form_2d_unimodular_invariance(rng, unimodular):
         for _ in range(20):
             linear = unimodular(2, rng)
             shift = tuple(rng.randint(-5, 5) for _ in range(2))
-            moved = op.translate(op.linear_image(simplex, linear), shift)
+            moved = translate(linear_image(simplex, linear), shift)
             assert op.normal_form_2d(moved).simplex == reference
 
 

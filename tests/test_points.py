@@ -1,3 +1,4 @@
+import itertools
 import time
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import onepoint as op
+from onepoint import points
 from onepoint.points import CLOSED_FORM_ROWS, _floor_sum, _scan
-from oracles import box_walk
+from oracles import box_walk, linear_image
 
 
 ZPW2 = op.LatticeSimplex(((0, 0), (2, 0), (0, 3)))
@@ -239,6 +241,112 @@ def test_closed_form_levels_match_the_box_walk(case):
     count, every = box_walk(halfspaces, box, False), box_walk(halfspaces, box, True)
     for limit in (0, 1, 2, 20, None):
         assert _scan(halfspaces, box, limit) == (count, every[:limit])
+
+
+def settles_above_the_rows(every, box, limit):
+    """Whether a listing of ``limit`` points settles a subtree whose node is above the rows.
+
+    The walk fixes the axes shortest side first and the longest last, as
+    rows.  A node that has fixed the first m of the others, m >= 1, and
+    not yet the last of them, is settled once the ``limit`` smallest of
+    the points met before it sort ahead of its own fixed coordinates up to
+    the first free one.  Only nodes with points below them are looked at.
+    """
+    *outer, row = sorted(range(len(box)), key=lambda a: box[a][1] - box[a][0])
+    walked = sorted(every, key=lambda p: [p[a] for a in outer + [row]])
+    for m in range(1, len(outer)):
+        head, met = min(outer[m:] + [row]), []
+        for _, node in itertools.groupby(walked, key=lambda p: [p[a] for a in outer[:m]]):
+            node = list(node)
+            if len(met) >= limit and node[0][:head] > sorted(met)[limit - 1][:head]:
+                return True
+            met += node
+    return False
+
+
+@st.composite
+def settling_cases(draw):
+    """Boxes of d = 3 or 4 on which a listing settles whole subtrees above the rows.
+
+    The walk fixes the axes shortest side first, in an order other than
+    index order that fixes axis 0 before the last two, so that a node above
+    the rows can sort after a point kept.  The longest side is at least
+    ``CLOSED_FORM_ROWS`` and the next one often is too, so settled last
+    levels are summed, and a listing of 1 or of 20 points fills before a
+    node above the rows that still holds points.  Half-spaces cut through
+    the box as in ``long_level_cases``.
+    """
+    d = draw(st.integers(3, 4))
+    order = draw(st.sampled_from([walk for walk in itertools.permutations(range(d))
+                                  if 0 in walk[:d - 2] and walk != tuple(range(d))]))
+    sides = [draw(st.integers(0, 6)) for _ in range(d - 2)]
+    sides += [draw(st.integers(2, 16)), draw(st.integers(CLOSED_FORM_ROWS, 30))]
+    sides = [side for _, side in sorted(zip(order, sorted(sides)))]
+    assume(sorted(range(d), key=sides.__getitem__) != list(range(d)))  # ties keep index order
+    box = [(lo, lo + side) for lo, side in zip(draw(st.lists(st.integers(-9, 9), min_size=d,
+                                                           max_size=d)), sides)]
+    halfspaces = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = tuple(draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d)))
+        through = sum(c * draw(st.integers(*end)) for c, end in zip(coeffs, box))
+        halfspaces.append((coeffs, draw(st.integers(0, 30)) - through))
+        if draw(st.booleans()):  # the opposite side of a slab of width 2 to 12
+            width = draw(st.integers(2, 12))
+            halfspaces.append((tuple(-c for c in coeffs), width - halfspaces[-1][1]))
+    every = box_walk(halfspaces, box, True)
+    assume(settles_above_the_rows(every, box, 1) or settles_above_the_rows(every, box, 20))
+    return halfspaces, box, every
+
+
+@given(settling_cases())
+@settings(max_examples=150, deadline=None)
+def test_settled_subtrees_match_the_box_walk(case):
+    halfspaces, box, every = case
+    for limit in (0, 1, 2, 20, None):
+        assert _scan(halfspaces, box, limit) == (len(every), every[:limit])
+
+
+@pytest.mark.parametrize(
+    "vertices, signs, total",
+    [
+        # 20·Δ₄ and conv{0, 60e₁, 60e₂, 60e₃}: axis permutations map them to themselves,
+        # two sign changes do not
+        ([(0,) * 4] + [tuple(20 * (i == j) for j in range(4)) for i in range(4)],
+         (1, -1, -1, 1), 3876),
+        ([(0,) * 3] + [tuple(60 * (i == j) for j in range(3)) for i in range(3)],
+         (1, -1, -1), 32509),
+    ],
+)
+def test_settled_large_censuses_match_the_box_walk(vertices, signs, total):
+    simplex = op.LatticeSimplex(tuple(tuple(s * x for s, x in zip(signs, v)) for v in vertices))
+    box = op.enumerate_interior(simplex, limit=0).scanned_box
+    every = box_walk([(coeffs, const - 1) for coeffs, const in simplex.functional_rows], box, True)
+    assert len(every) == total and settles_above_the_rows(every, box, 20)
+    for limit in (0, 1, 2, 20, None):
+        census = op.enumerate_interior(simplex, limit=limit)
+        assert (census.count, census.points) == (total, tuple(every[:limit]))
+
+
+def test_a_members_listing_is_summed_not_solved(monkeypatch):
+    # zpw(4) under x0 += 30 x1, x1 += 30 x2, x2 += 30 x3: 1,090,693,604 box candidates and one
+    # interior point, whose listing never fills; its levels are summed before they are listed
+    shear = ((1, 30, 0, 0), (0, 1, 30, 0), (0, 0, 1, 30), (0, 0, 0, 1))
+    sheared = linear_image(op.zpw_simplex(4), shear)
+    made, rows_total = [], points._rows_total
+
+    def counted(*args):
+        made.append(args)
+        return rows_total(*args)
+
+    monkeypatch.setattr(points, "_rows_total", counted)
+    calls = {}
+    for limit in (0, 1, 2, 20):
+        made.clear()
+        census = op.enumerate_interior(sheared, cap=10**10, limit=limit)
+        calls[limit] = len(made)
+        assert census.count == 1
+        assert census.points == (((31, 31, 31, 1),) if limit else ())
+    assert calls[2] >= calls[0] > 0
 
 
 @given(
