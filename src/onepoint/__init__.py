@@ -36,24 +36,18 @@ from .certificate import (
 from .generators import (
     Atlas2D,
     AtlasClass,
-    CanonicalForm,
-    LowerChainReport,
     SylvesterSequence,
     dilated_simplex,
-    normal_form_2d,
     onepoint_triangle_atlas,
     reflected_simplex,
     sylvester,
-    zpw_lower_chain,
     zpw_simplex,
 )
 from .points import (
     DEFAULT_CAP,
-    BlichfeldtCheck,
     EnumerationCapError,
     InteriorCensus,
     PointClass,
-    blichfeldt_check,
     classify_point,
     count_face_points,
     enumerate_interior,
@@ -64,7 +58,6 @@ from .simplex import (
     SimplexParseError,
     barycentric_of,
     check_barycentric,
-    face_of,
     normalized_volume,
     parse_simplex_text,
     simplex_to_text,

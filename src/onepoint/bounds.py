@@ -63,12 +63,6 @@ def _power(base: int, exponent: int) -> int:
     return base**exponent
 
 
-def _coordinates(values: Sequence[int]) -> RatVector:
-    # barycentric coordinates n_i / D from the rows at an interior point
-    denominator = sum(values)
-    return tuple(Fraction(value, denominator) for value in values)
-
-
 # ---------------------------------------------------------------------------
 # partitions of the vertex index set
 
@@ -165,17 +159,18 @@ def _sum_side_mask(count: int, sum_side: Iterable[int]) -> int:
 
 def check_all_partitions(coords: Sequence[Fraction | int]) -> InequalityReport:
     """Evaluate every proper two-sided partition, in sum-side bitmask order."""
-    return _inequalities(check_barycentric(coords))
+    return _inequalities(*_integer_rows(check_barycentric(coords)))
 
 
-def _inequalities(bary: RatVector, least: Fraction | None = None) -> InequalityReport:
-    """:func:`check_all_partitions` on a checked vector; given the least slack, ``worst`` alone."""
-    rows = _integer_rows(bary)
+def _inequalities(values: Vector, denominator: int,
+                  least: Fraction | None = None) -> InequalityReport:
+    """:func:`check_all_partitions` on rows n over D; given the least slack, ``worst`` alone."""
     if least is not None:
-        worst = _partition(*rows, _first_mask(*rows, least, False))
+        worst = _partition(values, denominator, _first_mask(values, denominator, least, False))
         return InequalityReport((), least >= 0, least, worst)
-    sides = _subsets(len(bary))
-    records = tuple(_partition(*rows, mask, sides) for mask in range(1, len(sides) - 1))
+    sides = _subsets(len(values))
+    records = tuple(_partition(values, denominator, mask, sides)
+                    for mask in range(1, len(sides) - 1))
     worst = min(records, key=lambda r: r.slack)
     return InequalityReport(records, worst.slack >= 0, worst.slack, worst)
 
@@ -213,9 +208,15 @@ def reduced_system(sorted_coords: SortedBarycentrics) -> tuple[Fraction, ...]:
     coords = sorted_coords.coords
     if any(a < b for a, b in zip(coords, coords[1:])):
         raise ValueError("coordinates must be sorted in descending order")
+    return _reduced(*_integer_rows(check_barycentric(coords)))
+
+
+def _reduced(values: Vector, denominator: int) -> tuple[Fraction, ...]:
+    """:func:`reduced_system` on rows n over D in any order; it reads them sorted descending."""
     # entry j's sum side is the tail after position j: every bit but those of the block 0..j
-    rows, full = _integer_rows(coords), 2 ** len(coords) - 1
-    return tuple(_partition(*rows, full ^ ((2 << j) - 1)).slack for j in range(len(coords) - 1))
+    ranked, full = _descending(values).coords, 2 ** len(values) - 1
+    return tuple(_partition(ranked, denominator, full ^ ((2 << j) - 1)).slack
+                 for j in range(len(values) - 1))
 
 
 def partition_ratio(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -> Fraction:
@@ -225,8 +226,8 @@ def partition_ratio(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -
     system matrix, which the test suite builds as its second route
     (``tests/oracles.py::partition_matrix``) and holds this ratio to.
     """
-    bary = check_barycentric(coords)
-    record = _partition(*_integer_rows(bary), _sum_side_mask(len(bary), sum_side))
+    values, denominator = _integer_rows(check_barycentric(coords))
+    record = _partition(values, denominator, _sum_side_mask(len(values), sum_side))
     return record.sum / record.product
 
 
@@ -259,19 +260,18 @@ def coordinate_lower_bounds(coords: Sequence[Fraction | int]) -> LowerBoundRepor
     is at least (d+1)^(-2^k).  Also checks the relaxed recursion
     (d+1) * coords[k+1] >= prod(coords[:k+1]) that drives the bound.
     """
-    return _lower_bounds(check_barycentric(coords))
+    return _lower_bounds(*_integer_rows(check_barycentric(coords)))
 
 
-def _lower_bounds(bary: RatVector) -> LowerBoundReport:
-    """:func:`coordinate_lower_bounds` on a vector that ``check_barycentric`` has passed."""
-    # on the sorted rows n over D: n_k (d+1)^(2^k) against D, the k-th slack over D^(k+1)
-    values, denominator = _integer_rows(bary)
-    ranked, d = _descending(values), len(bary) - 1
+def _lower_bounds(values: Vector, denominator: int) -> LowerBoundReport:
+    """:func:`coordinate_lower_bounds` on rows n over D; only the reported values are fractions."""
+    # on the sorted rows: n_k (d+1)^(2^k) against D, the k-th slack over D^(k+1)
+    ranked, d = _descending(values), len(values) - 1
     order, rows = ranked.order, ranked.coords
     powers = [_power(d + 1, 2**k) for k in range(d + 1)]
-    entries = [LowerBoundEntry(k, bary[i], Fraction(1, p), n * p == denominator,
+    entries = [LowerBoundEntry(k, Fraction(n, denominator), Fraction(1, p), n * p == denominator,
                                n * p >= denominator)
-               for k, (i, n, p) in enumerate(zip(order, rows, powers))]
+               for k, (n, p) in enumerate(zip(rows, powers))]
     tops = [(d + 1) * rows[k + 1] * denominator**k - prod(rows[: k + 1]) for k in range(d)]
     slacks = [Fraction(top, denominator ** (k + 1)) for k, top in enumerate(tops)]
     passed = all(e.ok for e in entries) and all(top >= 0 for top in tops)
@@ -388,7 +388,7 @@ def bounds_report(
     values = _interior_values(simplex, point)
     denominator, n = sum(values), len(values)
     # first, as its bounds refuse when too large to print
-    lower = _lower_bounds(_coordinates(values))
+    lower = _lower_bounds(values, denominator)
     sides, powers = _subsets(n), [denominator**k for k in range(n)]
     full, vertices = len(sides) - 1, simplex.vertices
     # each proper face's volume by omitted-set bitmask, one echelon each; the whole is stored
@@ -503,10 +503,10 @@ def corpus_extremes(
     comparison bound 14^(-2^(d+1)) known from dimension-uniform arguments
     is included for context only.
     """
-    by_dim: dict[int, list[tuple[LatticeSimplex, RatVector]]] = {}
+    by_dim: dict[int, list[tuple[LatticeSimplex, Fraction]]] = {}
     for member, point in members:
-        coords = _coordinates(_interior_values(member, point))
-        by_dim.setdefault(member.dim, []).append((member, coords))
+        values = _interior_values(member, point)
+        by_dim.setdefault(member.dim, []).append((member, Fraction(min(values), sum(values))))
     summaries = []
     for d, group in sorted(by_dim.items()):
         volume_bound = Fraction(_power(d + 1, 2**d - 1), factorial(d))
@@ -514,7 +514,7 @@ def corpus_extremes(
         comparison = Fraction(1, _power(14, 2 ** (d + 1)))
         max_volume = max(normalized_volume(member) for member, _ in group)
         max_count = max(count_face_points(member, (), cap) for member, _ in group)
-        min_coord = min(min(coords) for _, coords in group)
+        min_coord = min(least for _, least in group)
         passed = max_volume <= volume_bound and min_coord >= coordinate_bound
         summaries.append(DimensionExtremes(d, len(group), max_volume, max_count, min_coord,
                                            volume_bound, coordinate_bound, comparison, passed))

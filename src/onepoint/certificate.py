@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import PartitionRecord, _first_mask, _integer_rows, _partition, _sum_side_mask
+from .bounds import PartitionRecord, _descending, _first_mask, _integer_rows, _partition
+from .bounds import _sum_side_mask
 from .exact import int_matrix
 from .points import DEFAULT_CAP, EnumerationCapError, classify_point
 from .simplex import LatticeSimplex, _interior_values, check_barycentric
@@ -138,8 +139,8 @@ def second_interior_point(
     refusal = f"start point {start} is not an interior lattice point"
     values = _interior_values(simplex, start, refusal)
     denominator = sum(values)
-    order = tuple(sorted(range(len(values)), key=lambda i: (-values[i], i)))
-    ranked = tuple(values[i] for i in order)
+    descending = _descending(values)  # stable: tied rows keep index order
+    ranked, order = descending.coords, descending.order
     mask = _first_mask(ranked, denominator, Fraction(0), strict=True)
     if mask is None:
         return None

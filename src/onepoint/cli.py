@@ -27,12 +27,12 @@ from typing import Any, Callable, Sequence
 from .bounds import (
     MAX_DIGITS,
     BoundSizeError,
-    _descending,
     _inequalities,
+    _integer_rows,
+    _reduced,
     bounds_report,
     chain_decompose,
     corpus_extremes,
-    reduced_system,
 )
 from .certificate import second_interior_point
 from .generators import dilated_simplex, onepoint_triangle_atlas, reflected_simplex
@@ -204,9 +204,10 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
                 "no interior lattice point to test"
             ]
         coords = barycentric_of(simplex, start)
-    bary = check_barycentric(coords)  # the one check of the vector
-    reduced = reduced_system(_descending(bary))
-    report = _inequalities(bary, None if args.format == "structured" else min(reduced))
+    values, denominator = _integer_rows(check_barycentric(coords))  # the one check of the vector
+    reduced = _reduced(values, denominator)
+    report = _inequalities(values, denominator,
+                           None if args.format == "structured" else min(reduced))
     payload = {
         "coordinates": coords,
         "partitions": report.records,
@@ -216,7 +217,7 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
     }
     worst = report.worst
     lines = [
-        f"partitions checked: {2 ** len(bary) - 2}",
+        f"partitions checked: {2 ** len(values) - 2}",
         f"reduced slacks: ({', '.join(map(str, reduced))})",
         f"minimal slack: {report.min_slack} at sum side {list(worst.sum_side)}",
     ]

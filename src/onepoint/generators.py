@@ -1,13 +1,11 @@
-"""Extremal families, canonical forms, and the planar atlas.
+"""Extremal families and the planar atlas.
 
 The doubly exponential growth in this package is witnessed, not just
 bounded: the Zaks-Perles-Wills simplices built from the Sylvester
 sequence realize volumes within striking distance of the upper bounds.
-This module constructs them, checks their matching lower bounds along
-the chain of faces, builds the two centrally placed families that make
-the coordinate lower bound tight, a canonical form for planar triangles
-under unimodular affine maps, and a complete atlas of the planar
-one-point triangles up to that equivalence.
+This module constructs them, builds the two centrally placed families
+that make the coordinate lower bound tight, and a complete atlas of the
+planar one-point triangles up to unimodular affine equivalence.
 """
 
 from __future__ import annotations
@@ -15,14 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 
-from .bounds import _chain, _coordinates, _inequalities, _lower_bounds
+from .bounds import _chain, _inequalities, _lower_bounds
 from .exact import IntMatrix, adjugate_int, col_hnf, mat_vec, transpose
-from .points import DEFAULT_CAP, EnumerationCapError, _capped_box, count_face_points
-from .points import enumerate_interior, is_onepoint
-from .simplex import LatticeSimplex, _interior_values, barycentric_of, check_barycentric
-from .simplex import face_of, normalized_volume
+from .points import DEFAULT_CAP, EnumerationCapError, _capped_box, is_onepoint
+from .simplex import LatticeSimplex, _interior_values, barycentric_of, normalized_volume
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
@@ -127,67 +123,8 @@ def reflected_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
     return _centroid_member(dim, -1, 1, 0, cap)
 
 
-@dataclass(frozen=True)
-class LowerChainLevel:
-    level: int
-    volume: Fraction
-    volume_identity_ok: bool
-    volume_bound: Fraction
-    count: int
-    count_ok: bool
-    ok: bool
-
-
-@dataclass(frozen=True)
-class LowerChainReport:
-    dim: int
-    levels: tuple[LowerChainLevel, ...]
-    passed: bool
-
-
-def zpw_lower_chain(dim: int, cap: int = DEFAULT_CAP) -> LowerChainReport:
-    """Matching lower bounds along the Zaks-Perles-Wills chain.
-
-    Level i of the chain keeps the origin and the first i axis vertices.
-    Its normalized volume is exactly (t_{i+1} - 1)/i! in terms of the
-    Sylvester sequence, hence at least (2^(2^(i-1)) - 1)/i!, and its
-    lattice point count squared is at least 2^(2^(i-1)).
-    """
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    simplex = zpw_simplex(dim, cap)  # refuses above the cap before the terms grow huge
-    terms = sylvester(dim + 1).terms
-    levels = []
-    for i in range(1, dim + 1):
-        omitted = tuple(range(i + 1, dim + 1))
-        volume = normalized_volume(face_of(simplex, omitted))
-        identity_ok = volume == Fraction(terms[i] - 1, factorial(i))
-        volume_bound = Fraction(2 ** (2 ** (i - 1)) - 1, factorial(i))
-        count = count_face_points(simplex, omitted, cap)
-        count_ok = count >= terms[i - 1] and count**2 >= 2 ** (2 ** (i - 1))
-        ok = identity_ok and volume >= volume_bound and count_ok
-        levels.append(
-            LowerChainLevel(i, volume, identity_ok, volume_bound, count, count_ok, ok)
-        )
-    return LowerChainReport(dim, tuple(levels), all(l.ok for l in levels))
-
-
 # ---------------------------------------------------------------------------
 # canonical form for planar triangles
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """A canonical representative plus the map that reaches it.
-
-    ``simplex`` is the representative; ``linear`` and ``offset`` describe
-    the unimodular affine map x -> linear @ x + offset carrying the input
-    onto it (up to vertex order).
-    """
-
-    simplex: LatticeSimplex
-    linear: IntMatrix
-    offset: Vector
 
 
 def _canonical_at(vertices: tuple[Vector, ...], anchor: Vector) -> tuple[
@@ -211,24 +148,6 @@ def _canonical_at(vertices: tuple[Vector, ...], anchor: Vector) -> tuple[
     if mapped != sorted(h):
         raise AssertionError("canonicalizing map does not reproduce the form")
     return h, linear, offset
-
-
-def normal_form_2d(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> CanonicalForm:
-    """Canonical representative of a planar simplex under lattice symmetry.
-
-    Two triangles related by a unimodular linear map plus an integer
-    translation get the same form.  The lexicographically smallest
-    interior lattice point is moved to the origin first, so for the
-    one-point family the form is a complete invariant of the equivalence
-    class.
-    """
-    if simplex.dim != 2 or not simplex.is_full_dimensional:
-        raise ValueError("only full-dimensional planar simplices have a normal form here")
-    census = enumerate_interior(simplex, cap, limit=1)
-    if not census.points:
-        raise ValueError("simplex has no interior lattice point to anchor at")
-    form, linear, offset = _canonical_at(simplex.vertices, census.points[0])
-    return CanonicalForm(LatticeSimplex(form), linear, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +222,17 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
         if is_onepoint(member, cap) != (0, 0):
             raise AssertionError(f"class {form} fails the census")
         values = _interior_values(member, (0, 0))
-        bary = check_barycentric(_coordinates(values))
-        report = _inequalities(bary)
+        denominator = sum(values)
+        report = _inequalities(values, denominator)
         chain = _chain(member, values, cap)
-        if not (report.passed and _lower_bounds(bary).passed and chain.passed):
+        if not (report.passed and _lower_bounds(values, denominator).passed and chain.passed):
             raise AssertionError(f"class {form} violates a bound it must satisfy")
         classes.append(
             AtlasClass(
                 member,
                 normalized_volume(member),
                 chain.levels[-1].count,
-                tuple(sorted(bary, reverse=True)),
+                tuple(Fraction(n, denominator) for n in sorted(values, reverse=True)),
                 report.min_slack,
             )
         )

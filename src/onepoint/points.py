@@ -25,11 +25,11 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 from operator import add
 from typing import Iterable, Sequence
 
-from .simplex import LatticeSimplex, _complement, barycentric_of, normalized_volume
+from .simplex import LatticeSimplex, _complement, barycentric_of
 
 Vector = tuple[int, ...]
 
@@ -86,15 +86,6 @@ class InteriorCensus:
     count: int
     points: tuple[Vector, ...]
     scanned_box: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class BlichfeldtCheck:
-    dim: int
-    volume: Fraction
-    count: int
-    slack: Fraction
-    passed: bool
 
 
 def classify_point(simplex: LatticeSimplex, point: Sequence[Fraction | int]) -> PointClass:
@@ -344,28 +335,11 @@ def is_onepoint(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> Vector | Non
     return census.points[0] if census.count == 1 else None
 
 
-def blichfeldt_check(simplex: LatticeSimplex, count: int) -> BlichfeldtCheck:
-    """Check the lattice point bound count <= dim + dim! * volume.
-
-    ``count`` is the simplex's number of lattice points, supplied by the
-    caller (see :func:`count_face_points`).  Uses the intrinsic dimension,
-    so embedded faces are measured within their own affine hulls.  The
-    slack is a nonnegative integer whenever the bound holds.
-    """
-    if count < simplex.dim + 1:
-        raise ValueError("a simplex has at least dim + 1 lattice points")
-    volume = normalized_volume(simplex)
-    slack = simplex.dim + factorial(simplex.dim) * volume - count
-    return BlichfeldtCheck(simplex.dim, volume, count, slack, slack >= 0)
-
-
 __all__ = [
     "DEFAULT_CAP",
-    "BlichfeldtCheck",
     "EnumerationCapError",
     "InteriorCensus",
     "PointClass",
-    "blichfeldt_check",
     "classify_point",
     "count_face_points",
     "enumerate_interior",

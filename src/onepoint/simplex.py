@@ -180,12 +180,6 @@ def _complement(count: int, omitted: Iterable[int]) -> tuple[tuple[int, ...], tu
     return tuple(sorted(dropped)), kept
 
 
-def face_of(simplex: LatticeSimplex, omitted: Iterable[int]) -> LatticeSimplex:
-    """The face spanned by all vertices except the omitted ones, integers not checked again."""
-    _, kept = _complement(len(simplex.vertices), omitted)
-    return _set_shape(object.__new__(LatticeSimplex), tuple(simplex.vertices[j] for j in kept))
-
-
 def normalized_volume(simplex: LatticeSimplex) -> Fraction:
     """Volume against the lattice induced on the simplex's affine hull.
 

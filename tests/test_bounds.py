@@ -14,7 +14,7 @@ import onepoint.bounds
 import onepoint.simplex
 from onepoint.points import _scan
 from oracles import det_rat, first_partition_walk, fraction_lower_bounds, fraction_partition
-from oracles import partition_matrix
+from oracles import face_of, partition_matrix, zpw_lower_chain
 from oracles import face_bound_records, rational_section_volume, section_simplex
 
 
@@ -175,7 +175,7 @@ def test_first_mask_search_matches_the_walk(coords, data):
     assert least == min(slacks)
     mask = search(*rows(coords), least, False)
     assert mask == first_partition_walk(coords, least, False) == slacks.index(least) + 1
-    worst = onepoint.bounds._inequalities(coords, least)
+    worst = onepoint.bounds._inequalities(*rows(coords), least)
     assert worst.records == () and worst.worst == op.check_all_partitions(coords).worst
     # any bound at or beside a slack, strict or not
     bound = data.draw(st.sampled_from(slacks)) + data.draw(st.sampled_from((-1, 0, 1))) * Fraction(
@@ -200,6 +200,26 @@ def test_lower_bounds_match_the_fraction_oracle(coords):
     assert [(type(e.tight), type(e.ok)) for e in report.entries] == [(bool, bool)] * len(coords)
     assert op.sort_barycentric(coords).order == tuple(
         sorted(range(len(coords)), key=lambda i: (-coords[i], i)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(WEIGHTS, TIED_WEIGHTS).filter(lambda w: len(w) <= 7), st.integers(2, 10**6))
+def test_results_do_not_depend_on_the_denominator(values, k):
+    # rows over |det| (atlas, bounds) and over the lcm of a vector's denominators
+    # (ineq --point) differ by a factor; every field is a reduced fraction or an integer
+    bounds, coords = onepoint.bounds, _normalized(values)
+    ranked, full = op.sort_barycentric(coords).coords, 2 ** len(values) - 1
+    results = []
+    for rows in ((tuple(values), sum(values)), (tuple(k * n for n in values), k * sum(values))):
+        reduced = bounds._reduced(*rows)
+        report, lower = bounds._inequalities(*rows), bounds._lower_bounds(*rows)
+        assert reduced == tuple(fraction_partition(ranked, full ^ ((2 << j) - 1)).slack
+                                for j in range(len(values) - 1))
+        assert report.records == tuple(fraction_partition(coords, m) for m in range(1, full))
+        assert lower == fraction_lower_bounds(coords)
+        results.append(_typed_fields((report, bounds._inequalities(*rows, min(reduced)), lower,
+                                      reduced)))
+    assert results[0] == results[1]
 
 
 def test_unique_interior_point():
@@ -254,7 +274,7 @@ def test_chain_decompose_frozen():
 
 
 def test_zpw_lower_chain_frozen():
-    report = op.zpw_lower_chain(2)
+    report = zpw_lower_chain(2)
     assert report.passed
     first, second = report.levels
     assert first.volume == 2 and first.volume_bound == 1 and first.count == 3
@@ -262,9 +282,9 @@ def test_zpw_lower_chain_frozen():
     assert second.count == 7
     assert all(level.volume_identity_ok for level in report.levels)
     for d in (1, 3, 4, 5):
-        assert op.zpw_lower_chain(d).passed
+        assert zpw_lower_chain(d).passed
     with pytest.raises(ValueError, match="dimension must be at least 1"):
-        op.zpw_lower_chain(0)
+        zpw_lower_chain(0)
 
 
 def _only(records, **fields):
@@ -346,9 +366,14 @@ def test_bounds_report_matches_rational_sections(case):
         assert record.bound == 1 / (factorial(len(weights)) * product)
 
 
-def _typed_fields(record):
-    return [(f.name, type(getattr(record, f.name)), getattr(record, f.name))
-            for f in dataclasses.fields(record)]
+def _typed_fields(value):
+    """A result with the type of every field and item, nested records included."""
+    if dataclasses.is_dataclass(value):
+        return [(f.name, type(getattr(value, f.name)), _typed_fields(getattr(value, f.name)))
+                for f in dataclasses.fields(value)]
+    if isinstance(value, tuple):
+        return [(type(item), _typed_fields(item)) for item in value]
+    return value
 
 
 @given(simplices_with_an_interior_point(1))
@@ -490,7 +515,7 @@ def test_corpus_extremes_frozen():
     assert d2.comparison_coordinate_bound == Fraction(1, 14**8)
     assert d2.passed
     with pytest.raises(ValueError, match="full-dimensional"):
-        op.corpus_extremes([(op.face_of(ZPW2, (0,)), (1, 1))])
+        op.corpus_extremes([(face_of(ZPW2, (0,)), (1, 1))])
     for point in MISFITS:
         with pytest.raises(ValueError, match="point dimension does not match"):
             op.corpus_extremes([(TRI3, (1, 1)), (ZPW2, point)])

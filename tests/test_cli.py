@@ -523,14 +523,15 @@ def test_bounds_finds_the_interior_point_once(tmp_path, monkeypatch, capsys):
 
 
 def test_atlas_and_bounds_check_each_vector_once(files, monkeypatch, capsys):
-    # the atlas checks each of its 5 classes' vectors once; bounds reads its rows, never a vector
+    # the atlas, bounds and report read each point's integer rows: no vector of
+    # fractions is checked, and none is turned back into rows
     checks = []
     record_calls(monkeypatch, onepoint.simplex, "check_barycentric", checks)
-    assert run(capsys, "atlas2d", "--radius", "9")[0] == 0
-    assert len(checks) == 5
-    checks.clear()
-    assert run(capsys, "bounds", files["zpw3"])[0] == 0
-    assert checks == []
+    record_calls(monkeypatch, onepoint.bounds, "_integer_rows", checks)
+    for argv in (("atlas2d", "--radius", "9"), ("bounds", files["zpw3"]),
+                 ("report", files["zpw3"])):
+        assert run(capsys, *argv)[0] == 0
+        assert checks == []
 
 
 def test_bounds_builds_each_face_once(files, monkeypatch, capsys):

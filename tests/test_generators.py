@@ -7,7 +7,7 @@ import pytest
 
 import onepoint as op
 from onepoint import generators
-from oracles import atlas_sweep, linear_image, translate
+from oracles import atlas_sweep, linear_image, normal_form_2d, translate, zpw_lower_chain
 
 
 def test_sylvester_frozen():
@@ -56,7 +56,7 @@ def test_zpw_simplex_verifies_past_the_default_cap(dim):
     assert op.enumerate_interior(simplex, cap=10**400, limit=2).points == ((1,) * dim,)
 
 
-@pytest.mark.parametrize("build", [op.zpw_simplex, op.zpw_lower_chain])
+@pytest.mark.parametrize("build", [op.zpw_simplex, zpw_lower_chain])
 def test_zpw_refuses_huge_dimension_before_building_terms(build):
     # the 41st Sylvester term has about 2^40 bits; the box guard refuses first
     started = time.perf_counter()
@@ -83,36 +83,36 @@ def test_canonical_examples_sit_at_centroid(canonical_family):
 
 
 def test_normal_form_2d_frozen():
-    nf = op.normal_form_2d(op.zpw_simplex(2))
+    nf = normal_form_2d(op.zpw_simplex(2))
     assert nf.simplex.vertices == ((1, 0), (0, 1), (-3, -2))
     assert nf.linear == ((2, 1), (1, 1))
     assert nf.offset == (-3, -2)
     tri3 = op.LatticeSimplex(((0, 0), (3, 0), (0, 3)))
-    assert op.normal_form_2d(tri3).simplex.vertices == ((1, 0), (1, 3), (-2, -3))
+    assert normal_form_2d(tri3).simplex.vertices == ((1, 0), (1, 3), (-2, -3))
 
 
 def test_normal_form_2d_validation():
     with pytest.raises(ValueError):
-        op.normal_form_2d(op.zpw_simplex(3))
+        normal_form_2d(op.zpw_simplex(3))
     with pytest.raises(ValueError):
-        op.normal_form_2d(op.LatticeSimplex(((0, 0), (1, 0), (0, 1))))
+        normal_form_2d(op.LatticeSimplex(((0, 0), (1, 0), (0, 1))))
 
 
 def test_normal_form_2d_idempotent():
     for seed in (op.zpw_simplex(2), op.reflected_simplex(2)):
-        form = op.normal_form_2d(seed).simplex
-        assert op.normal_form_2d(form).simplex == form
+        form = normal_form_2d(seed).simplex
+        assert normal_form_2d(form).simplex == form
 
 
 def test_normal_form_2d_unimodular_invariance(rng, unimodular):
     seeds = [op.zpw_simplex(2), op.dilated_simplex(2), op.reflected_simplex(2)]
     for simplex in seeds:
-        reference = op.normal_form_2d(simplex).simplex
+        reference = normal_form_2d(simplex).simplex
         for _ in range(20):
             linear = unimodular(2, rng)
             shift = tuple(rng.randint(-5, 5) for _ in range(2))
             moved = translate(linear_image(simplex, linear), shift)
-            assert op.normal_form_2d(moved).simplex == reference
+            assert normal_form_2d(moved).simplex == reference
 
 
 ATLAS_CLASSES = (
@@ -193,5 +193,5 @@ def test_atlas_matches_exhaustive_small_search():
         simplex = op.LatticeSimplex((a, b, c))
         if op.enumerate_interior(simplex).points != ((0, 0),):
             continue
-        forms.add(op.normal_form_2d(simplex).simplex.vertices)
+        forms.add(normal_form_2d(simplex).simplex.vertices)
     assert forms == {vertices for vertices, _, _ in ATLAS_CLASSES}

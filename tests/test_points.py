@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import onepoint as op
 from onepoint import points
 from onepoint.points import CLOSED_FORM_ROWS, _floor_sum, _scan
-from oracles import box_walk, linear_image
+from oracles import BlichfeldtCheck, blichfeldt_check, box_walk, face_of, linear_image
 
 
 ZPW2 = op.LatticeSimplex(((0, 0), (2, 0), (0, 3)))
@@ -83,7 +83,7 @@ def test_is_onepoint():
 
 def test_census_validation():
     with pytest.raises(ValueError, match="needs a full-dimensional simplex"):
-        op.enumerate_interior(op.face_of(ZPW2, (0,)))
+        op.enumerate_interior(face_of(ZPW2, (0,)))
     with pytest.raises(ValueError, match="limit must be None or at least 0"):
         op.enumerate_interior(ZPW2, limit=-1)
 
@@ -105,14 +105,14 @@ def test_cap_refusal():
 
 def test_blichfeldt_frozen():
     tri = op.LatticeSimplex(((0, 0), (3, 0), (0, 3)))
-    check = op.blichfeldt_check(tri, 10)
-    assert check == op.BlichfeldtCheck(2, Fraction(9, 2), 10, Fraction(1), True)
+    check = blichfeldt_check(tri, 10)
+    assert check == BlichfeldtCheck(2, Fraction(9, 2), 10, Fraction(1), True)
     small = op.LatticeSimplex(((0, 0), (2, 0), (0, 1)))
-    assert op.blichfeldt_check(small, 4).slack == 0
+    assert blichfeldt_check(small, 4).slack == 0
     segment = op.LatticeSimplex(((0,), (2,)))
-    assert op.blichfeldt_check(segment, 3).slack == 0
+    assert blichfeldt_check(segment, 3).slack == 0
     with pytest.raises(ValueError):
-        op.blichfeldt_check(tri, 2)  # fewer points than vertices is impossible
+        blichfeldt_check(tri, 2)  # fewer points than vertices is impossible
 
 
 def small_triangles():

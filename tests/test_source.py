@@ -40,10 +40,10 @@ def test_checks_beside_a_simplex_take_its_point():
     assert _functions_taking("simplex", "coords") == []
 
 
-def test_exact_holds_no_test_only_code():
-    # a function of exact that only the tests call belongs in tests/oracles.py
+def _public_and_uncalled(module):
+    """The public functions of a package module, and those no package module calls."""
     package = Path(onepoint.__file__).parent
-    tree = ast.parse((package / "exact.py").read_text())
+    tree = ast.parse((package / f"{module}.py").read_text())
     public = {
         node.name
         for node in tree.body
@@ -55,8 +55,25 @@ def test_exact_holds_no_test_only_code():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
+    return public, sorted(public - used)
+
+
+def test_exact_holds_no_test_only_code():
+    # a function of exact that only the tests call belongs in tests/oracles.py
+    public, uncalled = _public_and_uncalled("exact")
     assert {"adjugate_int", "row_hnf", "col_hnf"} <= public
-    assert sorted(public - used) == []
+    assert uncalled == []
+
+
+def test_points_and_generators_hold_no_test_only_code():
+    # a claim of the paper that no command states is checked in tests/oracles.py
+    found = []
+    for module, needed in (("points", {"enumerate_interior", "count_face_points"}),
+                           ("generators", {"zpw_simplex", "onepoint_triangle_atlas"})):
+        public, uncalled = _public_and_uncalled(module)
+        assert needed <= public
+        found += uncalled
+    assert found == []
 
 
 def _names_itertools_product(node):
