@@ -36,11 +36,9 @@ from .certificate import (
 from .generators import (
     Atlas2D,
     AtlasClass,
-    SylvesterSequence,
     dilated_simplex,
     onepoint_triangle_atlas,
     reflected_simplex,
-    sylvester,
     zpw_simplex,
 )
 from .points import (

@@ -86,10 +86,11 @@ class InequalityReport:
     worst: PartitionRecord
 
 
-def _integer_rows(bary: RatVector) -> tuple[Vector, int]:
-    """A checked vector as integer row values n over one denominator D: b_i = n_i / D."""
-    denominator = lcm(*(c.denominator for c in bary))
-    return tuple(c.numerator * (denominator // c.denominator) for c in bary), denominator
+def _integer_rows(rows: Sequence[Fraction | int]) -> tuple[Vector, int]:
+    """Positive rational rows cleared to integer rows n over their sum D: b_i = n_i / D."""
+    scale = lcm(*(c.denominator for c in rows))
+    values = tuple(c.numerator * (scale // c.denominator) for c in rows)
+    return values, sum(values)
 
 
 def _subsets(count: int) -> list[tuple[int, ...]]:
@@ -448,12 +449,8 @@ def parallelotope_check(
     if not 0 <= omit <= d:
         raise ValueError("omitted vertex index out of range")
     axes = tuple(n for n in range(d + 1) if n != omit)
-    volume = (
-        normalized_volume(simplex)
-        * factorial(d)
-        * 2**d
-        * Fraction(prod(values[n] for n in axes), denominator**d)
-    )
+    # d! times the simplex's volume is |det| = D
+    volume = Fraction(2**d * prod(values[n] for n in axes), denominator ** (d - 1))
     # a corner is base plus a subset of the edges scaled by 2 n / D, so D times a
     # coordinate is least on the subset of its negative terms and greatest on its positive
     base = simplex.vertices[omit]

@@ -35,8 +35,7 @@ from .bounds import (
     corpus_extremes,
 )
 from .certificate import second_interior_point
-from .generators import dilated_simplex, onepoint_triangle_atlas, reflected_simplex
-from .generators import sylvester, zpw_simplex
+from .generators import dilated_simplex, onepoint_triangle_atlas, reflected_simplex, zpw_simplex
 from .points import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -47,8 +46,8 @@ from .points import (
 from .simplex import (
     LatticeSimplex,
     SimplexParseError,
+    _interior_values,
     barycentric_of,
-    check_barycentric,
     normalized_volume,
     parse_simplex_text,
 )
@@ -192,19 +191,17 @@ def _interior_start(simplex: LatticeSimplex, cap: int) -> tuple[int, ...] | None
 def _cmd_ineq(args: argparse.Namespace) -> Handled:
     simplex = _load(args.file)
     if args.point is not None:
-        coords = barycentric_of(
-            simplex, _parse_point(args.point, simplex.ambient_dim, lattice=False)
-        )
-        if any(c <= 0 for c in coords):
-            raise ValueError("the partition system needs a point strictly inside")
+        point = _parse_point(args.point, simplex.ambient_dim, lattice=False)
     else:
-        start = _interior_start(simplex, args.cap)
-        if start is None:
+        point = _interior_start(simplex, args.cap)
+        if point is None:
             return 1, {"passed": False, "reason": "no interior lattice point"}, [
                 "no interior lattice point to test"
             ]
-        coords = barycentric_of(simplex, start)
-    values, denominator = _integer_rows(check_barycentric(coords))  # the one check of the vector
+    # at a rational point the rows are fractions, cleared to integers over their sum
+    values, denominator = _integer_rows(
+        _interior_values(simplex, point, "the partition system needs a point strictly inside"))
+    coords = tuple(Fraction(n, denominator) for n in values)
     reduced = _reduced(values, denominator)
     report = _inequalities(values, denominator,
                            None if args.format == "structured" else min(reduced))
@@ -335,8 +332,10 @@ def _cmd_gen(args: argparse.Namespace) -> Handled:
         if args.family in (name, "all"):
             simplex = build(d, args.cap)
             payload["families"][name] = _simplex_payload(simplex, (inner,) * d)
-    if "zpw" in payload["families"]:
-        payload["sylvester"] = sylvester(d).terms
+    zpw = payload["families"].get("zpw")
+    if zpw is not None:
+        # zpw's axis vertex i is t_i e_i: the Sylvester terms are its diagonal
+        payload["sylvester"] = [v[i] for i, v in enumerate(zpw["vertices"][1:])]
     for name, info in payload["families"].items():
         lines.append(
             f"{name}: vertices {info['vertices']}, volume {info['volume']}, "

@@ -47,12 +47,6 @@ def transpose(matrix: Sequence[Sequence]) -> tuple[tuple, ...]:
     return tuple(zip(*matrix, strict=True)) if matrix else ()
 
 
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
-    if a and len(a[0]) != len(v):
-        raise ValueError("inner dimensions do not match")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     """Determinant and adjugate of a square integer matrix.
 

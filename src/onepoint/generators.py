@@ -14,101 +14,70 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Iterable, Iterator
 
 from .bounds import _chain, _inequalities, _lower_bounds
-from .exact import IntMatrix, adjugate_int, col_hnf, mat_vec, transpose
-from .points import DEFAULT_CAP, EnumerationCapError, _capped_box, is_onepoint
-from .simplex import LatticeSimplex, _interior_values, barycentric_of, normalized_volume
+from .exact import col_hnf
+from .points import DEFAULT_CAP, EnumerationCapError, is_onepoint
+from .simplex import LatticeSimplex, _interior_values, normalized_volume
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
 
 
 # ---------------------------------------------------------------------------
-# the Sylvester sequence 2, 3, 7, 43, ...
-
-
-@dataclass(frozen=True)
-class SylvesterSequence:
-    """Leading terms, 1-indexed in the classical numbering: terms[k] = t_{k+1}."""
-
-    terms: tuple[int, ...]
-
-
-def sylvester(count: int) -> SylvesterSequence:
-    """First ``count`` terms of t_1 = 2, t_{k+1} = t_k^2 - t_k + 1.
-
-    Construction re-checks the identities everything downstream leans on:
-    each term is one more than the product of all earlier terms, the terms
-    are sandwiched as 2^(2^(k-2)) <= t_k <= 2^(2^(k-1)) (lower bound tested
-    squared to stay in integers), and the reciprocals complete to a unit
-    fraction via 1/(t_{count+1} - 1).
-    """
-    if count < 1:
-        raise ValueError("at least one term is required")
-    terms = [2]
-    while len(terms) <= count:
-        terms.append(terms[-1] * (terms[-1] - 1) + 1)
-    product = 1
-    for k, term in enumerate(terms, start=1):
-        if term != product + 1:
-            raise AssertionError(f"term {k} breaks the product identity")
-        product *= term
-        if term > 2 ** (2 ** (k - 1)) or term**2 < 2 ** (2 ** (k - 1)):
-            raise AssertionError(f"term {k} escapes its doubly exponential bracket")
-    if sum(Fraction(1, t) for t in terms[:count]) + Fraction(1, terms[count] - 1) != 1:
-        raise AssertionError("reciprocals do not complete to a unit fraction")
-    return SylvesterSequence(tuple(terms[:count]))
-
-
-# ---------------------------------------------------------------------------
 # extremal families
+
+
+def _sylvester_terms() -> Iterator[int]:
+    # t_1 = 2, t_{k+1} = t_k^2 - t_k + 1: 2, 3, 7, 43, ...
+    term = 2
+    while True:
+        yield term
+        term = term * (term - 1) + 1
+
+
+def _family_member(
+    dim: int, corner: int, steps: Iterable[int], inner: int, cap: int
+) -> LatticeSimplex:
+    # conv{corner * (1,...,1), s_1 e_1, ..., s_d e_d}, whose census must be
+    # inner * (1,...,1) alone; the census box meets the cap as the steps are
+    # drawn, before they or the box grow huge
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    sides, box = [], 1
+    for step in itertools.islice(steps, dim):
+        sides.append(step)
+        box *= max(corner, step) - min(corner, 0) + 1
+        # past 128 bits the error prints "at least 2^k", still true of a partial box
+        if box > cap and box.bit_length() > 128:
+            break
+    if box > cap:
+        raise EnumerationCapError(cap, box)
+    vertices = [(corner,) * dim]
+    for i, step in enumerate(sides):
+        vertices.append(tuple(step if c == i else 0 for c in range(dim)))
+    simplex = LatticeSimplex(tuple(vertices))
+    point = (inner,) * dim
+    if is_onepoint(simplex, cap) != point:
+        raise AssertionError(f"the interior census is not {point} alone")
+    return simplex
 
 
 def zpw_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
     """The Zaks-Perles-Wills simplex: conv{0, t_1 e_1, ..., t_d e_d}, census-verified.
 
     Its unique interior lattice point is the all-ones vector, and its
-    volume grows doubly exponentially with the dimension.  The census box,
-    the product of the t_i + 1, meets ``cap`` as the terms are built,
-    before they grow huge; then the census must be the all-ones point alone.
+    volume grows doubly exponentially with the dimension.  Its axis
+    vertices are the Sylvester terms t_1 = 2, t_{k+1} = t_k^2 - t_k + 1.
     """
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    box, term = 1, 2
-    for _ in range(dim):
-        box *= term + 1
-        # past 128 bits the error prints "at least 2^k", still true of a partial box
-        if box > cap and box.bit_length() > 128:
-            break
-        term = term * (term - 1) + 1
-    if box > cap:
-        raise EnumerationCapError(cap, box)
-    terms = sylvester(dim).terms
-    vertices = [(0,) * dim]
-    for i, t in enumerate(terms):
-        vertices.append(tuple(t if c == i else 0 for c in range(dim)))
-    simplex = LatticeSimplex(tuple(vertices))
-    if is_onepoint(simplex, cap) != (1,) * dim:
-        raise AssertionError("the interior census is not the all-ones point alone")
-    return simplex
+    return _family_member(dim, 0, _sylvester_terms(), 1, cap)
 
 
 def _centroid_member(dim: int, corner: int, step: int, inner: int, cap: int) -> LatticeSimplex:
-    # conv{corner * (1,...,1), step * e_1, ..., step * e_d}, whose census
-    # must be inner * (1,...,1) alone, at the centroid; its census box is
-    # known before any vertex is built, so the cap refuses first
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    _capped_box(((min(corner, 0), max(corner, step)),) * dim, cap)
-    vertices = [(corner,) * dim]
-    for i in range(dim):
-        vertices.append(tuple(step if c == i else 0 for c in range(dim)))
-    simplex = LatticeSimplex(tuple(vertices))
-    point = (inner,) * dim
-    if is_onepoint(simplex, cap) != point:
-        raise AssertionError(f"the interior census is not {point} alone")
-    if any(b != Fraction(1, dim + 1) for b in barycentric_of(simplex, point)):
+    simplex = _family_member(dim, corner, itertools.repeat(step), inner, cap)
+    # the point is the centroid when its rows, D times its coordinates, are all equal
+    if len(set(_interior_values(simplex, (inner,) * dim))) != 1:
         raise AssertionError("interior point is not the centroid")
     return simplex
 
@@ -127,27 +96,11 @@ def reflected_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
 # canonical form for planar triangles
 
 
-def _canonical_at(vertices: tuple[Vector, ...], anchor: Vector) -> tuple[
-    tuple[Vector, ...], IntMatrix, Vector
-]:
-    # minimize the column-style Hermite form of the anchored vertex rows
-    # over all vertex orders; column operations are coordinate changes
-    translated = tuple(
-        tuple(v[c] - anchor[c] for c in range(len(anchor))) for v in vertices
-    )
-    h, v = min(
-        (col_hnf(tuple(translated[p] for p in perm))
-         for perm in itertools.permutations(range(len(vertices)))),
-        key=lambda hv: hv[0],
-    )
-    linear = transpose(v)
-    offset = tuple(-x for x in mat_vec(linear, anchor))
-    if abs(adjugate_int(linear)[0]) != 1:
-        raise AssertionError("canonicalizing map is not unimodular")
-    mapped = sorted(tuple(a + b for a, b in zip(mat_vec(linear, w), offset)) for w in vertices)
-    if mapped != sorted(h):
-        raise AssertionError("canonicalizing map does not reproduce the form")
-    return h, linear, offset
+def _canonical_form(vertices: tuple[Vector, ...]) -> tuple[Vector, ...]:
+    # the least column-style Hermite form of the vertex rows over all vertex
+    # orders; column operations are coordinate changes
+    return min(col_hnf(tuple(vertices[p] for p in perm))[0]
+               for perm in itertools.permutations(range(len(vertices))))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +165,7 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
                 cx = nx // d2
                 if u + t != gcd(cx - a, t + d2) + gcd(1 - cx, t):
                     continue
-                form, _, _ = _canonical_at(((1, 0), (a, d2), (cx, -t)), (0, 0))
-                forms.add(form)
+                forms.add(_canonical_form(((1, 0), (a, d2), (cx, -t))))
     classes = []
     for form in forms:
         if any(abs(x) > box_radius for v in form for x in v):

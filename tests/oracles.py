@@ -26,12 +26,15 @@ unpruned, is the reference for the atlas sweep's pruning.
 structured output writer.  Translations and integer linear images build
 the moved inputs of the invariance checks and the sheared censuses.
 
-Three claims of the paper that no command needs are stated here, on the
-package's public routes: the matching lower bounds along the
-Zaks-Perles-Wills chain of faces (:func:`zpw_lower_chain`), the lattice
+Claims of the paper that no command needs are stated here, on the
+package's public routes: the Sylvester identities behind the
+Zaks-Perles-Wills simplices (:func:`sylvester`), the matching lower
+bounds along their chain of faces (:func:`zpw_lower_chain`), the lattice
 point count bound on a face (:func:`blichfeldt_check`, on faces built by
 :func:`face_of`), and the planar normal form under unimodular affine
-maps (:func:`normal_form_2d`, on the atlas's own canonicalization).
+maps (:func:`normal_form_2d`, on the atlas's own canonical form).  The
+package computes only the form; the unimodular map that reaches it, and
+the checks that the map is unimodular and reproduces the form, live here.
 """
 
 import dataclasses
@@ -42,8 +45,8 @@ from math import factorial, gcd, lcm, prod
 
 from onepoint.bounds import FaceVolumeBound, LowerBoundEntry, LowerBoundReport
 from onepoint.bounds import PartitionRecord, SectionVolumeCheck
-from onepoint.exact import SingularMatrixError, adjugate_int, int_matrix, transpose
-from onepoint.generators import _canonical_at, sylvester, zpw_simplex
+from onepoint.exact import SingularMatrixError, adjugate_int, col_hnf, int_matrix, transpose
+from onepoint.generators import _canonical_form, zpw_simplex
 from onepoint.points import DEFAULT_CAP, count_face_points, enumerate_interior
 from onepoint.simplex import (
     LatticeSimplex,
@@ -571,6 +574,39 @@ def atlas_sweep():
 
 
 @dataclass(frozen=True)
+class SylvesterSequence:
+    """Leading terms, 1-indexed in the classical numbering: terms[k] = t_{k+1}."""
+
+    terms: tuple
+
+
+def sylvester(count):
+    """First ``count`` terms of t_1 = 2, t_{k+1} = t_k^2 - t_k + 1.
+
+    Construction re-checks the identities the extremal family leans on:
+    each term is one more than the product of all earlier terms, the terms
+    are sandwiched as 2^(2^(k-2)) <= t_k <= 2^(2^(k-1)) (lower bound tested
+    squared to stay in integers), and the reciprocals complete to a unit
+    fraction via 1/(t_{count+1} - 1).
+    """
+    if count < 1:
+        raise ValueError("at least one term is required")
+    terms = [2]
+    while len(terms) <= count:
+        terms.append(terms[-1] * (terms[-1] - 1) + 1)
+    product = 1
+    for k, term in enumerate(terms, start=1):
+        if term != product + 1:
+            raise AssertionError(f"term {k} breaks the product identity")
+        product *= term
+        if term > 2 ** (2 ** (k - 1)) or term**2 < 2 ** (2 ** (k - 1)):
+            raise AssertionError(f"term {k} escapes its doubly exponential bracket")
+    if sum(Fraction(1, t) for t in terms[:count]) + Fraction(1, terms[count] - 1) != 1:
+        raise AssertionError("reciprocals do not complete to a unit fraction")
+    return SylvesterSequence(tuple(terms[:count]))
+
+
+@dataclass(frozen=True)
 class LowerChainLevel:
     level: int
     volume: Fraction
@@ -667,7 +703,22 @@ def normal_form_2d(simplex, cap=DEFAULT_CAP):
     census = enumerate_interior(simplex, cap, limit=1)
     if not census.points:
         raise ValueError("simplex has no interior lattice point to anchor at")
-    form, linear, offset = _canonical_at(simplex.vertices, census.points[0])
+    anchor = census.points[0]
+    anchored = tuple(tuple(x - a for x, a in zip(v, anchor)) for v in simplex.vertices)
+    form = _canonical_form(anchored)
+    # the map: the column transform of the first vertex order whose Hermite form it is
+    v = next(v for h, v in map(col_hnf, itertools.permutations(anchored)) if h == form)
+    linear = transpose(v)
+
+    def apply(w):
+        return tuple(sum(x * y for x, y in zip(row, w)) for row in linear)
+
+    offset = tuple(-x for x in apply(anchor))
+    if abs(adjugate_int(linear)[0]) != 1:
+        raise AssertionError("canonicalizing map is not unimodular")
+    mapped = sorted(tuple(a + b for a, b in zip(apply(w), offset)) for w in simplex.vertices)
+    if mapped != sorted(form):
+        raise AssertionError("canonicalizing map does not reproduce the form")
     return CanonicalForm(LatticeSimplex(form), linear, offset)
 
 

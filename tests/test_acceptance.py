@@ -13,7 +13,7 @@ from math import factorial
 
 import onepoint as op
 from oracles import blichfeldt_check, face_of, linear_image, normal_form_2d, section_simplex
-from oracles import translate, zpw_lower_chain
+from oracles import sylvester, translate, zpw_lower_chain
 
 WIDE = op.LatticeSimplex(((0, 0), (7, 0), (0, 2)))
 
@@ -49,7 +49,7 @@ def test_criterion_01_zpw_membership():
         simplex = op.zpw_simplex(d)
         census = op.enumerate_interior(simplex)
         assert census.points == ((1,) * d,)
-        terms = op.sylvester(d + 1).terms
+        terms = sylvester(d + 1).terms
         expected = (Fraction(1, terms[d] - 1),) + tuple(
             Fraction(1, t) for t in terms[:d]
         )
@@ -106,7 +106,7 @@ def test_criterion_05_chain_bounds(corpus):
     for d in range(1, 6):
         lower = zpw_lower_chain(d)
         assert lower.passed
-        terms = op.sylvester(d + 1).terms
+        terms = sylvester(d + 1).terms
         for level in lower.levels:
             i = level.level
             assert level.volume == Fraction(terms[i] - 1, factorial(i))
@@ -218,6 +218,8 @@ def test_criterion_10_planar_atlas():
     tri3 = op.LatticeSimplex(((0, 0), (3, 0), (0, 3)))
     best = max(at30.classes, key=lambda c: c.volume)
     assert normal_form_2d(tri3).simplex == best.form
+    # the map to each class's form is unimodular and reproduces it
+    assert all(normal_form_2d(c.form).simplex == c.form for c in at30.classes)
     assert all(c.volume <= Fraction(27, 2) for c in at30.classes)
     assert time.perf_counter() - started < 30
 

@@ -18,7 +18,7 @@ import onepoint.exact
 import onepoint.points
 import onepoint.simplex
 from onepoint.cli import _json, main
-from oracles import json_hook
+from oracles import json_hook, sylvester
 
 
 @pytest.fixture
@@ -206,7 +206,8 @@ def test_ineq_checks_its_vector_once(files, monkeypatch, capsys):
                        ((files["wide"], "--point", "2,1"), 0)):
         checks.clear()
         assert run(capsys, "ineq", *argv)[0] == code
-        assert len(checks) == 1
+        # the point's rows are read and tested once, through _interior_values
+        assert len(checks) == 0
 
 
 def test_ineq_rejects_boundary_point(files, capsys):
@@ -388,12 +389,25 @@ def test_huge_boxes_refuse_with_exit_3(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("family", ["reflected", "dilated"])
 def test_centroid_families_refuse_before_building(family, capsys):
-    # the census box is known before any of the 2000 vertices is built
-    start = time.perf_counter()
-    code, _, err = run(capsys, "gen", "--dim", "2000", "--family", family)
-    assert time.perf_counter() - start < 1
-    assert code == 3
-    assert "enumeration cap" in err
+    # the census box meets the cap before any vertex is built, and its product
+    # stops past 128 bits instead of running over every dimension
+    for dim in ("2000", "1000000"):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "gen", "--dim", dim, "--family", family)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert "enumeration cap" in err
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_gen_sylvester_is_the_zpw_diagonal(dim, capsys):
+    code, out, _ = run(capsys, "--cap", str(10**14), "--format", "structured",
+                       "gen", "--dim", str(dim), "--family", "zpw")
+    assert code == 0
+    doc = json.loads(out)
+    vertices = doc["families"]["zpw"]["vertices"]
+    assert doc["sylvester"] == list(sylvester(dim).terms)
+    assert doc["sylvester"] == [vertices[i + 1][i] for i in range(dim)]
 
 
 def test_atlas_radius_validation(capsys):

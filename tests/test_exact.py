@@ -11,7 +11,6 @@ from onepoint.exact import (
     col_hnf,
     echelon,
     int_matrix,
-    mat_vec,
     row_hnf,
     transpose,
 )
@@ -234,10 +233,6 @@ def test_row_hnf_invariant_under_row_operations(rows, mix):
             mixed[i] = [a + b for a, b in zip(mixed[i], mixed[j])]
     h2, _ = row_hnf(mixed)
     assert h == h2
-
-
-def test_mat_vec():
-    assert mat_vec([[1, 2], [3, 4]], [5, 6]) == (17, 39)
 
 
 @given(

@@ -7,16 +7,17 @@ import pytest
 
 import onepoint as op
 from onepoint import generators
-from oracles import atlas_sweep, linear_image, normal_form_2d, translate, zpw_lower_chain
+from oracles import atlas_sweep, linear_image, normal_form_2d, sylvester, translate
+from oracles import zpw_lower_chain
 
 
 def test_sylvester_frozen():
-    assert op.sylvester(6).terms == (2, 3, 7, 43, 1807, 3263443)
-    assert op.sylvester(1).terms == (2,)
+    assert sylvester(6).terms == (2, 3, 7, 43, 1807, 3263443)
+    assert sylvester(1).terms == (2,)
 
 
 def test_sylvester_recurrence():
-    terms = op.sylvester(7).terms
+    terms = sylvester(7).terms
     for a, b in zip(terms, terms[1:]):
         assert b == a * a - a + 1
     assert sum(Fraction(1, t) for t in terms) < 1
@@ -24,7 +25,7 @@ def test_sylvester_recurrence():
 
 def test_sylvester_rejects_empty():
     with pytest.raises(ValueError):
-        op.sylvester(0)
+        sylvester(0)
 
 
 def test_zpw_simplex_frozen():
@@ -167,7 +168,7 @@ def test_atlas_sweep_oracle_obeys_the_spoke_lemma():
             w = vertices[(i + 1) % 3]
             assert gcd(*v) == 1
             assert v[0] * w[1] - v[1] * w[0] == gcd(w[0] - v[0], w[1] - v[1])
-    forms = {generators._canonical_at(vertices, (0, 0))[0] for vertices in survivors}
+    forms = {generators._canonical_form(vertices) for vertices in survivors}
     assert forms == {vertices for vertices, _, _ in ATLAS_CLASSES}
 
 
