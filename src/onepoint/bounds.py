@@ -413,7 +413,7 @@ def bounds_report(
         k, kept = n - 1 - len(sides[omitted]), denominator - sum(values[i] for i in sides[omitted])
         volume = Fraction(kept**k * face.numerator, powers[k] * face.denominator)
         sections.append(SectionVolumeCheck(sides[omitted], volume, face, volume, True))
-    box = parallelotope_check(simplex, point, 0, cap)
+    box = _parallelotope(simplex, point, values, 0, cap)
     passed = lower.passed and box.passed and all(r.passed for r in (*faces, *sections))
     return BoundsReport(lower, tuple(faces), box, tuple(sections), passed)
 
@@ -443,9 +443,13 @@ def parallelotope_check(
     exactly one interior lattice point its normalized volume cannot exceed
     2^d.  The lattice points strictly inside it are counted.
     """
-    values = _interior_values(simplex, point)
-    denominator = sum(values)
-    d = simplex.dim
+    return _parallelotope(simplex, point, _interior_values(simplex, point), omit, cap)
+
+
+def _parallelotope(simplex: LatticeSimplex, point: Sequence[int], values: Vector, omit: int,
+                   cap: int) -> ParallelotopeCheck:
+    """:func:`parallelotope_check` on the rows n at the point."""
+    denominator, d = sum(values), simplex.dim
     if not 0 <= omit <= d:
         raise ValueError("omitted vertex index out of range")
     axes = tuple(n for n in range(d + 1) if n != omit)

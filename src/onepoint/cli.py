@@ -346,28 +346,12 @@ def _cmd_gen(args: argparse.Namespace) -> Handled:
 
 def _cmd_atlas2d(args: argparse.Namespace) -> Handled:
     atlas = onepoint_triangle_atlas(args.radius, args.cap)
-    payload = {
-        "radius": atlas.radius,
-        "class_count": len(atlas.classes),
-        "max_volume": atlas.max_volume,
-        "max_point_count": atlas.max_point_count,
-        "classes": [
-            {
-                "vertices": c.form.vertices,
-                "volume": c.volume,
-                "point_count": c.point_count,
-                "coordinates": c.coordinates,
-                "min_slack": c.min_slack,
-            }
-            for c in atlas.classes
-        ],
-        "passed": True,
-    }
+    payload = {**vars(atlas), "class_count": len(atlas.classes), "passed": True}
     lines = [f"equivalence classes within radius {atlas.radius}: {len(atlas.classes)}"]
     for c in atlas.classes:
         lines.append(
             f"  volume {c.volume}, {c.point_count} lattice points, "
-            f"vertices {[list(v) for v in c.form.vertices]}"
+            f"vertices {[list(v) for v in c.vertices]}"
         )
     lines.append(
         f"largest volume {atlas.max_volume}, "

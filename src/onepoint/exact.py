@@ -29,7 +29,7 @@ def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
     """Validate and freeze a rectangular integer matrix.
 
     The package's one integer check: a simplex built from outside freezes
-    its vertices here, and ``row_hnf`` its input, also for ``col_hnf``.
+    its vertices here, and a certificate its start point.
     """
     frozen = tuple(map(tuple, rows))
     for row in frozen:
@@ -124,10 +124,10 @@ def row_hnf(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
     with positive pivots, zeros below each pivot, and entries above reduced
     into [0, pivot): :func:`echelon` on [M | I], then reduction above each
     pivot.  The unique canonical representative of the left GL_n(Z) orbit.
+    Entries must be plain ints of equal-length rows; they are not checked again.
     """
-    m = int_matrix(matrix)
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    aug = [[*row, *(0,) * i, 1, *(0,) * (nrows - 1 - i)] for i, row in enumerate(m)]
+    nrows, ncols = len(matrix), len(matrix[0]) if matrix else 0
+    aug = [[*row, *(0,) * i, 1, *(0,) * (nrows - 1 - i)] for i, row in enumerate(matrix)]
     for r, col in enumerate(echelon(aug, ncols)):
         if aug[r][col] < 0:
             aug[r] = [-x for x in aug[r]]
@@ -141,6 +141,6 @@ def row_hnf(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
 
 
 def col_hnf(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
-    """Column-style Hermite normal form: (h, v) with h = matrix @ v, by one row_hnf check."""
+    """Column-style Hermite normal form: (h, v) with h = matrix @ v; ragged rows are refused."""
     ht, ut = row_hnf(transpose(matrix))
     return transpose(ht), transpose(ut)

@@ -109,7 +109,7 @@ def _canonical_form(vertices: tuple[Vector, ...]) -> tuple[Vector, ...]:
 
 @dataclass(frozen=True)
 class AtlasClass:
-    form: LatticeSimplex
+    vertices: tuple[Vector, ...]
     volume: Fraction
     point_count: int
     coordinates: RatVector
@@ -181,14 +181,14 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
             raise AssertionError(f"class {form} violates a bound it must satisfy")
         classes.append(
             AtlasClass(
-                member,
+                form,
                 normalized_volume(member),
                 chain.levels[-1].count,
                 tuple(Fraction(n, denominator) for n in sorted(values, reverse=True)),
                 report.min_slack,
             )
         )
-    classes.sort(key=lambda c: (c.volume, c.point_count, c.form.vertices))
+    classes.sort(key=lambda c: (c.volume, c.point_count, c.vertices))
     return Atlas2D(
         box_radius,
         tuple(classes),

@@ -1,11 +1,11 @@
 """Lattice point classification, enumeration, and counting.
 
-Single points are classified through exact rational barycentric
-coordinates.  Bulk enumeration works on the integer forms of the same
-functionals: each barycentric functional times the positive hull
-determinant has integer coefficients, so the interior, a closed face and
-the parallelotope around the interior point are all integer half-spaces
-for one box scan.  It walks the box depth-first from its shortest side,
+Points are classified and counted on the integer forms of the barycentric
+functionals: each functional times the positive hull determinant has
+integer coefficients and keeps its coordinate's sign.  A single point is
+classified by the signs of its rows; the interior, a closed face and the
+parallelotope around the interior point are integer half-spaces for one
+box scan.  It walks the box depth-first from its shortest side,
 cuts each axis to the values every half-space still allows, solves each
 row of the longest axis inline as one integer interval, and keeps only
 the lexicographically smallest points a caller asks for, in a sorted list.
@@ -29,7 +29,7 @@ from math import prod
 from operator import add
 from typing import Iterable, Sequence
 
-from .simplex import LatticeSimplex, _complement, barycentric_of
+from .simplex import LatticeSimplex, _complement, _row_values
 
 Vector = tuple[int, ...]
 
@@ -90,10 +90,11 @@ class InteriorCensus:
 
 def classify_point(simplex: LatticeSimplex, point: Sequence[Fraction | int]) -> PointClass:
     """Classify a rational point by the signs of its barycentric coordinates."""
-    return _classify(barycentric_of(simplex, point))
+    # the rows are |det| times the coordinates, with the same signs
+    return _classify(_row_values(simplex, point))
 
 
-def _classify(coords: Sequence[Fraction]) -> PointClass:
+def _classify(coords: Sequence[Fraction | int]) -> PointClass:
     if any(x < 0 for x in coords):
         return PointClass("outside")
     zeros = tuple(i for i, x in enumerate(coords) if x == 0)

@@ -83,21 +83,17 @@ class LatticeSimplex:
         return self.dim == self.ambient_dim
 
     @cached_property
-    def hull_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Columns are the vertices, bottom row is all ones (full-dim only)."""
-        self._require_full()
-        return (*zip(*self.vertices), (1,) * len(self.vertices))
-
-    @cached_property
     def functional_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Integer forms of the barycentric functionals.
 
         Row i is (coeffs, const) with coeffs . x + const == bary_i(x) * D for
-        D = |det hull_matrix|: row i of the fraction-free adjugate times the
+        D = |det H|, H the hull matrix whose columns are the vertices over a
+        bottom row of ones: row i of the fraction-free adjugate of H times the
         determinant's sign.  The constants sum to D, and sign tests on
         lattice points never touch Fractions.
         """
-        det, adjugate = adjugate_int(self.hull_matrix)
+        self._require_full()
+        det, adjugate = adjugate_int((*zip(*self.vertices), (1,) * len(self.vertices)))
         sign = 1 if det > 0 else -1
         return tuple(
             (tuple(sign * a for a in adj[:-1]), sign * adj[-1]) for adj in adjugate

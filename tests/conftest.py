@@ -26,7 +26,7 @@ def corpus(zpw_family, canonical_family, atlas30):
     members = list(zpw_family.values())
     for pair in canonical_family.values():
         members.extend(pair)
-    members.extend(c.form for c in atlas30.classes)
+    members.extend(op.LatticeSimplex(c.vertices) for c in atlas30.classes)
     return members
 
 

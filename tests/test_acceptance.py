@@ -211,15 +211,16 @@ def test_criterion_10_planar_atlas():
     started = time.perf_counter()
     at30 = op.onepoint_triangle_atlas(30)
     at33 = op.onepoint_triangle_atlas(33)
-    classes30 = {c.form.vertices for c in at30.classes}
-    classes33 = {c.form.vertices for c in at33.classes}
+    classes30 = {c.vertices for c in at30.classes}
+    classes33 = {c.vertices for c in at33.classes}
     assert classes30 == classes33
     assert at30.max_volume == Fraction(9, 2)
     tri3 = op.LatticeSimplex(((0, 0), (3, 0), (0, 3)))
     best = max(at30.classes, key=lambda c: c.volume)
-    assert normal_form_2d(tri3).simplex == best.form
+    assert normal_form_2d(tri3).simplex.vertices == best.vertices
     # the map to each class's form is unimodular and reproduces it
-    assert all(normal_form_2d(c.form).simplex == c.form for c in at30.classes)
+    assert all(normal_form_2d(op.LatticeSimplex(c.vertices)).simplex.vertices == c.vertices
+               for c in at30.classes)
     assert all(c.volume <= Fraction(27, 2) for c in at30.classes)
     assert time.perf_counter() - started < 30
 

@@ -423,6 +423,11 @@ def test_atlas_structured(capsys):
     assert doc["class_count"] == 5
     assert doc["max_volume"] == "9/2"
     assert doc["classes"][0]["vertices"] == [[1, 0], [0, 1], [-1, -1]]
+    # the document is the atlas record itself, each class its record's fields
+    fields = {f.name for f in dataclasses.fields(op.AtlasClass)}
+    assert all(set(c) == fields for c in doc["classes"])
+    top = {f.name for f in dataclasses.fields(op.Atlas2D)}
+    assert set(doc) == top | {"class_count", "passed", "command", "config"}
 
 
 def test_report_command(files, capsys):
@@ -563,14 +568,14 @@ def test_bounds_builds_each_face_once(files, monkeypatch, capsys):
 
 
 def test_atlas_checks_its_integers_once_per_form(monkeypatch, capsys):
-    # each of the 5 triangles' 3! vertex orders goes through col_hnf, whose row_hnf
-    # checks its integers once, and each of the 5 classes is built as a simplex once
+    # each of the 5 triangles' 3! vertex orders goes through col_hnf, which checks
+    # no integer the sweep built; each of the 5 classes is built as a simplex once
     checks, forms = [], []
     record_calls(monkeypatch, onepoint.exact, "int_matrix", checks)
     record_calls(monkeypatch, onepoint.exact, "col_hnf", forms)
     assert run(capsys, "atlas2d", "--radius", "9")[0] == 0
     assert len(forms) == 5 * 3 * 2
-    assert len(checks) == len(forms) + 5 == 35
+    assert len(checks) == 5
 
 
 def test_bounds_structured_order_frozen(tmp_path, capsys):

@@ -128,11 +128,11 @@ ATLAS_CLASSES = (
 def test_atlas_frozen():
     atlas = op.onepoint_triangle_atlas(9)
     assert atlas.radius == 9
-    got = tuple((c.form.vertices, c.volume, c.point_count) for c in atlas.classes)
+    got = tuple((c.vertices, c.volume, c.point_count) for c in atlas.classes)
     assert got == ATLAS_CLASSES
     assert atlas.max_volume == Fraction(9, 2)
     assert atlas.max_point_count == 10
-    slacks = {c.form.vertices: c.min_slack for c in atlas.classes}
+    slacks = {c.vertices: c.min_slack for c in atlas.classes}
     assert slacks[((1, 0), (0, 1), (-1, -1))] == Fraction(2, 9)
     assert slacks[((1, 0), (0, 1), (-3, -2))] == 0
 
@@ -151,7 +151,7 @@ def test_atlas_work_does_not_grow_with_radius(monkeypatch):
     for radius in (9, 30, 1000):
         calls = 0
         atlas = op.onepoint_triangle_atlas(radius)
-        got = tuple((c.form.vertices, c.volume, c.point_count) for c in atlas.classes)
+        got = tuple((c.vertices, c.volume, c.point_count) for c in atlas.classes)
         assert got == ATLAS_CLASSES
         assert atlas.radius == radius
         counts.append(calls)

@@ -24,6 +24,17 @@ def test_classify_point():
     assert op.classify_point(ZPW2, (5, 5)) == op.PointClass("outside", None)
 
 
+def test_classify_point_stays_on_integer_rows(monkeypatch):
+    # the signs of the rows, |det| times the coordinates, classify; no Fraction is built
+    def refuse(*args):
+        raise AssertionError("classify_point went through barycentric_of")
+
+    monkeypatch.setattr(points, "barycentric_of", refuse, raising=False)
+    assert op.classify_point(ZPW2, (1, 1)).kind == "interior"
+    assert op.classify_point(ZPW2, (1, 0)) == op.PointClass("boundary", (2,))
+    assert op.classify_point(ZPW2, (5, 5)).kind == "outside"
+
+
 def test_census_frozen():
     assert op.enumerate_interior(ZPW3).points == ((1, 1, 1),)
     assert op.enumerate_interior(WIDE).points == ((1, 1), (2, 1), (3, 1))

@@ -141,8 +141,9 @@ def test_functional_rows_match_rational_inverse(data):
     # independent route: the rows are |det| times the Gauss-Jordan inverse
     dim = data.draw(st.integers(2, 6))
     simplex = data.draw(small_simplices(dim))
-    absdet = abs(det_int(simplex.hull_matrix))
-    scaled = [tuple(absdet * x for x in row) for row in invert_rat(simplex.hull_matrix)]
+    hull = (*zip(*simplex.vertices), (1,) * (dim + 1))  # vertex columns over a row of ones
+    absdet = abs(det_int(hull))
+    scaled = [tuple(absdet * x for x in row) for row in invert_rat(hull)]
     assert [coeffs + (const,) for coeffs, const in simplex.functional_rows] == scaled
     point = data.draw(
         st.lists(st.fractions(-9, 9, max_denominator=7), min_size=dim, max_size=dim)
