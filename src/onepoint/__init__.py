@@ -16,16 +16,13 @@ from .bounds import (
     InequalityReport,
     LowerBoundReport,
     PartitionRecord,
-    SortedBarycentrics,
     bounds_report,
     chain_decompose,
     check_all_partitions,
     coordinate_lower_bounds,
     corpus_extremes,
     parallelotope_check,
-    partition_ratio,
     reduced_system,
-    sort_barycentric,
 )
 from .certificate import (
     AdmissibleWeights,

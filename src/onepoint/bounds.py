@@ -32,7 +32,6 @@ from .simplex import (
 )
 
 Vector = tuple[int, ...]
-RatVector = tuple[Fraction, ...]
 
 
 # str() refuses an int past 4,300 digits by default, so no bound is built past them
@@ -86,11 +85,10 @@ class InequalityReport:
     worst: PartitionRecord
 
 
-def _integer_rows(rows: Sequence[Fraction | int]) -> tuple[Vector, int]:
+def _integer_rows(rows: Sequence[Fraction | int]) -> Vector:
     """Positive rational rows cleared to integer rows n over their sum D: b_i = n_i / D."""
     scale = lcm(*(c.denominator for c in rows))
-    values = tuple(c.numerator * (scale // c.denominator) for c in rows)
-    return values, sum(values)
+    return tuple(c.numerator * (scale // c.denominator) for c in rows)
 
 
 def _subsets(count: int) -> list[tuple[int, ...]]:
@@ -101,9 +99,9 @@ def _subsets(count: int) -> list[tuple[int, ...]]:
     return table
 
 
-def _partition(values: Sequence[int], denominator: int, mask: int,
+def _partition(values: Sequence[int], mask: int,
                sides: list[tuple[int, ...]] | None = None) -> PartitionRecord:
-    """The one evaluation of a partition: ``mask`` marks the sum side of rows n over D.
+    """The one evaluation of a partition: ``mask`` marks the sum side of rows n over D = sum n.
 
     Sum S and product P of the r product-side rows are integers, and each
     field is one fraction: S/D, P/D^r and the slack (S*D^(r-1) - P)/D^r.
@@ -113,18 +111,20 @@ def _partition(values: Sequence[int], denominator: int, mask: int,
         tuple(i for i in range(len(values)) if mask >> i & 1),
         tuple(i for i in range(len(values)) if not mask >> i & 1))
     total, product = sum(values[i] for i in left), prod(values[j] for j in right)
+    denominator = sum(values)
     power = denominator ** len(right)
     return PartitionRecord(left, right, Fraction(total, denominator), Fraction(product, power),
                            Fraction(total * (power // denominator) - product, power))
 
 
-def _first_mask(values: Vector, denominator: int, bound: Fraction, strict: bool) -> int | None:
+def _first_mask(values: Vector, bound: Fraction, strict: bool) -> int | None:
     """The first mask in bitmask order whose slack is below ``bound`` (or at it), or None.
 
     Bits go from the top down, 0 (product side) first, kept when some completion of the
     lower bits qualifies: for t lower rows on the product side, the t largest do best.
     """
     # (slack - bound) * D^r * q for bound = p / q is an integer, at most `most` to qualify
+    denominator = sum(values)
     p, q, most = bound.numerator * denominator, bound.denominator, -1 if strict else 0
 
     def completes(bit: int, total: int, product: int, right: int) -> bool:
@@ -160,76 +160,42 @@ def _sum_side_mask(count: int, sum_side: Iterable[int]) -> int:
 
 def check_all_partitions(coords: Sequence[Fraction | int]) -> InequalityReport:
     """Evaluate every proper two-sided partition, in sum-side bitmask order."""
-    return _inequalities(*_integer_rows(check_barycentric(coords)))
+    return _inequalities(_integer_rows(check_barycentric(coords)))
 
 
-def _inequalities(values: Vector, denominator: int,
-                  least: Fraction | None = None) -> InequalityReport:
-    """:func:`check_all_partitions` on rows n over D; given the least slack, ``worst`` alone."""
+def _inequalities(values: Vector, least: Fraction | None = None) -> InequalityReport:
+    """:func:`check_all_partitions` on rows n; given the least slack, ``worst`` alone."""
     if least is not None:
-        worst = _partition(values, denominator, _first_mask(values, denominator, least, False))
+        worst = _partition(values, _first_mask(values, least, False))
         return InequalityReport((), least >= 0, least, worst)
     sides = _subsets(len(values))
-    records = tuple(_partition(values, denominator, mask, sides)
-                    for mask in range(1, len(sides) - 1))
+    records = tuple(_partition(values, mask, sides) for mask in range(1, len(sides) - 1))
     worst = min(records, key=lambda r: r.slack)
     return InequalityReport(records, worst.slack >= 0, worst.slack, worst)
 
 
-@dataclass(frozen=True)
-class SortedBarycentrics:
-    """Coordinates in descending order plus the original indexes.
-
-    ``order[k]`` is the original index of the k-th largest coordinate;
-    ties keep their original relative order.
-    """
-
-    coords: RatVector
-    order: tuple[int, ...]
+def _descending(values: Vector) -> tuple[Vector, tuple[int, ...]]:
+    """Rows n sorted descending, and the original index of each; ties keep index order."""
+    order = tuple(sorted(range(len(values)), key=values.__getitem__, reverse=True))
+    return tuple(values[i] for i in order), order
 
 
-def sort_barycentric(coords: Sequence[Fraction | int]) -> SortedBarycentrics:
-    return _descending(check_barycentric(coords))
-
-
-def _descending(bary: Sequence) -> SortedBarycentrics:
-    """:func:`sort_barycentric` on a checked vector, or its rows n; ties keep index order."""
-    order = tuple(sorted(range(len(bary)), key=bary.__getitem__, reverse=True))
-    return SortedBarycentrics(tuple(bary[i] for i in order), order)
-
-
-def reduced_system(sorted_coords: SortedBarycentrics) -> tuple[Fraction, ...]:
-    """Slacks of the surviving inequalities after sorting.
+def reduced_system(coords: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    """Slacks of the surviving inequalities, on the coordinates sorted descending.
 
     On descending coordinates only the splits into a leading block and its
     tail matter; entry j is the slack of tail-sum minus leading-product for
     the block ending at j.  All entries nonnegative is equivalent to the
-    full partition system passing.
+    full partition system passing.  ``coords`` may come in any order.
     """
-    coords = sorted_coords.coords
-    if any(a < b for a, b in zip(coords, coords[1:])):
-        raise ValueError("coordinates must be sorted in descending order")
-    return _reduced(*_integer_rows(check_barycentric(coords)))
+    return _reduced(_integer_rows(check_barycentric(coords)))
 
 
-def _reduced(values: Vector, denominator: int) -> tuple[Fraction, ...]:
-    """:func:`reduced_system` on rows n over D in any order; it reads them sorted descending."""
+def _reduced(values: Vector) -> tuple[Fraction, ...]:
+    """:func:`reduced_system` on rows n in any order; it reads them sorted descending."""
     # entry j's sum side is the tail after position j: every bit but those of the block 0..j
-    ranked, full = _descending(values).coords, 2 ** len(values) - 1
-    return tuple(_partition(ranked, denominator, full ^ ((2 << j) - 1)).slack
-                 for j in range(len(values) - 1))
-
-
-def partition_ratio(coords: Sequence[Fraction | int], sum_side: Iterable[int]) -> Fraction:
-    """Sum/product ratio of a partition; the inequality holds iff >= 1.
-
-    The closed formula.  It equals the determinant of the partition's
-    system matrix, which the test suite builds as its second route
-    (``tests/oracles.py::partition_matrix``) and holds this ratio to.
-    """
-    values, denominator = _integer_rows(check_barycentric(coords))
-    record = _partition(values, denominator, _sum_side_mask(len(values), sum_side))
-    return record.sum / record.product
+    ranked, full = _descending(values)[0], 2 ** len(values) - 1
+    return tuple(_partition(ranked, full ^ ((2 << j) - 1)).slack for j in range(len(values) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +227,13 @@ def coordinate_lower_bounds(coords: Sequence[Fraction | int]) -> LowerBoundRepor
     is at least (d+1)^(-2^k).  Also checks the relaxed recursion
     (d+1) * coords[k+1] >= prod(coords[:k+1]) that drives the bound.
     """
-    return _lower_bounds(*_integer_rows(check_barycentric(coords)))
+    return _lower_bounds(_integer_rows(check_barycentric(coords)))
 
 
-def _lower_bounds(values: Vector, denominator: int) -> LowerBoundReport:
-    """:func:`coordinate_lower_bounds` on rows n over D; only the reported values are fractions."""
+def _lower_bounds(values: Vector) -> LowerBoundReport:
+    """:func:`coordinate_lower_bounds` on rows n; only the reported values are fractions."""
     # on the sorted rows: n_k (d+1)^(2^k) against D, the k-th slack over D^(k+1)
-    ranked, d = _descending(values), len(values) - 1
-    order, rows = ranked.order, ranked.coords
+    (rows, order), denominator, d = _descending(values), sum(values), len(values) - 1
     powers = [_power(d + 1, 2**k) for k in range(d + 1)]
     entries = [LowerBoundEntry(k, Fraction(n, denominator), Fraction(1, p), n * p == denominator,
                                n * p >= denominator)
@@ -318,7 +283,7 @@ def chain_decompose(
 
 def _chain(simplex: LatticeSimplex, values: Vector, cap: int) -> ChainReport:
     """:func:`chain_decompose` on the rows n at the point; the top level's volume is stored."""
-    order, d = _descending(values).order, simplex.dim
+    order, d = _descending(values)[1], simplex.dim
     levels = []
     for i in range(1, d + 1):
         omitted = tuple(sorted(order[i + 1 :]))
@@ -389,7 +354,7 @@ def bounds_report(
     values = _interior_values(simplex, point)
     denominator, n = sum(values), len(values)
     # first, as its bounds refuse when too large to print
-    lower = _lower_bounds(values, denominator)
+    lower = _lower_bounds(values)
     sides, powers = _subsets(n), [denominator**k for k in range(n)]
     full, vertices = len(sides) - 1, simplex.vertices
     # each proper face's volume by omitted-set bitmask, one echelon each; the whole is stored

@@ -57,16 +57,15 @@ def find_admissible_weights(
     (2 - s) / s with s the sum-side total.  A scan that would pass ``cap``
     values of T raises :class:`EnumerationCapError` naming that bound.
     """
-    rows = _integer_rows(check_barycentric(coords))
-    record = _partition(*rows, _sum_side_mask(len(rows[0]), sum_side))
-    return None if record.slack >= 0 else _admissible(*rows, record, cap)
+    values = _integer_rows(check_barycentric(coords))
+    record = _partition(values, _sum_side_mask(len(values), sum_side))
+    return None if record.slack >= 0 else _admissible(values, record, cap)
 
 
-def _admissible(values: Vector, denominator: int, record: PartitionRecord,
-                cap: int) -> AdmissibleWeights:
-    """:func:`find_admissible_weights` on rows n over D and their violated partition."""
+def _admissible(values: Vector, record: PartitionRecord, cap: int) -> AdmissibleWeights:
+    """:func:`find_admissible_weights` on rows n over D = sum n and their violated partition."""
     bound = -((record.sum - 2) // record.sum) - 1  # ceil((2 - s) / s) - 1
-    parts = [values[j] for j in record.product_side]
+    parts, denominator = [values[j] for j in record.product_side], sum(values)
     for total in range(1, bound + 1):
         if total > cap:
             raise EnumerationCapError(cap, bound, "T-scan steps", "certificate search may take")
@@ -137,15 +136,13 @@ def second_interior_point(
     """
     (start,) = int_matrix([point])  # refused, not truncated, when not all ints
     refusal = f"start point {start} is not an interior lattice point"
-    values = _interior_values(simplex, start, refusal)
-    denominator = sum(values)
-    descending = _descending(values)  # stable: tied rows keep index order
-    ranked, order = descending.coords, descending.order
-    mask = _first_mask(ranked, denominator, Fraction(0), strict=True)
+    # stable: tied rows keep index order
+    ranked, order = _descending(_interior_values(simplex, start, refusal))
+    mask = _first_mask(ranked, Fraction(0), strict=True)
     if mask is None:
         return None
-    record = _partition(ranked, denominator, mask)
-    admissible = _admissible(ranked, denominator, record, cap)
+    record = _partition(ranked, mask)
+    admissible = _admissible(ranked, record, cap)
     weight_order = tuple(order[k] for k in record.product_side)
     total = admissible.total
     # total * anchor is the integer sum of the weighted product-side vertices

@@ -199,12 +199,12 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
                 "no interior lattice point to test"
             ]
     # at a rational point the rows are fractions, cleared to integers over their sum
-    values, denominator = _integer_rows(
+    values = _integer_rows(
         _interior_values(simplex, point, "the partition system needs a point strictly inside"))
+    denominator = sum(values)
     coords = tuple(Fraction(n, denominator) for n in values)
-    reduced = _reduced(values, denominator)
-    report = _inequalities(values, denominator,
-                           None if args.format == "structured" else min(reduced))
+    reduced = _reduced(values)
+    report = _inequalities(values, None if args.format == "structured" else min(reduced))
     payload = {
         "coordinates": coords,
         "partitions": report.records,
@@ -321,8 +321,6 @@ def _simplex_payload(simplex: LatticeSimplex, point: tuple[int, ...]) -> dict[st
 
 def _cmd_gen(args: argparse.Namespace) -> Handled:
     d = args.dim
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
     payload: dict[str, Any] = {"dim": d, "families": {}, "passed": True}
     lines: list[str] = []
     # each family's builder verifies that its census is (inner,) * d alone

@@ -174,11 +174,10 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
         if is_onepoint(member, cap) != (0, 0):
             raise AssertionError(f"class {form} fails the census")
         values = _interior_values(member, (0, 0))
-        denominator = sum(values)
-        report = _inequalities(values, denominator)
-        chain = _chain(member, values, cap)
-        if not (report.passed and _lower_bounds(values, denominator).passed and chain.passed):
+        report, chain = _inequalities(values), _chain(member, values, cap)
+        if not (report.passed and _lower_bounds(values).passed and chain.passed):
             raise AssertionError(f"class {form} violates a bound it must satisfy")
+        denominator = sum(values)
         classes.append(
             AtlasClass(
                 form,

@@ -63,7 +63,7 @@ def test_criterion_01_zpw_membership():
 def test_criterion_02_zpw_reduced_slacks(zpw_family):
     for d, simplex in zpw_family.items():
         coords = op.barycentric_of(simplex, (1,) * d)
-        reduced = op.reduced_system(op.sort_barycentric(coords))
+        reduced = op.reduced_system(coords)
         assert reduced == (Fraction(0),) * d
 
 
@@ -166,7 +166,7 @@ def test_criterion_07_ratio_determinant(rng):
                 formula /= coords[j]
             assert formula == det_rat(partition_matrix(coords, side))
         full = op.check_all_partitions(coords).passed
-        reduced = op.reduced_system(op.sort_barycentric(coords))
+        reduced = op.reduced_system(coords)
         assert full == all(s >= 0 for s in reduced)
         passes += full
         fails += not full
@@ -250,7 +250,7 @@ def test_criterion_12_unimodular_invariance(corpus, rng, unimodular):
         assert len(census.points) == 1
         point, coords = interior(moved)
         _, original = interior(member)
-        assert op.sort_barycentric(coords).coords == op.sort_barycentric(original).coords
+        assert sorted(coords) == sorted(original)
         ours = [r.slack for r in op.check_all_partitions(coords).records]
         theirs = [r.slack for r in op.check_all_partitions(original).records]
         assert ours == theirs

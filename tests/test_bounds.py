@@ -43,9 +43,9 @@ def test_partition_slack_frozen():
 def test_partition_sides_must_be_nonempty():
     for side in ((), (0, 1, 2)):
         with pytest.raises(ValueError, match="both partition sides must be nonempty"):
-            op.partition_ratio(ZPW2_COORDS, side)
+            op.find_admissible_weights(ZPW2_COORDS, side)
     with pytest.raises(ValueError, match=r"vertex indexes must lie in \[0, 3\)"):
-        op.partition_ratio(ZPW2_COORDS, (0, 1, 2, 5))
+        op.find_admissible_weights(ZPW2_COORDS, (0, 1, 2, 5))
 
 
 def test_check_all_partitions_order_and_worst():
@@ -61,27 +61,24 @@ def test_check_all_partitions_order_and_worst():
     assert good.passed and good.min_slack == 0
 
 
-def test_sort_barycentric():
-    coords = op.sort_barycentric(ZPW2_COORDS)
-    assert coords.coords == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-    assert coords.order == (1, 2, 0)
-    ties = op.sort_barycentric((Fraction(1, 3),) * 3)
-    assert ties.order == (0, 1, 2)
+def test_descending_rows():
+    descending = onepoint.bounds._descending
+    assert descending((1, 3, 2)) == ((3, 2, 1), (1, 2, 0))
+    # ties keep index order
+    assert descending((2, 2, 2)) == ((2, 2, 2), (0, 1, 2))
+    assert descending((1, 4, 1, 4)) == ((4, 4, 1, 1), (1, 3, 0, 2))
 
 
 def test_reduced_system_frozen():
-    zpw = op.sort_barycentric(op.barycentric_of(ZPW3, (1, 1, 1)))
-    assert op.reduced_system(zpw) == (0, 0, 0)
-    centroid = op.sort_barycentric((Fraction(1, 3),) * 3)
-    assert op.reduced_system(centroid) == (Fraction(1, 3), Fraction(2, 9))
-    half = op.sort_barycentric((Fraction(1, 2), Fraction(1, 2)))
-    assert op.reduced_system(half) == (Fraction(0),)
-    with pytest.raises(ValueError):
-        op.reduced_system(op.SortedBarycentrics(ZPW2_COORDS, (0, 1, 2)))
+    assert op.reduced_system(op.barycentric_of(ZPW3, (1, 1, 1))) == (0, 0, 0)
+    assert op.reduced_system((Fraction(1, 3),) * 3) == (Fraction(1, 3), Fraction(2, 9))
+    assert op.reduced_system((Fraction(1, 2), Fraction(1, 2))) == (Fraction(0),)
+    # the coordinates may come in any order
+    assert op.reduced_system(ZPW2_COORDS) == op.reduced_system(sorted(ZPW2_COORDS)) == (0, 0)
 
 
 def test_partition_matrix_frozen():
-    sorted_coords = op.sort_barycentric(ZPW2_COORDS).coords  # (1/2, 1/3, 1/6)
+    sorted_coords = tuple(sorted(ZPW2_COORDS, reverse=True))  # (1/2, 1/3, 1/6)
     matrix = partition_matrix(sorted_coords, (2,))
     assert matrix == (
         (Fraction(2), Fraction(0), Fraction(-1)),
@@ -92,11 +89,13 @@ def test_partition_matrix_frozen():
 
 
 def test_partition_ratio_frozen():
-    sorted_coords = op.sort_barycentric(ZPW2_COORDS).coords
-    assert op.partition_ratio(sorted_coords, (2,)) == 1
-    assert op.partition_ratio(sorted_coords, (0,)) == 9
-    assert op.partition_ratio(WIDE_COORDS, (1,)) == Fraction(4, 5)
-    assert op.partition_ratio((Fraction(1, 2), Fraction(1, 2)), (0,)) == 1
+    def ratios(coords):
+        return {r.sum_side: r.sum / r.product for r in op.check_all_partitions(coords).records}
+
+    descending = ratios(sorted(ZPW2_COORDS, reverse=True))
+    assert descending[(2,)] == 1 and descending[(0,)] == 9
+    assert ratios(WIDE_COORDS)[(1,)] == Fraction(4, 5)
+    assert ratios((Fraction(1, 2), Fraction(1, 2)))[(0,)] == 1
 
 
 def random_barycentric(rng, parts):
@@ -114,7 +113,6 @@ def test_ratio_equals_system_determinant_on_random_coordinates(rng):
         for mask, record in zip(range(1, 2**n - 1), records):
             side = [i for i in range(n) if mask >> i & 1]
             det = det_rat(partition_matrix(coords, side))
-            assert op.partition_ratio(coords, side) == det
             assert record.sum_side == tuple(side) and record.sum / record.product == det
 
 
@@ -123,7 +121,7 @@ def test_reduced_system_equivalent_to_full(rng):
     for _ in range(150):
         coords = random_barycentric(rng, rng.randint(2, 5))
         full = op.check_all_partitions(coords).passed
-        reduced = all(s >= 0 for s in op.reduced_system(op.sort_barycentric(coords)))
+        reduced = all(s >= 0 for s in op.reduced_system(coords))
         assert full == reduced
         hits += not full
     assert hits > 0  # the sample must exercise both outcomes
@@ -139,7 +137,7 @@ def _normalized(weights):
 
 def test_partition_records_match_chained_fractions_frozen():
     coords = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-    assert onepoint.bounds._integer_rows(coords) == ((3, 2, 1), 6)
+    assert onepoint.bounds._integer_rows(coords) == (3, 2, 1)
     records = op.check_all_partitions(coords).records
     assert records == tuple(fraction_partition(coords, mask) for mask in range(1, 7))
     assert records[3] == onepoint.bounds.PartitionRecord(
@@ -152,9 +150,9 @@ def test_partition_records_match_chained_fractions_frozen():
 def test_partition_records_match_chained_fractions(coords):
     records = op.check_all_partitions(coords).records
     assert records == tuple(fraction_partition(coords, m) for m in range(1, 2 ** len(coords) - 1))
-    ranked = op.sort_barycentric(coords).coords
+    ranked = tuple(sorted(coords, reverse=True))
     full = 2 ** len(coords) - 1
-    assert op.reduced_system(op.sort_barycentric(coords)) == tuple(
+    assert op.reduced_system(coords) == tuple(
         fraction_partition(ranked, full ^ ((2 << j) - 1)).slack for j in range(len(coords) - 1)
     )
 
@@ -164,25 +162,23 @@ def test_partition_records_match_chained_fractions(coords):
 def test_first_mask_search_matches_the_walk(coords, data):
     search, rows = onepoint.bounds._first_mask, onepoint.bounds._integer_rows
     # the certificate's use: the first violated partition of the descending coordinates
-    ranked = op.sort_barycentric(coords)
-    assert search(*rows(ranked.coords), Fraction(0), True) == first_partition_walk(
-        ranked.coords, 0, True
-    )
+    ranked = tuple(sorted(coords, reverse=True))
+    assert search(rows(ranked), Fraction(0), True) == first_partition_walk(ranked, 0, True)
     # human ineq's use: the first partition of least slack, over the original indexes;
     # the reduced system's minimum is the minimum over every partition
     slacks = [fraction_partition(coords, m).slack for m in range(1, 2 ** len(coords) - 1)]
-    least = min(op.reduced_system(ranked))
+    least = min(op.reduced_system(coords))
     assert least == min(slacks)
-    mask = search(*rows(coords), least, False)
+    mask = search(rows(coords), least, False)
     assert mask == first_partition_walk(coords, least, False) == slacks.index(least) + 1
-    worst = onepoint.bounds._inequalities(*rows(coords), least)
+    worst = onepoint.bounds._inequalities(rows(coords), least)
     assert worst.records == () and worst.worst == op.check_all_partitions(coords).worst
     # any bound at or beside a slack, strict or not
     bound = data.draw(st.sampled_from(slacks)) + data.draw(st.sampled_from((-1, 0, 1))) * Fraction(
         1, 10**6
     )
     strict = data.draw(st.booleans())
-    assert search(*rows(coords), bound, strict) == first_partition_walk(coords, bound, strict)
+    assert search(rows(coords), bound, strict) == first_partition_walk(coords, bound, strict)
 
 
 # a few distinct weights drawn again and again: ties on purpose
@@ -198,8 +194,7 @@ def test_lower_bounds_match_the_fraction_oracle(coords):
     fractions = [x for e in report.entries for x in (e.value, e.bound)]
     assert all(type(x) is Fraction for x in fractions + list(report.recursion_slacks))
     assert [(type(e.tight), type(e.ok)) for e in report.entries] == [(bool, bool)] * len(coords)
-    assert op.sort_barycentric(coords).order == tuple(
-        sorted(range(len(coords)), key=lambda i: (-coords[i], i)))
+    assert report.order == tuple(sorted(range(len(coords)), key=lambda i: (-coords[i], i)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -208,16 +203,16 @@ def test_results_do_not_depend_on_the_denominator(values, k):
     # rows over |det| (atlas, bounds) and over the lcm of a vector's denominators
     # (ineq --point) differ by a factor; every field is a reduced fraction or an integer
     bounds, coords = onepoint.bounds, _normalized(values)
-    ranked, full = op.sort_barycentric(coords).coords, 2 ** len(values) - 1
+    ranked, full = tuple(sorted(coords, reverse=True)), 2 ** len(values) - 1
     results = []
-    for rows in ((tuple(values), sum(values)), (tuple(k * n for n in values), k * sum(values))):
-        reduced = bounds._reduced(*rows)
-        report, lower = bounds._inequalities(*rows), bounds._lower_bounds(*rows)
+    for rows in (tuple(values), tuple(k * n for n in values)):
+        reduced = bounds._reduced(rows)
+        report, lower = bounds._inequalities(rows), bounds._lower_bounds(rows)
         assert reduced == tuple(fraction_partition(ranked, full ^ ((2 << j) - 1)).slack
                                 for j in range(len(values) - 1))
         assert report.records == tuple(fraction_partition(coords, m) for m in range(1, full))
         assert lower == fraction_lower_bounds(coords)
-        results.append(_typed_fields((report, bounds._inequalities(*rows, min(reduced)), lower,
+        results.append(_typed_fields((report, bounds._inequalities(rows, min(reduced)), lower,
                                       reduced)))
     assert results[0] == results[1]
 

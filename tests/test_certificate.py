@@ -95,11 +95,10 @@ coordinate_vectors = st.lists(
 @given(coordinate_vectors)
 @settings(max_examples=200, deadline=None)
 def test_t_scan_matches_the_minkowski_box_search(coords):
-    n = len(coords)
-    for mask in range(1, 2**n - 1):
-        side = [k for k in range(n) if mask >> k & 1]
+    for record in op.check_all_partitions(coords).records:
+        side = record.sum_side
         weights = op.find_admissible_weights(coords, side)
-        if op.partition_ratio(coords, side) >= 1:
+        if record.slack >= 0:
             assert weights is None
             continue
         solution = minkowski_solve(partition_matrix(coords, side))
@@ -121,7 +120,7 @@ def test_t_scan_refuses_above_the_cap():
 
 
 def test_find_admissible_weights():
-    coords = op.sort_barycentric(op.barycentric_of(WIDE, (1, 1))).coords
+    coords = tuple(sorted(op.barycentric_of(WIDE, (1, 1)), reverse=True))
     weights = op.find_admissible_weights(coords, (2,))
     assert weights == op.AdmissibleWeights((1, 1), 2)
     # satisfied partitions yield nothing
@@ -218,10 +217,11 @@ def test_random_violated_simplices_all_certified(rng):
         cert = op.second_interior_point(simplex, start)
         assert cert is not None
         # the certificate is built on the first violated partition of the sorted coordinates
-        ordered = op.sort_barycentric(coords)
-        first = next(r for r in op.check_all_partitions(ordered.coords).records if r.slack < 0)
-        assert cert.sum_side == tuple(sorted(ordered.order[k] for k in first.sum_side))
-        assert cert.weight_order == tuple(ordered.order[k] for k in first.product_side)
+        order = sorted(range(len(coords)), key=lambda i: (-coords[i], i))
+        ranked = [coords[i] for i in order]
+        first = next(r for r in op.check_all_partitions(ranked).records if r.slack < 0)
+        assert cert.sum_side == tuple(sorted(order[k] for k in first.sum_side))
+        assert cert.weight_order == tuple(order[k] for k in first.product_side)
         assert cert.ratio == first.sum / first.product
         assert cert.point != start
         assert cert.point in census  # soundness, via the census route

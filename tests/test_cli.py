@@ -342,8 +342,8 @@ def test_gen_families(capsys):
     code, out, _ = run(capsys, "gen", "--dim", "2")
     assert code == 0
     assert "zpw:" in out and "dilated:" in out and "reflected:" in out
-    code, _, err = run(capsys, "gen", "--dim", "0")
-    assert code == 2
+    for argv in (("--dim", "0"), ("--dim", "-3", "--family", "reflected")):
+        assert run(capsys, "gen", *argv) == (2, "", "error: dimension must be at least 1\n")
 
 
 def test_gen_builds_only_the_requested_family(capsys):

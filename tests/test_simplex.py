@@ -173,7 +173,7 @@ def test_check_barycentric():
     with pytest.raises(ValueError, match="got 0.5"):
         op.check_all_partitions((0.5, 0.25, 0.25))
     with pytest.raises(ValueError, match="got '1/2'"):
-        op.partition_ratio(("1/2", "1/4", "1/4"), (0,))
+        op.reduced_system(("1/2", "1/4", "1/4"))
 
 
 def test_normalized_volume_frozen():

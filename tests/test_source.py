@@ -40,6 +40,11 @@ def test_checks_beside_a_simplex_take_its_point():
     assert _functions_taking("simplex", "coords") == []
 
 
+def test_rows_carry_their_denominator():
+    # a denominator passed beside integer rows need not be their sum; D = sum n always is
+    assert _functions_taking("denominator") == []
+
+
 def _public_and_uncalled(module):
     """The public functions of a package module, and those no package module calls."""
     package = Path(onepoint.__file__).parent
