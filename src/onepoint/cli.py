@@ -8,7 +8,10 @@ indent=2)`` would print, ASCII-escaped and float-free, from one writer,
 new key.  Exit codes: 0 when all checks pass (or a query completes), 1
 when a mathematical check fails, 2 on usage or parse errors, 3 when an
 enumeration or a certificate search refuses to run above the cap, or a
-bound would have too many digits to print.
+bound would have too many digits to print.  :func:`main` returns its code
+and does not raise: it renders every line before it prints one, so a
+number longer than the interpreter's own int-to-str limit ends with one
+``error:`` line and exit 2 in both formats.
 """
 
 from __future__ import annotations
@@ -483,18 +486,18 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, payload, lines = args.handler(args)
+        if args.format == "structured":
+            doc = {"command": args.command, "config": {"cap": args.cap, "format": args.format}}
+            lines = [_json({**doc, **payload})]
     except (EnumerationCapError, BoundSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SimplexParseError, ValueError) as exc:
+    except ValueError as exc:
+        # a SimplexParseError too, and str() of an int past the interpreter's digit limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "structured":
-        doc = {"command": args.command, "config": {"cap": args.cap, "format": args.format}}
-        print(_json({**doc, **payload}))
-    else:
-        for line in lines:
-            print(line)
+    for line in lines:
+        print(line)
     return code
 
 

@@ -9,9 +9,9 @@ The adjugate uses fraction-free Bareiss elimination in Gauss-Jordan
 form; callers holding rational rows clear denominators first.  The
 echelon uses repeated gcd row reduction and is the one route to lattice
 questions: its pivots alone give rank and the index of a sublattice in
-its span, and the Hermite normal form runs it on [M | I] for canonical
-forms.  The matrices are small and dense, so simplicity and
-auditability win over asymptotics.
+its span, and the Hermite normal form runs it on M itself and reduces
+above each pivot for canonical forms.  The matrices are small and dense,
+so simplicity and auditability win over asymptotics.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     return prev, tuple(tuple(row[n:]) for row in aug)
 
 
-def echelon(rows: list[list[int]], ncols: int) -> list[int]:
-    """Bring ``rows`` to a gcd row echelon form on their first ``ncols`` columns, in place.
+def echelon(rows: list[list[int]]) -> list[int]:
+    """Bring ``rows`` to a gcd row echelon form, in place.
 
     No transform, nothing reduced above a pivot.  Returns the pivot columns, top
     row first: their count is the rank; with independent columns the pivots
@@ -92,7 +92,7 @@ def echelon(rows: list[list[int]], ncols: int) -> list[int]:
     plain ints, as :func:`int_matrix` leaves them; they are not checked again.
     """
     nrows, r, pivot_cols = len(rows), 0, []
-    for col in range(ncols):
+    for col in range(len(rows[0]) if rows else 0):
         while r < nrows:
             # floor division by the smallest entry until it alone is left
             pivot, least = None, 0
@@ -117,30 +117,26 @@ def echelon(rows: list[list[int]], ncols: int) -> list[int]:
     return pivot_cols
 
 
-def row_hnf(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
+def row_hnf(matrix: Sequence[Sequence[int]]) -> IntMatrix:
+    """Row-style Hermite normal form: the canonical representative of the left GL_n(Z) orbit.
 
-    Returns (h, u) with h = u @ matrix, u unimodular, h in row echelon form
-    with positive pivots, zeros below each pivot, and entries above reduced
-    into [0, pivot): :func:`echelon` on [M | I], then reduction above each
-    pivot.  The unique canonical representative of the left GL_n(Z) orbit.
-    Entries must be plain ints of equal-length rows; they are not checked again.
+    Row echelon form with positive pivots, zeros below each pivot, and
+    entries above reduced into [0, pivot): :func:`echelon` on the matrix,
+    then reduction above each pivot.  No transform is built.  Entries must
+    be plain ints of equal-length rows; they are not checked again.
     """
-    nrows, ncols = len(matrix), len(matrix[0]) if matrix else 0
-    aug = [[*row, *(0,) * i, 1, *(0,) * (nrows - 1 - i)] for i, row in enumerate(matrix)]
-    for r, col in enumerate(echelon(aug, ncols)):
-        if aug[r][col] < 0:
-            aug[r] = [-x for x in aug[r]]
-        top, p = aug[r], aug[r][col]
+    rows = [list(row) for row in matrix]
+    for r, col in enumerate(echelon(rows)):
+        if rows[r][col] < 0:
+            rows[r] = [-x for x in rows[r]]
+        top, p = rows[r], rows[r][col]
         for i in range(r):
-            q = aug[i][col] // p
+            q = rows[i][col] // p
             if q:
-                aug[i] = [x - q * y for x, y in zip(aug[i], top)]
-    return (tuple(tuple(row[:ncols]) for row in aug),
-            tuple(tuple(row[ncols:]) for row in aug))
+                rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+    return tuple(map(tuple, rows))
 
 
-def col_hnf(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
-    """Column-style Hermite normal form: (h, v) with h = matrix @ v; ragged rows are refused."""
-    ht, ut = row_hnf(transpose(matrix))
-    return transpose(ht), transpose(ut)
+def col_hnf(matrix: Sequence[Sequence[int]]) -> IntMatrix:
+    """Column-style Hermite normal form, reached by column operations; ragged rows are refused."""
+    return transpose(row_hnf(transpose(matrix)))

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .bounds import _chain, _inequalities, _lower_bounds
 from .exact import col_hnf
-from .points import DEFAULT_CAP, EnumerationCapError, is_onepoint
+from .points import DEFAULT_CAP, EnumerationCapError, _SHOWN_BITS, is_onepoint
 from .simplex import LatticeSimplex, _interior_values, normalized_volume
 
 Vector = tuple[int, ...]
@@ -49,8 +49,8 @@ def _family_member(
     for step in itertools.islice(steps, dim):
         sides.append(step)
         box *= max(corner, step) - min(corner, 0) + 1
-        # past 128 bits the error prints "at least 2^k", still true of a partial box
-        if box > cap and box.bit_length() > 128:
+        # past _SHOWN_BITS the error prints "at least 2^k", still true of a partial box
+        if box > cap and box.bit_length() > _SHOWN_BITS:
             break
     if box > cap:
         raise EnumerationCapError(cap, box)
@@ -99,7 +99,7 @@ def reflected_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
 def _canonical_form(vertices: tuple[Vector, ...]) -> tuple[Vector, ...]:
     # the least column-style Hermite form of the vertex rows over all vertex
     # orders; column operations are coordinate changes
-    return min(col_hnf(tuple(vertices[p] for p in perm))[0]
+    return min(col_hnf(tuple(vertices[p] for p in perm))
                for perm in itertools.permutations(range(len(vertices))))
 
 

@@ -34,11 +34,12 @@ from .simplex import LatticeSimplex, _complement, _row_values
 Vector = tuple[int, ...]
 
 DEFAULT_CAP = 10**8
+_SHOWN_BITS = 128  # counts past this many bits print as "at least 2^k"
 
 
 def _count_text(n: int) -> str:
     # str() refuses ints past 4,300 digits, and long digit strings say little
-    if n.bit_length() <= 128:
+    if n.bit_length() <= _SHOWN_BITS:
         return str(n)
     return f"at least 2^{n.bit_length() - 1}"
 
@@ -335,14 +336,3 @@ def is_onepoint(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> Vector | Non
     census = enumerate_interior(simplex, cap, limit=1)
     return census.points[0] if census.count == 1 else None
 
-
-__all__ = [
-    "DEFAULT_CAP",
-    "EnumerationCapError",
-    "InteriorCensus",
-    "PointClass",
-    "classify_point",
-    "count_face_points",
-    "enumerate_interior",
-    "is_onepoint",
-]

@@ -38,7 +38,7 @@ def _volume_of(vertices: Sequence[Vector]) -> Fraction:
     # minors up to sign: the index of the edge lattice in the lattice of its span
     k, base, rest = len(vertices) - 1, vertices[0], vertices[1:]
     edges = [[v[c] - b for v in rest] for c, b in enumerate(base)]
-    pivots = [edges[r][col] for r, col in enumerate(echelon(edges, k))]
+    pivots = [edges[r][col] for r, col in enumerate(echelon(edges))]
     if len(pivots) != k:
         raise ValueError("vertices are affinely dependent")
     return Fraction(abs(prod(pivots)), factorial(k))

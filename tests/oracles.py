@@ -33,8 +33,9 @@ bounds along their chain of faces (:func:`zpw_lower_chain`), the lattice
 point count bound on a face (:func:`blichfeldt_check`, on faces built by
 :func:`face_of`), and the planar normal form under unimodular affine
 maps (:func:`normal_form_2d`, on the atlas's own canonical form).  The
-package computes only the form; the unimodular map that reaches it, and
-the checks that the map is unimodular and reproduces the form, live here.
+package computes only the form; the unimodular map that reaches it, by
+extended-gcd row pairs (:func:`hermite_with_transform`), and the checks
+that the map is unimodular and reproduces the form, live here.
 """
 
 import dataclasses
@@ -45,7 +46,7 @@ from math import factorial, gcd, lcm, prod
 
 from onepoint.bounds import FaceVolumeBound, LowerBoundEntry, LowerBoundReport
 from onepoint.bounds import PartitionRecord, SectionVolumeCheck
-from onepoint.exact import SingularMatrixError, adjugate_int, col_hnf, int_matrix, transpose
+from onepoint.exact import SingularMatrixError, adjugate_int, int_matrix, transpose
 from onepoint.generators import _canonical_form, zpw_simplex
 from onepoint.points import DEFAULT_CAP, count_face_points, enumerate_interior
 from onepoint.simplex import (
@@ -145,6 +146,56 @@ def snf_divisors(matrix):
         divisors.append(abs(a[t][t]))
         t += 1
     return tuple(divisors)
+
+
+def _xgcd(a, b):
+    # (g, s, t) with s * a + t * b = g = gcd(a, b) >= 0
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s0, s1, t0, t1 = b, a - q * b, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def hermite_with_transform(matrix):
+    """Row-style Hermite normal form with its map: (h, u) with h = u @ matrix, u unimodular.
+
+    Another algorithm than the package's smallest-entry floor division:
+    each column is cleared below its pivot by extended-gcd row pairs, the
+    pair (r, i) replaced by (s r + t i, -(y/g) r + (x/g) i) with
+    s x + t y = g, a move of determinant 1.  Then the pivot is made
+    positive and the entries above it reduced into [0, pivot).
+    """
+    a = [list(row) for row in int_matrix(matrix)]
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r + 1, nrows):
+            x, y = a[r][col], a[i][col]
+            if y:
+                g, s, t = _xgcd(x, y)
+                for m in (a, u):
+                    m[r], m[i] = ([s * v + t * w for v, w in zip(m[r], m[i])],
+                                  [(x // g) * w - (y // g) * v for v, w in zip(m[r], m[i])])
+        if not a[r][col]:
+            continue
+        if a[r][col] < 0:
+            a[r], u[r] = [-v for v in a[r]], [-v for v in u[r]]
+        for i in range(r):
+            q = a[i][col] // a[r][col]
+            for m in (a, u):
+                m[i] = [v - q * w for v, w in zip(m[i], m[r])]
+        r += 1
+    return tuple(map(tuple, a)), tuple(map(tuple, u))
+
+
+def col_hermite_with_transform(matrix):
+    """Column-style Hermite normal form with its map: (h, v) with h = matrix @ v, v unimodular."""
+    h, u = hermite_with_transform(transpose(matrix))
+    return transpose(h), transpose(u)
 
 
 def rational_volume(vertices):
@@ -707,7 +758,8 @@ def normal_form_2d(simplex, cap=DEFAULT_CAP):
     anchored = tuple(tuple(x - a for x, a in zip(v, anchor)) for v in simplex.vertices)
     form = _canonical_form(anchored)
     # the map: the column transform of the first vertex order whose Hermite form it is
-    v = next(v for h, v in map(col_hnf, itertools.permutations(anchored)) if h == form)
+    v = next(v for h, v in map(col_hermite_with_transform, itertools.permutations(anchored))
+             if h == form)
     linear = transpose(v)
 
     def apply(w):

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import re
@@ -138,6 +139,22 @@ def test_hostile_points_exit_2(command, point, message, files, capsys):
     assert time.perf_counter() - started < 1
     assert (code, out) == (2, "")
     assert message in err and "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("argv", [("--format", "structured", "bounds"),
+                                  ("--format", "structured", "chain"), ("chain",)])
+def test_numbers_past_the_interpreter_digit_limit_end_in_one_error_line(argv, tmp_path, capsys):
+    # reflected(10)'s chain bounds run past 640 digits; every line is rendered before one is printed
+    path = tmp_path / "reflected10.json"
+    path.write_text(op.simplex_to_text(op.reflected_simplex(10)), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, *argv, str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
 
 
 def test_cap_refusal_exits_3(files, capsys):
@@ -626,8 +643,9 @@ def test_chain_reads_the_stored_volume_at_the_top(files, monkeypatch, capsys):
 
 def test_atlas_repeats_no_points_call(monkeypatch, capsys):
     calls = []
-    for name in onepoint.points.__all__:
-        if callable(getattr(onepoint.points, name)) and name[0].islower():
+    for name, value in list(vars(onepoint.points).items()):
+        if (inspect.isfunction(value) and value.__module__ == "onepoint.points"
+                and not name.startswith("_")):
             record_calls(monkeypatch, onepoint.points, name, calls)
     assert run(capsys, "atlas2d", "--radius", "9")[0] == 0
     keys = [repr(call) for call in calls]

@@ -15,8 +15,10 @@ from onepoint.exact import (
     transpose,
 )
 from oracles import (
+    col_hermite_with_transform,
     det_int,
     det_rat,
+    hermite_with_transform,
     identity_rat,
     invert_rat,
     mat_mul,
@@ -187,12 +189,13 @@ def rect_int_matrices(bound=7, side=3):
 
 @given(rect_int_matrices())
 def test_row_hnf_reproduces_and_is_canonical(rows):
-    h, u = row_hnf(rows)
+    # the oracle's extended-gcd route reaches h by a unimodular u, and the package agrees
+    h, u = hermite_with_transform(rows)
     assert h == mat_mul(u, rows)
     assert abs(det_int(u)) == 1
+    assert row_hnf(rows) == h
     # a second pass changes nothing
-    again, _ = row_hnf(h)
-    assert again == h
+    assert row_hnf(h) == h
     # pivots positive, zeros below, entries above reduced
     n = len(h[0]) if h else 0
     seen = -1
@@ -208,30 +211,34 @@ def test_row_hnf_reproduces_and_is_canonical(rows):
 
 def test_row_hnf_frozen():
     # a zero first column, and two negative pivots made positive before reducing above them
-    assert row_hnf([[0, -2, 1], [0, 0, -3]]) == (((0, 2, 2), (0, 0, 3)), ((-1, -1), (0, -1)))
-    assert row_hnf([[0, -2], [0, 6], [0, 3]]) == (
-        ((0, 1), (0, 0), (0, 0)), ((-2, 0, -1), (3, 1, 0), (-3, 0, -2)))
+    for rows, form in (([[0, -2, 1], [0, 0, -3]], ((0, 2, 2), (0, 0, 3))),
+                       ([[0, -2], [0, 6], [0, 3]], ((0, 1), (0, 0), (0, 0)))):
+        assert row_hnf(rows) == form
+        h, u = hermite_with_transform(rows)
+        assert h == form == mat_mul(u, rows)
+        assert abs(det_int(u)) == 1
 
 
 @given(rect_int_matrices())
 def test_col_hnf_reproduces(rows):
-    h, v = col_hnf(rows)
+    h, v = col_hermite_with_transform(rows)
     assert h == mat_mul(rows, v)
     assert abs(det_int(v)) == 1
+    assert col_hnf(rows) == h
 
 
 @given(square_int_matrices(max_n=3, bound=4), st.integers(0, 5))
 @settings(max_examples=60)
 def test_row_hnf_invariant_under_row_operations(rows, mix):
     # shuffling rows by elementary moves cannot change the normal form
-    h, _ = row_hnf(rows)
+    h = row_hnf(rows)
     mixed = [list(r) for r in rows]
     n = len(mixed)
     for k in range(mix):
         i, j = k % n, (k + 1) % n
         if i != j:
             mixed[i] = [a + b for a, b in zip(mixed[i], mixed[j])]
-    h2, _ = row_hnf(mixed)
+    h2 = row_hnf(mixed)
     assert h == h2
 
 
@@ -250,9 +257,9 @@ def test_echelon_pivots_give_rank_and_hermite_pivot_product(rows, shape):
     elif shape == "negative":
         rows = [[-abs(x) for x in row] for row in rows]
     reduced = [list(row) for row in rows]
-    cols = echelon(reduced, len(rows[0]))
+    cols = echelon(reduced)
     pivots = [reduced[r][c] for r, c in enumerate(cols)]
-    h, _ = row_hnf(rows)
+    h = row_hnf(rows)
     hermite = [next(x for x in row if x) for row in h if any(row)]
     assert len(pivots) == rank_rat(rows) == len(hermite)
     assert abs(math.prod(pivots)) == math.prod(hermite)
