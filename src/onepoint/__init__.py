@@ -21,15 +21,9 @@ from .bounds import (
     check_all_partitions,
     coordinate_lower_bounds,
     corpus_extremes,
-    parallelotope_check,
     reduced_system,
 )
-from .certificate import (
-    AdmissibleWeights,
-    SecondPointCertificate,
-    find_admissible_weights,
-    second_interior_point,
-)
+from .certificate import SecondPointCertificate, second_interior_point
 from .generators import (
     Atlas2D,
     AtlasClass,

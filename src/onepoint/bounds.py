@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .points import DEFAULT_CAP, _capped_box, _scan, count_face_points
 from .simplex import (
     LatticeSimplex,
-    _complement,
     _interior_values,
     _volume_of,
     check_barycentric,
@@ -147,15 +146,6 @@ def _first_mask(values: Vector, bound: Fraction, strict: bool) -> int | None:
         else:
             mask, total = mask | 1 << bit, total + values[bit]
     return mask
-
-
-def _sum_side_mask(count: int, sum_side: Iterable[int]) -> int:
-    """The bitmask of a sum side of ``count`` indexes; both sides must be nonempty."""
-    left = set(sum_side)
-    if not left or left == set(range(count)):
-        raise ValueError("both partition sides must be nonempty")
-    _complement(count, left)  # refuses an index outside [0, count)
-    return sum(1 << i for i in range(count) if i in left)
 
 
 def check_all_partitions(coords: Sequence[Fraction | int]) -> InequalityReport:
@@ -378,7 +368,7 @@ def bounds_report(
         k, kept = n - 1 - len(sides[omitted]), denominator - sum(values[i] for i in sides[omitted])
         volume = Fraction(kept**k * face.numerator, powers[k] * face.denominator)
         sections.append(SectionVolumeCheck(sides[omitted], volume, face, volume, True))
-    box = _parallelotope(simplex, point, values, 0, cap)
+    box = _parallelotope(simplex, point, values, cap)
     passed = lower.passed and box.passed and all(r.passed for r in (*faces, *sections))
     return BoundsReport(lower, tuple(faces), box, tuple(sections), passed)
 
@@ -396,33 +386,24 @@ class ParallelotopeCheck:
     passed: bool
 
 
-def parallelotope_check(
-    simplex: LatticeSimplex, point: Sequence[int], omit: int = 0, cap: int = DEFAULT_CAP
-) -> ParallelotopeCheck:
-    """The box spanned by doubled coordinates around the interior point.
+def _parallelotope(simplex: LatticeSimplex, point: Sequence[int], values: Vector,
+                   cap: int) -> ParallelotopeCheck:
+    """The box spanned by doubled coordinates around the interior point, rows n at the point.
 
     ``point`` is the simplex's interior lattice point.  In the frame where
-    the omitted vertex is the origin and the edges to the other vertices
-    are the axes, the box is the product of [0, 2c_n] over the point's
-    coordinates c_n.  It is centrally symmetric about the point, so with
-    exactly one interior lattice point its normalized volume cannot exceed
-    2^d.  The lattice points strictly inside it are counted.
+    vertex 0 is the origin and the edges to the other vertices are the
+    axes, the box is the product of [0, 2c_n] over the point's coordinates
+    c_n.  It is centrally symmetric about the point, so with exactly one
+    interior lattice point its normalized volume cannot exceed 2^d.  The
+    lattice points strictly inside it are counted.
     """
-    return _parallelotope(simplex, point, _interior_values(simplex, point), omit, cap)
-
-
-def _parallelotope(simplex: LatticeSimplex, point: Sequence[int], values: Vector, omit: int,
-                   cap: int) -> ParallelotopeCheck:
-    """:func:`parallelotope_check` on the rows n at the point."""
     denominator, d = sum(values), simplex.dim
-    if not 0 <= omit <= d:
-        raise ValueError("omitted vertex index out of range")
-    axes = tuple(n for n in range(d + 1) if n != omit)
+    axes = range(1, d + 1)
     # d! times the simplex's volume is |det| = D
     volume = Fraction(2**d * prod(values[n] for n in axes), denominator ** (d - 1))
     # a corner is base plus a subset of the edges scaled by 2 n / D, so D times a
     # coordinate is least on the subset of its negative terms and greatest on its positive
-    base = simplex.vertices[omit]
+    base = simplex.vertices[0]
     steps = [[2 * values[n] * (x - b) for x, b in zip(simplex.vertices[n], base)] for n in axes]
     low = [denominator * b + sum(min(0, step[i]) for step in steps) for i, b in enumerate(base)]
     high = [denominator * b + sum(max(0, step[i]) for step in steps) for i, b in enumerate(base)]
@@ -436,7 +417,7 @@ def _parallelotope(simplex: LatticeSimplex, point: Sequence[int], values: Vector
         halfspaces.append((tuple(-c for c in coeffs), 2 * values[n] - 1 - const))
     count = _scan(halfspaces, box, 0)[0]
     passed = count == 1 and volume <= 2**d
-    return ParallelotopeCheck(tuple(point), omit, volume, count, passed)
+    return ParallelotopeCheck(tuple(point), 0, volume, count, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -17,53 +17,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import PartitionRecord, _descending, _first_mask, _integer_rows, _partition
-from .bounds import _sum_side_mask
+from .bounds import PartitionRecord, _descending, _first_mask, _partition
 from .exact import int_matrix
 from .points import DEFAULT_CAP, EnumerationCapError, classify_point
-from .simplex import LatticeSimplex, _interior_values, check_barycentric
+from .simplex import LatticeSimplex, _interior_values
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class AdmissibleWeights:
-    """Integer weights certifying a violated partition.
-
-    ``weights[k]`` pairs with the k-th product-side coordinate; ``total``
-    is their sum and satisfies |weights[k] / coords[j_k] - total| < 1.
-    """
-
-    weights: tuple[int, ...]
-    total: int
-
-
-def find_admissible_weights(
-    coords: Sequence[Fraction | int], sum_side: Sequence[int], cap: int = DEFAULT_CAP
-) -> AdmissibleWeights | None:
-    """Weights for a partition, or None when its inequality holds.
+def _admissible(values: Vector, record: PartitionRecord, cap: int) -> tuple[Vector, int]:
+    """Integer weights and their total T for rows n over D = sum n and their violated partition.
 
     The rows of the partition's system matrix say |w_k - T b_k| < b_k for
-    each product-side coordinate b_k and sum(w) = T, so each weight lies in
-    the integer interval [floor((T-1) b_k) + 1, ceil((T+1) b_k) - 1].  The
-    scan takes the smallest total T >= 1 whose intervals are nonempty and
-    bracket T between their sums; T = 0 would force every weight to 0.
-    Then, from the last weight down, each weight takes the least value that
-    leaves the others feasible.  All weights are positive, so this is the
-    short vector minimizing |T| first and then |w_t|, ..., |w_1|.
+    each product-side coordinate b_k = n_k / D and sum(w) = T, so each
+    weight lies in the integer interval [floor((T-1) b_k) + 1,
+    ceil((T+1) b_k) - 1].  The scan takes the smallest total T >= 1 whose
+    intervals are nonempty and bracket T between their sums; T = 0 would
+    force every weight to 0.  Then, from the last weight down, each weight
+    takes the least value that leaves the others feasible.  All weights
+    are positive, so this is the short vector minimizing |T| first and
+    then |w_t|, ..., |w_1|.  ``weights[k]`` pairs with the k-th
+    product-side row.
 
     Minkowski's box bounds T by the last row sum of the matrix's inverse,
     (2 - s) / s with s the sum-side total.  A scan that would pass ``cap``
     values of T raises :class:`EnumerationCapError` naming that bound.
     """
-    values = _integer_rows(check_barycentric(coords))
-    record = _partition(values, _sum_side_mask(len(values), sum_side))
-    return None if record.slack >= 0 else _admissible(values, record, cap)
-
-
-def _admissible(values: Vector, record: PartitionRecord, cap: int) -> AdmissibleWeights:
-    """:func:`find_admissible_weights` on rows n over D = sum n and their violated partition."""
     bound = -((record.sum - 2) // record.sum) - 1  # ceil((2 - s) / s) - 1
     parts, denominator = [values[j] for j in record.product_side], sum(values)
     for total in range(1, bound + 1):
@@ -86,7 +66,7 @@ def _admissible(values: Vector, record: PartitionRecord, cap: int) -> Admissible
     for weight, n in zip(weights, parts):
         if abs(weight * denominator - total * n) >= n:
             raise AssertionError(f"weight {weight} is not within 1 of {total} * {n}/{denominator}")
-    return AdmissibleWeights(tuple(weights), total)
+    return tuple(weights), total
 
 
 @dataclass(frozen=True)
@@ -132,7 +112,7 @@ def second_interior_point(
     vertices, and is verified to be distinct from the start and interior
     before a certificate is returned.  Every coordinate of
     ``point`` must be an ``int``.  ``cap`` limits the T-scan of
-    :func:`find_admissible_weights`.
+    :func:`_admissible`.
     """
     (start,) = int_matrix([point])  # refused, not truncated, when not all ints
     refusal = f"start point {start} is not an interior lattice point"
@@ -142,11 +122,10 @@ def second_interior_point(
     if mask is None:
         return None
     record = _partition(ranked, mask)
-    admissible = _admissible(ranked, record, cap)
+    weights, total = _admissible(ranked, record, cap)
     weight_order = tuple(order[k] for k in record.product_side)
-    total = admissible.total
     # total * anchor is the integer sum of the weighted product-side vertices
-    pulls = [sum(w * simplex.vertices[j][c] for w, j in zip(admissible.weights, weight_order))
+    pulls = [sum(w * simplex.vertices[j][c] for w, j in zip(weights, weight_order))
              for c in range(simplex.ambient_dim)]
     anchor = tuple(Fraction(pull, total) for pull in pulls)
     found = tuple((total + 1) * p - pull for p, pull in zip(start, pulls))
@@ -155,6 +134,6 @@ def second_interior_point(
     return SecondPointCertificate(
         sum_side=tuple(sorted(order[k] for k in record.sum_side)),
         product_side=tuple(sorted(weight_order)), ratio=record.sum / record.product,
-        weights=admissible.weights, weight_order=weight_order, total=total,
+        weights=weights, weight_order=weight_order, total=total,
         anchor=anchor, start=start, point=found,
     )

@@ -76,8 +76,8 @@ def zpw_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
 
 def _centroid_member(dim: int, corner: int, step: int, inner: int, cap: int) -> LatticeSimplex:
     simplex = _family_member(dim, corner, itertools.repeat(step), inner, cap)
-    # the point is the centroid when its rows, D times its coordinates, are all equal
-    if len(set(_interior_values(simplex, (inner,) * dim))) != 1:
+    # the point is the centroid when, on every axis, the vertices sum to d + 1 times it
+    if any(sum(axis) != (dim + 1) * inner for axis in zip(*simplex.vertices)):
         raise AssertionError("interior point is not the centroid")
     return simplex
 

@@ -48,7 +48,9 @@ class EnumerationCapError(RuntimeError):
     """A scan would exceed the configured cap, counted in ``unit``.
 
     ``required`` is the predicted work in that unit: the candidate count of
-    a bounding box, or the Minkowski bound on a certificate's T-scan.
+    a bounding box, or the Minkowski bound on a certificate's T-scan.  When
+    a family's box passes both the cap and 2^128, it is the partial product
+    at which the family builder stopped: a lower bound, printed "at least 2^k".
     """
 
     def __init__(

@@ -40,14 +40,6 @@ def test_partition_slack_frozen():
     assert op.check_all_partitions(WIDE_COORDS).records[1].slack == Fraction(-1, 28)
 
 
-def test_partition_sides_must_be_nonempty():
-    for side in ((), (0, 1, 2)):
-        with pytest.raises(ValueError, match="both partition sides must be nonempty"):
-            op.find_admissible_weights(ZPW2_COORDS, side)
-    with pytest.raises(ValueError, match=r"vertex indexes must lie in \[0, 3\)"):
-        op.find_admissible_weights(ZPW2_COORDS, (0, 1, 2, 5))
-
-
 def test_check_all_partitions_order_and_worst():
     report = op.check_all_partitions(WIDE_COORDS)
     assert len(report.records) == 6
@@ -387,16 +379,11 @@ def test_bounds_tables_match_the_face_by_face_loop(case):
 
 
 def test_parallelotope_frozen():
-    box = op.parallelotope_check(ZPW2, (1, 1))
+    box = op.bounds_report(ZPW2, (1, 1)).parallelotope
     assert box.volume == 4 and box.interior_count == 1 and box.passed
-    reflected = op.reflected_simplex(3)
-    small = op.parallelotope_check(reflected, (0, 0, 0))
+    assert box.omitted_index == 0
+    small = op.bounds_report(op.reflected_simplex(3), (0, 0, 0)).parallelotope
     assert small.volume == Fraction(1, 2) and small.passed
-    for omit in range(3):
-        assert op.parallelotope_check(ZPW2, (1, 1), omit).passed
-    for omit in (-1, 3):
-        with pytest.raises(ValueError, match="omitted vertex index out of range"):
-            op.parallelotope_check(ZPW2, (1, 1), omit)
 
 
 def corner_box(simplex, point, omit):
@@ -422,8 +409,9 @@ def corner_box(simplex, point, omit):
 def full_box_parallelotope(simplex, point, omit):
     """Corner box and full-box lattice point count of the doubled-coordinate box.
 
-    The loop parallelotope_check ran before the shared scan kernel: every
-    candidate of the corner box is tested against 0 < row(x) < 2 row(p).
+    The loop the package ran before the shared scan kernel, around vertex
+    ``omit`` as the origin (the package takes vertex 0): every candidate of
+    the corner box is tested against 0 < row(x) < 2 row(p).
     """
     box = corner_box(simplex, point, omit)
     axes = [n for n in range(simplex.dim + 1) if n != omit]
@@ -479,22 +467,24 @@ def test_two_sided_scan_matches_full_box_loop(data):
 
 
 def test_parallelotope_matches_full_box_loop_on_corpus(corpus):
+    # the package counts the box around vertex 0; around every vertex, the one point alone
     for member in corpus:
         point = op.is_onepoint(member)
+        check = op.bounds_report(member, point).parallelotope
+        assert check.interior_count == full_box_parallelotope(member, point, 0)[1]
         for omit in range(member.dim + 1):
-            check = op.parallelotope_check(member, point, omit)
-            assert check.interior_count == full_box_parallelotope(member, point, omit)[1]
+            assert full_box_parallelotope(member, point, omit)[1] == 1
 
 
 def test_parallelotope_cap_meets_the_corner_box(corpus):
     # the closed-form box is the corner loop's box: the cap refuses one below its size
     for member in corpus:
         point = op.is_onepoint(member)
-        for omit in range(member.dim + 1):
-            size = prod(hi - lo + 1 for lo, hi in corner_box(member, point, omit))
-            with pytest.raises(op.EnumerationCapError):
-                op.parallelotope_check(member, point, omit, cap=size - 1)
-            assert op.parallelotope_check(member, point, omit, cap=size).interior_count == 1
+        rows = onepoint.simplex._interior_values(member, point)
+        size = prod(hi - lo + 1 for lo, hi in corner_box(member, point, 0))
+        with pytest.raises(op.EnumerationCapError):
+            onepoint.bounds._parallelotope(member, point, rows, size - 1)
+        assert onepoint.bounds._parallelotope(member, point, rows, size).interior_count == 1
 
 
 def test_corpus_extremes_frozen():
@@ -521,7 +511,6 @@ def test_checks_around_the_point_refuse_a_point_not_inside(point):
     # every check around the interior point refuses it with the one message
     checks = (
         lambda: op.bounds_report(ZPW2, point),
-        lambda: op.parallelotope_check(ZPW2, point),
         lambda: op.chain_decompose(ZPW2, point),
         lambda: op.corpus_extremes([(TRI3, (1, 1)), (ZPW2, point)]),
         lambda: section_simplex(ZPW2, point, (0,)),

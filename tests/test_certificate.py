@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onepoint as op
+from onepoint.bounds import _integer_rows, _partition
+from onepoint.certificate import _admissible
 from onepoint.exact import SingularMatrixError
 from oracles import invert_rat, mat_mul, minkowski_solve, partition_matrix
 
@@ -95,40 +97,35 @@ coordinate_vectors = st.lists(
 @given(coordinate_vectors)
 @settings(max_examples=200, deadline=None)
 def test_t_scan_matches_the_minkowski_box_search(coords):
-    for record in op.check_all_partitions(coords).records:
-        side = record.sum_side
-        weights = op.find_admissible_weights(coords, side)
+    values = _integer_rows(coords)
+    for mask in range(1, 2 ** len(values) - 1):
+        record = _partition(values, mask)
         if record.slack >= 0:
-            assert weights is None
             continue
-        solution = minkowski_solve(partition_matrix(coords, side))
+        solution = minkowski_solve(partition_matrix(coords, record.sum_side))
         if solution[-1] < 0:
             solution = tuple(-v for v in solution)
-        assert weights == op.AdmissibleWeights(solution[:-1], solution[-1])
+        assert _admissible(values, record, op.DEFAULT_CAP) == (solution[:-1], solution[-1])
 
 
 def test_t_scan_refuses_above_the_cap():
     # sum side 1/29 of conv{0, 29e1, 26e2} at (1, 1): total 26 of at most 56
     coords = op.barycentric_of(op.LatticeSimplex(((0, 0), (29, 0), (0, 26))), (1, 1))
-    assert op.find_admissible_weights(coords, (1,), cap=26) == op.AdmissibleWeights((25, 1), 26)
+    values = _integer_rows(coords)
+    record = _partition(values, 0b010)  # sum side (1,)
+    assert _admissible(values, record, 26) == ((25, 1), 26)
     with pytest.raises(op.EnumerationCapError) as err:
-        op.find_admissible_weights(coords, (1,), cap=25)
+        _admissible(values, record, 25)
     assert (err.value.cap, err.value.required) == (25, 56)
     assert str(err.value) == (
         "certificate search may take 56 T-scan steps, above the enumeration cap of 25"
     )
 
 
-def test_find_admissible_weights():
-    coords = tuple(sorted(op.barycentric_of(WIDE, (1, 1)), reverse=True))
-    weights = op.find_admissible_weights(coords, (2,))
-    assert weights == op.AdmissibleWeights((1, 1), 2)
-    # satisfied partitions yield nothing
-    assert op.find_admissible_weights(coords, (0,)) is None
-    zpw = (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
-    for mask in range(1, 7):
-        side = [i for i in range(3) if mask >> i & 1]
-        assert op.find_admissible_weights(zpw, side) is None
+def test_admissible_weights_frozen():
+    values = _integer_rows(sorted(op.barycentric_of(WIDE, (1, 1)), reverse=True))
+    record = _partition(values, 0b100)  # sum side (2,)
+    assert _admissible(values, record, op.DEFAULT_CAP) == ((1, 1), 2)
 
 
 def test_second_interior_point_frozen():

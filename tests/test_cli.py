@@ -416,6 +416,25 @@ def test_centroid_families_refuse_before_building(family, capsys):
         assert "enumeration cap" in err
 
 
+def test_zpw_refuses_a_huge_dimension_at_once(capsys):
+    # the Sylvester terms square at each step, so the box passes 128 bits within a few
+    for dim in ("2000", "1000000"):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "gen", "--dim", dim, "--family", "zpw")
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert "enumeration cap" in err
+
+
+@pytest.mark.parametrize("family", ["zpw", "dilated", "reflected"])
+def test_gen_reads_each_family_rows_once(family, monkeypatch, capsys):
+    # the builder checks the centroid on the vertices; the payload's coordinates read the rows
+    rows = []
+    record_calls(monkeypatch, onepoint.simplex, "_row_values", rows)
+    assert run(capsys, "gen", "--dim", "3", "--family", family)[0] == 0
+    assert len(rows) == 1
+
+
 @pytest.mark.parametrize("dim", range(1, 7))
 def test_gen_sylvester_is_the_zpw_diagonal(dim, capsys):
     code, out, _ = run(capsys, "--cap", str(10**14), "--format", "structured",

@@ -60,6 +60,8 @@ def test_count_face_points_frozen():
         op.count_face_points(small, (0, 1, 2))
     with pytest.raises(ValueError):
         op.count_face_points(small, (5,))
+    with pytest.raises(ValueError, match=r"vertex indexes must lie in \[0, 3\)"):
+        op.count_face_points(ZPW2, (0, 5))
 
 
 def test_census_counts_all_and_keeps_the_first_points():

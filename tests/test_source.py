@@ -81,6 +81,17 @@ def test_points_and_generators_hold_no_test_only_code():
     assert found == []
 
 
+def test_certificate_and_bounds_hold_no_test_only_code():
+    # the second-point construction runs through second_interior_point alone, and the
+    # public bounds functions no command calls are the Fraction ones the acceptance tests state
+    public, uncalled = _public_and_uncalled("certificate")
+    assert "second_interior_point" in public
+    assert uncalled == []
+    public, uncalled = _public_and_uncalled("bounds")
+    assert {"bounds_report", "chain_decompose", "corpus_extremes"} <= public
+    assert uncalled == ["check_all_partitions", "coordinate_lower_bounds", "reduced_system"]
+
+
 def _names_itertools_product(node):
     if isinstance(node, ast.Attribute):
         return node.attr == "product" and getattr(node.value, "id", None) == "itertools"
