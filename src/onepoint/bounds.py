@@ -23,6 +23,7 @@ from typing import Sequence
 
 from .points import DEFAULT_CAP, _capped_box, _scan, count_face_points
 from .simplex import (
+    MAX_DIGITS,
     LatticeSimplex,
     _interior_values,
     _volume_of,
@@ -31,10 +32,6 @@ from .simplex import (
 )
 
 Vector = tuple[int, ...]
-
-
-# str() refuses an int past 4,300 digits by default, so no bound is built past them
-MAX_DIGITS = 4300
 
 
 class BoundSizeError(ArithmeticError):

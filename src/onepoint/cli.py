@@ -25,35 +25,10 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .bounds import (
-    MAX_DIGITS,
-    BoundSizeError,
-    _inequalities,
-    _integer_rows,
-    _reduced,
-    bounds_report,
-    chain_decompose,
-    corpus_extremes,
-)
-from .certificate import second_interior_point
-from .generators import dilated_simplex, onepoint_triangle_atlas, reflected_simplex, zpw_simplex
-from .points import (
-    DEFAULT_CAP,
-    EnumerationCapError,
-    _classify,
-    enumerate_interior,
-    is_onepoint,
-)
-from .simplex import (
-    LatticeSimplex,
-    SimplexParseError,
-    _interior_values,
-    barycentric_of,
-    normalized_volume,
-    parse_simplex_text,
-)
+if TYPE_CHECKING:
+    from .simplex import LatticeSimplex
 
 
 # a leaf by its exact type; a fraction is its p/q string, never a float
@@ -107,6 +82,8 @@ def _json(value: Any, indent: str = "\n") -> str:
 
 
 def _load(path: str) -> LatticeSimplex:
+    from .simplex import SimplexParseError, parse_simplex_text
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -120,6 +97,8 @@ _COORDINATE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+|\d+/\d+)", re.ASCII)
 
 
 def _parse_point(text: str, dim: int, lattice: bool) -> tuple[Fraction, ...]:
+    from .simplex import MAX_DIGITS
+
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != dim:
         raise ValueError(f"point needs {dim} comma-separated coordinates, got {len(parts)}")
@@ -140,12 +119,15 @@ def _parse_point(text: str, dim: int, lattice: bool) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (exit code, payload, human lines), a record's payload its vars()
+# subcommands; each returns (exit code, payload, human lines), a record's payload its vars(),
+# and imports the layers it runs in its body, so a process loads only its command's layers
 
 Handled = tuple[int, dict[str, Any], list[str]]
 
 
 def _cmd_verify(args: argparse.Namespace) -> Handled:
+    from .points import enumerate_interior
+
     simplex = _load(args.file)
     # the human lines show 20 points; the document lists every one
     limit = None if args.format == "structured" else 20
@@ -167,6 +149,9 @@ def _cmd_verify(args: argparse.Namespace) -> Handled:
 
 
 def _cmd_bary(args: argparse.Namespace) -> Handled:
+    from .points import _classify
+    from .simplex import barycentric_of
+
     simplex = _load(args.file)
     point = _parse_point(args.point, simplex.ambient_dim, lattice=False)
     coords = barycentric_of(simplex, point)
@@ -187,11 +172,16 @@ def _cmd_bary(args: argparse.Namespace) -> Handled:
 
 
 def _interior_start(simplex: LatticeSimplex, cap: int) -> tuple[int, ...] | None:
+    from .points import enumerate_interior
+
     census = enumerate_interior(simplex, cap, limit=1)
     return census.points[0] if census.points else None
 
 
 def _cmd_ineq(args: argparse.Namespace) -> Handled:
+    from .bounds import _inequalities, _integer_rows, _reduced
+    from .simplex import _interior_values
+
     simplex = _load(args.file)
     if args.point is not None:
         point = _parse_point(args.point, simplex.ambient_dim, lattice=False)
@@ -240,6 +230,9 @@ _NOT_ONEPOINT: Handled = (
 
 
 def _cmd_bounds(args: argparse.Namespace) -> Handled:
+    from .bounds import bounds_report
+    from .points import is_onepoint
+
     simplex = _load(args.file)
     point = is_onepoint(simplex, args.cap)
     if point is None:
@@ -262,6 +255,9 @@ def _cmd_bounds(args: argparse.Namespace) -> Handled:
 
 
 def _cmd_chain(args: argparse.Namespace) -> Handled:
+    from .bounds import chain_decompose
+    from .points import is_onepoint
+
     simplex = _load(args.file)
     point = is_onepoint(simplex, args.cap)
     if point is None:
@@ -279,6 +275,8 @@ def _cmd_chain(args: argparse.Namespace) -> Handled:
 
 
 def _cmd_cert(args: argparse.Namespace) -> Handled:
+    from .certificate import second_interior_point
+
     simplex = _load(args.file)
     if args.point is not None:
         start = tuple(
@@ -313,6 +311,8 @@ def _cmd_cert(args: argparse.Namespace) -> Handled:
 
 
 def _simplex_payload(simplex: LatticeSimplex, point: tuple[int, ...]) -> dict[str, Any]:
+    from .simplex import barycentric_of, normalized_volume
+
     return {
         "dim": simplex.dim,
         "vertices": [list(v) for v in simplex.vertices],
@@ -323,6 +323,8 @@ def _simplex_payload(simplex: LatticeSimplex, point: tuple[int, ...]) -> dict[st
 
 
 def _cmd_gen(args: argparse.Namespace) -> Handled:
+    from .generators import dilated_simplex, reflected_simplex, zpw_simplex
+
     d = args.dim
     payload: dict[str, Any] = {"dim": d, "families": {}, "passed": True}
     lines: list[str] = []
@@ -346,6 +348,8 @@ def _cmd_gen(args: argparse.Namespace) -> Handled:
 
 
 def _cmd_atlas2d(args: argparse.Namespace) -> Handled:
+    from .generators import onepoint_triangle_atlas
+
     atlas = onepoint_triangle_atlas(args.radius, args.cap)
     payload = {**vars(atlas), "class_count": len(atlas.classes), "passed": True}
     lines = [f"equivalence classes within radius {atlas.radius}: {len(atlas.classes)}"]
@@ -362,6 +366,9 @@ def _cmd_atlas2d(args: argparse.Namespace) -> Handled:
 
 
 def _cmd_report(args: argparse.Namespace) -> Handled:
+    from .bounds import corpus_extremes
+    from .points import enumerate_interior
+
     members = []
     for path in args.files:
         simplex = _load(path)
@@ -409,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cap",
         type=_cap,
-        default=DEFAULT_CAP,
         help="refuse enumerations with more candidate points, and certificate "
         "searches with more T-scan steps, than this",
     )
@@ -467,6 +473,14 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _refusals() -> tuple[type[Exception], ...]:
+    """The refusals that exit 3; an except clause calls this only when an exception reaches it."""
+    from .bounds import BoundSizeError
+    from .points import EnumerationCapError
+
+    return EnumerationCapError, BoundSizeError
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command on ``argv`` (default ``sys.argv[1:]``); return its exit code.
 
@@ -484,18 +498,22 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(words)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.cap is None:  # the default lives in points, which --help need not load
+        from .points import DEFAULT_CAP
+
+        args.cap = DEFAULT_CAP
     try:
         code, payload, lines = args.handler(args)
         if args.format == "structured":
             doc = {"command": args.command, "config": {"cap": args.cap, "format": args.format}}
             lines = [_json({**doc, **payload})]
-    except (EnumerationCapError, BoundSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         # a SimplexParseError too, and str() of an int past the interpreter's digit limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _refusals() as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     for line in lines:
         print(line)
     return code

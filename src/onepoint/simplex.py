@@ -26,6 +26,9 @@ from .exact import adjugate_int, echelon, int_matrix
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
 
+# str() refuses an int past 4,300 digits by default: no point coordinate or bound may have more
+MAX_DIGITS = 4300
+
 
 class SimplexParseError(ValueError):
     """A simplex text document failed to parse or validate."""
