@@ -11,13 +11,14 @@ enumeration or a certificate search refuses to run above the cap, or a
 bound would have too many digits to print.  :func:`main` returns its code
 and does not raise: it renders every line before it prints one, so a
 number longer than the interpreter's own int-to-str limit ends with one
-``error:`` line and exit 2 in both formats.
+``error:`` line and exit 2 in both formats; a closed pipe ends it quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import re
 import sys
 from fractions import Fraction
@@ -96,7 +97,7 @@ def _load(path: str) -> LatticeSimplex:
 _COORDINATE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+|\d+/\d+)", re.ASCII)
 
 
-def _parse_point(text: str, dim: int, lattice: bool) -> tuple[Fraction, ...]:
+def _parse_point(text: str, dim: int, lattice: bool) -> tuple[Fraction, ...] | tuple[int, ...]:
     from .simplex import MAX_DIGITS
 
     parts = [part.strip() for part in text.split(",")]
@@ -115,7 +116,17 @@ def _parse_point(text: str, dim: int, lattice: bool) -> tuple[Fraction, ...]:
         raise ValueError(f"bad point {text!r}: {exc}") from exc
     if lattice and any(c.denominator != 1 for c in coords):
         raise ValueError(f"point {text!r} must have integer coordinates")
-    return coords
+    return tuple(c.numerator for c in coords) if lattice else coords
+
+
+def _start(args: argparse.Namespace, simplex: LatticeSimplex, lattice: bool) -> tuple | None:
+    """The point a command works at: ``--point``, else the lex-min interior lattice point."""
+    if args.point is not None:
+        return _parse_point(args.point, simplex.ambient_dim, lattice)
+    from .points import enumerate_interior
+
+    census = enumerate_interior(simplex, args.cap, limit=1)
+    return census.points[0] if census.points else None
 
 
 # ---------------------------------------------------------------------------
@@ -171,26 +182,16 @@ def _cmd_bary(args: argparse.Namespace) -> Handled:
     return 0, payload, lines
 
 
-def _interior_start(simplex: LatticeSimplex, cap: int) -> tuple[int, ...] | None:
-    from .points import enumerate_interior
-
-    census = enumerate_interior(simplex, cap, limit=1)
-    return census.points[0] if census.points else None
-
-
 def _cmd_ineq(args: argparse.Namespace) -> Handled:
     from .bounds import _inequalities, _integer_rows, _reduced
     from .simplex import _interior_values
 
     simplex = _load(args.file)
-    if args.point is not None:
-        point = _parse_point(args.point, simplex.ambient_dim, lattice=False)
-    else:
-        point = _interior_start(simplex, args.cap)
-        if point is None:
-            return 1, {"passed": False, "reason": "no interior lattice point"}, [
-                "no interior lattice point to test"
-            ]
+    point = _start(args, simplex, lattice=False)
+    if point is None:
+        return 1, {"passed": False, "reason": "no interior lattice point"}, [
+            "no interior lattice point to test"
+        ]
     # at a rational point the rows are fractions, cleared to integers over their sum
     values = _integer_rows(
         _interior_values(simplex, point, "the partition system needs a point strictly inside"))
@@ -278,17 +279,11 @@ def _cmd_cert(args: argparse.Namespace) -> Handled:
     from .certificate import second_interior_point
 
     simplex = _load(args.file)
-    if args.point is not None:
-        start = tuple(
-            int(c) for c in _parse_point(args.point, simplex.ambient_dim, lattice=True)
-        )
-    else:
-        found = _interior_start(simplex, args.cap)
-        if found is None:
-            return 1, {"passed": False, "reason": "no interior lattice point"}, [
-                "no interior lattice point to start from"
-            ]
-        start = found
+    start = _start(args, simplex, lattice=True)
+    if start is None:
+        return 1, {"passed": False, "reason": "no interior lattice point"}, [
+            "no interior lattice point to start from"
+        ]
     cert = second_interior_point(simplex, start, args.cap)
     if cert is None:
         payload = {"start": start, "found": False, "passed": True}
@@ -514,8 +509,12 @@ def main(argv: list[str] | None = None) -> int:
     except _refusals() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    for line in lines:
-        print(line)
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        # the reader stopped early: devnull takes what is left, so the exit flush stays quiet
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return code
 
 

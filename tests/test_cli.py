@@ -475,6 +475,24 @@ def test_report_command(files, capsys):
     assert "3 interior lattice points, expected 1" in out
 
 
+def test_non_members_get_their_reply_in_both_formats(files, capsys):
+    # bounds and chain need the one interior point, and wide has 3
+    wide = files["wide"]
+    replies = {
+        ("bounds", wide): ("the simplex does not have exactly one interior lattice point",
+                           "not a one-point simplex"),
+        ("chain", wide): ("the simplex does not have exactly one interior lattice point",
+                          "not a one-point simplex"),
+        ("report", files["zpw2"], wide): (f"{wide}: 3 interior lattice points, expected 1",
+                                          f"{wide} is not a one-point simplex"),
+    }
+    for argv, (line, reason) in replies.items():
+        assert run(capsys, *argv) == (1, line + "\n", ""), argv
+        code, out, err = run(capsys, "--format", "structured", *argv)
+        doc = json.loads(out)
+        assert (code, err, doc["passed"], doc["reason"]) == (1, "", False, reason), argv
+
+
 def test_structured_output_is_deterministic(files, capsys):
     first = run(capsys, "--format", "structured", "ineq", files["zpw3"])
     second = run(capsys, "--format", "structured", "ineq", files["zpw3"])
