@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator
 
-from .bounds import _chain, _inequalities, _lower_bounds
+from .bounds import _chain, _lower_bounds, _reduced
 from .exact import col_hnf
 from .points import DEFAULT_CAP, EnumerationCapError, _SHOWN_BITS, is_onepoint
 from .simplex import LatticeSimplex, _interior_values, normalized_volume
@@ -146,7 +146,9 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
     u + t = e12 + e20 keeps exactly the one-interior-point triangles, each
     survivor is folded into its canonical form, and every class is then
     re-verified from scratch: interior census of size one, all partition
-    inequalities, coordinate lower bounds, and the chain bounds.
+    inequalities, coordinate lower bounds, and the chain bounds.  The
+    inequalities are checked through the reduced system on the sorted
+    coordinates, whose least slack is the least over every partition.
 
     The radius names the box |x|, |y| <= box_radius that every reported
     form is checked to fit in; from 9 on the box holds every class.
@@ -174,8 +176,8 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
         if is_onepoint(member, cap) != (0, 0):
             raise AssertionError(f"class {form} fails the census")
         values = _interior_values(member, (0, 0))
-        report, chain = _inequalities(values), _chain(member, values, cap)
-        if not (report.passed and _lower_bounds(values).passed and chain.passed):
+        least, chain = min(_reduced(values)), _chain(member, values, cap)
+        if not (least >= 0 and _lower_bounds(values).passed and chain.passed):
             raise AssertionError(f"class {form} violates a bound it must satisfy")
         denominator = sum(values)
         classes.append(
@@ -184,7 +186,7 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
                 normalized_volume(member),
                 chain.levels[-1].count,
                 tuple(Fraction(n, denominator) for n in sorted(values, reverse=True)),
-                report.min_slack,
+                least,
             )
         )
     classes.sort(key=lambda c: (c.volume, c.point_count, c.vertices))

@@ -17,7 +17,8 @@ that holds points and is not settled is then listed, row by row.
 
 Every scan is guarded by a candidate cap: when the bounding box holds more
 candidates than the cap allows, the scan refuses up front instead of
-grinding.
+grinding.  Faces of dimension at most 2 are not scanned: a vertex, an edge
+and a triangle are counted in closed form, by gcds and Pick's theorem.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from operator import add
+from math import gcd, prod
+from operator import add, sub
 from typing import Iterable, Sequence
 
-from .simplex import LatticeSimplex, _complement, _row_values
+from .simplex import MAX_DIGITS, LatticeSimplex, _complement, _row_values, _volume_of
 
 Vector = tuple[int, ...]
 
@@ -51,6 +52,7 @@ class EnumerationCapError(RuntimeError):
     a bounding box, or the Minkowski bound on a certificate's T-scan.  When
     a family's box passes both the cap and 2^128, it is the partial product
     at which the family builder stopped: a lower bound, printed "at least 2^k".
+    The cap is the caller's own number, printed in full up to MAX_DIGITS digits.
     """
 
     def __init__(
@@ -62,7 +64,7 @@ class EnumerationCapError(RuntimeError):
     ):
         super().__init__(
             f"{scope} {_count_text(required)} {unit}, "
-            f"above the enumeration cap of {_count_text(cap)}"
+            f"above the enumeration cap of {cap if cap < 10**MAX_DIGITS else _count_text(cap)}"
         )
         self.cap = cap
         self.required = required
@@ -320,13 +322,26 @@ def count_face_points(
 ) -> int:
     """Count lattice points on the closed face omitting the given vertexes.
 
-    With no omissions this is the full closure count.  The scan covers the
-    face's own vertex bounding box and tests the omitted barycentric
-    functionals for zero, the rest for nonnegativity.
+    With no omissions this is the full closure count.  A face of dimension
+    at most 2 is counted in closed form, with nothing enumerated and so no
+    cap: a vertex is 1 point, an edge vw is gcd(v - w) + 1, and a triangle
+    is (N + B) / 2 + 1 by Pick's theorem in the lattice of its own plane,
+    for N twice its normalized area and B the sum of its three edge gcds.
+    A larger face is scanned over its own vertex bounding box, refused
+    above ``cap`` candidates, testing the omitted barycentric functionals
+    for zero and the rest for nonnegativity.
     """
     simplex._require_full()
     dropped, kept = _complement(len(simplex.vertices), omitted)
-    box = _capped_box(_vertex_box([simplex.vertices[j] for j in kept]), cap)
+    face = [simplex.vertices[j] for j in kept]
+    if len(face) <= 3:
+        # Pick on a triangle; an edge has N = 0 and its one gcd twice in B, a vertex nothing
+        boundary = sum(gcd(*map(sub, v, w)) for v, w in zip(face, face[1:] + face[:1]))
+        if len(face) < 3:
+            return boundary // 2 + 1
+        area = simplex._volume if len(face) == len(simplex.vertices) else _volume_of(face)
+        return (int(2 * area) + boundary) // 2 + 1
+    box = _capped_box(_vertex_box(face), cap)
     rows = simplex.functional_rows
     # every functional nonnegative, and the omitted ones also nonpositive
     negated = [(tuple(-c for c in rows[i][0]), -rows[i][1]) for i in dropped]

@@ -670,12 +670,34 @@ def test_chain_runs_one_census_and_one_count_per_level(files, monkeypatch, capsy
 
 
 def test_chain_reads_the_stored_volume_at_the_top(files, monkeypatch, capsys):
-    # the parser eliminates the whole simplex once; then one elimination per proper level
+    # the parser eliminates the whole simplex once; then one elimination per proper level,
+    # and the level-2 triangle's count reads its area again for Pick's theorem
     eliminations = []
     record_calls(monkeypatch, onepoint.simplex, "_volume_of", eliminations)
     assert run(capsys, "chain", files["zpw3"])[0] == 0
-    assert [len(args[0]) for _, args, _ in eliminations] == [4, 2, 3]
+    assert [len(args[0]) for _, args, _ in eliminations] == [4, 2, 3, 3]
     assert tuple(eliminations[0][1][0]) == op.zpw_simplex(3).vertices
+
+
+@pytest.mark.parametrize("argv, expected", [(("atlas2d", "--radius", "9"), 5),
+                                            (("chain", "zpw3"), 2)])
+def test_low_faces_are_counted_without_a_scan(argv, expected, files, monkeypatch, capsys):
+    # one census per atlas class, and a chain's census and 3-face: no edge or triangle
+    scans = []
+    record_calls(monkeypatch, onepoint.points, "_scan", scans, every_binding=False)
+    assert run(capsys, *(files.get(a, a) for a in argv))[0] == 0
+    assert len(scans) == expected
+
+
+def test_cap_refusal_prints_the_cap_in_full(tmp_path, capsys):
+    # the box is a lower bound past 128 bits; the cap is the user's own number
+    side = 10**18
+    far = op.LatticeSimplex(((0, 0, 0), (side, 0, 0), (0, side, 0), (0, 0, side)))
+    path = tmp_path / "far.json"
+    path.write_text(op.simplex_to_text(far), encoding="utf-8")
+    assert run(capsys, "--cap", str(10**50), "verify", str(path)) == (
+        3, "", "error: bounding box holds at least 2^179 candidate points, "
+        f"above the enumeration cap of {10**50}\n")
 
 
 def test_atlas_repeats_no_points_call(monkeypatch, capsys):

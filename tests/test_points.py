@@ -1,6 +1,7 @@
 import itertools
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -62,6 +63,70 @@ def test_count_face_points_frozen():
         op.count_face_points(small, (5,))
     with pytest.raises(ValueError, match=r"vertex indexes must lie in \[0, 3\)"):
         op.count_face_points(ZPW2, (0, 5))
+
+
+def test_low_faces_answer_past_the_cap():
+    # a triangle's box of (10^9 + 1)^2 candidates would be refused by a scan; Pick counts it
+    n = 10**9
+    flat = op.LatticeSimplex(((0, 0, 0), (n, 0, 0), (0, n, 0), (0, 0, 1)))
+    assert op.count_face_points(flat, (3,)) == (n * n + 3 * n) // 2 + 1
+    assert op.count_face_points(flat, (2, 3)) == n + 1
+    assert op.count_face_points(flat, (0, 1, 2)) == 1
+    # the whole tetrahedron is still scanned, and its box of 2 (10^9 + 1)^2 is refused
+    with pytest.raises(op.EnumerationCapError, match="2000000004000000002 candidate points"):
+        op.count_face_points(flat)
+
+
+def check_low_faces(simplex, shears):
+    """Each face of dimension <= 2 counts as the box walk does, also after the shears.
+
+    Each shear (i, j, f) adds f times coordinate j to coordinate i.  Returns
+    the most candidates any of the image's faces holds in its vertex box.
+    """
+    d, n, rows = simplex.dim, len(simplex.vertices), simplex.functional_rows
+    image = simplex
+    for i, j, f in shears:
+        image = linear_image(image, [[(r == c) + f * (r == i and c == j) for c in range(d)]
+                                     for r in range(d)])
+    most = 0
+    for kept in itertools.chain(*(itertools.combinations(range(n), k) for k in (1, 2, 3))):
+        omitted = tuple(i for i in range(n) if i not in kept)
+        # every functional nonnegative, and the omitted ones also nonpositive
+        halfspaces = list(rows) + [(tuple(-c for c in rows[i][0]), -rows[i][1]) for i in omitted]
+        box = [(min(axis), max(axis)) for axis in zip(*(simplex.vertices[j] for j in kept))]
+        count = box_walk(halfspaces, box, False)
+        assert op.count_face_points(simplex, omitted) == count
+        assert op.count_face_points(image, omitted) == count
+        sides = zip(*(image.vertices[j] for j in kept))
+        most = max(most, prod(max(axis) - min(axis) + 1 for axis in sides))
+    return most
+
+
+@st.composite
+def low_face_cases(draw):
+    """A simplex of d = 2 to 6 whose face boxes the box walk can visit, and up to 4 shears."""
+    d = draw(st.integers(2, 6))
+    coordinate = st.integers(-max(2, 10 // d), max(2, 10 // d))
+    vertices = draw(st.lists(st.tuples(*[coordinate] * d), min_size=d + 1, max_size=d + 1,
+                             unique=True))
+    try:
+        simplex = op.LatticeSimplex(vertices)
+    except ValueError:  # affinely dependent
+        assume(False)
+    axes = st.integers(0, d - 1)
+    shear = st.tuples(axes, axes, st.integers(-1000, 1000)).filter(lambda s: s[0] != s[1])
+    return simplex, draw(st.lists(shear, max_size=4))
+
+
+@given(low_face_cases())
+@settings(max_examples=60, deadline=None)
+def test_low_faces_count_as_the_box_walk_does(case):
+    check_low_faces(*case)
+
+
+def test_sheared_low_faces_past_the_cap_answer():
+    # zpw(3) under x1 += 1000 x2, then x0 += 1000 x1: a triangle's box passes the cap
+    assert check_low_faces(ZPW3, [(1, 2, 1000), (0, 1, 1000)]) > op.DEFAULT_CAP
 
 
 def test_census_counts_all_and_keeps_the_first_points():
