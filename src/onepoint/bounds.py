@@ -275,10 +275,11 @@ def _chain(simplex: LatticeSimplex, values: Vector, cap: int) -> ChainReport:
     for i in range(1, d + 1):
         omitted = tuple(sorted(order[i + 1 :]))
         power = _power(d + 1, 2**i - 1)
-        volume = normalized_volume(simplex) if i == d else _volume_of(
-            [simplex.vertices[j] for j in sorted(order[: i + 1])])
+        face = [simplex.vertices[j] for j in sorted(order[: i + 1])]
+        volume = normalized_volume(simplex) if i == d else _volume_of(face)
         volume_bound = Fraction(power, factorial(i))
-        count = count_face_points(simplex, omitted, cap)
+        # the level-2 triangle is counted by Pick's theorem on the area just found
+        count = count_face_points(simplex, omitted, cap, area=volume if i == 2 else None)
         count_bound = i + power
         ok = volume <= volume_bound and count <= count_bound
         levels.append(ChainLevel(i, omitted, volume, volume_bound, count, count_bound, ok))

@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:
@@ -86,9 +85,14 @@ def _load(path: str) -> LatticeSimplex:
     from .simplex import SimplexParseError, parse_simplex_text
 
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as file:
+            data = file.read()
     except OSError as exc:
         raise SimplexParseError(f"cannot read {path}: {exc}") from exc
+    text = data.decode("utf-8")
+    if "\r" in text:
+        # what a text-mode read gives, so a parse error names the same line and column
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_simplex_text(text)
 
 

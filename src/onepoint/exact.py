@@ -54,33 +54,44 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     the previous pivot, so every entry stays an integer, and at the end
     the left block is the determinant of the row-permuted matrix times I
     while the right block is that determinant times the inverse.  Row
-    swaps flip the sign.  Raises :class:`SingularMatrixError` when the
-    matrix is singular.  Entries must be plain ints; they are not checked again.
+    swaps flip the sign.  Only n columns per row are in play at a time,
+    so each step costs n^2 entries, not 2n^2.  Raises
+    :class:`SingularMatrixError` when the matrix is singular.  Entries
+    must be plain ints; they are not checked again.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("adjugate needs a square matrix")
-    aug = [[*row, *(0,) * i, 1, *(0,) * (n - 1 - i)] for i, row in enumerate(matrix)]
-    sign, prev = 1, 1
+    # before step k a row holds A's columns k.. and then the I columns of the rows
+    # pivoted so far, in pivot order; A's columns before k are settled (the pivot
+    # on the diagonal, zeros off it), and the I column of a row not yet pivoted
+    # holds the last pivot in that row alone, so neither is stored
+    rows, origin, sign, prev = [list(row) for row in matrix], list(range(n)), 1, 1
     for k in range(n):
         for pivot in range(k, n):
-            if aug[pivot][k]:
+            if rows[pivot][0]:
                 break
         else:
             raise SingularMatrixError("matrix is singular")
         if pivot != k:
-            aug[k], aug[pivot] = aug[pivot], aug[k]
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            origin[k], origin[pivot] = origin[pivot], origin[k]
             sign = -sign
-        top, p = aug[k], aug[k][k]
+        p, tail = rows[k][0], rows[k][1:]
         for i in range(n):
             if i != k:
-                row, f = aug[i], aug[i][k]
-                # exact: every entry is a minor of the row-permuted [A | I]
-                aug[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
+                f = rows[i][0]
+                # exact: every entry is a minor of the row-permuted [A | I]; the pivot
+                # row's I column enters as prev in its row and 0 in this one
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i][1:], tail)]
+                rows[i].append(-f)
+        tail.append(prev)
+        rows[k], prev = tail, p
+    # the stored I columns in the order of the input rows they came from
+    columns = sorted(range(n), key=origin.__getitem__)
     if sign < 0:
-        return -prev, tuple(tuple(-x for x in row[n:]) for row in aug)
-    return prev, tuple(tuple(row[n:]) for row in aug)
+        return -prev, tuple(tuple(-row[j] for j in columns) for row in rows)
+    return prev, tuple(tuple(row[j] for j in columns) for row in rows)
 
 
 def echelon(rows: list[list[int]]) -> list[int]:

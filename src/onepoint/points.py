@@ -1,7 +1,7 @@
 """Lattice point classification, enumeration, and counting.
 
 Points are classified and counted on the integer forms of the barycentric
-functionals: each functional times the positive hull determinant has
+functionals: each functional times |det| of the edge matrix has
 integer coefficients and keeps its coordinate's sign.  A single point is
 classified by the signs of its rows; the interior, a closed face and the
 parallelotope around the interior point are integer half-spaces for one
@@ -318,7 +318,8 @@ def enumerate_interior(
 
 
 def count_face_points(
-    simplex: LatticeSimplex, omitted: Iterable[int] = (), cap: int = DEFAULT_CAP
+    simplex: LatticeSimplex, omitted: Iterable[int] = (), cap: int = DEFAULT_CAP,
+    *, area: Fraction | None = None,
 ) -> int:
     """Count lattice points on the closed face omitting the given vertexes.
 
@@ -327,6 +328,8 @@ def count_face_points(
     cap: a vertex is 1 point, an edge vw is gcd(v - w) + 1, and a triangle
     is (N + B) / 2 + 1 by Pick's theorem in the lattice of its own plane,
     for N twice its normalized area and B the sum of its three edge gcds.
+    A caller that already holds a triangle's normalized volume passes it
+    as ``area``, which is trusted, not checked.
     A larger face is scanned over its own vertex bounding box, refused
     above ``cap`` candidates, testing the omitted barycentric functionals
     for zero and the rest for nonnegativity.
@@ -339,7 +342,8 @@ def count_face_points(
         boundary = sum(gcd(*map(sub, v, w)) for v, w in zip(face, face[1:] + face[:1]))
         if len(face) < 3:
             return boundary // 2 + 1
-        area = simplex._volume if len(face) == len(simplex.vertices) else _volume_of(face)
+        if area is None:
+            area = simplex._volume if simplex.dim == 2 else _volume_of(face)
         return (int(2 * area) + boundary) // 2 + 1
     box = _capped_box(_vertex_box(face), cap)
     rows = simplex.functional_rows

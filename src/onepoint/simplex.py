@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import adjugate_int, echelon, int_matrix
@@ -90,17 +91,22 @@ class LatticeSimplex:
         """Integer forms of the barycentric functionals.
 
         Row i is (coeffs, const) with coeffs . x + const == bary_i(x) * D for
-        D = |det H|, H the hull matrix whose columns are the vertices over a
-        bottom row of ones: row i of the fraction-free adjugate of H times the
-        determinant's sign.  The constants sum to D, and sign tests on
-        lattice points never touch Fractions.
+        D = |det E|, E the edge matrix whose columns are v_j - v_0.  With A
+        the fraction-free adjugate of E times the determinant's sign, the row
+        of v_j (j >= 1) is row j - 1 of A with constant -A v_0, and the row
+        of v_0 is minus the column sums of A with the constant that makes
+        the constants sum to D.  Sign tests on lattice points never touch
+        Fractions.  Computed on first use, so a census refused on its box
+        never builds them.
         """
         self._require_full()
-        det, adjugate = adjugate_int((*zip(*self.vertices), (1,) * len(self.vertices)))
-        sign = 1 if det > 0 else -1
-        return tuple(
-            (tuple(sign * a for a in adj[:-1]), sign * adj[-1]) for adj in adjugate
-        )
+        base, rest = self.vertices[0], self.vertices[1:]
+        det, adjugate = adjugate_int([[v[c] - b for v in rest] for c, b in enumerate(base)])
+        if det < 0:
+            det, adjugate = -det, [[-a for a in row] for row in adjugate]
+        rows = [(tuple(row), -sum(map(mul, row, base))) for row in adjugate]
+        head = tuple(-sum(column) for column in zip(*adjugate))
+        return ((head, det - sum(const for _, const in rows)), *rows)
 
     def _require_full(self) -> None:
         if not self.is_full_dimensional:
@@ -197,15 +203,23 @@ class _Inexact:
         self.literal = literal
 
 
+# json.loads with a keyword builds a decoder per call; this one is built once
+_DECODER = json.JSONDecoder(parse_float=_Inexact)
+
+
 def parse_simplex_text(text: str) -> LatticeSimplex:
     """Parse the simplex exchange format.
 
     The document is a JSON object with fields ``dim`` (an integer) and
     ``vertices`` (a list of dim+1 integer vectors of length dim, order
-    preserved).  Any fractional coordinate is a parse error.
+    preserved).  Any fractional coordinate is a parse error.  One
+    module-level decoder reads every document, refusing a byte-order mark
+    as ``json.loads`` does.
     """
     try:
-        doc = json.loads(text, parse_float=_Inexact)
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as err:
         raise SimplexParseError(
             f"invalid document at line {err.lineno}, column {err.colno}: {err.msg}"
@@ -235,6 +249,9 @@ def parse_simplex_text(text: str) -> LatticeSimplex:
             f"field 'vertices': expected {dim + 1} vertices, got {len(vertices)}"
         )
     for i, vertex in enumerate(vertices):
+        # a list of plain ints passes at once; bool is an int subclass, so by exact type
+        if type(vertex) is list and len(vertex) == dim and all(type(x) is int for x in vertex):
+            continue
         if not isinstance(vertex, list) or len(vertex) != dim:
             raise SimplexParseError(
                 f"field 'vertices[{i}]': expected a vector of length {dim}"

@@ -12,7 +12,8 @@ large, and the per-record loop over faces built one by one is the
 reference for the bitmask tables of ``bounds_report``.  Textbook
 routes over ``Fraction`` give brute-force Minkowski boxes, the partition
 matrix whose determinant is the package's closed-form sum/product ratio,
-the barycentric functionals as a scaled inverse, and affine independence
+the barycentric functionals as a scaled inverse of the hull matrix
+(the package adjugates the edge matrix), and affine independence
 as a rank.  Chained ``Fraction`` sums and products evaluate a partition
 for the package's integer-row evaluator, and the coordinate lower bounds
 for its integer comparisons; a walk over every mask is the reference
@@ -441,6 +442,19 @@ def invert_rat(matrix):
                 factor = aug[i][col]
                 aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def hull_rows(simplex):
+    """The functional rows as |det H| times the rational inverse of the hull matrix H.
+
+    H has the vertices as columns over a bottom row of ones; row i of the
+    scaled inverse is (coeffs, const) of vertex i's barycentric functional.
+    """
+    n = len(simplex.vertices)
+    hull = (*zip(*simplex.vertices), (1,) * n)
+    absdet = abs(det_int(hull))
+    return tuple((tuple(absdet * x for x in row[:-1]), absdet * row[-1])
+                 for row in invert_rat(hull))
 
 
 def rank_rat(matrix):

@@ -123,6 +123,29 @@ def test_hostile_documents_exit_2(tmp_path, capsys):
         assert err.startswith("error: invalid document") and "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("name, content, message", [
+    # a lone CR reads as a line break, as a text-mode read gives it
+    ("cr.json", b'{"dim": 2,\r "vertices": [[0, 0], [4, 0],\r  [0, 4]], x}\r',
+     "invalid document at line 3, column 12: Expecting property name enclosed in double quotes"),
+    ("crlf.json", b'{"dim": 2,\r\n "vertices": [[0, 0], [4, 0],\r\n  [0, 4]], x}\r\n',
+     "invalid document at line 3, column 12: Expecting property name enclosed in double quotes"),
+    ("bom.json", b'\xef\xbb\xbf{"dim": 2, "vertices": [[0, 0], [4, 0], [0, 4]]}',
+     "invalid document at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ("latin.json", b'{"dim": 2, "vertices": [[0, 0], [4, 0], [0, 4]], "n\xe9": 1}',
+     "'utf-8' codec can't decode byte 0xe9 in position 51: invalid continuation byte"),
+    ("missing.json", None,
+     "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+    ("dir.json", "directory", "cannot read dir.json: [Errno 21] Is a directory: 'dir.json'"),
+])
+def test_intake_errors_keep_their_text(name, content, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if content == "directory":
+        (tmp_path / name).mkdir()
+    elif content is not None:
+        (tmp_path / name).write_bytes(content)
+    assert run(capsys, "verify", name) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["bary", "ineq", "cert"])
 @pytest.mark.parametrize(
     "point, message",
@@ -671,11 +694,11 @@ def test_chain_runs_one_census_and_one_count_per_level(files, monkeypatch, capsy
 
 def test_chain_reads_the_stored_volume_at_the_top(files, monkeypatch, capsys):
     # the parser eliminates the whole simplex once; then one elimination per proper level,
-    # and the level-2 triangle's count reads its area again for Pick's theorem
+    # and the level-2 triangle's count reads that level's area for Pick's theorem
     eliminations = []
     record_calls(monkeypatch, onepoint.simplex, "_volume_of", eliminations)
     assert run(capsys, "chain", files["zpw3"])[0] == 0
-    assert [len(args[0]) for _, args, _ in eliminations] == [4, 2, 3, 3]
+    assert [len(args[0]) for _, args, _ in eliminations] == [4, 2, 3]
     assert tuple(eliminations[0][1][0]) == op.zpw_simplex(3).vertices
 
 

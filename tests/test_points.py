@@ -36,6 +36,15 @@ def test_classify_point_stays_on_integer_rows(monkeypatch):
     assert op.classify_point(ZPW2, (5, 5)).kind == "outside"
 
 
+def test_a_census_refused_on_its_box_builds_no_rows():
+    # conv{-(1, ..., 1), e_1, ..., e_30}: a box of 3^30 candidates, refused before any adjugate
+    d = 30
+    simplex = op.LatticeSimplex([[-1] * d] + [[int(i == j) for j in range(d)] for i in range(d)])
+    with pytest.raises(op.EnumerationCapError):
+        op.enumerate_interior(simplex)
+    assert "functional_rows" not in simplex.__dict__
+
+
 def test_census_frozen():
     assert op.enumerate_interior(ZPW3).points == ((1, 1, 1),)
     assert op.enumerate_interior(WIDE).points == ((1, 1), (2, 1), (3, 1))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import onepoint as op
 import onepoint.simplex
-from oracles import det_int, invert_rat, linear_image, rank_rat, rational_volume
-from oracles import face_of, section_simplex, translate
+from oracles import linear_image, rank_rat, rational_volume
+from oracles import face_of, hull_rows, section_simplex, translate
 
 
 def test_validation_errors():
@@ -138,13 +138,14 @@ def test_barycentric_roundtrip(simplex, weights):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_functional_rows_match_rational_inverse(data):
-    # independent route: the rows are |det| times the Gauss-Jordan inverse
+    # independent route: the rows are |det| times the hull matrix's Gauss-Jordan inverse
     dim = data.draw(st.integers(2, 6))
     simplex = data.draw(small_simplices(dim))
-    hull = (*zip(*simplex.vertices), (1,) * (dim + 1))  # vertex columns over a row of ones
-    absdet = abs(det_int(hull))
-    scaled = [tuple(absdet * x for x in row) for row in invert_rat(hull)]
-    assert [coeffs + (const,) for coeffs, const in simplex.functional_rows] == scaled
+    assert simplex.functional_rows == hull_rows(simplex)
+    # the edge matrix is translation-free, its constants are not: shifts up to 10^6 per axis
+    shift = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=dim, max_size=dim))
+    moved = translate(simplex, shift)
+    assert moved.functional_rows == hull_rows(moved)
     point = data.draw(
         st.lists(st.fractions(-9, 9, max_denominator=7), min_size=dim, max_size=dim)
     )
@@ -152,6 +153,14 @@ def test_functional_rows_match_rational_inverse(data):
     assert sum(coords) == 1
     rebuilt = [sum(c * v[i] for c, v in zip(coords, simplex.vertices)) for i in range(dim)]
     assert rebuilt == point
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_functional_rows_of_the_reflected_family(dim):
+    # conv{-(1, ..., 1), e_1, ..., e_d}: the first vertex, the edges' base, is off the origin
+    simplex = op.reflected_simplex(dim)
+    assert simplex.vertices[0] == (-1,) * dim
+    assert simplex.functional_rows == hull_rows(simplex)
 
 
 def test_check_barycentric():
