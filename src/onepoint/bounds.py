@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Sequence
 
-from .points import DEFAULT_CAP, _capped_box, _scan, count_face_points
+from .points import DEFAULT_CAP, _census, count_face_points
 from .simplex import (
     MAX_DIGITS,
     LatticeSimplex,
@@ -278,8 +278,7 @@ def _chain(simplex: LatticeSimplex, values: Vector, cap: int) -> ChainReport:
         face = [simplex.vertices[j] for j in sorted(order[: i + 1])]
         volume = normalized_volume(simplex) if i == d else _volume_of(face)
         volume_bound = Fraction(power, factorial(i))
-        # the level-2 triangle is counted by Pick's theorem on the area just found
-        count = count_face_points(simplex, omitted, cap, area=volume if i == 2 else None)
+        count = count_face_points(simplex, omitted, cap)
         count_bound = i + power
         ok = volume <= volume_bound and count <= count_bound
         levels.append(ChainLevel(i, omitted, volume, volume_bound, count, count_bound, ok))
@@ -406,14 +405,8 @@ def _parallelotope(simplex: LatticeSimplex, point: Sequence[int], values: Vector
     low = [denominator * b + sum(min(0, step[i]) for step in steps) for i, b in enumerate(base)]
     high = [denominator * b + sum(max(0, step[i]) for step in steps) for i, b in enumerate(base)]
     box = tuple((-(-lo // denominator), hi // denominator) for lo, hi in zip(low, high))
-    box = _capped_box(box, cap)
     # 0 < row(x) < 2 n_i in the integer functional forms, per kept axis
-    halfspaces = []
-    for n in axes:
-        coeffs, const = simplex.functional_rows[n]
-        halfspaces.append((coeffs, const - 1))
-        halfspaces.append((tuple(-c for c in coeffs), 2 * values[n] - 1 - const))
-    count = _scan(halfspaces, box, 0)[0]
+    count = _census(simplex, {n: (1, 2 * values[n] - 1) for n in axes}, box, cap, 0)[0]
     passed = count == 1 and volume <= 2**d
     return ParallelotopeCheck(tuple(point), 0, volume, count, passed)
 

@@ -86,10 +86,11 @@ def _load(path: str) -> LatticeSimplex:
 
     try:
         with open(path, "rb", buffering=0) as file:
-            data = file.read()
+            text = file.read().decode("utf-8")
     except OSError as exc:
         raise SimplexParseError(f"cannot read {path}: {exc}") from exc
-    text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SimplexParseError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from exc
     if "\r" in text:
         # what a text-mode read gives, so a parse error names the same line and column
         text = text.replace("\r\n", "\n").replace("\r", "\n")

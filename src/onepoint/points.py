@@ -4,21 +4,22 @@ Points are classified and counted on the integer forms of the barycentric
 functionals: each functional times |det| of the edge matrix has
 integer coefficients and keeps its coordinate's sign.  A single point is
 classified by the signs of its rows; the interior, a closed face and the
-parallelotope around the interior point are integer half-spaces for one
-box scan.  It walks the box depth-first from its shortest side,
-cuts each axis to the values every half-space still allows, solves each
-row of the longest axis inline as one integer interval, and keeps only
-the lexicographically smallest points a caller asks for, in a sorted list.
+parallelotope around the interior point are ranges lo <= row <= hi, which
+one entry turns into integer half-spaces for one box scan.  The scan walks
+the box depth-first from its shortest side, cuts each axis to the values
+every half-space still allows, solves each row of the longest axis inline
+as one integer interval, and keeps only the lexicographically smallest
+points a caller asks for, in a sorted list.
 A subtree in which no point can be kept any more is settled: only counted.
 A level of ``CLOSED_FORM_ROWS`` rows or more is counted in closed form before
 any row of it is solved: its row lengths are floors of linear functions,
 summed in O(log) steps on each piece where the same two bind.  Only a level
 that holds points and is not settled is then listed, row by row.
 
-Every scan is guarded by a candidate cap: when the bounding box holds more
-candidates than the cap allows, the scan refuses up front instead of
-grinding.  Faces of dimension at most 2 are not scanned: a vertex, an edge
-and a triangle are counted in closed form, by gcds and Pick's theorem.
+The entry refuses a bounding box that holds more candidates than the cap
+before it builds a row, instead of grinding.  Faces of dimension at most 2
+are not scanned: a vertex, an edge and a triangle are counted in closed
+form, by gcds and Pick's theorem.
 """
 
 from __future__ import annotations
@@ -112,14 +113,6 @@ def _vertex_box(vertices: Sequence[Vector]) -> tuple[tuple[int, int], ...]:
     return tuple((min(axis), max(axis)) for axis in zip(*vertices))
 
 
-def _capped_box(box: tuple[tuple[int, int], ...], cap: int) -> tuple[tuple[int, int], ...]:
-    """The box itself, or a refusal when it holds more than ``cap`` candidates."""
-    required = prod(hi - lo + 1 for lo, hi in box)
-    if required > cap:
-        raise EnumerationCapError(cap, required)
-    return box
-
-
 # A level only counted is summed in closed form from this many values on; below
 # that, finding the binding half-spaces costs more than the sums save (timed).
 CLOSED_FORM_ROWS = 8
@@ -178,8 +171,8 @@ def _scan(
     coeffs . x + const >= 0; a strict or an equality condition on an
     integer form is written as one or two such pairs.  Returns the count
     and the ``limit`` lexicographically smallest points, sorted: all of
-    them for None, none for 0.  Callers pass a box from
-    :func:`_capped_box`, so the refusal comes before any row is built.
+    them for None, none for 0.  Its one caller, :func:`_census`, refuses
+    a box above the cap before it builds a row.
 
     The walk is depth-first from the shortest box side to the longest.
     Each level carries one partial sum per half-space, stepped by its
@@ -297,6 +290,25 @@ def _scan(
     return count, found
 
 
+def _census(simplex: LatticeSimplex, ranges: dict[int, tuple[int, int | None]],
+            box: Sequence[tuple[int, int]], cap: int,
+            limit: int | None) -> tuple[int, list[Vector]]:
+    """:func:`_scan` of ``box`` where lo <= row i <= hi for each i: (lo, hi) in ``ranges``.
+
+    hi None leaves a range open.  A box above ``cap`` candidates is refused before a row is built.
+    """
+    required = prod(hi - lo + 1 for lo, hi in box)
+    if required > cap:
+        raise EnumerationCapError(cap, required)
+    rows, halfspaces = simplex.functional_rows, []
+    for i, (lo, hi) in ranges.items():
+        coeffs, const = rows[i]
+        halfspaces.append((coeffs, const - lo))
+        if hi is not None:
+            halfspaces.append((tuple(-c for c in coeffs), hi - const))
+    return _scan(halfspaces, box, limit)
+
+
 def enumerate_interior(
     simplex: LatticeSimplex, cap: int = DEFAULT_CAP, limit: int | None = None
 ) -> InteriorCensus:
@@ -310,16 +322,14 @@ def enumerate_interior(
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be None or at least 0, got {limit}")
     simplex._require_full()
-    box = _capped_box(_vertex_box(simplex.vertices), cap)
-    # every functional strictly positive: row - 1 >= 0 on integers
-    interior = [(coeffs, const - 1) for coeffs, const in simplex.functional_rows]
-    count, points = _scan(interior, box, limit)
+    box = _vertex_box(simplex.vertices)
+    # each of the d + 1 functionals strictly positive: row >= 1 on integers
+    count, points = _census(simplex, dict.fromkeys(range(len(box) + 1), (1, None)), box, cap, limit)
     return InteriorCensus(count, tuple(points), box)
 
 
 def count_face_points(
-    simplex: LatticeSimplex, omitted: Iterable[int] = (), cap: int = DEFAULT_CAP,
-    *, area: Fraction | None = None,
+    simplex: LatticeSimplex, omitted: Iterable[int] = (), cap: int = DEFAULT_CAP
 ) -> int:
     """Count lattice points on the closed face omitting the given vertexes.
 
@@ -328,8 +338,6 @@ def count_face_points(
     cap: a vertex is 1 point, an edge vw is gcd(v - w) + 1, and a triangle
     is (N + B) / 2 + 1 by Pick's theorem in the lattice of its own plane,
     for N twice its normalized area and B the sum of its three edge gcds.
-    A caller that already holds a triangle's normalized volume passes it
-    as ``area``, which is trusted, not checked.
     A larger face is scanned over its own vertex bounding box, refused
     above ``cap`` candidates, testing the omitted barycentric functionals
     for zero and the rest for nonnegativity.
@@ -342,14 +350,11 @@ def count_face_points(
         boundary = sum(gcd(*map(sub, v, w)) for v, w in zip(face, face[1:] + face[:1]))
         if len(face) < 3:
             return boundary // 2 + 1
-        if area is None:
-            area = simplex._volume if simplex.dim == 2 else _volume_of(face)
+        area = simplex._volume if simplex.dim == 2 else _volume_of(face)
         return (int(2 * area) + boundary) // 2 + 1
-    box = _capped_box(_vertex_box(face), cap)
-    rows = simplex.functional_rows
     # every functional nonnegative, and the omitted ones also nonpositive
-    negated = [(tuple(-c for c in rows[i][0]), -rows[i][1]) for i in dropped]
-    return _scan(list(rows) + negated, box, 0)[0]
+    ranges = {i: (0, 0 if i in dropped else None) for i in range(len(simplex.vertices))}
+    return _census(simplex, ranges, _vertex_box(face), cap, 0)[0]
 
 
 def is_onepoint(simplex: LatticeSimplex, cap: int = DEFAULT_CAP) -> Vector | None:

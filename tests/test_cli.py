@@ -132,7 +132,7 @@ def test_hostile_documents_exit_2(tmp_path, capsys):
     ("bom.json", b'\xef\xbb\xbf{"dim": 2, "vertices": [[0, 0], [4, 0], [0, 4]]}',
      "invalid document at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     ("latin.json", b'{"dim": 2, "vertices": [[0, 0], [4, 0], [0, 4]], "n\xe9": 1}',
-     "'utf-8' codec can't decode byte 0xe9 in position 51: invalid continuation byte"),
+     "cannot read latin.json: not UTF-8 at byte 51"),
     ("missing.json", None,
      "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
     ("dir.json", "directory", "cannot read dir.json: [Errno 21] Is a directory: 'dir.json'"),
@@ -144,6 +144,15 @@ def test_intake_errors_keep_their_text(name, content, message, tmp_path, monkeyp
     elif content is not None:
         (tmp_path / name).write_bytes(content)
     assert run(capsys, "verify", name) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("form", ["human", "structured"])
+def test_report_names_the_file_that_is_not_utf8(form, files, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin.json").write_bytes(
+        b'{"dim": 2, "vertices": [[0, 0], [4, 0], [0, 4]], "n\xe9": 1}')
+    assert run(capsys, "--format", form, "report", "zpw2.json", "latin.json") == (
+        2, "", "error: cannot read latin.json: not UTF-8 at byte 51\n")
 
 
 @pytest.mark.parametrize("command", ["bary", "ineq", "cert"])
@@ -611,11 +620,12 @@ def test_bounds_finds_the_interior_point_once(tmp_path, monkeypatch, capsys):
     path.write_text(op.simplex_to_text(op.zpw_simplex(5)), encoding="utf-8")
     bary, scans = [], []
     record_calls(monkeypatch, onepoint.simplex, "barycentric_of", bary)
-    # census and face counts scan through this binding; the parallelotope has its own
+    # every scan goes through the census entry in points: the interior's 6 rows at >= 1,
+    # then the parallelotope's 5 rows each held on both sides
     record_calls(monkeypatch, onepoint.points, "_scan", scans, every_binding=False)
     assert run(capsys, "bounds", str(path))[0] == 0
     assert len(bary) <= 2
-    assert len(scans) == 1
+    assert [len(args[0]) for _, args, _ in scans] == [6, 10]
 
 
 def test_atlas_and_bounds_check_each_vector_once(files, monkeypatch, capsys):
@@ -694,11 +704,11 @@ def test_chain_runs_one_census_and_one_count_per_level(files, monkeypatch, capsy
 
 def test_chain_reads_the_stored_volume_at_the_top(files, monkeypatch, capsys):
     # the parser eliminates the whole simplex once; then one elimination per proper level,
-    # and the level-2 triangle's count reads that level's area for Pick's theorem
+    # and the level-2 triangle's count finds its own area for Pick's theorem
     eliminations = []
     record_calls(monkeypatch, onepoint.simplex, "_volume_of", eliminations)
     assert run(capsys, "chain", files["zpw3"])[0] == 0
-    assert [len(args[0]) for _, args, _ in eliminations] == [4, 2, 3]
+    assert [len(args[0]) for _, args, _ in eliminations] == [4, 2, 3, 3]
     assert tuple(eliminations[0][1][0]) == op.zpw_simplex(3).vertices
 
 

@@ -2,6 +2,7 @@ import itertools
 import time
 from fractions import Fraction
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import onepoint as op
 from onepoint import points
-from onepoint.points import CLOSED_FORM_ROWS, _floor_sum, _scan
+from onepoint.points import CLOSED_FORM_ROWS, _census, _floor_sum, _scan
 from oracles import BlichfeldtCheck, blichfeldt_check, box_walk, face_of, linear_image
 
 
@@ -246,7 +247,10 @@ def test_closure_count_agrees_with_classification(simplex):
 def scan_cases(draw):
     """A simplex's interior, closed face or parallelotope, over its vertex box.
 
-    Some draws zero coefficients or hold one box axis to a single value.
+    Returns the half-spaces and the box, then the rows with the ranges on
+    them that the census entry takes for the same region.  Some draws zero
+    coefficients, of each half-space on its own or of each row, or hold one
+    box axis to a single value.
     """
     d = draw(st.integers(1, 5))
     side = (30, 8, 4, 3, 2)[d - 1]
@@ -260,38 +264,63 @@ def scan_cases(draw):
     kind = draw(st.sampled_from(("interior", "face", "parallelotope")))
     if kind == "interior":
         halfspaces = [(coeffs, const - 1) for coeffs, const in rows]
+        ranges = {i: (1, None) for i in range(d + 1)}
     elif kind == "face":
         omitted = draw(st.sets(st.integers(0, d), max_size=d))
         halfspaces = rows + [(tuple(-c for c in rows[i][0]), -rows[i][1]) for i in omitted]
+        ranges = {i: (0, 0 if i in omitted else None) for i in range(d + 1)}
     else:
         omit = draw(st.integers(0, d))
         point = [draw(st.integers(-side, side)) for _ in range(d)]
-        halfspaces = []
-        for coeffs, const in rows[:omit] + rows[omit + 1:]:
-            top = 2 * (sum(c * x for c, x in zip(coeffs, point)) + const)
-            halfspaces += [(coeffs, const - 1), (tuple(-c for c in coeffs), top - 1 - const)]
+        halfspaces, ranges = [], {}
+        for i, (coeffs, const) in enumerate(rows):
+            if i != omit:
+                top = 2 * (sum(c * x for c, x in zip(coeffs, point)) + const)
+                halfspaces += [(coeffs, const - 1), (tuple(-c for c in coeffs), top - 1 - const)]
+                ranges[i] = (1, top - 1)
     if draw(st.booleans()):  # zero some coefficients, leaving axes free of a half-space
         halfspaces = [
             (tuple(0 if draw(st.integers(0, 3)) == 0 else c for c in coeffs), const)
             for coeffs, const in halfspaces
+        ]
+    if draw(st.booleans()):  # the same for the entry's rows: a row's two sides lose the same
+        rows = [
+            (tuple(0 if draw(st.integers(0, 3)) == 0 else c for c in coeffs), const)
+            for coeffs, const in rows
         ]
     box = [(min(v[a] for v in vertices), max(v[a] for v in vertices)) for a in range(d)]
     if draw(st.booleans()):  # one axis holds a single value
         flat = draw(st.integers(0, d - 1))
         value = draw(st.integers(*box[flat]))
         box[flat] = (value, value)
-    return halfspaces, box
+    return halfspaces, box, rows, ranges
 
 
+# rows x0 and 0, held at >= 0 and >= 1: no axis meets the second half-space
 @given(scan_cases())
-@example(([((1, 0), 0), ((0, 0), -1)], [(0, 2), (0, 3)]))  # no axis meets the second
-@example(([((1, 0), 0), ((0, 0), 0)], [(0, 2), (0, 3)]))
+@example(([((1, 0), 0), ((0, 0), -1)], [(0, 2), (0, 3)],
+          [((1, 0), 0), ((0, 0), 0)], {0: (0, None), 1: (1, None)}))
+@example(([((1, 0), 0), ((0, 0), 0)], [(0, 2), (0, 3)],
+          [((1, 0), 0), ((0, 0), 0)], {0: (0, None), 1: (0, None)}))
 @settings(max_examples=150, deadline=None)
 def test_scan_matches_the_box_walk(case):
-    halfspaces, box = case
+    halfspaces, box, rows, ranges = case
     count, every = box_walk(halfspaces, box, False), box_walk(halfspaces, box, True)
     for limit in (0, 1, 2, 20, None):
         assert _scan(halfspaces, box, limit) == (count, every[:limit])
+    # the census entry, given the region as ranges lo <= row i <= hi
+    ranged = [(rows[i][0], rows[i][1] - lo) for i, (lo, _) in ranges.items()]
+    ranged += [(tuple(-c for c in rows[i][0]), hi - rows[i][1])
+               for i, (_, hi) in ranges.items() if hi is not None]
+    count, every = box_walk(ranged, box, False), box_walk(ranged, box, True)
+    region = SimpleNamespace(functional_rows=tuple(rows))
+    candidates = prod(hi - lo + 1 for lo, hi in box)
+    for limit in (0, 1, 20, None):
+        assert _census(region, ranges, box, candidates, limit) == (count, every[:limit])
+    # one candidate fewer is refused before a row is read: object() has none
+    with pytest.raises(op.EnumerationCapError) as err:
+        _census(object(), ranges, box, candidates - 1, 0)
+    assert err.value.required == candidates
 
 
 @st.composite

@@ -152,3 +152,22 @@ def test_modules_import_only_lower_layers():
         if LAYERS.get(target, len(LAYERS)) >= LAYERS[name]
     ]
     assert upward == []
+
+
+def test_one_census_entry():
+    # points._census alone turns ranges on the rows into half-spaces and scans them;
+    # simplex builds the rows, and no module but points reads them for a region
+    package = Path(onepoint.__file__).parent
+    scans, readers = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                callee = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and "_scan" in (getattr(callee, "id", None),
+                                                              getattr(callee, "attr", None)):
+                    scans.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+                if isinstance(node, ast.Attribute) and node.attr == "functional_rows":
+                    readers.add(path.stem)
+    assert scans == ["points._census"]
+    assert readers == {"simplex", "points"}
