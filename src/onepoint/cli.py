@@ -4,14 +4,18 @@ Every subcommand reads simplices in the JSON exchange format, works in
 exact rational arithmetic, and prints human lines or, with ``--format
 structured``, one JSON document: what ``json.dumps(doc, sort_keys=True,
 indent=2)`` would print, ASCII-escaped and float-free, from one writer,
-:func:`_json`.  Result records go in field by field, so a new field is a
-new key.  Exit codes: 0 when all checks pass (or a query completes), 1
-when a mathematical check fails, 2 on usage or parse errors, 3 when an
-enumeration or a certificate search refuses to run above the cap, or a
-bound would have too many digits to print.  :func:`main` returns its code
-and does not raise: it renders every line before it prints one, so a
-number longer than the interpreter's own int-to-str limit ends with one
-``error:`` line and exit 2 in both formats; a closed pipe ends it quietly.
+:func:`_json`.  It writes the items of each list or tuple, and the
+values of each dict, as one column: a column of one type in one pass,
+rows of ints from their reprs, and a run of records of one type through
+one template filled from its fields' columns.  Result records go in
+field by field, so a new field is a new key.  Exit codes: 0 when all
+checks pass (or a query completes), 1 when a mathematical check fails,
+2 on usage or parse errors, 3 when an enumeration or a certificate
+search refuses to run above the cap, or a bound would have too many
+digits to print.  :func:`main` returns its code and does not raise: it
+renders every line before it prints one, so a number longer than the
+interpreter's own int-to-str limit ends with one ``error:`` line and
+exit 2 in both formats; a closed pipe ends it quietly.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -36,49 +41,81 @@ _LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.
            type(None): lambda _: "null", Fraction: lambda value: f'"{value!s}"'}
 
 
-@lru_cache(maxsize=256)  # a record type's getter of its values sorted by name, and their heads
-def _record_heads(cls: type, indent: str) -> tuple[Callable[[Any], Sequence], tuple[str, ...]]:
+@lru_cache(maxsize=256)  # a record type's field getters, sorted by name, and its text at an indent
+def _template(cls: type, indent: str) -> tuple[tuple[Callable[[Any], Any], ...], str]:
     # dataclasses.fields raises TypeError on any type that is not a record
     names, inner = sorted(f.name for f in dataclasses.fields(cls)), indent + "  "
-    heads = tuple(("," if k else "{") + inner + _quote(n) + ": " for k, n in enumerate(names))
-    # attrgetter returns a tuple of values only for two names or more
-    return (attrgetter(*names) if len(names) > 1
-            else lambda record: [getattr(record, name) for name in names]), heads
+    fields = ("," + inner).join(_quote(name) + ": %s" for name in names)
+    return tuple(map(attrgetter, names)), "{" + inner + fields + indent + "}" if names else "{}"
 
 
-def _json(value: Any, indent: str = "\n") -> str:
+def _column(values: Sequence, indent: str) -> list[str]:
+    """Each of ``values`` as :func:`_json` writes it, closed by ``indent``.
+
+    One type test reads the column.  A column of one exact type is written
+    in one pass: leaves through one map (fractions through str, quoted in
+    one join), rows of exact ints from their reprs, the items of all other
+    rows as one column, and records of one type through their template,
+    each field's values one column.  A column of mixed types goes one value
+    at a time, a leaf or a row of ints written in place; so do dicts, the
+    values of each one column.
+    """
+    kinds, inner = set(map(type, values)), indent + "  "
+    if len(kinds) != 1:
+        texts = []
+        for value in values:
+            leaf = _LEAVES.get(type(value))
+            if leaf is not None:
+                texts.append(leaf(value))
+            elif type(value) in (list, tuple) and value and set(map(type, value)) <= {int}:
+                # a lone row of ints costs less in one join than as a column of its own
+                texts.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                             + indent + "]")
+            else:
+                texts.append(_column((value,), indent)[0])
+        return texts
+    kind, = kinds
+    if kind is Fraction:
+        # through str, quoted in one join and split on a "|" no fraction holds
+        return ('"' + '"|"'.join(map(str, values)) + '"').split("|")
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        return list(map(leaf, values))
+    if issubclass(kind, (list, tuple)):
+        if kind in (list, tuple) and set(map(type, chain.from_iterable(values))) <= {int}:
+            # rows of exact ints, so no bool, from their reprs, split on a "|" no int holds
+            opening, closing = "()" if kind is tuple else "[]"
+            text = ("|".join(map(repr, values)).replace(",)", ")").replace(", ", "," + inner)
+                    .replace(opening, "[" + inner).replace(closing, indent + "]"))
+            return text.replace("[" + inner + indent + "]", "[]").split("|")
+        # the items of every row as one column, cut back into rows
+        items, comma = iter(_column([*chain.from_iterable(values)], inner)), "," + inner
+        return ["[" + inner + comma.join(islice(items, len(row))) + indent + "]" if row else "[]"
+                for row in values]
+    if issubclass(kind, dict):
+        texts = []
+        for value in values:
+            keys = sorted(value)
+            pairs = map("{}: {}".format, map(_quote, keys),
+                        _column(list(map(value.__getitem__, keys)), inner))
+            texts.append("{" + inner + ("," + inner).join(pairs) + indent + "}" if keys else "{}")
+        return texts
+    getters, template = _template(kind, indent)
+    columns = [_column(list(map(get, values)), inner) for get in getters]
+    return list(map(template.__mod__, zip(*columns))) if columns else [template] * len(values)
+
+
+def _json(value: Any) -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it.
 
-    ``indent`` is the newline and spaces that close the value.  A record is
-    an object of its fields; any other type, a float included, raises TypeError.
+    A record is an object of its fields; any other type, a float included,
+    raises TypeError.  Lists, tuples and the values of a dict are written a
+    column at a time by :func:`_column`; a column of lists or tuples of
+    exact ints is written from their reprs, since such a repr differs from
+    the JSON text only in brackets, separators and a one-tuple's trailing
+    comma.
     """
-    leaf = _LEAVES.get(type(value))
-    if leaf is not None:
-        return leaf(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        heads, items, close = ["[" + inner] + ["," + inner] * (len(value) - 1), value, "]"
-    elif isinstance(value, dict):
-        keys, close = sorted(value), "}"
-        heads = [("," if k else "{") + inner + _quote(key) + ": " for k, key in enumerate(keys)]
-        items = [value[key] for key in keys]
-    else:
-        (fields, heads), close = _record_heads(type(value), indent), "}"
-        items = fields(value)
-    if not items:
-        return "[]" if close == "]" else "{}"
-    parts, deeper = [], inner + "  "
-    for head, item in zip(heads, items):
-        leaf = _LEAVES.get(type(item))
-        if leaf is not None:
-            parts += head, leaf(item)
-        elif type(item) in (list, tuple) and item and all(type(x) is int for x in item):
-            # a row of ints, by exact type so that no bool passes, in one join
-            parts += head, "[", deeper, ("," + deeper).join(map(int.__repr__, item)), inner, "]"
-        else:
-            parts += head, _json(item, inner)
-    parts += indent, close
-    return "".join(parts)
+    return _column((value,), "\n")[0]
 
 
 def _load(path: str) -> LatticeSimplex:

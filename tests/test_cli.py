@@ -7,6 +7,7 @@ import json
 import re
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import onepoint as op
 import onepoint.bounds
 import onepoint.certificate
+import onepoint.cli
 import onepoint.exact
 import onepoint.points
 import onepoint.simplex
@@ -826,8 +828,28 @@ def test_structured_stdout_bytes_frozen(tmp_path, capsysbinary):
         ("ineq", "zpw3"): (
             2859, "ac8c144e7e7518c9632b7baa0363e2b894ba5fe4d0e2c8a037b3fd3984aed5f5"
         ),
+        # the audit workload's largest documents
+        ("bounds", "reflected5"): (
+            54499, "4cfc366fe3571eadb14b9507fe0ca3b02840b258fdf882c2290f6c72b9d7d39c"
+        ),
+        ("ineq", "reflected5"): (
+            13334, "cf1c4e057787cd70c58c85e43c0697f8943abe8abd822b531b3cfeaeb4a287f5"
+        ),
+        ("chain", "reflected5"): (
+            1209, "409a8cdf453b8fdb92df658198a03c25748fd50a00ad0498333e386d1c1dc121"
+        ),
+        ("bounds", "zpw5"): (
+            57642, "e9b708cf5da0bc60d18bf7dfdd04e17d317e227629974e416448bb7128df60ad"
+        ),
+        ("ineq", "zpw5"): (
+            14301, "1f3e3f3b44642ee014079090604f206d85e25a9c14c7eabb8f430cc3e83c11ec"
+        ),
+        ("chain", "zpw5"): (
+            1219, "6a7f75380c9ec7816f2a222949839221e8977095b5a1f98f21148f4db05888cb"
+        ),
     }
-    shapes = {"reflected3": op.reflected_simplex(3), "zpw3": op.zpw_simplex(3)}
+    shapes = {"reflected3": op.reflected_simplex(3), "zpw3": op.zpw_simplex(3),
+              "reflected5": op.reflected_simplex(5), "zpw5": op.zpw_simplex(5)}
     got = {}
     for command, name in frozen:
         path = tmp_path / f"{name}.json"
@@ -836,6 +858,20 @@ def test_structured_stdout_bytes_frozen(tmp_path, capsysbinary):
         out = capsysbinary.readouterr().out
         got[command, name] = (len(out), hashlib.sha256(out).hexdigest())
     assert got == frozen
+
+
+def test_bounds_records_are_written_a_column_at_a_time(tmp_path, monkeypatch, capsys):
+    # each field of a run of records is one column, so the 192 face records and the
+    # 63 sections take no writer call of their own
+    path = tmp_path / "reflected5.json"
+    path.write_text(op.simplex_to_text(op.reflected_simplex(5)), encoding="utf-8")
+    columns = []
+    record_calls(monkeypatch, onepoint.cli, "_column", columns, every_binding=False)
+    code, out, _ = run(capsys, "--format", "structured", "bounds", str(path))
+    doc = json.loads(out)
+    assert code == 0
+    assert (len(doc["face_volume_bounds"]), len(doc["sections"])) == (192, 63)
+    assert len(columns) < 63
 
 
 # the package's result records, built below with arbitrary field values
@@ -860,6 +896,43 @@ INT_ROWS = st.one_of(
     st.lists(st.one_of(INTS, st.booleans()), max_size=5),
     st.lists(st.one_of(INTS, st.booleans()), max_size=5).map(tuple),
 )
+
+
+def _record(cls, field):
+    return st.builds(cls, *[field] * len(dataclasses.fields(cls)))
+
+
+def _column_of(item):
+    """Lists and tuples of 2-6 draws of ``item``, which the writer takes as one column."""
+    return st.lists(item, min_size=2, max_size=6).flatmap(
+        lambda column: st.sampled_from([column, tuple(column)]))
+
+
+FIELDS = st.one_of(st.none(), st.booleans(), INTS, st.fractions(), TEXT, INT_ROWS,
+                   st.lists(INT_ROWS, max_size=3))
+
+
+@st.composite
+def _near_column(draw):
+    """A column that one item sends back to the writer's one value at a time."""
+    case = draw(st.sampled_from(["bool in a row", "int among fractions", "second record type"]))
+    if case == "bool in a row":
+        kind = draw(st.sampled_from([list, tuple]))
+        column = draw(st.lists(st.lists(INTS, max_size=5), min_size=2, max_size=6))
+        row = draw(st.sampled_from(column))
+        row.insert(draw(st.integers(0, len(row))), draw(st.booleans()))
+        column = [kind(row) for row in column]
+    elif case == "int among fractions":
+        column = draw(st.lists(st.fractions(), min_size=1, max_size=5))
+        column.insert(draw(st.integers(0, len(column))), draw(INTS))
+    else:
+        first, second = draw(st.lists(st.sampled_from(RECORDS), min_size=2, max_size=2,
+                                      unique=True))
+        column = draw(st.lists(_record(first, FIELDS), min_size=1, max_size=5))
+        column.insert(draw(st.integers(0, len(column))), draw(_record(second, FIELDS)))
+    return draw(st.sampled_from([column, tuple(column)]))
+
+
 LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -869,9 +942,17 @@ LEAVES = st.one_of(
     TEXT,
     INT_ROWS,
     st.sampled_from(RECORDS).flatmap(
-        lambda cls: st.builds(cls, *[st.lists(INTS, max_size=5).map(tuple)] * len(
-            dataclasses.fields(cls)))
-    ),
+        lambda cls: _record(cls, st.lists(INTS, max_size=5).map(tuple))),
+)
+# uniform columns: int rows (empty rows and one-tuples included), fractions
+# (denominator 1 included), strings and records of one type; and near-columns
+COLUMNS = st.one_of(
+    st.sampled_from([list, tuple]).flatmap(
+        lambda kind: _column_of(st.lists(INTS, max_size=5).map(kind))),
+    _column_of(st.one_of(st.fractions(), INTS.map(Fraction))),
+    _column_of(TEXT),
+    st.sampled_from(RECORDS).flatmap(lambda cls: _column_of(_record(cls, FIELDS))),
+    _near_column(),
 )
 
 
@@ -880,9 +961,11 @@ def _containers(children):
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(TEXT, children, max_size=4),
-        st.sampled_from(RECORDS).flatmap(
-            lambda cls: st.builds(cls, *[children] * len(dataclasses.fields(cls)))
-        ),
+        st.sampled_from(RECORDS).flatmap(lambda cls: _record(cls, children)),
+        # a run of records of one type, each with one value in all its fields
+        st.sampled_from(RECORDS).flatmap(lambda cls: _column_of(children.map(
+            lambda value: cls(*[value] * len(dataclasses.fields(cls)))))),
+        COLUMNS,
     )
 
 
@@ -904,7 +987,10 @@ def test_writer_payloads_hold_every_result_record():
 @pytest.mark.parametrize(
     "value",
     [1.5, [0, {"a": -0.0}], {1, 2}, frozenset(), object(), op.PartitionRecord, (1, 2, 1.5),
-     op.PartitionRecord((0, 0.5), (1,), 1, 1, 0)],
+     op.PartitionRecord((0, 0.5), (1,), 1, 1, 0),
+     # hidden in an otherwise uniform column
+     [Fraction(1, 2), 0.5], [(1, 2), (3, 4.0)], [{1}, {2}],
+     [op.PartitionRecord((0,), (1,), 1, 1, 0), op.PartitionRecord((0,), (1,), 1, 0.5, 0)]],
 )
 def test_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
