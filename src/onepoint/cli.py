@@ -5,9 +5,9 @@ exact rational arithmetic, and prints human lines or, with ``--format
 structured``, one JSON document: what ``json.dumps(doc, sort_keys=True,
 indent=2)`` would print, ASCII-escaped and float-free, from one writer,
 :func:`_json`.  It writes the items of each list or tuple, and the
-values of each dict, as one column: a column of one type in one pass,
-rows of ints from their reprs, and a run of records of one type through
-one template filled from its fields' columns.  Result records go in
+values of each dict, as one column: leaves of one type in one pass, rows
+of ints from their reprs, a run of records of one type through one
+template, and a lone row of one leaf type in place.  Result records go in
 field by field, so a new field is a new key.  Exit codes: 0 when all
 checks pass (or a query completes), 1 when a mathematical check fails,
 2 on usage or parse errors, 3 when an enumeration or a certificate
@@ -27,7 +27,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -52,13 +52,13 @@ def _template(cls: type, indent: str) -> tuple[tuple[Callable[[Any], Any], ...],
 def _column(values: Sequence, indent: str) -> list[str]:
     """Each of ``values`` as :func:`_json` writes it, closed by ``indent``.
 
-    One type test reads the column.  A column of one exact type is written
-    in one pass: leaves through one map (fractions through str, quoted in
-    one join), rows of exact ints from their reprs, the items of all other
-    rows as one column, and records of one type through their template,
-    each field's values one column.  A column of mixed types goes one value
-    at a time, a leaf or a row of ints written in place; so do dicts, the
-    values of each one column.
+    One type test reads the column; every leaf is written by its
+    ``_LEAVES`` entry.  A column of one exact type goes in one pass: leaves
+    through one map, rows of exact ints from their reprs, each other row
+    as a column of its own, and records of one type through their
+    template, each field's values one column.  A column of mixed types, and
+    each dict's values, go one value at a time, a leaf or a non-empty row
+    of one leaf type written in place through that type's entry.
     """
     kinds, inner = set(map(type, values)), indent + "  "
     if len(kinds) != 1:
@@ -67,17 +67,14 @@ def _column(values: Sequence, indent: str) -> list[str]:
             leaf = _LEAVES.get(type(value))
             if leaf is not None:
                 texts.append(leaf(value))
-            elif type(value) in (list, tuple) and value and set(map(type, value)) <= {int}:
-                # a lone row of ints costs less in one join than as a column of its own
-                texts.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
-                             + indent + "]")
+            elif type(value) in (list, tuple) and len(types := set(map(type, value))) == 1 and (
+                    leaf := _LEAVES.get(*types)):
+                # a lone row of one leaf type costs less in one join than as a column of its own
+                texts.append("[" + inner + ("," + inner).join(map(leaf, value)) + indent + "]")
             else:
                 texts.append(_column((value,), indent)[0])
         return texts
     kind, = kinds
-    if kind is Fraction:
-        # through str, quoted in one join and split on a "|" no fraction holds
-        return ('"' + '"|"'.join(map(str, values)) + '"').split("|")
     leaf = _LEAVES.get(kind)
     if leaf is not None:
         return list(map(leaf, values))
@@ -88,10 +85,9 @@ def _column(values: Sequence, indent: str) -> list[str]:
             text = ("|".join(map(repr, values)).replace(",)", ")").replace(", ", "," + inner)
                     .replace(opening, "[" + inner).replace(closing, indent + "]"))
             return text.replace("[" + inner + indent + "]", "[]").split("|")
-        # the items of every row as one column, cut back into rows
-        items, comma = iter(_column([*chain.from_iterable(values)], inner)), "," + inner
-        return ["[" + inner + comma.join(islice(items, len(row))) + indent + "]" if row else "[]"
-                for row in values]
+        # each other row a column of its own
+        return ["[" + inner + ("," + inner).join(_column(row, inner)) + indent + "]"
+                if row else "[]" for row in values]
     if issubclass(kind, dict):
         texts = []
         for value in values:
@@ -109,11 +105,11 @@ def _json(value: Any) -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it.
 
     A record is an object of its fields; any other type, a float included,
-    raises TypeError.  Lists, tuples and the values of a dict are written a
-    column at a time by :func:`_column`; a column of lists or tuples of
-    exact ints is written from their reprs, since such a repr differs from
-    the JSON text only in brackets, separators and a one-tuple's trailing
-    comma.
+    raises TypeError.  Lists, tuples and dict values are written a column
+    at a time by :func:`_column`: every leaf by its ``_LEAVES`` entry, a
+    lone row of one leaf type in one join, and a column of lists or tuples
+    of exact ints from their reprs, which differ from the JSON text only in
+    brackets, separators and a one-tuple's trailing comma.
     """
     return _column((value,), "\n")[0]
 

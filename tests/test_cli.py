@@ -874,6 +874,20 @@ def test_bounds_records_are_written_a_column_at_a_time(tmp_path, monkeypatch, ca
     assert len(columns) < 63
 
 
+def test_small_mixed_documents_write_lone_rows_in_place(files, monkeypatch, capsys):
+    # the dict, its values, config and config's values: cert's anchor and bary's point
+    # and coordinates are rows of one leaf type, written in place without a column
+    columns = []
+    record_calls(monkeypatch, onepoint.cli, "_column", columns, every_binding=False)
+    for argv in (["cert", files["wide"], "--point", "1,1"],
+                 ["bary", files["wide"], "--point", "1/2,1/3"]):
+        columns.clear()
+        code, out, _ = run(capsys, "--format", "structured", *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        assert len(columns) == 4, argv
+
+
 # the package's result records, built below with arbitrary field values
 RECORDS = sorted(
     (
@@ -933,6 +947,46 @@ def _near_column(draw):
     return draw(st.sampled_from([column, tuple(column)]))
 
 
+# a lone row of one leaf type, which a mixed column writes in place: bools, None,
+# escaped strings, fractions (negative ones and denominator 1 included) and big ints
+ONE_LEAF_ROWS = st.sampled_from([
+    st.booleans(), st.none(), TEXT, st.one_of(st.fractions(), INTS.map(Fraction)), INTS,
+]).flatmap(lambda leaf: st.lists(leaf, min_size=1, max_size=5))
+
+
+@st.composite
+def _near_lone_row(draw):
+    """A row that a mixed column must send down the general route."""
+    case = draw(st.sampled_from(["bool among ints", "Fraction(n) beside n", "empty",
+                                 "record", "nested row"]))
+    if case == "Fraction(n) beside n":
+        n = draw(INTS)
+        return draw(st.permutations([Fraction(n), n]))
+    if case == "empty":
+        return []
+    row = draw(st.lists(INTS, min_size=case == "bool among ints", max_size=4))
+    intruder = {"bool among ints": st.booleans(), "nested row": INT_ROWS,
+                "record": st.sampled_from(RECORDS).flatmap(lambda cls: _record(cls, INTS))}[case]
+    row.insert(draw(st.integers(0, len(row))), draw(intruder))
+    return row
+
+
+@st.composite
+def _beside_others(draw):
+    """A mixed column or a dict holding a lone row next to values of other kinds."""
+    row = draw(st.one_of(ONE_LEAF_ROWS, _near_lone_row()))
+    scalars = st.one_of(st.none(), st.booleans(), INTS, st.fractions(), TEXT,
+                        st.sampled_from(RECORDS).flatmap(lambda cls: _record(cls, INTS)))
+    others = draw(st.lists(st.one_of(scalars, ONE_LEAF_ROWS), max_size=3))
+    values = draw(st.permutations([draw(st.sampled_from([row, tuple(row)])), draw(scalars),
+                                   *others]))
+    kind = draw(st.sampled_from([list, tuple, dict]))
+    if kind is dict:
+        keys = draw(st.lists(TEXT, min_size=len(values), max_size=len(values), unique=True))
+        return dict(zip(keys, values))
+    return kind(values)
+
+
 LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -945,7 +999,8 @@ LEAVES = st.one_of(
         lambda cls: _record(cls, st.lists(INTS, max_size=5).map(tuple))),
 )
 # uniform columns: int rows (empty rows and one-tuples included), fractions
-# (denominator 1 included), strings and records of one type; and near-columns
+# (denominator 1 included), strings and records of one type; near-columns; and
+# mixed columns and dicts with a lone row
 COLUMNS = st.one_of(
     st.sampled_from([list, tuple]).flatmap(
         lambda kind: _column_of(st.lists(INTS, max_size=5).map(kind))),
@@ -953,6 +1008,7 @@ COLUMNS = st.one_of(
     _column_of(TEXT),
     st.sampled_from(RECORDS).flatmap(lambda cls: _column_of(_record(cls, FIELDS))),
     _near_column(),
+    _beside_others(),
 )
 
 
@@ -990,7 +1046,9 @@ def test_writer_payloads_hold_every_result_record():
      op.PartitionRecord((0, 0.5), (1,), 1, 1, 0),
      # hidden in an otherwise uniform column
      [Fraction(1, 2), 0.5], [(1, 2), (3, 4.0)], [{1}, {2}],
-     [op.PartitionRecord((0,), (1,), 1, 1, 0), op.PartitionRecord((0,), (1,), 1, 0.5, 0)]],
+     [op.PartitionRecord((0,), (1,), 1, 1, 0), op.PartitionRecord((0,), (1,), 1, 0.5, 0)],
+     # or in a lone row of a mixed dict
+     {"a": 1, "b": (0.5, 1.5)}, {"a": "x", "b": [Fraction(1, 2), 0.5]}, {"a": 1, "b": ({1}, {2})}],
 )
 def test_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
