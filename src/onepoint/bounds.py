@@ -11,7 +11,8 @@ Everything else here builds on that: the reduced system on sorted
 coordinates, the equivalent determinant form, lower bounds on the sorted
 coordinates, bounds along the chain of faces spanned by the heaviest
 vertices, face volume bounds from coordinate products, the exact volume law
-for parallel sections, and corpus-level extremal summaries.
+for parallel sections, and corpus-level extremal summaries.  The public
+checks that take the interior lattice point refuse one that is not all ints.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Sequence
 
+from .exact import int_matrix
 from .points import DEFAULT_CAP, _census, count_face_points
 from .simplex import (
     MAX_DIGITS,
@@ -265,7 +267,7 @@ def chain_decompose(
     one-point family of dimension d.  The top level omits nothing, so its
     count is the closure count of the simplex.
     """
-    return _chain(simplex, _interior_values(simplex, point), cap)
+    return _chain(simplex, _interior_values(simplex, int_matrix([point])[0]), cap)
 
 
 def _chain(simplex: LatticeSimplex, values: Vector, cap: int) -> ChainReport:
@@ -338,7 +340,7 @@ def bounds_report(
     the coordinate bound (d+1)^(2^d) passes :data:`MAX_DIGITS` from d = 12
     on, so the report raises :class:`BoundSizeError` (exit 3) before any face.
     """
-    values = _interior_values(simplex, point)
+    values = _interior_values(simplex, int_matrix([point])[0])
     denominator, n = sum(values), len(values)
     # first, as its bounds refuse when too large to print
     lower = _lower_bounds(values)
@@ -443,7 +445,7 @@ def corpus_extremes(
     """
     by_dim: dict[int, list[tuple[LatticeSimplex, Fraction]]] = {}
     for member, point in members:
-        values = _interior_values(member, point)
+        values = _interior_values(member, int_matrix([point])[0])
         by_dim.setdefault(member.dim, []).append((member, Fraction(min(values), sum(values))))
     summaries = []
     for d, group in sorted(by_dim.items()):

@@ -28,8 +28,8 @@ class SingularMatrixError(ArithmeticError):
 def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
     """Validate and freeze a rectangular integer matrix.
 
-    The package's one integer check: a simplex built from outside freezes
-    its vertices here, and a certificate its start point.
+    The one integer check of lattice data: a simplex built from outside
+    freezes its vertices here, a certificate and the bounds their point.
     """
     frozen = tuple(map(tuple, rows))
     for row in frozen:

@@ -5,16 +5,16 @@ functionals: each functional times |det| of the edge matrix has
 integer coefficients and keeps its coordinate's sign.  A single point is
 classified by the signs of its rows; the interior, a closed face and the
 parallelotope around the interior point are ranges lo <= row <= hi, which
-one entry turns into integer half-spaces for one box scan.  The scan walks
-the box depth-first from its shortest side, cuts each axis to the values
-every half-space still allows, solves each row of the longest axis inline
-as one integer interval, and keeps only the lexicographically smallest
-points a caller asks for, in a sorted list.
-A subtree in which no point can be kept any more is settled: only counted.
-A level of ``CLOSED_FORM_ROWS`` rows or more is counted in closed form before
-any row of it is solved: its row lengths are floors of linear functions,
-summed in O(log) steps on each piece where the same two bind.  Only a level
-that holds points and is not settled is then listed, row by row.
+one entry turns into integer half-spaces for one box scan.  A box that some
+half-space misses entirely is answered before the walk, which goes depth-first
+from the shortest side, cuts each axis to the values every half-space still
+allows, solves each row of the longest axis inline as one integer interval, and
+keeps only the lexicographically smallest points a caller asks for, in a sorted
+list.  A subtree in which no point can be kept any more is settled: only
+counted.  A level of ``CLOSED_FORM_ROWS`` rows or more is counted in closed
+form before any row of it is solved: its row lengths are floors of linear
+functions, summed in O(log) steps on each piece where the same two bind.  Only
+a level that holds points and is not settled is then listed, row by row.
 
 The entry refuses a bounding box that holds more candidates than the cap
 before it builds a row, instead of grinding.  Faces of dimension at most 2
@@ -174,20 +174,21 @@ def _scan(
     them for None, none for 0.  Its one caller, :func:`_census`, refuses
     a box above the cap before it builds a row.
 
-    The walk is depth-first from the shortest box side to the longest.
-    Each level carries one partial sum per half-space, stepped by its
-    coefficient column, and cuts its axis to the values at which every
-    half-space, split once per scan by the sign of that coefficient, can
-    still hold with the axes not yet fixed at their best box ends.  The
-    level above the longest axis solves each value as a row of that axis:
-    one integer interval.  The ``limit`` smallest points are kept as a
-    sorted list of tuples, and a row stops at its first point that is not
-    below the largest one kept.  A subtree or a row whose fixed coordinates
-    ahead of the first free one sort after the largest kept is settled:
-    only counted.  A last level of ``CLOSED_FORM_ROWS`` values or more is
-    first summed by :func:`_rows_total`, one piece per binding pair; it is
-    done then if it is settled or empty, else its rows are listed until
-    all the points it holds are met or it settles.
+    A box that some half-space misses even at its best corner is answered
+    (0, []) before the walk, which is depth-first from the shortest box side
+    to the longest.  Each level carries one partial sum per half-space,
+    stepped by its coefficient column, and cuts its axis to the values at
+    which every half-space, split once per scan by the sign of that
+    coefficient, can still hold with the axes not yet fixed at their best
+    box ends.  The level above the longest axis solves each value as a row
+    of that axis: one integer interval.  The ``limit`` smallest points are
+    kept as a sorted list of tuples, and a row stops at its first point that
+    is not below the largest one kept.  A subtree or a row whose fixed
+    coordinates ahead of the first free one sort after the largest kept is
+    settled: only counted.  A last level of ``CLOSED_FORM_ROWS`` values or
+    more is first summed by :func:`_rows_total`, one piece per binding pair;
+    it is done then if it is settled or empty, else its rows are listed
+    until all the points it holds are met or it settles.
     """
     *outer, row = sorted(range(len(box)), key=lambda a: box[a][1] - box[a][0])
     ends = box[row]
@@ -198,11 +199,12 @@ def _scan(
         (lo, hi), col = box[a], [c[a] for c, _ in halfspaces]
         cut = list(enumerate(zip(col, gains)))
         levels.insert(0, (a, lo, hi, [(i, c, g) for i, (c, g) in cut if c > 0],
-                          [(i, -c, g) for i, (c, g) in cut if c < 0],
-                          [(i, g) for i, (c, g) in cut if c == 0], col))
+                          [(i, -c, g) for i, (c, g) in cut if c < 0], col))
         gains = [g + (c * hi if c > 0 else c * lo) for c, g in zip(col, gains)]
+    if any(const + g < 0 for (_, const), g in zip(halfspaces, gains)):
+        return 0, []
     # one axis: a single row
-    levels = levels or [(row, 0, 0, [], [], list(enumerate(gains)), [0] * len(gains))]
+    levels = levels or [(row, 0, 0, [], [], [0] * len(gains))]
     col = levels[-1][-1]
     ups = [(i, col[i], c[row]) for i, (c, _) in enumerate(halfspaces) if c[row] > 0]
     downs = [(i, col[i], -c[row]) for i, (c, _) in enumerate(halfspaces) if c[row] < 0]
@@ -213,10 +215,7 @@ def _scan(
 
     def walk(level: int, sums: list[int], listing: bool) -> None:
         nonlocal count
-        axis, lo, hi, pos, neg, zero, col = levels[level]
-        for i, rest in zero:
-            if sums[i] + rest < 0:
-                return
+        axis, lo, hi, pos, neg, col = levels[level]
         for i, c, rest in pos:
             t = -((sums[i] + rest) // c)
             if t > lo:
@@ -317,8 +316,11 @@ def enumerate_interior(
     Scans the componentwise vertex bounding box, refusing with
     :class:`EnumerationCapError` when the box holds more candidates than
     ``cap``.  The census keeps the ``limit`` lexicographically smallest
-    points (all of them for None), in order; a negative ``limit`` is an error.
+    points (all of them for None), in order; a ``limit`` that is negative or
+    not an int is an error.
     """
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
+        raise ValueError(f"limit must be None or an int, got {limit!r}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be None or at least 0, got {limit}")
     simplex._require_full()

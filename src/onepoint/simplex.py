@@ -176,7 +176,10 @@ def check_barycentric(coords: Sequence[Fraction | int]) -> RatVector:
 
 
 def _complement(count: int, omitted: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    dropped = set(omitted)
+    given = tuple(omitted)
+    if any(isinstance(i, bool) or not isinstance(i, int) for i in given):
+        raise ValueError(f"vertex indexes must be ints, got {given}")
+    dropped = set(given)
     if any(i < 0 or i >= count for i in dropped):
         raise ValueError(f"vertex indexes must lie in [0, {count})")
     kept = tuple(i for i in range(count) if i not in dropped)

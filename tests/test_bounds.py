@@ -520,6 +520,21 @@ def test_checks_around_the_point_refuse_a_point_not_inside(point):
             check()
 
 
+@pytest.mark.parametrize(
+    "point", [(Fraction(1, 2),) * 3, (0.5, 0.5, 0.5), (True, 1, 1), (1, 1, Fraction(1))])
+def test_checks_around_the_point_refuse_a_point_not_all_ints(point):
+    # (1/2, 1/2, 1/2) lies inside zpw(3): the corpus read its least coordinate as 1/14, not
+    # 1/42, and passed, and the report built its parallelotope around a non-lattice center
+    checks = (
+        lambda: op.bounds_report(ZPW3, point),
+        lambda: op.chain_decompose(ZPW3, point),
+        lambda: op.corpus_extremes([(ZPW3, point)]),
+    )
+    for check in checks:
+        with pytest.raises(ValueError, match="expected an exact integer"):
+            check()
+
+
 @given(
     st.integers(2, 60),
     st.one_of(

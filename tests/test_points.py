@@ -73,6 +73,10 @@ def test_count_face_points_frozen():
         op.count_face_points(small, (5,))
     with pytest.raises(ValueError, match=r"vertex indexes must lie in \[0, 3\)"):
         op.count_face_points(ZPW2, (0, 5))
+    # 0.5 matched no vertex, so the closure's 24 points were counted; True stood for 1
+    for omitted in ([0.5], [True], [Fraction(1)], [0, 1.0]):
+        with pytest.raises(ValueError, match="vertex indexes must be ints"):
+            op.count_face_points(ZPW3, omitted)
 
 
 def test_low_faces_answer_past_the_cap():
@@ -174,6 +178,11 @@ def test_census_validation():
         op.enumerate_interior(face_of(ZPW2, (0,)))
     with pytest.raises(ValueError, match="limit must be None or at least 0"):
         op.enumerate_interior(ZPW2, limit=-1)
+    # the listing never reached a limit of 2.5, and kept all 406 points; True kept 1
+    wide = op.LatticeSimplex(((0, 0), (30, 0), (0, 30)))
+    for limit in (2.5, True, Fraction(1), "1"):
+        with pytest.raises(ValueError, match="limit must be None or an int"):
+            op.enumerate_interior(wide, limit=limit)
 
 
 def test_cap_refusal():
@@ -302,6 +311,12 @@ def scan_cases(draw):
           [((1, 0), 0), ((0, 0), 0)], {0: (0, None), 1: (1, None)}))
 @example(([((1, 0), 0), ((0, 0), 0)], [(0, 2), (0, 3)],
           [((1, 0), 0), ((0, 0), 0)], {0: (0, None), 1: (0, None)}))
+# x2 - 6 >= 0 over three axes: only the longest, x2 <= 5, meets it, and it holds nowhere
+@example(([((1, 1, 1), 0), ((0, 0, 1), -6)], [(0, 1), (0, 2), (0, 5)],
+          [((1, 1, 1), 0), ((0, 0, 1), -6)], {0: (0, None), 1: (0, None)}))
+# three axes, and a row 0 held at >= 1: no axis meets the second half-space
+@example(([((1, -1, 2), 3), ((0, 0, 0), -1)], [(0, 2), (-1, 1), (0, 3)],
+          [((1, -1, 2), 3), ((0, 0, 0), 0)], {0: (0, None), 1: (1, None)}))
 @settings(max_examples=150, deadline=None)
 def test_scan_matches_the_box_walk(case):
     halfspaces, box, rows, ranges = case
