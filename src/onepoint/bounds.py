@@ -27,8 +27,8 @@ from .points import DEFAULT_CAP, _census, count_face_points
 from .simplex import (
     MAX_DIGITS,
     LatticeSimplex,
+    _face_volume,
     _interior_values,
-    _volume_of,
     check_barycentric,
     normalized_volume,
 )
@@ -271,14 +271,13 @@ def chain_decompose(
 
 
 def _chain(simplex: LatticeSimplex, values: Vector, cap: int) -> ChainReport:
-    """:func:`chain_decompose` on the rows n at the point; the top level's volume is stored."""
+    """:func:`chain_decompose` on the rows n at the point; volumes read from the face table."""
     order, d = _descending(values)[1], simplex.dim
     levels = []
     for i in range(1, d + 1):
         omitted = tuple(sorted(order[i + 1 :]))
         power = _power(d + 1, 2**i - 1)
-        face = [simplex.vertices[j] for j in sorted(order[: i + 1])]
-        volume = normalized_volume(simplex) if i == d else _volume_of(face)
+        volume = _face_volume(simplex, tuple(sorted(order[: i + 1])))
         volume_bound = Fraction(power, factorial(i))
         count = count_face_points(simplex, omitted, cap)
         count_bound = i + power
@@ -345,10 +344,9 @@ def bounds_report(
     # first, as its bounds refuse when too large to print
     lower = _lower_bounds(values)
     sides, powers = _subsets(n), [denominator**k for k in range(n)]
-    full, vertices = len(sides) - 1, simplex.vertices
-    # each proper face's volume by omitted-set bitmask, one echelon each; the whole is stored
-    volumes = [normalized_volume(simplex)] + [
-        _volume_of([vertices[j] for j in sides[full ^ omitted]]) for omitted in range(1, full)]
+    full = len(sides) - 1
+    # each face's volume by omitted-set bitmask, from the face table: the whole is its seed
+    volumes = [_face_volume(simplex, sides[full ^ omitted]) for omitted in range(full)]
     # each weight set's bound D^|W| / (|W|! * prod n_W), in integers and as one fraction
     bottoms = [factorial(len(side)) * prod(values[i] for i in side) for side in sides[:full]]
     bounds = [Fraction(powers[len(side)], bottom) for side, bottom in zip(sides, bottoms)]

@@ -74,22 +74,14 @@ def zpw_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
     return _family_member(dim, 0, _sylvester_terms(), 1, cap)
 
 
-def _centroid_member(dim: int, corner: int, step: int, inner: int, cap: int) -> LatticeSimplex:
-    simplex = _family_member(dim, corner, itertools.repeat(step), inner, cap)
-    # the point is the centroid when, on every axis, the vertices sum to d + 1 times it
-    if any(sum(axis) != (dim + 1) * inner for axis in zip(*simplex.vertices)):
-        raise AssertionError("interior point is not the centroid")
-    return simplex
-
-
 def dilated_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
     """conv{0, (d+1)e_1, ..., (d+1)e_d}; its one interior point, (1,...,1), is the centroid."""
-    return _centroid_member(dim, 0, dim + 1, 1, cap)
+    return _family_member(dim, 0, itertools.repeat(dim + 1), 1, cap)
 
 
 def reflected_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
     """conv{-(1,...,1), e_1, ..., e_d}; its one interior point, the origin, is the centroid."""
-    return _centroid_member(dim, -1, 1, 0, cap)
+    return _family_member(dim, -1, itertools.repeat(1), 0, cap)
 
 
 # ---------------------------------------------------------------------------

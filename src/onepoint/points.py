@@ -31,7 +31,7 @@ from math import gcd, prod
 from operator import add, sub
 from typing import Iterable, Sequence
 
-from .simplex import MAX_DIGITS, LatticeSimplex, _complement, _row_values, _volume_of
+from .simplex import MAX_DIGITS, LatticeSimplex, _complement, _face_volume, _row_values
 
 Vector = tuple[int, ...]
 
@@ -339,10 +339,10 @@ def count_face_points(
     at most 2 is counted in closed form, with nothing enumerated and so no
     cap: a vertex is 1 point, an edge vw is gcd(v - w) + 1, and a triangle
     is (N + B) / 2 + 1 by Pick's theorem in the lattice of its own plane,
-    for N twice its normalized area and B the sum of its three edge gcds.
-    A larger face is scanned over its own vertex bounding box, refused
-    above ``cap`` candidates, testing the omitted barycentric functionals
-    for zero and the rest for nonnegativity.
+    for N twice its normalized area from the simplex's face table and B the
+    sum of its three edge gcds.  A larger face is scanned over its own vertex
+    bounding box, refused above ``cap`` candidates, testing the omitted
+    barycentric functionals for zero and the rest for nonnegativity.
     """
     simplex._require_full()
     dropped, kept = _complement(len(simplex.vertices), omitted)
@@ -352,8 +352,7 @@ def count_face_points(
         boundary = sum(gcd(*map(sub, v, w)) for v, w in zip(face, face[1:] + face[:1]))
         if len(face) < 3:
             return boundary // 2 + 1
-        area = simplex._volume if simplex.dim == 2 else _volume_of(face)
-        return (int(2 * area) + boundary) // 2 + 1
+        return (int(2 * _face_volume(simplex, kept)) + boundary) // 2 + 1
     # every functional nonnegative, and the omitted ones also nonpositive
     ranges = {i: (0, 0 if i in dropped else None) for i in range(len(simplex.vertices))}
     return _census(simplex, ranges, _vertex_box(face), cap, 0)[0]

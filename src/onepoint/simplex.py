@@ -49,7 +49,7 @@ def _volume_of(vertices: Sequence[Vector]) -> Fraction:
 
 
 def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> LatticeSimplex:
-    """Check integer vertices span a simplex; give ``simplex`` them and its normalized volume."""
+    """Check integer vertices span a simplex; give ``simplex`` them and its face table."""
     if not vertices:
         raise ValueError("a simplex needs at least one vertex")
     ambient = len(vertices[0])
@@ -59,9 +59,17 @@ def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> Lattice
         raise ValueError("too many vertices for the ambient dimension")
     if len(set(vertices)) != len(vertices):
         raise ValueError("vertices are not distinct")
-    object.__setattr__(simplex, "_volume", _volume_of(vertices))
+    # face volumes by ascending kept vertex indexes, seeded with the whole simplex's
+    object.__setattr__(simplex, "_faces", {tuple(range(len(vertices))): _volume_of(vertices)})
     object.__setattr__(simplex, "vertices", vertices)
     return simplex
+
+
+def _face_volume(simplex: LatticeSimplex, kept: tuple[int, ...]) -> Fraction:
+    """The face table's one door: the volume of the face on ascending vertex indexes ``kept``."""
+    if kept not in simplex._faces:  # eliminated the first time it is asked for
+        simplex._faces[kept] = _volume_of([simplex.vertices[j] for j in kept])
+    return simplex._faces[kept]
 
 
 @dataclass(frozen=True)
@@ -193,10 +201,10 @@ def normalized_volume(simplex: LatticeSimplex) -> Fraction:
 
     For a k-simplex this is the product of the Hermite pivots of its edge
     matrix divided by k!.  A single vertex has volume 1 by convention.
-    The constructor computes it while checking affine independence, so
-    this reads the stored value.
+    The constructor computes it while checking affine independence and
+    seeds the simplex's face table with it, so this reads the table.
     """
-    return simplex._volume
+    return _face_volume(simplex, tuple(range(len(simplex.vertices))))
 
 
 class _Inexact:

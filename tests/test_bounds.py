@@ -305,6 +305,27 @@ def test_bounds_report_evaluates_the_rows_once_per_check(monkeypatch):
     assert len(calls) == 1
 
 
+def test_faces_are_eliminated_once_per_simplex(monkeypatch):
+    # bounds_report fills the face table; the chain's levels and every face's count on
+    # the same simplex then read it, with no elimination after the report's
+    zpw4, calls = op.zpw_simplex(4), []
+    original = onepoint.simplex._volume_of
+
+    def counting(vertices):
+        calls.append(tuple(vertices))
+        return original(vertices)
+
+    monkeypatch.setattr(onepoint.simplex, "_volume_of", counting)
+    assert op.bounds_report(zpw4, (1,) * 4).passed
+    # each proper face once: the whole simplex was eliminated when it was built
+    assert len(set(calls)) == len(calls) == 2 ** (4 + 1) - 2
+    assert op.chain_decompose(zpw4, (1,) * 4).passed
+    for k in range(5):
+        for omitted in itertools.combinations(range(5), k):
+            op.count_face_points(zpw4, omitted)
+    assert len(calls) == 2 ** (4 + 1) - 2
+
+
 def test_section_volume_frozen():
     check = op.bounds_report(TRI3, (1, 1)).sections[0b001]
     assert check.omitted == (0,)

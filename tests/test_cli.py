@@ -462,7 +462,7 @@ def test_zpw_refuses_a_huge_dimension_at_once(capsys):
 
 @pytest.mark.parametrize("family", ["zpw", "dilated", "reflected"])
 def test_gen_reads_each_family_rows_once(family, monkeypatch, capsys):
-    # the builder checks the centroid on the vertices; the payload's coordinates read the rows
+    # the builder's census reads no rows of a point; the payload's coordinates read them once
     rows = []
     record_calls(monkeypatch, onepoint.simplex, "_row_values", rows)
     assert run(capsys, "gen", "--dim", "3", "--family", family)[0] == 0
@@ -643,8 +643,8 @@ def test_atlas_and_bounds_check_each_vector_once(files, monkeypatch, capsys):
 
 
 def test_bounds_builds_each_face_once(files, monkeypatch, capsys):
-    # one elimination per vertex set: the parser's of the whole simplex, then the
-    # face table's of every proper face, each omitted set once
+    # one elimination per vertex set: the parser's of the whole simplex, which seeds
+    # the face table, then the table's of every proper face the first time it is read
     vertices = op.zpw_simplex(3).vertices
     eliminations = []
     record_calls(monkeypatch, onepoint.simplex, "_volume_of", eliminations)
@@ -705,12 +705,12 @@ def test_chain_runs_one_census_and_one_count_per_level(files, monkeypatch, capsy
 
 
 def test_chain_reads_the_stored_volume_at_the_top(files, monkeypatch, capsys):
-    # the parser eliminates the whole simplex once; then one elimination per proper level,
-    # and the level-2 triangle's count finds its own area for Pick's theorem
+    # the parser eliminates the whole simplex once, and the face table reads it at the top;
+    # one elimination per proper level, whose triangle's count reads its area for Pick's theorem
     eliminations = []
     record_calls(monkeypatch, onepoint.simplex, "_volume_of", eliminations)
     assert run(capsys, "chain", files["zpw3"])[0] == 0
-    assert [len(args[0]) for _, args, _ in eliminations] == [4, 2, 3, 3]
+    assert [len(args[0]) for _, args, _ in eliminations] == [4, 2, 3]
     assert tuple(eliminations[0][1][0]) == op.zpw_simplex(3).vertices
 
 

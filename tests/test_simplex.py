@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction
@@ -244,6 +245,37 @@ def test_face_and_volume_take_one_hermite_form(monkeypatch):
     # nothing more when the volume is read; the parent's vertices are integers
     # checked already, so the face does not check them again
     assert calls == {"echelon": 1}
+
+
+@st.composite
+def sheared_simplices(draw):
+    """A simplex of d = 1 to 6 with coordinates in [-9, 9], and up to 4 shears."""
+    d = draw(st.integers(1, 6))
+    vertices = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * d), min_size=d + 1,
+                             max_size=d + 1, unique=True))
+    try:
+        simplex = op.LatticeSimplex(vertices)
+    except ValueError:  # affinely dependent
+        assume(False)
+    axes = st.integers(0, d - 1)
+    shear = st.tuples(axes, axes, st.integers(-1000, 1000)).filter(lambda s: s[0] != s[1])
+    return simplex, draw(st.lists(shear, max_size=4 if d > 1 else 0))
+
+
+@given(sheared_simplices())
+@settings(max_examples=60, deadline=None)
+def test_face_table_matches_the_smith_volume(case):
+    # every face's entry is the Smith-divisor volume of its vertices, and each shear
+    # (i, j, f), adding f times coordinate j to coordinate i, gives the same table
+    simplex, shears = case
+    d, n = simplex.dim, len(simplex.vertices)
+    faces = [kept for k in range(1, n + 1) for kept in itertools.combinations(range(n), k)]
+    table = {kept: onepoint.simplex._face_volume(simplex, kept) for kept in faces}
+    assert table == {kept: rational_volume([simplex.vertices[j] for j in kept]) for kept in faces}
+    for i, j, f in shears:
+        simplex = linear_image(simplex, [[(r == c) + f * (r == i and c == j) for c in range(d)]
+                                         for r in range(d)])
+        assert {kept: onepoint.simplex._face_volume(simplex, kept) for kept in faces} == table
 
 
 @given(small_simplices(2))

@@ -171,3 +171,29 @@ def test_one_census_entry():
                     readers.add(path.stem)
     assert scans == ["points._census"]
     assert readers == {"simplex", "points"}
+
+
+def test_one_face_volume_route():
+    # simplex alone eliminates a vertex set for its volume, and alone reads the face
+    # table, which its constructor seeds and _face_volume fills: no caller hands in a
+    # volume, and no _volume is stored beside the table
+    package = Path(onepoint.__file__).parent
+    eliminations, tables, stored = set(), set(), []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                callee = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and "_volume_of" in (getattr(callee, "id", None),
+                                                                   getattr(callee, "attr", None)):
+                    eliminations.add(where)
+                if isinstance(node, ast.Attribute) and node.attr == "_faces":
+                    tables.add(where)
+                if isinstance(node, ast.Constant) and node.value in ("_faces", "_volume"):
+                    stored.append((where, node.value))
+                if isinstance(node, ast.Attribute) and node.attr == "_volume":
+                    stored.append((where, node.attr))
+    assert eliminations == {"simplex._set_shape", "simplex._face_volume"}
+    assert tables == {"simplex._face_volume"}
+    assert stored == [("simplex._set_shape", "_faces")]
