@@ -17,6 +17,7 @@ checks that take the interior lattice point refuse one that is not all ints.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
@@ -37,26 +38,27 @@ Vector = tuple[int, ...]
 
 
 class BoundSizeError(ArithmeticError):
-    """A bound would have more digits than :data:`MAX_DIGITS`, so it could not be printed."""
+    """A bound would have more digits than :data:`MAX_DIGITS` or the interpreter's own limit."""
 
 
 def _power(base: int, exponent: int) -> int:
-    """``base ** exponent`` for ``base >= 2``, refused before it is built past MAX_DIGITS.
+    """``base ** exponent`` for ``base >= 2``, refused before it is built past what str() prints.
 
     Its digits are counted on a lower bound lead * 10**shift, squared with each product
     cut to 10 digits more than the exponent has: exact unless 10^-8 above a power of ten.
     """
-    # fewer than MAX_DIGITS digits, as log10(2) < 0.302: no digit to count
-    if exponent * base.bit_length() * 302 < (MAX_DIGITS - 1) * 1000:
+    limit = min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)  # 0: no limit
+    # fewer than limit digits, as log10(2) < 0.302: no digit to count
+    if exponent * base.bit_length() * 302 < (limit - 1) * 1000:
         return base**exponent
     keep, lead, shift = len(str(exponent)) + 10, 1, 0
     for bit in bin(exponent)[2:]:
         lead = lead * lead * (base if bit == "1" else 1)
         cut = max(len(str(lead)) - keep, 0)
         lead, shift = lead // 10**cut, 2 * shift + cut
-    if len(str(lead)) + shift > MAX_DIGITS:
+    if len(str(lead)) + shift > limit:
         raise BoundSizeError(f"the bound {base}^{exponent} has {len(str(lead)) + shift} "
-                             f"digits, more than the {MAX_DIGITS} that can be printed")
+                             f"digits, more than the {limit} that can be printed")
     return base**exponent
 
 
@@ -336,8 +338,9 @@ def bounds_report(
     face scaled by K / D, K = D - sum of omitted n, so its volume is
     K^k * (face volume) / D^k for the face dimension k; none is built.
     Also the parallelotope around the point.  No listing cap is needed:
-    the coordinate bound (d+1)^(2^d) passes :data:`MAX_DIGITS` from d = 12
-    on, so the report raises :class:`BoundSizeError` (exit 3) before any face.
+    the coordinate bound (d+1)^(2^d) passes the digits that can be printed
+    from d = 12 on (from d = 10 under a 640-digit int-to-str limit), so the
+    report raises :class:`BoundSizeError` (exit 3) before any face.
     """
     values = _interior_values(simplex, int_matrix([point])[0])
     denominator, n = sum(values), len(values)

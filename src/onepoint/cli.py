@@ -12,10 +12,11 @@ field by field, so a new field is a new key.  Exit codes: 0 when all
 checks pass (or a query completes), 1 when a mathematical check fails,
 2 on usage or parse errors, 3 when an enumeration or a certificate
 search refuses to run above the cap, or a bound would have too many
-digits to print.  :func:`main` returns its code and does not raise: it
-renders every line before it prints one, so a number longer than the
-interpreter's own int-to-str limit ends with one ``error:`` line and
-exit 2 in both formats; a closed pipe ends it quietly.
+digits to print, counted against the interpreter's own int-to-str limit
+when that is lower than 4,300.  :func:`main` returns its code and does
+not raise: it renders every line before it prints one, so any other
+number past that limit ends with one ``error:`` line and exit 2 in both
+formats; a closed pipe ends it quietly.
 """
 
 from __future__ import annotations
@@ -124,10 +125,8 @@ def _load(path: str) -> LatticeSimplex:
         raise SimplexParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SimplexParseError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from exc
-    if "\r" in text:
-        # what a text-mode read gives, so a parse error names the same line and column
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return parse_simplex_text(text)
+    # what a text-mode read gives, so a parse error names the same line and column
+    return parse_simplex_text(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 # a coordinate is an integer, a decimal or p/q in ASCII digits; an exponent
@@ -141,11 +140,12 @@ def _parse_point(text: str, dim: int, lattice: bool) -> tuple[Fraction, ...] | t
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != dim:
         raise ValueError(f"point needs {dim} comma-separated coordinates, got {len(parts)}")
+    # int() refuses longer digit strings, with advice that is no use on the command line
+    limit = min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)  # 0: no limit
     for part in parts:
-        # int() refuses longer digit strings, with advice that is no use on the command line
         digits = sum(c.isdigit() for c in part)
-        if digits > MAX_DIGITS:
-            raise ValueError(f"a point coordinate has {digits} digits, more than {MAX_DIGITS}")
+        if digits > limit:
+            raise ValueError(f"a point coordinate has {digits} digits, more than {limit}")
         if not _COORDINATE.fullmatch(part):
             raise ValueError(f"bad point {text!r}: {part!r} is not an integer, a decimal or p/q")
     try:

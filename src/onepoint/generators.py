@@ -41,19 +41,17 @@ def _family_member(
     dim: int, corner: int, steps: Iterable[int], inner: int, cap: int
 ) -> LatticeSimplex:
     # conv{corner * (1,...,1), s_1 e_1, ..., s_d e_d}, whose census must be
-    # inner * (1,...,1) alone; the census box meets the cap as the steps are
-    # drawn, before they or the box grow huge
+    # inner * (1,...,1) alone.  The census refuses a box above the cap; one past
+    # 2^_SHOWN_BITS too is refused here as the steps are drawn, before they or
+    # the box grow huge, and prints "at least 2^k", still true of a partial box
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     sides, box = [], 1
     for step in itertools.islice(steps, dim):
         sides.append(step)
         box *= max(corner, step) - min(corner, 0) + 1
-        # past _SHOWN_BITS the error prints "at least 2^k", still true of a partial box
         if box > cap and box.bit_length() > _SHOWN_BITS:
-            break
-    if box > cap:
-        raise EnumerationCapError(cap, box)
+            raise EnumerationCapError(cap, box)
     vertices = [(corner,) * dim]
     for i, step in enumerate(sides):
         vertices.append(tuple(step if c == i else 0 for c in range(dim)))

@@ -260,9 +260,6 @@ def parse_simplex_text(text: str) -> LatticeSimplex:
             f"field 'vertices': expected {dim + 1} vertices, got {len(vertices)}"
         )
     for i, vertex in enumerate(vertices):
-        # a list of plain ints passes at once; bool is an int subclass, so by exact type
-        if type(vertex) is list and len(vertex) == dim and all(type(x) is int for x in vertex):
-            continue
         if not isinstance(vertex, list) or len(vertex) != dim:
             raise SimplexParseError(
                 f"field 'vertices[{i}]': expected a vector of length {dim}"

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import re
+import sys
 from fractions import Fraction
 from math import ceil, factorial, floor, prod
 
@@ -567,14 +568,19 @@ def test_checks_around_the_point_refuse_a_point_not_all_ints(point):
 @settings(max_examples=300, deadline=None)
 def test_bound_digits_are_counted_before_the_power(base, exponent):
     # the refusal names the power's exact digit count; checked in integers, not str()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(onepoint.bounds, "MAX_DIGITS", 0)
-        with pytest.raises(op.BoundSizeError) as refusal:
-            onepoint.bounds._power(base, exponent)
-        digits = int(re.search(r"has (\d+) digits", str(refusal.value)).group(1))
-        assert 10 ** (digits - 1) <= base**exponent < 10**digits
-        patch.setattr(onepoint.bounds, "MAX_DIGITS", digits)
-        assert onepoint.bounds._power(base, exponent) == base**exponent
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # so MAX_DIGITS alone sizes the power, past 4,300 too
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(onepoint.bounds, "MAX_DIGITS", 0)
+            with pytest.raises(op.BoundSizeError) as refusal:
+                onepoint.bounds._power(base, exponent)
+            digits = int(re.search(r"has (\d+) digits", str(refusal.value)).group(1))
+            assert 10 ** (digits - 1) <= base**exponent < 10**digits
+            patch.setattr(onepoint.bounds, "MAX_DIGITS", digits)
+            assert onepoint.bounds._power(base, exponent) == base**exponent
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(st.integers(2, 1000), st.integers(0, 300), st.integers(-2, 2))

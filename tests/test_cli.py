@@ -175,10 +175,25 @@ def test_hostile_points_exit_2(command, point, message, files, capsys):
     assert message in err and "set_int_max_str_digits" not in err
 
 
+def test_a_point_past_the_interpreter_digit_limit_exits_2(files, capsys):
+    # at a limit of 640 a 700-digit coordinate is refused by the package's own line
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for command in ("bary", "ineq", "cert"):
+            code, out, err = run(capsys, command, files["wide"], "--point", "1" * 700 + ",0")
+            assert (code, out) == (2, "")
+            assert err == "error: a point coordinate has 700 digits, more than 640\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("argv", [("--format", "structured", "bounds"),
                                   ("--format", "structured", "chain"), ("chain",)])
 def test_numbers_past_the_interpreter_digit_limit_end_in_one_error_line(argv, tmp_path, capsys):
-    # reflected(10)'s chain bounds run past 640 digits; every line is rendered before one is printed
+    # reflected(10)'s bounds run past 640 digits: sized against that limit, they refuse as too
+    # long to print, as past MAX_DIGITS; bounds meets 11^1024 first, chain 11^1023
+    power = "11^1024 has 1067" if argv[-1] == "bounds" else "11^1023 has 1066"
     path = tmp_path / "reflected10.json"
     path.write_text(op.simplex_to_text(op.reflected_simplex(10)), encoding="utf-8")
     limit = sys.get_int_max_str_digits()
@@ -187,8 +202,9 @@ def test_numbers_past_the_interpreter_digit_limit_end_in_one_error_line(argv, tm
         code, out, err = run(capsys, *argv, str(path))
     finally:
         sys.set_int_max_str_digits(limit)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
+    assert (code, out) == (3, "")
+    assert err == f"error: the bound {power} digits, more than the 640 that can be printed\n"
+    assert "set_int_max_str_digits" not in err
 
 
 def test_cap_refusal_exits_3(files, capsys):

@@ -45,8 +45,14 @@ def test_zpw_simplex_cap_refusal():
         op.zpw_simplex(4, cap=100)
     # the census box of zpw(4) is 3 * 4 * 8 * 44 = 4224 candidates
     assert op.zpw_simplex(4, cap=4224).vertices[-1] == (0, 0, 0, 43)
-    with pytest.raises(op.EnumerationCapError, match="holds 4224 candidate points"):
+    with pytest.raises(op.EnumerationCapError, match="holds 4224 candidate points") as refusal:
         op.zpw_simplex(4, cap=4223)
+    # one box refusal: a box the census can measure is built and refused there
+    assert refusal.traceback[-1].name == "_census"
+    # a box past both the cap and 2^128 is refused as the steps are drawn
+    with pytest.raises(op.EnumerationCapError) as refusal:
+        op.zpw_simplex(2000)
+    assert refusal.traceback[-1].name == "_family_member"
 
 
 @pytest.mark.parametrize("dim", range(6, 11))

@@ -335,6 +335,31 @@ def test_parse_simplex_rejects(text, message):
     assert message in str(err.value)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_accepts_exactly_what_the_constructor_accepts(data):
+    # one acceptance route: the per-coordinate checks, then the constructor's own shape checks
+    dim = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim),
+                              min_size=dim + 1, max_size=dim + 1))
+    if data.draw(st.booleans()):
+        # one coordinate shared by every vertex: the vertices lie in a hyperplane
+        column, value = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(-9, 9))
+        for row in rows:
+            row[column] = value
+    spoil = data.draw(st.sampled_from([None, None, True, 1.5]))
+    if spoil is not None:
+        rows[data.draw(st.integers(0, dim))][data.draw(st.integers(0, dim - 1))] = spoil
+    text = json.dumps({"dim": dim, "vertices": rows})
+    try:
+        expected = op.LatticeSimplex(rows)
+    except ValueError:
+        with pytest.raises(ValueError):
+            op.parse_simplex_text(text)
+    else:
+        assert op.parse_simplex_text(text).vertices == expected.vertices
+
+
 def test_exchange_roundtrip_is_byte_identical():
     simplex = op.LatticeSimplex(((0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 7)))
     text = op.simplex_to_text(simplex)
