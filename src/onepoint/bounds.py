@@ -29,6 +29,7 @@ from .simplex import (
     MAX_DIGITS,
     LatticeSimplex,
     _face_volume,
+    _fill_faces,
     _interior_values,
     check_barycentric,
     normalized_volume,
@@ -325,7 +326,7 @@ class BoundsReport:
 def bounds_report(
     simplex: LatticeSimplex, point: Sequence[int], cap: int = DEFAULT_CAP
 ) -> BoundsReport:
-    """Every bound the single interior point forces, measuring each proper face once.
+    """Every bound the single interior point forces, measuring every face in one walk.
 
     ``point`` is the simplex's interior lattice point, with coordinates c;
     all but the sorted coordinate bounds run on the integer row values
@@ -346,28 +347,35 @@ def bounds_report(
     denominator, n = sum(values), len(values)
     # first, as its bounds refuse when too large to print
     lower = _lower_bounds(values)
-    sides, powers = _subsets(n), [denominator**k for k in range(n)]
-    full = len(sides) - 1
-    # each face's volume by omitted-set bitmask, from the face table: the whole is its seed
+    sides, powers, full = _subsets(n), [denominator**k for k in range(n)], 2**n - 1
+    # each face's volume by omitted-set bitmask, from the face table one walk fills
+    _fill_faces(simplex)
     volumes = [_face_volume(simplex, sides[full ^ omitted]) for omitted in range(full)]
+    parts = [(volume.numerator, volume.denominator) for volume in volumes]
+    # by mask, each from the mask without its top bit: |W|! * prod n_W and sum n_W
+    bottoms, sums = [1], [0]
+    for value in values:
+        bottoms += [bottom * value * (len(side) + 1) for side, bottom in zip(sides, bottoms)]
+        sums += [total + value for total in sums]
     # each weight set's bound D^|W| / (|W|! * prod n_W), in integers and as one fraction
-    bottoms = [factorial(len(side)) * prod(values[i] for i in side) for side in sides[:full]]
-    bounds = [Fraction(powers[len(side)], bottom) for side, bottom in zip(sides, bottoms)]
+    tops = [powers[len(side)] for side in sides[:full]]
+    bounds = [Fraction(top, bottom) for top, bottom in zip(tops, bottoms)]
     faces = []
     for excluded in range(n):
         low, rest = (1 << excluded) - 1, full ^ 1 << excluded
         for mask in range(2 ** (n - 1)):
             weights = (mask & low) | (mask >> excluded << excluded + 1)
-            omitted, bottom, volume = rest ^ weights, bottoms[weights], volumes[rest ^ weights]
-            excess = powers[len(sides[weights])] * volume.denominator - volume.numerator * bottom
-            faces.append(FaceVolumeBound(sides[omitted], sides[weights], bounds[weights], volume,
-                                         Fraction(excess, bottom * volume.denominator),
+            omitted, bottom = rest ^ weights, bottoms[weights]
+            numerator, below = parts[omitted]
+            excess = tops[weights] * below - numerator * bottom
+            faces.append(FaceVolumeBound(sides[omitted], sides[weights], bounds[weights],
+                                         volumes[omitted], Fraction(excess, bottom * below),
                                          excess >= 0))
     sections = []
-    for omitted, face in enumerate(volumes):
-        k, kept = n - 1 - len(sides[omitted]), denominator - sum(values[i] for i in sides[omitted])
-        volume = Fraction(kept**k * face.numerator, powers[k] * face.denominator)
-        sections.append(SectionVolumeCheck(sides[omitted], volume, face, volume, True))
+    for omitted, (numerator, below) in enumerate(parts):
+        k, kept = n - 1 - len(sides[omitted]), denominator - sums[omitted]
+        volume = Fraction(kept**k * numerator, powers[k] * below)
+        sections.append(SectionVolumeCheck(sides[omitted], volume, volumes[omitted], volume, True))
     box = _parallelotope(simplex, point, values, cap)
     passed = lower.passed and box.passed and all(r.passed for r in (*faces, *sections))
     return BoundsReport(lower, tuple(faces), box, tuple(sections), passed)

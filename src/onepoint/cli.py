@@ -432,6 +432,11 @@ def _cmd_report(args: argparse.Namespace) -> Handled:
 
 def _cap(text: str) -> int:
     """The ``--cap`` type: no enumeration or T-scan runs under a cap below 1."""
+    from .simplex import MAX_DIGITS
+
+    limit = min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)  # what int() reads
+    if (digits := sum(c.isdigit() for c in text)) > limit:
+        raise argparse.ArgumentTypeError(f"has {digits} digits, more than {limit}")
     try:
         cap = int(text)
     except ValueError:

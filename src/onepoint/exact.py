@@ -7,11 +7,11 @@ plain Python ints; this module holds no rational and no floating point.
 
 The adjugate uses fraction-free Bareiss elimination in Gauss-Jordan
 form; callers holding rational rows clear denominators first.  The
-echelon uses repeated gcd row reduction and is the one route to lattice
+echelon, one gcd column step at a time, is the one route to lattice
 questions: its pivots alone give rank and the index of a sublattice in
-its span, and the Hermite normal form runs it on M itself and reduces
-above each pivot for canonical forms.  The matrices are small and dense,
-so simplicity and auditability win over asymptotics.
+its span; the Hermite normal form runs it on M and reduces above each
+pivot, and a simplex's face walk runs its steps.  The matrices are
+small and dense, so simplicity and auditability win over asymptotics.
 """
 
 from __future__ import annotations
@@ -95,37 +95,41 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
 
 
 def echelon(rows: list[list[int]]) -> list[int]:
-    """Bring ``rows`` to a gcd row echelon form, in place.
+    """Bring ``rows`` to a gcd row echelon form, in place, one column step at a time.
 
     No transform, nothing reduced above a pivot.  Returns the pivot columns, top
     row first: their count is the rank; with independent columns the pivots
     multiply to the gcd of the maximal minors, up to sign.  Entries must be
     plain ints, as :func:`int_matrix` leaves them; they are not checked again.
     """
-    nrows, r, pivot_cols = len(rows), 0, []
+    pivot_cols: list[int] = []
     for col in range(len(rows[0]) if rows else 0):
-        while r < nrows:
-            # floor division by the smallest entry until it alone is left
-            pivot, least = None, 0
-            for i in range(r, nrows):
-                x = abs(rows[i][col])
-                if x and (pivot is None or x < least):
-                    pivot, least = i, x
-            if pivot is None:
-                break
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            top, p, dirty = rows[r], rows[r][col], False
-            for i in range(r + 1, nrows):
-                f = rows[i][col]
-                if f:
-                    q = f // p
-                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
-                    dirty = dirty or f != q * p
-            if not dirty:
-                pivot_cols.append(col)
-                r += 1
-                break
+        if len(pivot_cols) < len(rows) and _column_step(rows, len(pivot_cols), col):
+            pivot_cols.append(col)
     return pivot_cols
+
+
+def _column_step(rows: list[list[int]], r: int, col: int) -> int:
+    """Step column ``col`` of the rows from ``r`` on to one gcd pivot in row ``r``: it, or 0."""
+    while True:
+        # floor division by the smallest entry until it alone is left
+        pivot, least = None, 0
+        for i in range(r, len(rows)):
+            x = abs(rows[i][col])
+            if x and (pivot is None or x < least):
+                pivot, least = i, x
+        if pivot is None:
+            return 0
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top, p, dirty = rows[r], rows[r][col], False
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                q = f // p
+                rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+                dirty = dirty or f != q * p
+        if not dirty:
+            return p
 
 
 def row_hnf(matrix: Sequence[Sequence[int]]) -> IntMatrix:

@@ -18,11 +18,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, prod
+from math import factorial, gcd, prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exact import adjugate_int, echelon, int_matrix
+from .exact import _column_step, adjugate_int, echelon, int_matrix
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
@@ -36,7 +36,7 @@ class SimplexParseError(ValueError):
 
 
 def _volume_of(vertices: Sequence[Vector]) -> Fraction:
-    """The one volume route, for simplices and faces: refused when affinely dependent."""
+    """The volume of one simplex or face by its own echelon: refused when affinely dependent."""
     # eliminating the coordinates of the k edges leaves one pivot per
     # independent edge, and the k pivots multiply to the gcd of the k x k
     # minors up to sign: the index of the edge lattice in the lattice of its span
@@ -66,10 +66,31 @@ def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> Lattice
 
 
 def _face_volume(simplex: LatticeSimplex, kept: tuple[int, ...]) -> Fraction:
-    """The face table's one door: the volume of the face on ascending vertex indexes ``kept``."""
+    """The face table's door for one face: the volume on ascending vertex indexes ``kept``."""
     if kept not in simplex._faces:  # eliminated the first time it is asked for
         simplex._faces[kept] = _volume_of([simplex.vertices[j] for j in kept])
     return simplex._faces[kept]
+
+
+def _fill_faces(simplex: LatticeSimplex) -> None:
+    """Every face's volume into the face table, one column step of its parent's rows per face."""
+    vertices, faces, n = simplex.vertices, simplex._faces, len(simplex.vertices)
+    # a depth-first walk from each root b: its columns are the edges v_j - v_b, j > b
+    stack = [((b,), [[v[c] - x for v in vertices[b + 1 :]] for c, x in enumerate(base)], 1)
+             for b, base in enumerate(vertices)]
+    while stack:
+        kept, rows, product = stack.pop()
+        faces[kept] = Fraction(abs(product), factorial(len(kept) - 1))
+        for j in range(kept[-1] + 1, n):
+            col, r = j - kept[0] - 1, len(kept) - 1
+            if j == n - 1:  # no child, so no row operation: the pivot is its column's gcd
+                pivot, stepped = gcd(*[row[col] for row in rows[r:]]), rows
+            else:  # rows are replaced, never changed: a copy of the outer list keeps the parent's
+                stepped = rows[:]
+                pivot = _column_step(stepped, r, col)
+            if not pivot:
+                raise ValueError("vertices are affinely dependent")
+            stack.append((kept + (j,), stepped, product * pivot))
 
 
 @dataclass(frozen=True)

@@ -58,3 +58,26 @@ def unimodular():
 @pytest.fixture
 def rng():
     return random.Random(20260816)
+
+
+@pytest.fixture
+def face_walks(monkeypatch):
+    """(simplex, keys written) of each face walk, in order; the walk itself runs unchanged."""
+    import onepoint.bounds
+    import onepoint.simplex
+
+    walk, walks = onepoint.simplex._fill_faces, []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            walks[-1][1].append(key)
+            super().__setitem__(key, value)
+
+    def recording(simplex):
+        walks.append((simplex, []))
+        object.__setattr__(simplex, "_faces", Recording(simplex._faces))
+        walk(simplex)
+
+    for module in (onepoint.simplex, onepoint.bounds):
+        monkeypatch.setattr(module, "_fill_faces", recording)
+    return walks

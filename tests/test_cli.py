@@ -222,6 +222,18 @@ def test_cap_below_one_is_a_usage_error(files, capsys):
     code, _, err = run(capsys, "--cap", "abc", "verify", files["zpw2"])
     assert code == 2
     assert "argument --cap: invalid int value: 'abc'" in err
+    # a cap past the digits int() reads is counted first, not echoed digit by digit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, _, err = run(capsys, "--cap", "1" + "0" * 700, "verify", files["zpw2"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert err.endswith("error: argument --cap: has 701 digits, more than 640\n")
+    code, _, err = run(capsys, "--cap", "1" + "0" * 4400, "verify", files["zpw2"])
+    assert code == 2
+    assert err.endswith("error: argument --cap: has 4401 digits, more than 4300\n")
 
 
 def test_bary_fractional_point(files, capsys):
@@ -658,18 +670,18 @@ def test_atlas_and_bounds_check_each_vector_once(files, monkeypatch, capsys):
         assert checks == []
 
 
-def test_bounds_builds_each_face_once(files, monkeypatch, capsys):
-    # one elimination per vertex set: the parser's of the whole simplex, which seeds
-    # the face table, then the table's of every proper face the first time it is read
+def test_bounds_builds_each_face_once(files, monkeypatch, capsys, face_walks):
+    # one elimination of the whole simplex, the parser's, which seeds the face table;
+    # then one walk that steps each face once and writes it to the table
     vertices = op.zpw_simplex(3).vertices
     eliminations = []
     record_calls(monkeypatch, onepoint.simplex, "_volume_of", eliminations)
     assert run(capsys, "bounds", files["zpw3"])[0] == 0
-    omitted = [frozenset(i for i, v in enumerate(vertices) if v not in args[0])
-               for _, args, _ in eliminations]
-    assert len(omitted) == 2 ** (3 + 1) - 1
-    assert set(omitted) == {frozenset(side) for k in range(4)
-                            for side in itertools.combinations(range(4), k)}
+    assert [tuple(args[0]) for _, args, _ in eliminations] == [vertices]
+    [(walked, writes)] = face_walks
+    assert walked.vertices == vertices
+    assert sorted(writes) == sorted(kept for k in range(1, 5)
+                                    for kept in itertools.combinations(range(4), k))
 
 
 def test_atlas_checks_its_integers_once_per_form(monkeypatch, capsys):

@@ -249,9 +249,9 @@ def test_face_and_volume_take_one_hermite_form(monkeypatch):
 
 @st.composite
 def sheared_simplices(draw):
-    """A simplex of d = 1 to 6 with coordinates in [-9, 9], and up to 4 shears."""
+    """A full or embedded simplex in Z^d, d = 1 to 6, coordinates in [-9, 9]; up to 4 shears."""
     d = draw(st.integers(1, 6))
-    vertices = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * d), min_size=d + 1,
+    vertices = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * d), min_size=1,
                              max_size=d + 1, unique=True))
     try:
         simplex = op.LatticeSimplex(vertices)
@@ -265,17 +265,22 @@ def sheared_simplices(draw):
 @given(sheared_simplices())
 @settings(max_examples=60, deadline=None)
 def test_face_table_matches_the_smith_volume(case):
-    # every face's entry is the Smith-divisor volume of its vertices, and each shear
-    # (i, j, f), adding f times coordinate j to coordinate i, gives the same table
+    # every face's entry is the Smith-divisor volume of its vertices, face by face and
+    # through the one-column walk on a fresh copy, and each shear (i, j, f), adding f
+    # times coordinate j to coordinate i, gives the same table
     simplex, shears = case
-    d, n = simplex.dim, len(simplex.vertices)
+    d, n = simplex.ambient_dim, len(simplex.vertices)
     faces = [kept for k in range(1, n + 1) for kept in itertools.combinations(range(n), k)]
-    table = {kept: onepoint.simplex._face_volume(simplex, kept) for kept in faces}
-    assert table == {kept: rational_volume([simplex.vertices[j] for j in kept]) for kept in faces}
-    for i, j, f in shears:
-        simplex = linear_image(simplex, [[(r == c) + f * (r == i and c == j) for c in range(d)]
-                                         for r in range(d)])
+    table = {kept: rational_volume([simplex.vertices[j] for j in kept]) for kept in faces}
+    for shear in [None, *shears]:
+        if shear:
+            i, j, f = shear
+            simplex = linear_image(simplex, [[(r == c) + f * (r == i and c == j)
+                                              for c in range(d)] for r in range(d)])
         assert {kept: onepoint.simplex._face_volume(simplex, kept) for kept in faces} == table
+        walked = face_of(simplex, ())
+        onepoint.simplex._fill_faces(walked)
+        assert walked._faces == table
 
 
 @given(small_simplices(2))

@@ -175,19 +175,23 @@ def test_one_census_entry():
 
 def test_one_face_volume_route():
     # simplex alone eliminates a vertex set for its volume, and alone reads the face
-    # table, which its constructor seeds and _face_volume fills: no caller hands in a
-    # volume, and no _volume is stored beside the table
+    # table, which its constructor seeds, _face_volume fills one face at a time and
+    # _fill_faces fills whole in one walk: no caller hands in a volume, and no _volume
+    # is stored beside the table; the walk steps its columns as echelon does, with no
+    # second elimination beside that step
     package = Path(onepoint.__file__).parent
-    eliminations, tables, stored = set(), set(), []
+    eliminations, steps, tables, stored = set(), set(), set(), []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for top in tree.body:
             where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
             for node in ast.walk(top):
                 callee = getattr(node, "func", None)
-                if isinstance(node, ast.Call) and "_volume_of" in (getattr(callee, "id", None),
-                                                                   getattr(callee, "attr", None)):
+                name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+                if isinstance(node, ast.Call) and name == "_volume_of":
                     eliminations.add(where)
+                if isinstance(node, ast.Call) and name == "_column_step":
+                    steps.add(where)
                 if isinstance(node, ast.Attribute) and node.attr == "_faces":
                     tables.add(where)
                 if isinstance(node, ast.Constant) and node.value in ("_faces", "_volume"):
@@ -195,5 +199,6 @@ def test_one_face_volume_route():
                 if isinstance(node, ast.Attribute) and node.attr == "_volume":
                     stored.append((where, node.attr))
     assert eliminations == {"simplex._set_shape", "simplex._face_volume"}
-    assert tables == {"simplex._face_volume"}
+    assert steps == {"exact.echelon", "simplex._fill_faces"}
+    assert tables == {"simplex._face_volume", "simplex._fill_faces"}
     assert stored == [("simplex._set_shape", "_faces")]
