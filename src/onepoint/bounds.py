@@ -29,8 +29,8 @@ from .simplex import (
     MAX_DIGITS,
     LatticeSimplex,
     _face_volume,
-    _fill_faces,
     _interior_values,
+    _walk,
     check_barycentric,
     normalized_volume,
 )
@@ -349,7 +349,7 @@ def bounds_report(
     lower = _lower_bounds(values)
     sides, powers, full = _subsets(n), [denominator**k for k in range(n)], 2**n - 1
     # each face's volume by omitted-set bitmask, from the face table one walk fills
-    _fill_faces(simplex)
+    _walk(simplex)
     volumes = [_face_volume(simplex, sides[full ^ omitted]) for omitted in range(full)]
     parts = [(volume.numerator, volume.denominator) for volume in volumes]
     # by mask, each from the mask without its top bit: |W|! * prod n_W and sum n_W

@@ -6,12 +6,12 @@ and the gcd row echelon form.  Matrices are immutable tuples of tuples of
 plain Python ints; this module holds no rational and no floating point.
 
 The adjugate uses fraction-free Bareiss elimination in Gauss-Jordan
-form; callers holding rational rows clear denominators first.  The
-echelon, one gcd column step at a time, is the one route to lattice
-questions: its pivots alone give rank and the index of a sublattice in
-its span; the Hermite normal form runs it on M and reduces above each
-pivot, and a simplex's face walk runs its steps.  The matrices are
-small and dense, so simplicity and auditability win over asymptotics.
+form; callers holding rational rows clear denominators first.  The gcd
+column step is the one route to lattice questions: the echelon runs it
+column by column, and the Hermite normal form runs the echelon on M and
+reduces above each pivot; a simplex's face walk runs it along each face,
+and is the route to a face's index.  The matrices are small and dense,
+so simplicity and auditability win over asymptotics.
 """
 
 from __future__ import annotations

@@ -18,11 +18,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, prod
+from math import factorial, gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exact import _column_step, adjugate_int, echelon, int_matrix
+from .exact import _column_step, adjugate_int, int_matrix
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
@@ -33,19 +33,6 @@ MAX_DIGITS = 4300
 
 class SimplexParseError(ValueError):
     """A simplex text document failed to parse or validate."""
-
-
-def _volume_of(vertices: Sequence[Vector]) -> Fraction:
-    """The volume of one simplex or face by its own echelon: refused when affinely dependent."""
-    # eliminating the coordinates of the k edges leaves one pivot per
-    # independent edge, and the k pivots multiply to the gcd of the k x k
-    # minors up to sign: the index of the edge lattice in the lattice of its span
-    k, base, rest = len(vertices) - 1, vertices[0], vertices[1:]
-    edges = [[v[c] - b for v in rest] for c, b in enumerate(base)]
-    pivots = [edges[r][col] for r, col in enumerate(echelon(edges))]
-    if len(pivots) != k:
-        raise ValueError("vertices are affinely dependent")
-    return Fraction(abs(prod(pivots)), factorial(k))
 
 
 def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> LatticeSimplex:
@@ -59,38 +46,48 @@ def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> Lattice
         raise ValueError("too many vertices for the ambient dimension")
     if len(set(vertices)) != len(vertices):
         raise ValueError("vertices are not distinct")
-    # face volumes by ascending kept vertex indexes, seeded with the whole simplex's
-    object.__setattr__(simplex, "_faces", {tuple(range(len(vertices))): _volume_of(vertices)})
     object.__setattr__(simplex, "vertices", vertices)
+    # face indexes by ascending kept vertex indexes, seeded by the walk along the whole simplex
+    object.__setattr__(simplex, "_faces", {})
+    _walk(simplex, range(len(vertices)))
     return simplex
 
 
 def _face_volume(simplex: LatticeSimplex, kept: tuple[int, ...]) -> Fraction:
     """The face table's door for one face: the volume on ascending vertex indexes ``kept``."""
-    if kept not in simplex._faces:  # eliminated the first time it is asked for
-        simplex._faces[kept] = _volume_of([simplex.vertices[j] for j in kept])
-    return simplex._faces[kept]
+    if kept not in simplex._faces:  # walked the first time it is asked for
+        _walk(simplex, kept)
+    return Fraction(simplex._faces[kept], factorial(len(kept) - 1))
 
 
-def _fill_faces(simplex: LatticeSimplex) -> None:
-    """Every face's volume into the face table, one column step of its parent's rows per face."""
-    vertices, faces, n = simplex.vertices, simplex._faces, len(simplex.vertices)
-    # a depth-first walk from each root b: its columns are the edges v_j - v_b, j > b
-    stack = [((b,), [[v[c] - x for v in vertices[b + 1 :]] for c, x in enumerate(base)], 1)
-             for b, base in enumerate(vertices)]
+def _walk(simplex: LatticeSimplex, kept: Sequence[int] | None = None) -> None:
+    """Face indexes into the face table, one gcd column step of its parent face's rows per face.
+
+    A k-face's index, k! times its volume, is |product of its pivots|: the gcd of the k x k
+    minors of its edges from its first vertex.  With no ``kept`` every face, depth first;
+    with ascending ``kept`` its leading runs kept[:1], kept[:2], ... up to ``kept`` itself.
+    """
+    faces, whole = simplex._faces, kept is None
+    keys = range(len(simplex.vertices)) if whole else kept
+    points, n = [simplex.vertices[j] for j in keys], len(keys)
+    # root b's rows: one column per later point q, the edge from b, at column q - b - 1
+    stack = [((keys[b],), [[v[c] - x for v in points[b + 1 :]] for c, x in enumerate(points[b])],
+              1, b, b) for b in range(n if whole else 1)]
     while stack:
-        kept, rows, product = stack.pop()
-        faces[kept] = Fraction(abs(product), factorial(len(kept) - 1))
-        for j in range(kept[-1] + 1, n):
-            col, r = j - kept[0] - 1, len(kept) - 1
-            if j == n - 1:  # no child, so no row operation: the pivot is its column's gcd
+        face, rows, index, b, p = stack.pop()
+        faces[face] = index
+        for q in range(p + 1, n):
+            col, r = q - b - 1, len(face) - 1
+            if q == n - 1:  # no child, so no row operation: the pivot is its column's gcd
                 pivot, stepped = gcd(*[row[col] for row in rows[r:]]), rows
             else:  # rows are replaced, never changed: a copy of the outer list keeps the parent's
-                stepped = rows[:]
-                pivot = _column_step(stepped, r, col)
+                stepped = rows[:] if whole else rows
+                pivot = abs(_column_step(stepped, r, col))
             if not pivot:
                 raise ValueError("vertices are affinely dependent")
-            stack.append((kept + (j,), stepped, product * pivot))
+            stack.append((face + (keys[q],), stepped, index * pivot, b, q))
+            if not whole:  # a kept face's one child is its next vertex, so it takes the rows
+                break
 
 
 @dataclass(frozen=True)
@@ -220,10 +217,11 @@ def _complement(count: int, omitted: Iterable[int]) -> tuple[tuple[int, ...], tu
 def normalized_volume(simplex: LatticeSimplex) -> Fraction:
     """Volume against the lattice induced on the simplex's affine hull.
 
-    For a k-simplex this is the product of the Hermite pivots of its edge
-    matrix divided by k!.  A single vertex has volume 1 by convention.
-    The constructor computes it while checking affine independence and
-    seeds the simplex's face table with it, so this reads the table.
+    For a k-simplex this is the product of the gcd pivots of its face
+    walk's column steps divided by k!.  A single vertex has volume 1 by
+    convention.  The constructor walks it while checking affine
+    independence and seeds the simplex's face table with it, so this
+    reads the table.
     """
     return _face_volume(simplex, tuple(range(len(simplex.vertices))))
 

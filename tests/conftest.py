@@ -62,22 +62,25 @@ def rng():
 
 @pytest.fixture
 def face_walks(monkeypatch):
-    """(simplex, keys written) of each face walk, in order; the walk itself runs unchanged."""
+    """(simplex, kept, keys written) of each face walk, in order; the walk itself runs unchanged.
+
+    ``kept`` is None for a walk over every face, else the face walked to, as a tuple.
+    """
     import onepoint.bounds
     import onepoint.simplex
 
-    walk, walks = onepoint.simplex._fill_faces, []
+    walk, walks = onepoint.simplex._walk, []
 
     class Recording(dict):
         def __setitem__(self, key, value):
-            walks[-1][1].append(key)
+            walks[-1][2].append(key)
             super().__setitem__(key, value)
 
-    def recording(simplex):
-        walks.append((simplex, []))
+    def recording(simplex, kept=None):
+        walks.append((simplex, None if kept is None else tuple(kept), []))
         object.__setattr__(simplex, "_faces", Recording(simplex._faces))
-        walk(simplex)
+        walk(simplex, kept)
 
     for module in (onepoint.simplex, onepoint.bounds):
-        monkeypatch.setattr(module, "_fill_faces", recording)
+        monkeypatch.setattr(module, "_walk", recording)
     return walks

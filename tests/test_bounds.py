@@ -306,27 +306,21 @@ def test_bounds_report_evaluates_the_rows_once_per_check(monkeypatch):
     assert len(calls) == 1
 
 
-def test_faces_are_eliminated_once_per_simplex(monkeypatch, face_walks):
-    # bounds_report fills the face table in one walk that writes every face once, with no
-    # face eliminated on its own; the chain's levels and every face's count on the same
-    # simplex then read it, with no elimination and no write after the report's walk
-    zpw4, calls = op.zpw_simplex(4), []
-    original = onepoint.simplex._volume_of
-
-    def counting(vertices):
-        calls.append(tuple(vertices))
-        return original(vertices)
-
-    monkeypatch.setattr(onepoint.simplex, "_volume_of", counting)
+def test_faces_are_eliminated_once_per_simplex(face_walks):
+    # bounds_report fills the face table in one walk that writes every face once, after
+    # the constructor's walk along the whole simplex; the chain's levels and every face's
+    # count on the same simplex then read it, with no walk and no write after the report's
+    zpw4 = op.zpw_simplex(4)
+    assert [kept for _, kept, _ in face_walks] == [(0, 1, 2, 3, 4)]
     assert op.bounds_report(zpw4, (1,) * 4).passed
-    [(walked, writes)] = face_walks
+    [_, (walked, whole, writes)] = face_walks
     faces = [kept for k in range(1, 6) for kept in itertools.combinations(range(5), k)]
-    assert walked is zpw4 and calls == [] and sorted(writes) == sorted(faces)
+    assert walked is zpw4 and whole is None and sorted(writes) == sorted(faces)
     assert op.chain_decompose(zpw4, (1,) * 4).passed
     for k in range(5):
         for omitted in itertools.combinations(range(5), k):
             op.count_face_points(zpw4, omitted)
-    assert calls == [] and len(face_walks) == 1 and len(writes) == len(faces)
+    assert len(face_walks) == 2 and len(writes) == len(faces)
 
 
 def test_section_volume_frozen():

@@ -138,6 +138,12 @@ def test_hostile_documents_exit_2(tmp_path, capsys):
     ("missing.json", None,
      "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
     ("dir.json", "directory", "cannot read dir.json: [Errno 21] Is a directory: 'dir.json'"),
+    # v2 = 2 v1 - v0: the face walk finds no pivot in its middle column
+    ("dependent.json", b'{"dim": 3, "vertices": [[1, 1, 0], [2, 3, 1], [3, 5, 2], [0, 0, 1]]}',
+     "vertices are affinely dependent"),
+    # and in its last column, whose pivot is a gcd
+    ("collinear.json", b'{"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}',
+     "vertices are affinely dependent"),
 ])
 def test_intake_errors_keep_their_text(name, content, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -670,18 +676,17 @@ def test_atlas_and_bounds_check_each_vector_once(files, monkeypatch, capsys):
         assert checks == []
 
 
-def test_bounds_builds_each_face_once(files, monkeypatch, capsys, face_walks):
-    # one elimination of the whole simplex, the parser's, which seeds the face table;
-    # then one walk that steps each face once and writes it to the table
+def test_bounds_builds_each_face_once(files, capsys, face_walks):
+    # the parser's walk along the whole simplex, which seeds the face table with its
+    # leading runs; then one walk that steps each face once and writes it to the table
     vertices = op.zpw_simplex(3).vertices
-    eliminations = []
-    record_calls(monkeypatch, onepoint.simplex, "_volume_of", eliminations)
+    face_walks.clear()
     assert run(capsys, "bounds", files["zpw3"])[0] == 0
-    assert [tuple(args[0]) for _, args, _ in eliminations] == [vertices]
-    [(walked, writes)] = face_walks
-    assert walked.vertices == vertices
-    assert sorted(writes) == sorted(kept for k in range(1, 5)
-                                    for kept in itertools.combinations(range(4), k))
+    [(parsed, seed, prefixes), (walked, whole, writes)] = face_walks
+    assert parsed is walked and walked.vertices == vertices
+    assert (seed, prefixes) == ((0, 1, 2, 3), [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)])
+    assert whole is None and sorted(writes) == sorted(kept for k in range(1, 5)
+                                                      for kept in itertools.combinations(range(4), k))
 
 
 def test_atlas_checks_its_integers_once_per_form(monkeypatch, capsys):
@@ -732,14 +737,14 @@ def test_chain_runs_one_census_and_one_count_per_level(files, monkeypatch, capsy
     assert len(counts) == 3
 
 
-def test_chain_reads_the_stored_volume_at_the_top(files, monkeypatch, capsys):
-    # the parser eliminates the whole simplex once, and the face table reads it at the top;
-    # one elimination per proper level, whose triangle's count reads its area for Pick's theorem
-    eliminations = []
-    record_calls(monkeypatch, onepoint.simplex, "_volume_of", eliminations)
+def test_chain_reads_the_stored_volume_at_the_top(files, capsys, face_walks):
+    # the parser walks the whole simplex once, and the face table reads it at the top;
+    # one walk per proper level not yet in the table, whose triangle's count reads its area
+    # for Pick's theorem: zpw(3)'s heavy order is 1, 2, 3, 0, so neither level is a seed run
+    face_walks.clear()
     assert run(capsys, "chain", files["zpw3"])[0] == 0
-    assert [len(args[0]) for _, args, _ in eliminations] == [4, 2, 3]
-    assert tuple(eliminations[0][1][0]) == op.zpw_simplex(3).vertices
+    assert [kept for _, kept, _ in face_walks] == [(0, 1, 2, 3), (1, 2), (1, 2, 3)]
+    assert face_walks[0][0].vertices == op.zpw_simplex(3).vertices
 
 
 @pytest.mark.parametrize("argv, expected", [(("atlas2d", "--radius", "9"), 5),

@@ -223,7 +223,7 @@ def test_normalized_volume_matches_smith_divisors(data):
     assert op.normalized_volume(simplex) / scale**k == rational_volume(vertices)
 
 
-def test_face_and_volume_take_one_hermite_form(monkeypatch):
+def test_face_and_volume_take_one_seed_walk(monkeypatch, face_walks):
     zpw4 = op.zpw_simplex(4)
     expected = rational_volume(zpw4.vertices[1:])
     calls = Counter()
@@ -238,13 +238,15 @@ def test_face_and_volume_take_one_hermite_form(monkeypatch):
     for name, fn in list(vars(onepoint.simplex).items()):
         if inspect.isfunction(fn) and fn.__module__ == "onepoint.exact":
             monkeypatch.setattr(onepoint.simplex, name, counted(name, fn))
+    face_walks.clear()
     face = face_of(zpw4, (0,))
     assert op.normalized_volume(face) == expected
-    # one echelon of the edges decides independence and gives the volume: no
-    # Hermite form with its transform, no Gram determinant, no Smith form, and
-    # nothing more when the volume is read; the parent's vertices are integers
-    # checked already, so the face does not check them again
-    assert calls == {"echelon": 1}
+    # one walk along the face's columns decides independence and gives the volume,
+    # a column step per column but the last, whose pivot is its gcd: no Hermite form,
+    # no Gram determinant, no Smith form, and nothing more when the volume is read;
+    # the parent's vertices are integers checked already, so the face does not check them
+    assert [(walked, kept) for walked, kept, _ in face_walks] == [(face, (0, 1, 2, 3))]
+    assert calls == {"_column_step": 2}
 
 
 @st.composite
@@ -265,9 +267,9 @@ def sheared_simplices(draw):
 @given(sheared_simplices())
 @settings(max_examples=60, deadline=None)
 def test_face_table_matches_the_smith_volume(case):
-    # every face's entry is the Smith-divisor volume of its vertices, face by face and
-    # through the one-column walk on a fresh copy, and each shear (i, j, f), adding f
-    # times coordinate j to coordinate i, gives the same table
+    # every face's volume from the table is the Smith-divisor volume of its vertices, face
+    # by face and through the walk over every face on a fresh copy, and each shear (i, j, f),
+    # adding f times coordinate j to coordinate i, gives the same table
     simplex, shears = case
     d, n = simplex.ambient_dim, len(simplex.vertices)
     faces = [kept for k in range(1, n + 1) for kept in itertools.combinations(range(n), k)]
@@ -279,8 +281,9 @@ def test_face_table_matches_the_smith_volume(case):
                                               for c in range(d)] for r in range(d)])
         assert {kept: onepoint.simplex._face_volume(simplex, kept) for kept in faces} == table
         walked = face_of(simplex, ())
-        onepoint.simplex._fill_faces(walked)
-        assert walked._faces == table
+        onepoint.simplex._walk(walked)
+        assert walked._faces.keys() == table.keys()
+        assert {kept: onepoint.simplex._face_volume(walked, kept) for kept in faces} == table
 
 
 @given(small_simplices(2))

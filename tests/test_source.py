@@ -174,31 +174,38 @@ def test_one_census_entry():
 
 
 def test_one_face_volume_route():
-    # simplex alone eliminates a vertex set for its volume, and alone reads the face
-    # table, which its constructor seeds, _face_volume fills one face at a time and
-    # _fill_faces fills whole in one walk: no caller hands in a volume, and no _volume
-    # is stored beside the table; the walk steps its columns as echelon does, with no
-    # second elimination beside that step
+    # simplex alone measures a vertex set, by one walk: _walk steps its columns as echelon
+    # does and is the face table's one writer, after the constructor sets the table empty;
+    # simplex alone reads the table, no caller hands in a volume, and no _volume is stored
+    # beside it; the dependency refusal is raised once, and simplex imports no echelon
     package = Path(onepoint.__file__).parent
-    eliminations, steps, tables, stored = set(), set(), set(), []
+    names, steps, tables, storing, stored, refusals = set(), set(), set(), set(), [], 0
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for top in tree.body:
+        text = path.read_text()
+        refusals += text.count("vertices are affinely dependent")
+        for top in ast.parse(text, filename=str(path)).body:
             where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
             for node in ast.walk(top):
                 callee = getattr(node, "func", None)
                 name = getattr(callee, "id", None) or getattr(callee, "attr", None)
-                if isinstance(node, ast.Call) and name == "_volume_of":
-                    eliminations.add(where)
+                names |= {getattr(node, key, None) for key in ("id", "attr", "name")}
                 if isinstance(node, ast.Call) and name == "_column_step":
                     steps.add(where)
                 if isinstance(node, ast.Attribute) and node.attr == "_faces":
                     tables.add(where)
-                if isinstance(node, ast.Constant) and node.value in ("_faces", "_volume"):
-                    stored.append((where, node.value))
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                    storing.add(where)
+                if isinstance(node, ast.Call) and {"'_faces'", "'_volume'"} & {
+                        ast.unparse(arg) for arg in node.args}:
+                    stored.append((where, ast.unparse(node)))
                 if isinstance(node, ast.Attribute) and node.attr == "_volume":
                     stored.append((where, node.attr))
-    assert eliminations == {"simplex._set_shape", "simplex._face_volume"}
-    assert steps == {"exact.echelon", "simplex._fill_faces"}
-    assert tables == {"simplex._face_volume", "simplex._fill_faces"}
-    assert stored == [("simplex._set_shape", "_faces")]
+    assert not names & {"_volume_of", "_fill_faces"}
+    assert steps == {"exact.echelon", "simplex._walk"}
+    assert tables == {"simplex._face_volume", "simplex._walk"}
+    assert tables & storing == {"simplex._walk"}  # of the two, only the walk writes an item
+    assert stored == [("simplex._set_shape", "object.__setattr__(simplex, '_faces', {})")]
+    assert refusals == 1
+    imported = {alias.name for node in ast.walk(ast.parse((package / "simplex.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_column_step" in imported and "echelon" not in imported
