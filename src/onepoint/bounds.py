@@ -17,7 +17,6 @@ checks that take the interior lattice point refuse one that is not all ints.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
@@ -26,8 +25,8 @@ from typing import Sequence
 from .exact import int_matrix
 from .points import DEFAULT_CAP, _census, count_face_points
 from .simplex import (
-    MAX_DIGITS,
     LatticeSimplex,
+    _digit_limit,
     _face_volume,
     _interior_values,
     _walk,
@@ -48,7 +47,7 @@ def _power(base: int, exponent: int) -> int:
     Its digits are counted on a lower bound lead * 10**shift, squared with each product
     cut to 10 digits more than the exponent has: exact unless 10^-8 above a power of ten.
     """
-    limit = min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)  # 0: no limit
+    limit = _digit_limit()
     # fewer than limit digits, as log10(2) < 0.302: no digit to count
     if exponent * base.bit_length() * 302 < (limit - 1) * 1000:
         return base**exponent

@@ -135,13 +135,13 @@ _COORDINATE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+|\d+/\d+)", re.ASCII)
 
 
 def _parse_point(text: str, dim: int, lattice: bool) -> tuple[Fraction, ...] | tuple[int, ...]:
-    from .simplex import MAX_DIGITS
+    from .simplex import _digit_limit
 
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != dim:
         raise ValueError(f"point needs {dim} comma-separated coordinates, got {len(parts)}")
     # int() refuses longer digit strings, with advice that is no use on the command line
-    limit = min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)  # 0: no limit
+    limit = _digit_limit()
     for part in parts:
         digits = sum(c.isdigit() for c in part)
         if digits > limit:
@@ -430,18 +430,24 @@ def _cmd_report(args: argparse.Namespace) -> Handled:
     return (0 if passed else 1), payload, lines
 
 
-def _cap(text: str) -> int:
-    """The ``--cap`` type: no enumeration or T-scan runs under a cap below 1."""
-    from .simplex import MAX_DIGITS
+def _integer(text: str) -> int:
+    """The type of every integer option: its digits are counted before ``int()`` reads them.
 
-    limit = min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)  # what int() reads
-    if (digits := sum(c.isdigit() for c in text)) > limit:
+    ``int()`` refuses a longer digit string, and argparse would echo every digit.
+    """
+    from .simplex import _digit_limit
+
+    if (digits := sum(c.isdigit() for c in text)) > (limit := _digit_limit()):
         raise argparse.ArgumentTypeError(f"has {digits} digits, more than {limit}")
     try:
-        cap = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 1:
+
+
+def _cap(text: str) -> int:
+    """The ``--cap`` type: no enumeration or T-scan runs under a cap below 1."""
+    if (cap := _integer(text)) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
     return cap
 
@@ -485,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("gen", help="build the extremal families")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_integer, required=True)
     p.add_argument(
         "--family", choices=("zpw", "dilated", "reflected", "all"), default="all"
     )
@@ -494,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas2d", help="all planar one-point triangles up to symmetry")
     p.add_argument(
         "--radius",
-        type=int,
+        type=_integer,
         default=30,
         help="box |x|, |y| <= RADIUS the reported classes fit in; at least 9; "
         "does not change the work (default %(default)s)",

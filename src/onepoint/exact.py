@@ -2,14 +2,14 @@
 
 Everything in this package ultimately reduces to two integer
 eliminations, and both must be exact: the adjugate with its determinant,
-and the gcd row echelon form.  Matrices are immutable tuples of tuples of
+and the gcd column step.  Matrices are immutable tuples of tuples of
 plain Python ints; this module holds no rational and no floating point.
 
 The adjugate uses fraction-free Bareiss elimination in Gauss-Jordan
 form; callers holding rational rows clear denominators first.  The gcd
-column step is the one route to lattice questions: the echelon runs it
-column by column, and the Hermite normal form runs the echelon on M and
-reduces above each pivot; a simplex's face walk runs it along each face,
+column step is the one route to lattice questions: the Hermite normal
+form runs it on each column of M's transpose and reduces above each
+pivot as it is found; a simplex's face walk runs it along each face,
 and is the route to a face's index.  The matrices are small and dense,
 so simplicity and auditability win over asymptotics.
 """
@@ -40,11 +40,6 @@ def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
     if frozen and any(len(row) != len(frozen[0]) for row in frozen):
         raise ValueError("matrix rows have unequal lengths")
     return frozen
-
-
-def transpose(matrix: Sequence[Sequence]) -> tuple[tuple, ...]:
-    # strict: rows of unequal lengths are refused, not cut to the shortest
-    return tuple(zip(*matrix, strict=True)) if matrix else ()
 
 
 def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
@@ -94,21 +89,6 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     return prev, tuple(tuple(row[j] for j in columns) for row in rows)
 
 
-def echelon(rows: list[list[int]]) -> list[int]:
-    """Bring ``rows`` to a gcd row echelon form, in place, one column step at a time.
-
-    No transform, nothing reduced above a pivot.  Returns the pivot columns, top
-    row first: their count is the rank; with independent columns the pivots
-    multiply to the gcd of the maximal minors, up to sign.  Entries must be
-    plain ints, as :func:`int_matrix` leaves them; they are not checked again.
-    """
-    pivot_cols: list[int] = []
-    for col in range(len(rows[0]) if rows else 0):
-        if len(pivot_cols) < len(rows) and _column_step(rows, len(pivot_cols), col):
-            pivot_cols.append(col)
-    return pivot_cols
-
-
 def _column_step(rows: list[list[int]], r: int, col: int) -> int:
     """Step column ``col`` of the rows from ``r`` on to one gcd pivot in row ``r``: it, or 0."""
     while True:
@@ -132,26 +112,24 @@ def _column_step(rows: list[list[int]], r: int, col: int) -> int:
             return p
 
 
-def row_hnf(matrix: Sequence[Sequence[int]]) -> IntMatrix:
-    """Row-style Hermite normal form: the canonical representative of the left GL_n(Z) orbit.
-
-    Row echelon form with positive pivots, zeros below each pivot, and
-    entries above reduced into [0, pivot): :func:`echelon` on the matrix,
-    then reduction above each pivot.  No transform is built.  Entries must
-    be plain ints of equal-length rows; they are not checked again.
-    """
-    rows = [list(row) for row in matrix]
-    for r, col in enumerate(echelon(rows)):
-        if rows[r][col] < 0:
-            rows[r] = [-x for x in rows[r]]
-        top, p = rows[r], rows[r][col]
-        for i in range(r):
-            q = rows[i][col] // p
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], top)]
-    return tuple(map(tuple, rows))
-
-
 def col_hnf(matrix: Sequence[Sequence[int]]) -> IntMatrix:
-    """Column-style Hermite normal form, reached by column operations; ragged rows are refused."""
-    return transpose(row_hnf(transpose(matrix)))
+    """Column-style Hermite normal form: the canonical representative of the right GL_n(Z) orbit.
+
+    The row form of the transpose, read back transposed: one gcd column
+    step per column.  A pivot row is final once found, as later steps touch
+    only the rows below it, so its pivot is made positive and the entries
+    above it reduced into [0, pivot) at once.  No transform is built.
+    Ragged rows are refused; entries must be plain ints, not checked again.
+    """
+    # strict: rows of unequal lengths are refused, not cut to the shortest
+    rows, r = [list(row) for row in zip(*matrix, strict=True)], 0
+    for col in range(len(rows[0]) if rows else 0):
+        if p := _column_step(rows, r, col):
+            if p < 0:
+                rows[r], p = [-x for x in rows[r]], -p
+            top = rows[r]
+            for i in range(r):
+                if q := rows[i][col] // p:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+            r += 1
+    return tuple(zip(*rows))

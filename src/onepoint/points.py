@@ -31,7 +31,7 @@ from math import gcd, prod
 from operator import add, sub
 from typing import Iterable, Sequence
 
-from .simplex import MAX_DIGITS, LatticeSimplex, _complement, _face_volume, _row_values
+from .simplex import LatticeSimplex, _complement, _digit_limit, _face_volume, _row_values
 
 Vector = tuple[int, ...]
 
@@ -53,7 +53,7 @@ class EnumerationCapError(RuntimeError):
     a bounding box, or the Minkowski bound on a certificate's T-scan.  When
     a family's box passes both the cap and 2^128, it is the partial product
     at which the family builder stopped: a lower bound, printed "at least 2^k".
-    The cap is the caller's own number, printed in full up to MAX_DIGITS digits.
+    The cap is the caller's own number, printed in full up to ``_digit_limit()`` digits.
     """
 
     def __init__(
@@ -65,7 +65,7 @@ class EnumerationCapError(RuntimeError):
     ):
         super().__init__(
             f"{scope} {_count_text(required)} {unit}, "
-            f"above the enumeration cap of {cap if cap < 10**MAX_DIGITS else _count_text(cap)}"
+            f"above the enumeration cap of {cap if cap < 10**_digit_limit() else _count_text(cap)}"
         )
         self.cap = cap
         self.required = required

@@ -15,6 +15,7 @@ volumes that are invariant under unimodular affine maps.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,6 +30,11 @@ RatVector = tuple[Fraction, ...]
 
 # str() refuses an int past 4,300 digits by default: no point coordinate or bound may have more
 MAX_DIGITS = 4300
+
+
+def _digit_limit() -> int:
+    """The most digits a number may have: MAX_DIGITS, or the interpreter's own lower limit."""
+    return min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)  # 0: no limit
 
 
 class SimplexParseError(ValueError):

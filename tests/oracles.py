@@ -47,7 +47,7 @@ from math import factorial, gcd, lcm, prod
 
 from onepoint.bounds import FaceVolumeBound, LowerBoundEntry, LowerBoundReport
 from onepoint.bounds import PartitionRecord, SectionVolumeCheck
-from onepoint.exact import SingularMatrixError, adjugate_int, int_matrix, transpose
+from onepoint.exact import SingularMatrixError, adjugate_int, int_matrix
 from onepoint.generators import _canonical_form, zpw_simplex
 from onepoint.points import DEFAULT_CAP, count_face_points, enumerate_interior
 from onepoint.simplex import (
@@ -191,6 +191,10 @@ def hermite_with_transform(matrix):
                 m[i] = [v - q * w for v, w in zip(m[i], m[r])]
         r += 1
     return tuple(map(tuple, a)), tuple(map(tuple, u))
+
+
+def transpose(matrix):
+    return tuple(zip(*matrix, strict=True))  # strict: ragged rows are refused, not cut
 
 
 def col_hermite_with_transform(matrix):

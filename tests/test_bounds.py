@@ -568,12 +568,12 @@ def test_bound_digits_are_counted_before_the_power(base, exponent):
     sys.set_int_max_str_digits(0)  # so MAX_DIGITS alone sizes the power, past 4,300 too
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(onepoint.bounds, "MAX_DIGITS", 0)
+            patch.setattr(onepoint.simplex, "MAX_DIGITS", 0)
             with pytest.raises(op.BoundSizeError) as refusal:
                 onepoint.bounds._power(base, exponent)
             digits = int(re.search(r"has (\d+) digits", str(refusal.value)).group(1))
             assert 10 ** (digits - 1) <= base**exponent < 10**digits
-            patch.setattr(onepoint.bounds, "MAX_DIGITS", digits)
+            patch.setattr(onepoint.simplex, "MAX_DIGITS", digits)
             assert onepoint.bounds._power(base, exponent) == base**exponent
     finally:
         sys.set_int_max_str_digits(limit)
@@ -586,7 +586,7 @@ def test_power_refuses_exactly_past_max_digits(base, exponent, offset):
     power = base**exponent
     limit = max(len(str(power)) + offset, 0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(onepoint.bounds, "MAX_DIGITS", limit)
+        patch.setattr(onepoint.simplex, "MAX_DIGITS", limit)
         if len(str(power)) <= limit:
             assert onepoint.bounds._power(base, exponent) == power
         else:

@@ -242,6 +242,26 @@ def test_cap_below_one_is_a_usage_error(files, capsys):
     assert err.endswith("error: argument --cap: has 4401 digits, more than 4300\n")
 
 
+@pytest.mark.parametrize("command, option", [("gen", "--dim"), ("atlas2d", "--radius")])
+def test_integer_options_count_their_digits(command, option, capsys):
+    # as --cap: a value past the digits int() reads ends in one line, not echoed digit by digit
+    code, out, err = run(capsys, command, option, "1" + "0" * 4400)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: has 4401 digits, more than 4300\n")
+    assert len(err) < 300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, command, option, "1" + "0" * 700)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: has 701 digits, more than 640\n")
+    code, out, err = run(capsys, command, option, "abc")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: invalid int value: 'abc'\n")
+
+
 def test_bary_fractional_point(files, capsys):
     code, out, _ = run(capsys, "bary", files["tri3"], "--point", "3/2,3/2")
     assert code == 0

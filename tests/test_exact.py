@@ -5,26 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onepoint.exact import (
-    SingularMatrixError,
-    adjugate_int,
-    col_hnf,
-    echelon,
-    int_matrix,
-    row_hnf,
-    transpose,
-)
+from onepoint.exact import SingularMatrixError, adjugate_int, col_hnf, int_matrix
 from oracles import (
     col_hermite_with_transform,
     det_int,
     det_rat,
-    hermite_with_transform,
     identity_rat,
     invert_rat,
     mat_mul,
     rank_rat,
     rat_matrix,
     snf_divisors,
+    transpose,
 )
 
 
@@ -187,36 +179,43 @@ def rect_int_matrices(bound=7, side=3):
     )
 
 
+def hermite_pivots(h):
+    """The pivot row of each nonzero column of a column Hermite form, its shape checked."""
+    columns = transpose(h)
+    rank = sum(map(any, columns))
+    assert not any(map(any, columns[rank:]))  # zero columns last
+    pivots = [next(i for i, x in enumerate(column) if x) for column in columns[:rank]]
+    # pivot rows increase, so each pivot row is zero right of its pivot
+    assert pivots == sorted(set(pivots))
+    for k, i in enumerate(pivots):
+        # pivots positive, entries left of each pivot reduced into [0, pivot)
+        assert columns[k][i] > 0
+        assert all(0 <= column[i] < columns[k][i] for column in columns[:k])
+    return pivots
+
+
 @given(rect_int_matrices())
-def test_row_hnf_reproduces_and_is_canonical(rows):
-    # the oracle's extended-gcd route reaches h by a unimodular u, and the package agrees
-    h, u = hermite_with_transform(rows)
-    assert h == mat_mul(u, rows)
-    assert abs(det_int(u)) == 1
-    assert row_hnf(rows) == h
+def test_col_hnf_is_canonical(rows):
+    # test_col_hnf_reproduces holds the form to the oracle's; here its shape
+    h = col_hnf(rows)
+    hermite_pivots(h)
     # a second pass changes nothing
-    assert row_hnf(h) == h
-    # pivots positive, zeros below, entries above reduced
-    n = len(h[0]) if h else 0
-    seen = -1
-    for row in h:
-        cols = [j for j in range(n) if row[j] != 0]
-        if not cols:
-            continue
-        pivot = cols[0]
-        assert pivot > seen
-        assert row[pivot] > 0
-        seen = pivot
+    assert col_hnf(h) == h
 
 
-def test_row_hnf_frozen():
-    # a zero first column, and two negative pivots made positive before reducing above them
-    for rows, form in (([[0, -2, 1], [0, 0, -3]], ((0, 2, 2), (0, 0, 3))),
-                       ([[0, -2], [0, 6], [0, 3]], ((0, 1), (0, 0), (0, 0)))):
-        assert row_hnf(rows) == form
-        h, u = hermite_with_transform(rows)
-        assert h == form == mat_mul(u, rows)
-        assert abs(det_int(u)) == 1
+def test_col_hnf_frozen():
+    # a zero first row, and two negative pivots made positive before reducing left of them
+    for rows, form in (([[0, 0], [-2, 0], [1, -3]], ((0, 0), (2, 0), (2, 3))),
+                       ([[0, 0, 0], [-2, 6, 3]], ((0, 0, 0), (1, 0, 0)))):
+        assert col_hnf(rows) == form
+        h, v = col_hermite_with_transform(rows)
+        assert h == form == mat_mul(rows, v)
+        assert abs(det_int(v)) == 1
+    # rows of unequal lengths are refused, not cut to the shortest
+    for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError):
+            col_hnf(ragged)
+    assert col_hnf([]) == col_hnf([[], []]) == ()
 
 
 @given(rect_int_matrices())
@@ -229,16 +228,16 @@ def test_col_hnf_reproduces(rows):
 
 @given(square_int_matrices(max_n=3, bound=4), st.integers(0, 5))
 @settings(max_examples=60)
-def test_row_hnf_invariant_under_row_operations(rows, mix):
-    # shuffling rows by elementary moves cannot change the normal form
-    h = row_hnf(rows)
-    mixed = [list(r) for r in rows]
+def test_col_hnf_invariant_under_column_operations(rows, mix):
+    # mixing columns by elementary moves cannot change the normal form
+    h = col_hnf(rows)
+    mixed = [list(c) for c in transpose(rows)]
     n = len(mixed)
     for k in range(mix):
         i, j = k % n, (k + 1) % n
         if i != j:
             mixed[i] = [a + b for a, b in zip(mixed[i], mixed[j])]
-    h2 = row_hnf(mixed)
+    h2 = col_hnf(transpose(mixed))
     assert h == h2
 
 
@@ -247,24 +246,19 @@ def test_row_hnf_invariant_under_row_operations(rows, mix):
     st.sampled_from(("drawn", "zero", "rank-deficient", "negative")),
 )
 @settings(max_examples=200)
-def test_echelon_pivots_give_rank_and_hermite_pivot_product(rows, shape):
+def test_col_hnf_pivots_give_rank_and_pivot_product(rows, shape):
     # tall, wide and square shapes; the rank comes from the rational oracle
     rows = [list(row) for row in rows]
     if shape == "zero":
         rows = [[0] * len(row) for row in rows]
     elif shape == "rank-deficient":
-        rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])
+        rows = [row + [row[0] - 2 * row[-1]] for row in rows]
     elif shape == "negative":
         rows = [[-abs(x) for x in row] for row in rows]
-    reduced = [list(row) for row in rows]
-    cols = echelon(reduced)
-    pivots = [reduced[r][c] for r, c in enumerate(cols)]
-    h = row_hnf(rows)
-    hermite = [next(x for x in row if x) for row in h if any(row)]
-    assert len(pivots) == rank_rat(rows) == len(hermite)
-    assert abs(math.prod(pivots)) == math.prod(hermite)
-    # an echelon: pivot columns increase, zeros below each pivot, zero rows last
-    assert cols == sorted(set(cols))
-    for r, c in enumerate(cols):
-        assert reduced[r][c] != 0 and all(row[c] == 0 for row in reduced[r + 1 :])
-    assert not any(any(row) for row in reduced[len(cols) :])
+    h = col_hnf(rows)
+    pivots = hermite_pivots(h)
+    assert len(pivots) == rank_rat(rows)
+    # the columns restricted to the pivot rows span a sublattice of Z^rank whose index,
+    # the product of the Smith divisors, is the product of the pivots
+    index = math.prod(snf_divisors([rows[i] for i in pivots]))
+    assert math.prod(h[i][k] for k, i in enumerate(pivots)) == index

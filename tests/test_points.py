@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 from fractions import Fraction
 from math import prod
@@ -198,6 +199,22 @@ def test_cap_refusal():
         op.enumerate_interior(huge)
     assert err.value.required == (side + 1) ** 3
     assert f"at least 2^{3 * side.bit_length() - 1} candidate points" in str(err.value)
+
+
+def test_cap_past_the_interpreter_digit_limit_prints_as_a_power_of_two():
+    # a 701-digit cap prints in full only below the interpreter's own int-to-str limit
+    side, cap = 10**400, 10**700
+    wide = op.LatticeSimplex(((0, 0), (side, 0), (0, side)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(op.EnumerationCapError) as err:
+            op.enumerate_interior(wide, cap)
+        text = str(err.value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.value.cap == cap and err.value.required == (side + 1) ** 2
+    assert text.endswith(f"above the enumeration cap of at least 2^{cap.bit_length() - 1}")
 
 
 def test_blichfeldt_frozen():

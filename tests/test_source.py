@@ -64,9 +64,10 @@ def _public_and_uncalled(module):
 
 
 def test_exact_holds_no_test_only_code():
-    # a function of exact that only the tests call belongs in tests/oracles.py
+    # a function of exact that only the tests call belongs in tests/oracles.py; col_hnf is
+    # the one Hermite routine, with no echelon, row form or transpose beside it
     public, uncalled = _public_and_uncalled("exact")
-    assert {"adjugate_int", "row_hnf", "col_hnf"} <= public
+    assert public == {"int_matrix", "adjugate_int", "col_hnf"}
     assert uncalled == []
 
 
@@ -174,10 +175,11 @@ def test_one_census_entry():
 
 
 def test_one_face_volume_route():
-    # simplex alone measures a vertex set, by one walk: _walk steps its columns as echelon
-    # does and is the face table's one writer, after the constructor sets the table empty;
-    # simplex alone reads the table, no caller hands in a volume, and no _volume is stored
-    # beside it; the dependency refusal is raised once, and simplex imports no echelon
+    # simplex alone measures a vertex set, by one walk: _walk steps its columns with the
+    # column step of col_hnf and is the face table's one writer, after the constructor sets
+    # the table empty; simplex alone reads the table, no caller hands in a volume, and no
+    # _volume is stored beside it; the dependency refusal is raised once, and simplex
+    # imports no Hermite form
     package = Path(onepoint.__file__).parent
     names, steps, tables, storing, stored, refusals = set(), set(), set(), set(), [], 0
     for path in sorted(package.glob("*.py")):
@@ -201,11 +203,11 @@ def test_one_face_volume_route():
                 if isinstance(node, ast.Attribute) and node.attr == "_volume":
                     stored.append((where, node.attr))
     assert not names & {"_volume_of", "_fill_faces"}
-    assert steps == {"exact.echelon", "simplex._walk"}
+    assert steps == {"exact.col_hnf", "simplex._walk"}
     assert tables == {"simplex._face_volume", "simplex._walk"}
     assert tables & storing == {"simplex._walk"}  # of the two, only the walk writes an item
     assert stored == [("simplex._set_shape", "object.__setattr__(simplex, '_faces', {})")]
     assert refusals == 1
     imported = {alias.name for node in ast.walk(ast.parse((package / "simplex.py").read_text()))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert "_column_step" in imported and "echelon" not in imported
+    assert "_column_step" in imported and "col_hnf" not in imported
