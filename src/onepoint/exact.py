@@ -6,12 +6,14 @@ and the gcd column step.  Matrices are immutable tuples of tuples of
 plain Python ints; this module holds no rational and no floating point.
 
 The adjugate uses fraction-free Bareiss elimination in Gauss-Jordan
-form; callers holding rational rows clear denominators first.  The gcd
-column step is the one route to lattice questions: the Hermite normal
-form runs it on each column of M's transpose and reduces above each
-pivot as it is found; a simplex's face walk runs it along each face,
-and is the route to a face's index.  The matrices are small and dense,
-so simplicity and auditability win over asymptotics.
+form, split at each pivot: the half below gives the determinant, and
+the half above, replayed from its steps, the adjugate.  Callers holding
+rational rows clear denominators first.  The gcd column step is the one
+route to lattice questions: the Hermite normal form runs it on each
+column of M's transpose and reduces above each pivot as it is found; a
+simplex's face walk runs it along each face, and is the route to a
+face's index.  The matrices are small and dense, so simplicity and
+auditability win over asymptotics.
 """
 
 from __future__ import annotations
@@ -42,26 +44,23 @@ def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
     return frozen
 
 
-def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
-    """Determinant and adjugate of a square integer matrix.
+def eliminate_below(matrix: Sequence[Sequence[int]]) -> tuple[int, tuple]:
+    """Determinant of a square integer matrix, and the steps :func:`adjugate_above` finishes.
 
-    Fraction-free Gauss-Jordan on [A | I]: each step divides exactly by
-    the previous pivot, so every entry stays an integer, and at the end
-    the left block is the determinant of the row-permuted matrix times I
-    while the right block is that determinant times the inverse.  Row
-    swaps flip the sign.  Only n columns per row are in play at a time,
-    so each step costs n^2 entries, not 2n^2.  Raises
+    Fraction-free Gauss-Jordan on [A | I], each step on the rows below its
+    pivot alone: it divides exactly by the previous pivot, so every entry
+    stays an integer, and the last pivot is the determinant of the
+    row-permuted matrix.  Row swaps flip the sign.  Raises
     :class:`SingularMatrixError` when the matrix is singular.  Entries
     must be plain ints; they are not checked again.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("adjugate needs a square matrix")
-    # before step k a row holds A's columns k.. and then the I columns of the rows
-    # pivoted so far, in pivot order; A's columns before k are settled (the pivot
-    # on the diagonal, zeros off it), and the I column of a row not yet pivoted
-    # holds the last pivot in that row alone, so neither is stored
-    rows, origin, sign, prev = [list(row) for row in matrix], list(range(n)), 1, 1
+    # before step k a row below the pivots holds A's columns k.. and then the I columns of the
+    # rows pivoted so far, in pivot order: A's columns before k are zeros, and its own I column
+    # holds the last pivot, so neither is stored and a step costs n entries per row
+    rows, origin, sign, prev, steps = [list(row) for row in matrix], list(range(n)), 1, 1, []
     for k in range(n):
         for pivot in range(k, n):
             if rows[pivot][0]:
@@ -73,20 +72,36 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
             origin[k], origin[pivot] = origin[pivot], origin[k]
             sign = -sign
         p, tail = rows[k][0], rows[k][1:]
-        for i in range(n):
-            if i != k:
-                f = rows[i][0]
-                # exact: every entry is a minor of the row-permuted [A | I]; the pivot
-                # row's I column enters as prev in its row and 0 in this one
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i][1:], tail)]
-                rows[i].append(-f)
-        tail.append(prev)
-        rows[k], prev = tail, p
+        for i in range(k + 1, n):
+            f = rows[i][0]
+            # exact: every entry is a minor of the row-permuted [A | I]; the pivot
+            # row's I column enters as prev in its row and 0 in this one
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i][1:], tail)]
+            rows[i].append(-f)
+        steps.append((p, tail))
+        prev = p
     # the stored I columns in the order of the input rows they came from
-    columns = sorted(range(n), key=origin.__getitem__)
+    return sign * prev, (steps, sorted(range(n), key=origin.__getitem__), sign)
+
+
+def adjugate_above(pending: tuple) -> IntMatrix:
+    """The adjugate, determinant times inverse, from the steps of :func:`eliminate_below`.
+
+    Each step runs again on the rows above its pivot, in order, which
+    finishes the one Gauss-Jordan pass over every row.
+    """
+    steps, columns, sign = pending
+    rows, prev = [], 1
+    for p, tail in steps:
+        for i, row in enumerate(rows):
+            f = row[0]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+            rows[i].append(-f)
+        rows.append([*tail, prev])
+        prev = p
     if sign < 0:
-        return -prev, tuple(tuple(-row[j] for j in columns) for row in rows)
-    return prev, tuple(tuple(row[j] for j in columns) for row in rows)
+        return tuple(tuple(-row[j] for j in columns) for row in rows)
+    return tuple(tuple(row[j] for j in columns) for row in rows)
 
 
 def _column_step(rows: list[list[int]], r: int, col: int) -> int:

@@ -23,7 +23,7 @@ from math import factorial, gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exact import _column_step, adjugate_int, int_matrix
+from .exact import SingularMatrixError, _column_step, adjugate_above, eliminate_below, int_matrix
 
 Vector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
@@ -53,9 +53,21 @@ def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> Lattice
     if len(set(vertices)) != len(vertices):
         raise ValueError("vertices are not distinct")
     object.__setattr__(simplex, "vertices", vertices)
-    # face indexes by ascending kept vertex indexes, seeded by the walk along the whole simplex
-    object.__setattr__(simplex, "_faces", {})
-    _walk(simplex, range(len(vertices)))
+    # face indexes by ascending kept vertex indexes: a full-dimensional simplex's |det| from the
+    # below half of its edge matrix's elimination, whose above half the rows run on first use,
+    # else every leading run from the walk along the whole simplex
+    keys = tuple(range(len(vertices)))
+    try:
+        if len(vertices) <= ambient:
+            object.__setattr__(simplex, "_faces", {})
+            _walk(simplex, keys)
+            return simplex
+        det, pending = eliminate_below([[v[c] - b for v in vertices[1:]]
+                                        for c, b in enumerate(vertices[0])])
+    except SingularMatrixError:
+        raise ValueError("vertices are affinely dependent") from None
+    object.__setattr__(simplex, "_faces", {keys: abs(det)})
+    object.__setattr__(simplex, "_pending", (det, pending))
     return simplex
 
 
@@ -90,7 +102,7 @@ def _walk(simplex: LatticeSimplex, kept: Sequence[int] | None = None) -> None:
                 stepped = rows[:] if whole else rows
                 pivot = abs(_column_step(stepped, r, col))
             if not pivot:
-                raise ValueError("vertices are affinely dependent")
+                raise SingularMatrixError("the face's edges are dependent")
             stack.append((face + (keys[q],), stepped, index * pivot, b, q))
             if not whole:  # a kept face's one child is its next vertex, so it takes the rows
                 break
@@ -128,12 +140,17 @@ class LatticeSimplex:
         of v_j (j >= 1) is row j - 1 of A with constant -A v_0, and the row
         of v_0 is minus the column sums of A with the constant that makes
         the constants sum to D.  Sign tests on lattice points never touch
-        Fractions.  Computed on first use, so a census refused on its box
-        never builds them.
+        Fractions.  A is the above half of the elimination whose below half
+        the constructor ran; it runs on first use and drops that half, so a
+        census refused on its box never finishes it.
         """
         self._require_full()
-        base, rest = self.vertices[0], self.vertices[1:]
-        det, adjugate = adjugate_int([[v[c] - b for v in rest] for c, b in enumerate(base)])
+        base = self.vertices[0]
+        # a concurrent first use, which cached_property does not lock out from Python 3.12 on,
+        # may find the below half taken, and then runs it again
+        det, pending = vars(self).pop("_pending", None) or eliminate_below(
+            [[v[c] - b for v in self.vertices[1:]] for c, b in enumerate(base)])
+        adjugate = adjugate_above(pending)
         if det < 0:
             det, adjugate = -det, [[-a for a in row] for row in adjugate]
         rows = [(tuple(row), -sum(map(mul, row, base))) for row in adjugate]
@@ -224,10 +241,10 @@ def normalized_volume(simplex: LatticeSimplex) -> Fraction:
     """Volume against the lattice induced on the simplex's affine hull.
 
     For a k-simplex this is the product of the gcd pivots of its face
-    walk's column steps divided by k!.  A single vertex has volume 1 by
-    convention.  The constructor walks it while checking affine
-    independence and seeds the simplex's face table with it, so this
-    reads the table.
+    walk's column steps divided by k!: |det| / d! for a full-dimensional
+    one.  A single vertex has volume 1 by convention.  The constructor
+    puts it in the simplex's face table while checking affine
+    independence, so this reads the table.
     """
     return _face_volume(simplex, tuple(range(len(simplex.vertices))))
 

@@ -64,7 +64,9 @@ def rng():
 def face_walks(monkeypatch):
     """(simplex, kept, keys written) of each face walk, in order; the walk itself runs unchanged.
 
-    ``kept`` is None for a walk over every face, else the face walked to, as a tuple.
+    ``kept`` is None for a walk over every face, else the face walked to, as a tuple.  The
+    constructor of a full-dimensional simplex takes its determinant and walks nothing, so
+    its walks are those of its faces and of ``bounds_report``; an embedded one is walked.
     """
     import onepoint.bounds
     import onepoint.simplex

@@ -47,7 +47,7 @@ from math import factorial, gcd, lcm, prod
 
 from onepoint.bounds import FaceVolumeBound, LowerBoundEntry, LowerBoundReport
 from onepoint.bounds import PartitionRecord, SectionVolumeCheck
-from onepoint.exact import SingularMatrixError, adjugate_int, int_matrix
+from onepoint.exact import SingularMatrixError, adjugate_above, eliminate_below, int_matrix
 from onepoint.generators import _canonical_form, zpw_simplex
 from onepoint.points import DEFAULT_CAP, count_face_points, enumerate_interior
 from onepoint.simplex import (
@@ -503,7 +503,8 @@ def minkowski_solve(matrix):
         [entry.numerator * (scale // entry.denominator) for entry in row]
         for row, scale in zip(a, scales)
     ]
-    det, adjugate = adjugate_int(rows)  # raises on a singular matrix
+    det, pending = eliminate_below(rows)  # raises on a singular matrix
+    adjugate = adjugate_above(pending)
     denominator = prod(scales)  # det A = det B / denominator
     if abs(det) >= denominator:
         raise ValueError(f"|det| = {Fraction(abs(det), denominator)} is not below 1")
@@ -784,7 +785,7 @@ def normal_form_2d(simplex, cap=DEFAULT_CAP):
         return tuple(sum(x * y for x, y in zip(row, w)) for row in linear)
 
     offset = tuple(-x for x in apply(anchor))
-    if abs(adjugate_int(linear)[0]) != 1:
+    if abs(det_int(linear)) != 1:
         raise AssertionError("canonicalizing map is not unimodular")
     mapped = sorted(tuple(a + b for a, b in zip(apply(w), offset)) for w in simplex.vertices)
     if mapped != sorted(form):

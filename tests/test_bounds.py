@@ -308,19 +308,19 @@ def test_bounds_report_evaluates_the_rows_once_per_check(monkeypatch):
 
 def test_faces_are_eliminated_once_per_simplex(face_walks):
     # bounds_report fills the face table in one walk that writes every face once, after
-    # the constructor's walk along the whole simplex; the chain's levels and every face's
-    # count on the same simplex then read it, with no walk and no write after the report's
+    # the constructor's determinant wrote the whole simplex's entry; the chain's levels and
+    # every face's count on the same simplex then read it, with no walk and no write after
     zpw4 = op.zpw_simplex(4)
-    assert [kept for _, kept, _ in face_walks] == [(0, 1, 2, 3, 4)]
+    assert face_walks == [] and zpw4._faces == {(0, 1, 2, 3, 4): 1806}
     assert op.bounds_report(zpw4, (1,) * 4).passed
-    [_, (walked, whole, writes)] = face_walks
+    [(walked, whole, writes)] = face_walks
     faces = [kept for k in range(1, 6) for kept in itertools.combinations(range(5), k)]
     assert walked is zpw4 and whole is None and sorted(writes) == sorted(faces)
     assert op.chain_decompose(zpw4, (1,) * 4).passed
     for k in range(5):
         for omitted in itertools.combinations(range(5), k):
             op.count_face_points(zpw4, omitted)
-    assert len(face_walks) == 2 and len(writes) == len(faces)
+    assert len(face_walks) == 1 and len(writes) == len(faces)
 
 
 def test_section_volume_frozen():

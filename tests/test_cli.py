@@ -138,10 +138,10 @@ def test_hostile_documents_exit_2(tmp_path, capsys):
     ("missing.json", None,
      "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
     ("dir.json", "directory", "cannot read dir.json: [Errno 21] Is a directory: 'dir.json'"),
-    # v2 = 2 v1 - v0: the face walk finds no pivot in its middle column
+    # v2 = 2 v1 - v0: the determinant's elimination finds no pivot in its middle column
     ("dependent.json", b'{"dim": 3, "vertices": [[1, 1, 0], [2, 3, 1], [3, 5, 2], [0, 0, 1]]}',
      "vertices are affinely dependent"),
-    # and in its last column, whose pivot is a gcd
+    # and in its last column
     ("collinear.json", b'{"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}',
      "vertices are affinely dependent"),
 ])
@@ -697,14 +697,13 @@ def test_atlas_and_bounds_check_each_vector_once(files, monkeypatch, capsys):
 
 
 def test_bounds_builds_each_face_once(files, capsys, face_walks):
-    # the parser's walk along the whole simplex, which seeds the face table with its
-    # leading runs; then one walk that steps each face once and writes it to the table
+    # the parser takes the whole simplex's entry from its determinant, with no walk; then
+    # one walk steps each face once and writes it to the table
     vertices = op.zpw_simplex(3).vertices
     face_walks.clear()
     assert run(capsys, "bounds", files["zpw3"])[0] == 0
-    [(parsed, seed, prefixes), (walked, whole, writes)] = face_walks
-    assert parsed is walked and walked.vertices == vertices
-    assert (seed, prefixes) == ((0, 1, 2, 3), [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)])
+    [(walked, whole, writes)] = face_walks
+    assert walked.vertices == vertices
     assert whole is None and sorted(writes) == sorted(kept for k in range(1, 5)
                                                       for kept in itertools.combinations(range(4), k))
 
@@ -757,13 +756,26 @@ def test_chain_runs_one_census_and_one_count_per_level(files, monkeypatch, capsy
     assert len(counts) == 3
 
 
+def test_verify_refused_on_its_box_never_finishes_the_rows(files, tmp_path, monkeypatch, capsys):
+    # the parser runs the below half of conv{-(1, ..., 1), e_1, ..., e_30}'s elimination;
+    # its box of 3^30 candidates is refused before the above half, which a census takes once
+    finished, d = [], 30
+    record_calls(monkeypatch, onepoint.exact, "adjugate_above", finished)
+    path = tmp_path / "reflected30.json"
+    path.write_text(json.dumps({"dim": d, "vertices": [[-1] * d] + [
+        [int(i == j) for j in range(d)] for i in range(d)]}), encoding="utf-8")
+    assert run(capsys, "verify", str(path))[0] == 3
+    assert finished == []
+    assert run(capsys, "verify", files["zpw3"])[0] == 0
+    assert len(finished) == 1
+
+
 def test_chain_reads_the_stored_volume_at_the_top(files, capsys, face_walks):
-    # the parser walks the whole simplex once, and the face table reads it at the top;
-    # one walk per proper level not yet in the table, whose triangle's count reads its area
-    # for Pick's theorem: zpw(3)'s heavy order is 1, 2, 3, 0, so neither level is a seed run
+    # the parser puts |det| in the face table, which the top level reads; one walk per
+    # proper level, whose triangle's count reads its area for Pick's theorem
     face_walks.clear()
     assert run(capsys, "chain", files["zpw3"])[0] == 0
-    assert [kept for _, kept, _ in face_walks] == [(0, 1, 2, 3), (1, 2), (1, 2, 3)]
+    assert [kept for _, kept, _ in face_walks] == [(1, 2), (1, 2, 3)]
     assert face_walks[0][0].vertices == op.zpw_simplex(3).vertices
 
 

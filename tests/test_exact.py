@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onepoint.exact import SingularMatrixError, adjugate_int, col_hnf, int_matrix
+from onepoint.exact import SingularMatrixError, adjugate_above, col_hnf, eliminate_below, int_matrix
 from oracles import (
     col_hermite_with_transform,
     det_int,
@@ -34,8 +34,8 @@ def cofactor_det(rows):
     return total
 
 
-def square_int_matrices(max_n=4, bound=9):
-    return st.integers(1, max_n).flatmap(
+def square_int_matrices(max_n=4, bound=9, min_n=1):
+    return st.integers(min_n, max_n).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
             min_size=n,
@@ -74,22 +74,29 @@ def cofactor_adjugate(rows):
     return tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n))
 
 
+def adjugate_int(rows):
+    """Determinant and adjugate through both halves of the one elimination."""
+    det, pending = eliminate_below(rows)
+    return det, adjugate_above(pending)
+
+
 @given(
-    square_int_matrices(max_n=7, bound=3),
+    square_int_matrices(max_n=7, bound=3, min_n=0),
     st.sampled_from(("drawn", "zero leading pivot", "singular")),
 )
 @settings(max_examples=150, deadline=None)
 def test_adjugate_int_matches_cofactor_expansion(rows, shape):
+    # the below half's determinant, and the above half's adjugate from its steps
     rows = [list(row) for row in rows]
     n = len(rows)
-    if shape == "zero leading pivot":
+    if n and shape == "zero leading pivot":
         rows[0][0] = 0
-    elif shape == "singular":
+    elif n and shape == "singular":
         rows[-1] = [2 * x for x in rows[0]] if n > 1 else [0]
     det = det_int(rows)
     if det == 0:
         with pytest.raises(SingularMatrixError):
-            adjugate_int(rows)
+            eliminate_below(rows)
         return
     adjugate = cofactor_adjugate(rows)
     assert adjugate_int(rows) == (det, adjugate)

@@ -1,9 +1,11 @@
 import inspect
 import itertools
 import json
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,7 +38,7 @@ def test_validation_errors():
 @st.composite
 def vertex_sets(draw):
     """k+1 <= d+1 vertices in Z^d, sometimes one an affine combination of the rest."""
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 7))
     k = draw(st.integers(0, d))
     point = st.lists(st.integers(-4, 4).map(Fraction), min_size=d, max_size=d)
     vertices = draw(st.lists(point, min_size=k + 1, max_size=k + 1))
@@ -72,7 +74,7 @@ def test_simplices_accept_exactly_the_affinely_independent_sets(case):
         assert simplex.vertices == tuple(vertices)
         assert rational_volume(rational) == op.normalized_volume(simplex) / denominator**k
     else:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vertices are (not distinct|affinely dependent)$"):
             op.LatticeSimplex(vertices)
         with pytest.raises(ValueError):
             rational_volume(rational)
@@ -250,10 +252,13 @@ def test_face_and_volume_take_one_seed_walk(monkeypatch, face_walks):
 
 
 @st.composite
-def sheared_simplices(draw):
-    """A full or embedded simplex in Z^d, d = 1 to 6, coordinates in [-9, 9]; up to 4 shears."""
+def sheared_simplices(draw, full=False):
+    """A simplex in Z^d, d = 1 to 6, coordinates in [-9, 9]; up to 4 shears.
+
+    It is full-dimensional with ``full``, else full or embedded.
+    """
     d = draw(st.integers(1, 6))
-    vertices = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * d), min_size=1,
+    vertices = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * d), min_size=d + 1 if full else 1,
                              max_size=d + 1, unique=True))
     try:
         simplex = op.LatticeSimplex(vertices)
@@ -264,6 +269,14 @@ def sheared_simplices(draw):
     return simplex, draw(st.lists(shear, max_size=4 if d > 1 else 0))
 
 
+def sheared(simplex, shear):
+    """The image under (i, j, f): f times coordinate j added to coordinate i."""
+    i, j, f = shear
+    d = simplex.ambient_dim
+    return linear_image(simplex, [[(r == c) + f * (r == i and c == j) for c in range(d)]
+                                  for r in range(d)])
+
+
 @given(sheared_simplices())
 @settings(max_examples=60, deadline=None)
 def test_face_table_matches_the_smith_volume(case):
@@ -271,19 +284,62 @@ def test_face_table_matches_the_smith_volume(case):
     # by face and through the walk over every face on a fresh copy, and each shear (i, j, f),
     # adding f times coordinate j to coordinate i, gives the same table
     simplex, shears = case
-    d, n = simplex.ambient_dim, len(simplex.vertices)
+    n = len(simplex.vertices)
     faces = [kept for k in range(1, n + 1) for kept in itertools.combinations(range(n), k)]
     table = {kept: rational_volume([simplex.vertices[j] for j in kept]) for kept in faces}
     for shear in [None, *shears]:
         if shear:
-            i, j, f = shear
-            simplex = linear_image(simplex, [[(r == c) + f * (r == i and c == j)
-                                              for c in range(d)] for r in range(d)])
+            simplex = sheared(simplex, shear)
         assert {kept: onepoint.simplex._face_volume(simplex, kept) for kept in faces} == table
         walked = face_of(simplex, ())
         onepoint.simplex._walk(walked)
         assert walked._faces.keys() == table.keys()
         assert {kept: onepoint.simplex._face_volume(walked, kept) for kept in faces} == table
+
+
+@given(sheared_simplices(full=True))
+@settings(max_examples=40, deadline=None)
+def test_constructor_entry_matches_the_walk(case):
+    # a full-dimensional simplex's one table entry is |det|, from the below half of its edge
+    # matrix's elimination: what the walk over every face writes for the whole set, and d!
+    # times the Smith-divisor volume; the rows run the above half on first use and drop it
+    simplex, shears = case
+    d = simplex.ambient_dim
+    whole, index = tuple(range(d + 1)), rational_volume(simplex.vertices) * factorial(d)
+    for shear in [None, *shears]:
+        if shear:
+            simplex = sheared(simplex, shear)
+        assert simplex._faces == {whole: index} and "_pending" in vars(simplex)
+        walked = face_of(simplex, ())
+        onepoint.simplex._walk(walked)
+        assert walked._faces[whole] == index
+        assert simplex.functional_rows == hull_rows(simplex)
+        assert "_pending" not in vars(simplex)
+        # a first use that finds the below half taken, as a concurrent one may, runs it again
+        taken = op.LatticeSimplex(simplex.vertices)
+        del vars(taken)["_pending"]
+        assert taken.functional_rows == simplex.functional_rows
+
+
+def test_concurrent_first_uses_agree_on_the_rows():
+    # more threads than cores read the rows of one fresh simplex at once, switching often:
+    # each gets the oracle's rows, whichever of them takes the pending below half
+    vertices, expected, switch = op.zpw_simplex(5).vertices, None, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            simplex, results = op.LatticeSimplex(vertices), []
+            expected = expected or hull_rows(simplex)
+            threads = [threading.Thread(target=lambda: results.append(simplex.functional_rows))
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(switch)
 
 
 @given(small_simplices(2))

@@ -65,9 +65,10 @@ def _public_and_uncalled(module):
 
 def test_exact_holds_no_test_only_code():
     # a function of exact that only the tests call belongs in tests/oracles.py; col_hnf is
-    # the one Hermite routine, with no echelon, row form or transpose beside it
+    # the one Hermite routine, with no echelon, row form or transpose beside it, and the
+    # adjugate is two halves of one elimination, with no whole pass beside them
     public, uncalled = _public_and_uncalled("exact")
-    assert public == {"int_matrix", "adjugate_int", "col_hnf"}
+    assert public == {"int_matrix", "eliminate_below", "adjugate_above", "col_hnf"}
     assert uncalled == []
 
 
@@ -175,11 +176,11 @@ def test_one_census_entry():
 
 
 def test_one_face_volume_route():
-    # simplex alone measures a vertex set, by one walk: _walk steps its columns with the
-    # column step of col_hnf and is the face table's one writer, after the constructor sets
-    # the table empty; simplex alone reads the table, no caller hands in a volume, and no
-    # _volume is stored beside it; the dependency refusal is raised once, and simplex
-    # imports no Hermite form
+    # simplex alone measures a vertex set: the constructor sets the table, with a
+    # full-dimensional simplex's |det| as its one entry, and otherwise _walk writes it,
+    # stepping its columns with the column step of col_hnf; simplex alone reads the table,
+    # no caller hands in a volume, and no _volume is stored beside it; the dependency
+    # refusal is written once, and simplex imports no Hermite form
     package = Path(onepoint.__file__).parent
     names, steps, tables, storing, stored, refusals = set(), set(), set(), set(), [], 0
     for path in sorted(package.glob("*.py")):
@@ -206,7 +207,9 @@ def test_one_face_volume_route():
     assert steps == {"exact.col_hnf", "simplex._walk"}
     assert tables == {"simplex._face_volume", "simplex._walk"}
     assert tables & storing == {"simplex._walk"}  # of the two, only the walk writes an item
-    assert stored == [("simplex._set_shape", "object.__setattr__(simplex, '_faces', {})")]
+    assert sorted(stored) == [("simplex._set_shape",
+                               "object.__setattr__(simplex, '_faces', {keys: abs(det)})"),
+                              ("simplex._set_shape", "object.__setattr__(simplex, '_faces', {})")]
     assert refusals == 1
     imported = {alias.name for node in ast.walk(ast.parse((package / "simplex.py").read_text()))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
