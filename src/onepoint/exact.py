@@ -1,18 +1,18 @@
 """Exact linear algebra on small dense integer matrices.
 
 Everything in this package ultimately reduces to two integer
-eliminations, and both must be exact: the adjugate with its determinant,
-and the gcd column step.  Matrices are immutable tuples of tuples of
+eliminations, and both must be exact: |det| times the inverse, and
+the gcd column step.  Matrices are immutable tuples of tuples of
 plain Python ints; this module holds no rational and no floating point.
 
-The adjugate uses fraction-free Bareiss elimination in Gauss-Jordan
-form, split at each pivot: the half below gives the determinant, and
-the half above, replayed from its steps, the adjugate.  Callers holding
-rational rows clear denominators first.  The gcd column step is the one
-route to lattice questions: the Hermite normal form runs it on each
-column of M's transpose and reduces above each pivot as it is found; a
-simplex's face walk runs it along each face, and is the route to a
-face's index.  The matrices are small and dense, so simplicity and
+The inverse uses fraction-free Bareiss elimination in Gauss-Jordan
+form, split at each pivot: the half below gives |det|, and the half
+above, replayed from its steps, |det| times the inverse.  Callers
+holding rational rows clear denominators first.  The gcd column step
+is the one route to lattice questions: the Hermite normal form runs it
+on each column of M's transpose and reduces above each pivot as it is
+found; a simplex's face walk runs it along each face, and is the route
+to a face's index.  The matrices are small and dense, so simplicity and
 auditability win over asymptotics.
 """
 
@@ -24,7 +24,7 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 class SingularMatrixError(ArithmeticError):
-    """Raised when an inverse does not exist."""
+    """Raised on a singular matrix, or on a face whose edges are dependent."""
 
 
 def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
@@ -45,22 +45,21 @@ def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
 
 
 def eliminate_below(matrix: Sequence[Sequence[int]]) -> tuple[int, tuple]:
-    """Determinant of a square integer matrix, and the steps :func:`adjugate_above` finishes.
+    """|det| of a square integer matrix, and the steps :func:`adjugate_above` finishes.
 
     Fraction-free Gauss-Jordan on [A | I], each step on the rows below its
     pivot alone: it divides exactly by the previous pivot, so every entry
-    stays an integer, and the last pivot is the determinant of the
-    row-permuted matrix.  Row swaps flip the sign.  Raises
-    :class:`SingularMatrixError` when the matrix is singular.  Entries
-    must be plain ints; they are not checked again.
+    stays an integer, and the last pivot is, up to sign, the determinant.
+    Raises :class:`SingularMatrixError` when the matrix is singular.
+    Entries must be plain ints; they are not checked again.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
-        raise ValueError("adjugate needs a square matrix")
+        raise ValueError("elimination needs a square matrix")
     # before step k a row below the pivots holds A's columns k.. and then the I columns of the
     # rows pivoted so far, in pivot order: A's columns before k are zeros, and its own I column
     # holds the last pivot, so neither is stored and a step costs n entries per row
-    rows, origin, sign, prev, steps = [list(row) for row in matrix], list(range(n)), 1, 1, []
+    rows, origin, prev, steps = [list(row) for row in matrix], list(range(n)), 1, []
     for k in range(n):
         for pivot in range(k, n):
             if rows[pivot][0]:
@@ -70,7 +69,6 @@ def eliminate_below(matrix: Sequence[Sequence[int]]) -> tuple[int, tuple]:
         if pivot != k:
             rows[k], rows[pivot] = rows[pivot], rows[k]
             origin[k], origin[pivot] = origin[pivot], origin[k]
-            sign = -sign
         p, tail = rows[k][0], rows[k][1:]
         for i in range(k + 1, n):
             f = rows[i][0]
@@ -81,16 +79,17 @@ def eliminate_below(matrix: Sequence[Sequence[int]]) -> tuple[int, tuple]:
         steps.append((p, tail))
         prev = p
     # the stored I columns in the order of the input rows they came from
-    return sign * prev, (steps, sorted(range(n), key=origin.__getitem__), sign)
+    return abs(prev), (steps, sorted(range(n), key=origin.__getitem__))
 
 
 def adjugate_above(pending: tuple) -> IntMatrix:
-    """The adjugate, determinant times inverse, from the steps of :func:`eliminate_below`.
+    """|det| times the inverse, from the steps of :func:`eliminate_below`.
 
     Each step runs again on the rows above its pivot, in order, which
-    finishes the one Gauss-Jordan pass over every row.
+    finishes the one Gauss-Jordan pass over every row: the last pivot
+    times the inverse, so a negative last pivot negates every entry.
     """
-    steps, columns, sign = pending
+    steps, columns = pending
     rows, prev = [], 1
     for p, tail in steps:
         for i, row in enumerate(rows):
@@ -99,7 +98,7 @@ def adjugate_above(pending: tuple) -> IntMatrix:
             rows[i].append(-f)
         rows.append([*tail, prev])
         prev = p
-    if sign < 0:
+    if prev < 0:
         return tuple(tuple(-row[j] for j in columns) for row in rows)
     return tuple(tuple(row[j] for j in columns) for row in rows)
 

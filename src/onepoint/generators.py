@@ -44,6 +44,8 @@ def _family_member(
     # inner * (1,...,1) alone.  The census refuses a box above the cap; one past
     # 2^_SHOWN_BITS too is refused here as the steps are drawn, before they or
     # the box grow huge, and prints "at least 2^k", still true of a partial box
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"dimension must be an int, got {dim!r}")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     sides, box = [], 1
@@ -74,7 +76,7 @@ def zpw_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
 
 def dilated_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:
     """conv{0, (d+1)e_1, ..., (d+1)e_d}; its one interior point, (1,...,1), is the centroid."""
-    return _family_member(dim, 0, itertools.repeat(dim + 1), 1, cap)
+    return _family_member(dim, 0, (dim + 1 for _ in itertools.count()), 1, cap)
 
 
 def reflected_simplex(dim: int, cap: int = DEFAULT_CAP) -> LatticeSimplex:

@@ -53,9 +53,8 @@ def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> Lattice
     if len(set(vertices)) != len(vertices):
         raise ValueError("vertices are not distinct")
     object.__setattr__(simplex, "vertices", vertices)
-    # face indexes by ascending kept vertex indexes: a full-dimensional simplex's |det| from the
-    # below half of its edge matrix's elimination, whose above half the rows run on first use,
-    # else every leading run from the walk along the whole simplex
+    # face indexes by ascending kept vertex indexes: a full-dimensional simplex's |det|, kept with
+    # its edge matrix's elimination for the rows, else every leading run from the walk along it
     keys = tuple(range(len(vertices)))
     try:
         if len(vertices) <= ambient:
@@ -66,8 +65,8 @@ def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> Lattice
                                         for c, b in enumerate(vertices[0])])
     except SingularMatrixError:
         raise ValueError("vertices are affinely dependent") from None
-    object.__setattr__(simplex, "_faces", {keys: abs(det)})
-    object.__setattr__(simplex, "_pending", (det, pending))
+    object.__setattr__(simplex, "_faces", {keys: det})
+    object.__setattr__(simplex, "_elimination", (det, pending))
     return simplex
 
 
@@ -135,26 +134,20 @@ class LatticeSimplex:
         """Integer forms of the barycentric functionals.
 
         Row i is (coeffs, const) with coeffs . x + const == bary_i(x) * D for
-        D = |det E|, E the edge matrix whose columns are v_j - v_0.  With A
-        the fraction-free adjugate of E times the determinant's sign, the row
-        of v_j (j >= 1) is row j - 1 of A with constant -A v_0, and the row
-        of v_0 is minus the column sums of A with the constant that makes
-        the constants sum to D.  Sign tests on lattice points never touch
-        Fractions.  A is the above half of the elimination whose below half
-        the constructor ran; it runs on first use and drops that half, so a
-        census refused on its box never finishes it.
+        D = |det E|, E the edge matrix whose columns are v_j - v_0.  With A =
+        D times E^-1, the row of v_j (j >= 1) is row j - 1 of A with constant
+        -A v_0, and the row of v_0 is minus the column sums of A with the
+        constant that makes the constants sum to D.  Sign tests on lattice
+        points never touch Fractions.  A is the above half of the elimination
+        whose below half the constructor ran and kept: it runs on first use,
+        so a census refused on its box never runs it.
         """
         self._require_full()
         base = self.vertices[0]
-        # a concurrent first use, which cached_property does not lock out from Python 3.12 on,
-        # may find the below half taken, and then runs it again
-        det, pending = vars(self).pop("_pending", None) or eliminate_below(
-            [[v[c] - b for v in self.vertices[1:]] for c, b in enumerate(base)])
-        adjugate = adjugate_above(pending)
-        if det < 0:
-            det, adjugate = -det, [[-a for a in row] for row in adjugate]
-        rows = [(tuple(row), -sum(map(mul, row, base))) for row in adjugate]
-        head = tuple(-sum(column) for column in zip(*adjugate))
+        det, pending = self._elimination
+        scaled = adjugate_above(pending)
+        rows = [(tuple(row), -sum(map(mul, row, base))) for row in scaled]
+        head = tuple(-sum(column) for column in zip(*scaled))
         return ((head, det - sum(const for _, const in rows)), *rows)
 
     def _require_full(self) -> None:

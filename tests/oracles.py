@@ -1,7 +1,7 @@
 """Second computations kept as independent references for the tests.
 
 The package runs every elimination on integers: the fraction-free
-adjugate, and the Hermite normal form for rank and lattice volume.  The
+inverse times |det|, and the Hermite normal form for rank and volume.  The
 routes here are the second computation the tests compare against.
 Bareiss determinants and Smith normal form divisors give affine
 independence and normalized volume by another elimination, also for
@@ -13,7 +13,7 @@ reference for the bitmask tables of ``bounds_report``.  Textbook
 routes over ``Fraction`` give brute-force Minkowski boxes, the partition
 matrix whose determinant is the package's closed-form sum/product ratio,
 the barycentric functionals as a scaled inverse of the hull matrix
-(the package adjugates the edge matrix), and affine independence
+(the package eliminates the edge matrix), and affine independence
 as a rank.  Chained ``Fraction`` sums and products evaluate a partition
 for the package's integer-row evaluator, and the coordinate lower bounds
 for its integer comparisons; a walk over every mask is the reference
@@ -485,8 +485,8 @@ def minkowski_solve(matrix):
     Minkowski's theorem guarantees one exists: the preimage of the open
     unit cube is a symmetric convex body of volume 2^n / |det A| > 2^n.
     The search space is the box spanned by the absolute row sums of the
-    inverse, which contains every solution; the determinant and the
-    inverse both come from one fraction-free adjugate of the integer rows.
+    inverse, which contains every solution; |det| and |det| times the
+    inverse both come from one fraction-free elimination of the integer rows.
     Among all solutions, signs are normalized to a positive leading nonzero
     entry and the vector minimizing (reversed absolute entries, entries) is
     returned, so the result is deterministic and the trailing entries are
@@ -503,15 +503,15 @@ def minkowski_solve(matrix):
         [entry.numerator * (scale // entry.denominator) for entry in row]
         for row, scale in zip(a, scales)
     ]
-    det, pending = eliminate_below(rows)  # raises on a singular matrix
-    adjugate = adjugate_above(pending)
-    denominator = prod(scales)  # det A = det B / denominator
-    if abs(det) >= denominator:
-        raise ValueError(f"|det| = {Fraction(abs(det), denominator)} is not below 1")
-    # A^-1 = adj(B) diag(scales) / det B; box_i = ceil(row sum of |A^-1|) - 1
+    det, pending = eliminate_below(rows)  # |det B|; raises on a singular matrix
+    scaled = adjugate_above(pending)
+    denominator = prod(scales)  # |det A| = |det B| / denominator
+    if det >= denominator:
+        raise ValueError(f"|det| = {Fraction(det, denominator)} is not below 1")
+    # A^-1 = (|det B| B^-1) diag(scales) / |det B|; box_i = ceil(row sum of |A^-1|) - 1
     box = [
-        -(-sum(abs(x) * scale for x, scale in zip(adj, scales)) // abs(det)) - 1
-        for adj in adjugate
+        -(-sum(abs(x) * scale for x, scale in zip(row, scales)) // det) - 1
+        for row in scaled
     ]
     # depth-first over the box, last coordinate outermost; when picking
     # coordinate k, each row confines it to an interval once the free

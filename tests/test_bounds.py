@@ -15,7 +15,7 @@ import onepoint.bounds
 import onepoint.simplex
 from onepoint.points import _scan
 from oracles import det_rat, first_partition_walk, fraction_lower_bounds, fraction_partition
-from oracles import face_of, partition_matrix, zpw_lower_chain
+from oracles import face_of, linear_image, partition_matrix, zpw_lower_chain
 from oracles import face_bound_records, rational_section_volume, section_simplex
 
 
@@ -259,6 +259,20 @@ def test_chain_decompose_frozen():
     for point in MISFITS:
         with pytest.raises(ValueError, match="point dimension does not match"):
             op.chain_decompose(ZPW2, point)
+
+
+def test_chain_counts_hold_their_bounds(corpus, rng, unimodular):
+    # a level is ok on its volume alone: an i-face of index N, i! times its volume, holds at
+    # most i + N points (Blichfeldt), so volume <= P/i! gives count <= i + P; both are checked
+    # on every level of the corpus and of unimodular images of its members with d <= 3
+    pool = [member for member in corpus if member.dim <= 3]
+    drawn = [linear_image(member, unimodular(member.dim, rng))
+             for member in (rng.choice(pool) for _ in range(30))]
+    for member in [*corpus, *drawn]:
+        for level in op.chain_decompose(member, op.is_onepoint(member)).levels:
+            assert level.ok == (level.volume <= level.volume_bound)
+            assert level.count <= level.level + factorial(level.level) * level.volume
+            assert level.count <= level.count_bound
 
 
 def test_zpw_lower_chain_frozen():

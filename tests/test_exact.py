@@ -75,7 +75,7 @@ def cofactor_adjugate(rows):
 
 
 def adjugate_int(rows):
-    """Determinant and adjugate through both halves of the one elimination."""
+    """|det| and |det| times the inverse through both halves of the one elimination."""
     det, pending = eliminate_below(rows)
     return det, adjugate_above(pending)
 
@@ -86,7 +86,8 @@ def adjugate_int(rows):
 )
 @settings(max_examples=150, deadline=None)
 def test_adjugate_int_matches_cofactor_expansion(rows, shape):
-    # the below half's determinant, and the above half's adjugate from its steps
+    # the below half's |det|, and the above half's |det| times the inverse from its steps:
+    # the adjugate, negated when det < 0
     rows = [list(row) for row in rows]
     n = len(rows)
     if n and shape == "zero leading pivot":
@@ -99,9 +100,10 @@ def test_adjugate_int_matches_cofactor_expansion(rows, shape):
             eliminate_below(rows)
         return
     adjugate = cofactor_adjugate(rows)
-    assert adjugate_int(rows) == (det, adjugate)
-    assert mat_mul(rows, adjugate) == tuple(
-        tuple(det if i == j else 0 for j in range(n)) for i in range(n)
+    scaled = tuple(tuple(x if det > 0 else -x for x in row) for row in adjugate)
+    assert adjugate_int(rows) == (abs(det), scaled)
+    assert mat_mul(rows, scaled) == tuple(
+        tuple(abs(det) if i == j else 0 for j in range(n)) for i in range(n)
     )
 
 
@@ -110,8 +112,11 @@ def test_adjugate_int_frozen():
     hull = ((0, 2, 0), (0, 0, 3), (1, 1, 1))
     assert adjugate_int(hull) == (6, ((-3, -2, 6), (3, 0, 0), (0, 2, 0)))
     assert adjugate_int([]) == (1, ())
-    # one row swap: the sign flips the determinant and every adjugate entry
-    assert adjugate_int([[0, 1], [1, 0]]) == (-1, ((0, -1), (-1, 0)))
+    # one row swap and det = -1: |det| times the inverse is the inverse, not the adjugate
+    assert adjugate_int([[0, 1], [1, 0]]) == (1, ((0, 1), (1, 0)))
+    # one row swap and det = 1; and no swap, with a negative last pivot and det = -2
+    assert adjugate_int([[0, 1], [-1, 0]]) == (1, ((0, -1), (1, 0)))
+    assert adjugate_int([[1, 1], [1, -1]]) == (2, ((1, 1), (1, -1)))
     with pytest.raises(SingularMatrixError):
         adjugate_int([[1, 2], [2, 4]])
     # the first pivot is 1; the second column has no nonzero entry left below it

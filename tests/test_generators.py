@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from fractions import Fraction
 from math import gcd
@@ -38,6 +39,16 @@ def test_zpw_simplex_frozen():
     )
     with pytest.raises(ValueError):
         op.zpw_simplex(0)
+
+
+@pytest.mark.parametrize("build", [op.zpw_simplex, op.dilated_simplex, op.reflected_simplex])
+@pytest.mark.parametrize("dim", [True, False, 2.0, Fraction(2), "2"])
+def test_family_builders_refuse_a_dimension_that_is_not_an_int(build, dim):
+    # a bool is an int subclass and would build conv{0, 2e_1} from True; a float or a
+    # Fraction would reach islice, which refuses it with a message about its stop argument;
+    # dilated's steps, d + 1 each, are drawn only after the one check
+    with pytest.raises(ValueError, match=f"dimension must be an int, got {re.escape(repr(dim))}"):
+        build(dim)
 
 
 def test_zpw_simplex_cap_refusal():

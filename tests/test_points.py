@@ -39,7 +39,7 @@ def test_classify_point_stays_on_integer_rows(monkeypatch):
 
 
 def test_a_census_refused_on_its_box_builds_no_rows():
-    # conv{-(1, ..., 1), e_1, ..., e_30}: a box of 3^30 candidates, refused before any adjugate
+    # conv{-(1, ..., 1), e_1, ..., e_30}: a box of 3^30 candidates, refused before the rows
     d = 30
     simplex = op.LatticeSimplex([[-1] * d] + [[int(i == j) for j in range(d)] for i in range(d)])
     with pytest.raises(op.EnumerationCapError):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import onepoint as op
 import onepoint.simplex
 from oracles import linear_image, rank_rat, rational_volume
-from oracles import face_of, hull_rows, section_simplex, translate
+from oracles import det_int, face_of, hull_rows, section_simplex, translate
 
 
 def test_validation_errors():
@@ -142,13 +142,18 @@ def test_barycentric_roundtrip(simplex, weights):
 @settings(max_examples=60, deadline=None)
 def test_functional_rows_match_rational_inverse(data):
     # independent route: the rows are |det| times the hull matrix's Gauss-Jordan inverse
-    dim = data.draw(st.integers(2, 6))
+    dim = data.draw(st.integers(1, 6))
     simplex = data.draw(small_simplices(dim))
     assert simplex.functional_rows == hull_rows(simplex)
     # the edge matrix is translation-free, its constants are not: shifts up to 10^6 per axis
     shift = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=dim, max_size=dim))
     moved = translate(simplex, shift)
     assert moved.functional_rows == hull_rows(moved)
+    # any vertex order, whatever det's sign and the count of row swaps: the rows in that order
+    order = data.draw(st.permutations(range(dim + 1)))
+    reordered = op.LatticeSimplex([simplex.vertices[j] for j in order])
+    assert reordered.functional_rows == tuple(simplex.functional_rows[j] for j in order)
+    assert reordered.functional_rows == hull_rows(reordered)
     point = data.draw(
         st.lists(st.fractions(-9, 9, max_denominator=7), min_size=dim, max_size=dim)
     )
@@ -251,6 +256,23 @@ def test_face_and_volume_take_one_seed_walk(monkeypatch, face_walks):
     assert calls == {"_column_step": 2}
 
 
+def test_functional_rows_under_every_vertex_order_of_zpw3():
+    # the 24 vertex orders of zpw(3) give both signs of det, each with an odd and an even
+    # number of row swaps; every order's rows are the oracle's, and the first order's permuted
+    zpw3, cases = op.zpw_simplex(3), set()
+    for order in itertools.permutations(range(4)):
+        simplex = op.LatticeSimplex([zpw3.vertices[j] for j in order])
+        assert simplex.functional_rows == hull_rows(simplex)
+        assert simplex.functional_rows == tuple(zpw3.functional_rows[j] for j in order)
+        # the below half's last pivot is det of the row-permuted edge matrix, so its sign
+        # against det's gives the parity of the row swaps
+        det = det_int([[v[c] - b for v in simplex.vertices[1:]]
+                       for c, b in enumerate(simplex.vertices[0])])
+        last_pivot = simplex._elimination[1][0][-1][0]
+        cases.add((det > 0, (det > 0) != (last_pivot > 0)))
+    assert cases == {(True, False), (True, True), (False, False), (False, True)}
+
+
 @st.composite
 def sheared_simplices(draw, full=False):
     """A simplex in Z^d, d = 1 to 6, coordinates in [-9, 9]; up to 4 shears.
@@ -302,28 +324,26 @@ def test_face_table_matches_the_smith_volume(case):
 def test_constructor_entry_matches_the_walk(case):
     # a full-dimensional simplex's one table entry is |det|, from the below half of its edge
     # matrix's elimination: what the walk over every face writes for the whole set, and d!
-    # times the Smith-divisor volume; the rows run the above half on first use and drop it
+    # times the Smith-divisor volume; the constructor keeps |det| with the steps, and the
+    # rows run the above half on first use and leave that record as it was
     simplex, shears = case
     d = simplex.ambient_dim
     whole, index = tuple(range(d + 1)), rational_volume(simplex.vertices) * factorial(d)
     for shear in [None, *shears]:
         if shear:
             simplex = sheared(simplex, shear)
-        assert simplex._faces == {whole: index} and "_pending" in vars(simplex)
+        record = simplex._elimination
+        assert simplex._faces == {whole: index} and record[0] == index
         walked = face_of(simplex, ())
         onepoint.simplex._walk(walked)
         assert walked._faces[whole] == index
         assert simplex.functional_rows == hull_rows(simplex)
-        assert "_pending" not in vars(simplex)
-        # a first use that finds the below half taken, as a concurrent one may, runs it again
-        taken = op.LatticeSimplex(simplex.vertices)
-        del vars(taken)["_pending"]
-        assert taken.functional_rows == simplex.functional_rows
+        assert simplex._elimination is record
 
 
 def test_concurrent_first_uses_agree_on_the_rows():
     # more threads than cores read the rows of one fresh simplex at once, switching often:
-    # each gets the oracle's rows, whichever of them takes the pending below half
+    # each gets the oracle's rows, computed from the one record the constructor kept
     vertices, expected, switch = op.zpw_simplex(5).vertices, None, sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -180,9 +180,11 @@ def test_one_face_volume_route():
     # full-dimensional simplex's |det| as its one entry, and otherwise _walk writes it,
     # stepping its columns with the column step of col_hnf; simplex alone reads the table,
     # no caller hands in a volume, and no _volume is stored beside it; the dependency
-    # refusal is written once, and simplex imports no Hermite form
+    # refusal is written once, and simplex imports no Hermite form; the one elimination of a
+    # full-dimensional simplex runs in its constructor, which keeps |det| and its steps
     package = Path(onepoint.__file__).parent
     names, steps, tables, storing, stored, refusals = set(), set(), set(), set(), [], 0
+    eliminations = []
     for path in sorted(package.glob("*.py")):
         text = path.read_text()
         refusals += text.count("vertices are affinely dependent")
@@ -194,11 +196,13 @@ def test_one_face_volume_route():
                 names |= {getattr(node, key, None) for key in ("id", "attr", "name")}
                 if isinstance(node, ast.Call) and name == "_column_step":
                     steps.add(where)
+                if isinstance(node, ast.Call) and name == "eliminate_below":
+                    eliminations.append(where)
                 if isinstance(node, ast.Attribute) and node.attr == "_faces":
                     tables.add(where)
                 if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
                     storing.add(where)
-                if isinstance(node, ast.Call) and {"'_faces'", "'_volume'"} & {
+                if isinstance(node, ast.Call) and {"'_faces'", "'_volume'", "'_elimination'"} & {
                         ast.unparse(arg) for arg in node.args}:
                     stored.append((where, ast.unparse(node)))
                 if isinstance(node, ast.Attribute) and node.attr == "_volume":
@@ -207,9 +211,11 @@ def test_one_face_volume_route():
     assert steps == {"exact.col_hnf", "simplex._walk"}
     assert tables == {"simplex._face_volume", "simplex._walk"}
     assert tables & storing == {"simplex._walk"}  # of the two, only the walk writes an item
-    assert sorted(stored) == [("simplex._set_shape",
-                               "object.__setattr__(simplex, '_faces', {keys: abs(det)})"),
-                              ("simplex._set_shape", "object.__setattr__(simplex, '_faces', {})")]
+    assert sorted(stored) == [
+        ("simplex._set_shape", "object.__setattr__(simplex, '_elimination', (det, pending))"),
+        ("simplex._set_shape", "object.__setattr__(simplex, '_faces', {keys: det})"),
+        ("simplex._set_shape", "object.__setattr__(simplex, '_faces', {})")]
+    assert eliminations == ["simplex._set_shape"]
     assert refusals == 1
     imported = {alias.name for node in ast.walk(ast.parse((package / "simplex.py").read_text()))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
