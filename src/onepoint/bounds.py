@@ -267,7 +267,8 @@ def chain_decompose(
     On a one-point d-simplex its face's index N, i! times its volume, is
     at most P = (d+1)^(2^i - 1), which decides the level: N bounds the
     face's count by i + N (Blichfeldt; or Stanley's h*_0 = 1, sum h* = N),
-    so it is at most i + P.  The top level's count is the closure count.
+    so it is at most i + P, and a level with N = 1 counts i + 1, unscanned.
+    The top level's count is the closure count.
     """
     return _chain(simplex, _interior_values(simplex, int_matrix([point])[0]), cap)
 

@@ -133,33 +133,31 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
     the orientation and maps the triangle with weights (u, t, d2) to one
     with (t, u, d2), also in the sweep's range and in the same class, so
     u <= t is enough: one survivor per class.  The sweep runs over d2 and
-    (d0, d1) = (u, t) alone, so its work does not depend on the radius.
-    As e01 = d2, the doubled-area-equals-boundary-count filter
-    u + t = e12 + e20 keeps exactly the one-interior-point triangles, each
-    survivor is folded into its canonical form, and every class is then
-    re-verified from scratch: interior census of size one, all partition
-    inequalities, coordinate lower bounds, and the chain bounds.  The
-    inequalities are checked through the reduced system on the sorted
-    coordinates, whose least slack is the least over every partition.
+    (d0, d1) = (u, t) alone, t = -u mod d2 for an integral d2 v2, so its
+    work does not depend on the radius.  As e01 = d2, the filter u + t =
+    e12 + e20, doubled area equal to boundary count, keeps exactly the
+    one-interior-point triangles; each survivor is folded into its canonical
+    form, and every class is then re-verified from scratch: interior census
+    of size one, all partition inequalities, coordinate lower bounds, and the
+    chain bounds.  The inequalities are checked through the reduced system
+    on the sorted coordinates, whose least slack is every partition's least.
 
     The radius names the box |x|, |y| <= box_radius that every reported
     form is checked to fit in; from 9 on the box holds every class.
     """
+    if isinstance(box_radius, bool) or not isinstance(box_radius, int):
+        raise ValueError(f"box radius must be an int, got {box_radius!r}")
     if box_radius < 9:
         raise ValueError("a box radius below 9 cannot reach every class")
     forms: set[tuple[Vector, ...]] = set()
     for d2 in range(1, 26):
         a = 1 % d2
         for u in range(1, min(d2, 26 - d2) + 1):
-            for t in range(u, min(d2, 27 - d2 - u) + 1):
-                # d2 v2 = -(u v0 + t v1) = -(u + t a, t d2)
-                nx = -(u + t * a)
-                if nx % d2:
-                    continue
-                cx = nx // d2
-                if u + t != gcd(cx - a, t + d2) + gcd(1 - cx, t):
-                    continue
-                forms.add(_canonical_form(((1, 0), (a, d2), (cx, -t))))
+            # d2 v2 = -(u v0 + t v1) = -(u + t a, t d2) is integral just for t = -u mod d2
+            for t in range(u + -2 * u % d2, min(d2, 27 - d2 - u) + 1, d2):
+                cx = -(u + t * a) // d2
+                if u + t == gcd(cx - a, t + d2) + gcd(1 - cx, t):
+                    forms.add(_canonical_form(((1, 0), (a, d2), (cx, -t))))
     classes = []
     for form in forms:
         if any(abs(x) > box_radius for v in form for x in v):

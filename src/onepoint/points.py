@@ -17,9 +17,9 @@ functions, summed in O(log) steps on each piece where the same two bind.  Only
 a level that holds points and is not settled is then listed, row by row.
 
 The entry refuses a bounding box that holds more candidates than the cap
-before it builds a row, instead of grinding.  Faces of dimension at most 2
-are not scanned: a vertex, an edge and a triangle are counted in closed
-form, by gcds and Pick's theorem.
+before it builds a row, instead of grinding.  A face whose index N, k! times
+its volume, decides its count is not scanned: a vertex, an edge and a
+unimodular k-face hold k + N points, and a triangle follows Pick's theorem.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import factorial, gcd, prod
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -335,24 +335,24 @@ def count_face_points(
 ) -> int:
     """Count lattice points on the closed face omitting the given vertexes.
 
-    With no omissions this is the full closure count.  A face of dimension
-    at most 2 is counted in closed form, with nothing enumerated and so no
-    cap: a vertex is 1 point, an edge vw is gcd(v - w) + 1, and a triangle
-    is (N + B) / 2 + 1 by Pick's theorem in the lattice of its own plane,
-    for N twice its normalized area from the simplex's face table and B the
-    sum of its three edge gcds.  A larger face is scanned over its own vertex
-    bounding box, refused above ``cap`` candidates, testing the omitted
-    barycentric functionals for zero and the rest for nonnegativity.
+    With no omissions this is the full closure count.  A k-face's index N,
+    k! times its volume, is read from the face table first; every face it
+    decides is counted in closed form, with nothing enumerated and no cap: a
+    vertex, an edge (N its lattice length) and a unimodular face (N = 1) meet
+    Blichfeldt's bound of k + N points, and a triangle holds (N + B) / 2 + 1
+    by Pick's theorem in its own plane's lattice, B the sum of its edge gcds.
+    Any other face is scanned over its vertex box, refused above ``cap``
+    candidates, testing the omitted functionals for zero, the rest for >= 0.
     """
     simplex._require_full()
     dropped, kept = _complement(len(simplex.vertices), omitted)
-    face = [simplex.vertices[j] for j in kept]
-    if len(face) <= 3:
-        # Pick on a triangle; an edge has N = 0 and its one gcd twice in B, a vertex nothing
+    face, k = [simplex.vertices[j] for j in kept], len(kept) - 1
+    index = int(_face_volume(simplex, kept) * factorial(k))  # N, k! times the k-face's volume
+    if k < 2 or index == 1:  # a vertex, an edge of lattice length N, or a unimodular face
+        return k + index
+    if k == 2:  # Pick's theorem, for B the sum of the three edges' gcds
         boundary = sum(gcd(*map(sub, v, w)) for v, w in zip(face, face[1:] + face[:1]))
-        if len(face) < 3:
-            return boundary // 2 + 1
-        return (int(2 * _face_volume(simplex, kept)) + boundary) // 2 + 1
+        return (index + boundary) // 2 + 1
     # every functional nonnegative, and the omitted ones also nonpositive
     ranges = {i: (0, 0 if i in dropped else None) for i in range(len(simplex.vertices))}
     return _census(simplex, ranges, _vertex_box(face), cap, 0)[0]

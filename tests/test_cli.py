@@ -772,7 +772,7 @@ def test_verify_refused_on_its_box_never_finishes_the_rows(files, tmp_path, monk
 
 def test_chain_reads_the_stored_volume_at_the_top(files, capsys, face_walks):
     # the parser puts |det| in the face table, which the top level reads; one walk per
-    # proper level, whose triangle's count reads its area for Pick's theorem
+    # proper level, whose count then reads the index its volume wrote
     face_walks.clear()
     assert run(capsys, "chain", files["zpw3"])[0] == 0
     assert [kept for _, kept, _ in face_walks] == [(1, 2), (1, 2, 3)]

@@ -198,6 +198,14 @@ def test_atlas_rejects_small_radius():
         op.onepoint_triangle_atlas(8)
 
 
+@pytest.mark.parametrize("radius", [9.5, 10.0, Fraction(19, 2), True, "9"])
+def test_atlas_rejects_a_radius_that_is_not_an_int(radius):
+    # the record keeps the radius, which the structured writer takes for an int; True is
+    # no radius, and "9" is not compared with 9
+    with pytest.raises(ValueError, match=r"box radius must be an int, got "):
+        op.onepoint_triangle_atlas(radius)
+
+
 def test_atlas_matches_exhaustive_small_search():
     """Independent route: every radius-3 triangle, no sweep machinery."""
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import onepoint as op
 from onepoint import points
 from onepoint.points import CLOSED_FORM_ROWS, _census, _floor_sum, _scan
-from oracles import BlichfeldtCheck, blichfeldt_check, box_walk, face_of, linear_image
+from oracles import BlichfeldtCheck, blichfeldt_check, box_walk, face_of, linear_image, sylvester
 
 
 ZPW2 = op.LatticeSimplex(((0, 0), (2, 0), (0, 3)))
@@ -92,13 +92,32 @@ def test_low_faces_answer_past_the_cap():
         op.count_face_points(flat)
 
 
+def face_box_walk(simplex, omitted):
+    """The closed face's lattice points by the box walk over the face's vertex box."""
+    rows, n = simplex.functional_rows, len(simplex.vertices)
+    # every functional nonnegative, and the omitted ones also nonpositive
+    halfspaces = list(rows) + [(tuple(-c for c in rows[i][0]), -rows[i][1]) for i in omitted]
+    kept = [simplex.vertices[j] for j in range(n) if j not in omitted]
+    return box_walk(halfspaces, [(min(axis), max(axis)) for axis in zip(*kept)], False)
+
+
+def test_unimodular_faces_answer_past_the_cap():
+    # conv{0, e_1, e_2, (10^9, 10^9, 1)} has |det| 1: its 4 vertices, with a box of
+    # 2 (10^9 + 1)^2 candidates that a scan would refuse
+    n = 10**9
+    unit = op.LatticeSimplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (n, n, 1)))
+    assert op.count_face_points(unit) == 4
+    with pytest.raises(op.EnumerationCapError, match="2000000004000000002 candidate points"):
+        op.enumerate_interior(unit)
+
+
 def check_low_faces(simplex, shears):
     """Each face of dimension <= 2 counts as the box walk does, also after the shears.
 
     Each shear (i, j, f) adds f times coordinate j to coordinate i.  Returns
     the most candidates any of the image's faces holds in its vertex box.
     """
-    d, n, rows = simplex.dim, len(simplex.vertices), simplex.functional_rows
+    d, n = simplex.dim, len(simplex.vertices)
     image = simplex
     for i, j, f in shears:
         image = linear_image(image, [[(r == c) + f * (r == i and c == j) for c in range(d)]
@@ -106,10 +125,7 @@ def check_low_faces(simplex, shears):
     most = 0
     for kept in itertools.chain(*(itertools.combinations(range(n), k) for k in (1, 2, 3))):
         omitted = tuple(i for i in range(n) if i not in kept)
-        # every functional nonnegative, and the omitted ones also nonpositive
-        halfspaces = list(rows) + [(tuple(-c for c in rows[i][0]), -rows[i][1]) for i in omitted]
-        box = [(min(axis), max(axis)) for axis in zip(*(simplex.vertices[j] for j in kept))]
-        count = box_walk(halfspaces, box, False)
+        count = face_box_walk(simplex, omitted)
         assert op.count_face_points(simplex, omitted) == count
         assert op.count_face_points(image, omitted) == count
         sides = zip(*(image.vertices[j] for j in kept))
@@ -142,6 +158,64 @@ def test_low_faces_count_as_the_box_walk_does(case):
 def test_sheared_low_faces_past_the_cap_answer():
     # zpw(3) under x1 += 1000 x2, then x0 += 1000 x1: a triangle's box passes the cap
     assert check_low_faces(ZPW3, [(1, 2, 1000), (0, 1, 1000)]) > op.DEFAULT_CAP
+
+
+@st.composite
+def unimodular_faces(draw):
+    """A full-dimensional simplex and the omitted indexes of a unimodular k-face of it.
+
+    The standard k-simplex conv{0, e_1, ..., e_k} (k = 3..5) sits in Z^d (d = k..6)
+    with m_j e_j (j > k, m_j = 1..3) beside it.  All move under a product of up to 4
+    elementary shears of factor in [-10^3, 10^3], a signed permutation of the axes and a
+    translation: a unimodular map, so the face keeps index 1.  The vertices are shuffled.
+    """
+    k = draw(st.integers(3, 5))
+    d = draw(st.integers(k, 6))
+    sides = [1] * k + draw(st.lists(st.integers(1, 3), min_size=d - k, max_size=d - k))
+    vertices = [[0] * d] + [[m * (i == j) for j in range(d)] for i, m in enumerate(sides)]
+    axes = st.integers(0, d - 1)
+    shear = st.tuples(axes, axes, st.integers(-1000, 1000)).filter(lambda s: s[0] != s[1])
+    for i, j, f in draw(st.lists(shear, max_size=4)):
+        for v in vertices:
+            v[i] += f * v[j]
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d))
+    shift = draw(st.lists(st.integers(-50, 50), min_size=d, max_size=d))
+    vertices = [[s * v[a] + t for a, s, t in zip(perm, signs, shift)] for v in vertices]
+    order = draw(st.permutations(range(d + 1)))
+    omitted = tuple(sorted(order.index(j) for j in range(k + 1, d + 1)))
+    return op.LatticeSimplex([vertices[j] for j in order]), omitted, k
+
+
+@given(unimodular_faces())
+@settings(max_examples=60, deadline=None)
+def test_unimodular_faces_count_their_vertices(case):
+    # k + N with N = 1: no candidate is scanned, so even a cap of 1 answers
+    simplex, omitted, k = case
+    assert op.count_face_points(simplex, omitted, cap=1) == k + 1
+    face = [v for j, v in enumerate(simplex.vertices) if j not in omitted]
+    if prod(max(axis) - min(axis) + 1 for axis in zip(*face)) <= 10**5:
+        assert face_box_walk(simplex, omitted) == k + 1
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_zpw_chain_levels_below_the_top_are_not_scanned(d, monkeypatch):
+    # each level below the top is unimodular (volume 1/i!), so it holds its i + 1 vertices,
+    # while its vertex box holds up to t_1 ... t_i candidates
+    terms = sylvester(d).terms
+    zpw = op.LatticeSimplex([[0] * d] + [[t * (i == j) for j in range(d)]
+                                         for i, t in enumerate(terms)])
+    coords = op.barycentric_of(zpw, (1,) * d)
+    order = sorted(range(d + 1), key=lambda j: coords[j], reverse=True)
+
+    def refuse(*args):
+        raise AssertionError("a unimodular chain level was scanned")
+
+    monkeypatch.setattr(points, "_census", refuse)
+    started = time.perf_counter()
+    for i in range(1, d):
+        assert op.count_face_points(zpw, order[i + 1 :]) == i + 1
+    assert time.perf_counter() - started < 0.1
 
 
 def test_census_counts_all_and_keeps_the_first_points():
