@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .exact import int_matrix
@@ -27,11 +29,10 @@ from .points import DEFAULT_CAP, _census, count_face_points
 from .simplex import (
     LatticeSimplex,
     _digit_limit,
-    _face_volume,
+    _face_index,
     _interior_values,
     _walk,
     check_barycentric,
-    normalized_volume,
 )
 
 Vector = tuple[int, ...]
@@ -184,9 +185,11 @@ def reduced_system(coords: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
 
 def _reduced(values: Vector) -> tuple[Fraction, ...]:
     """:func:`reduced_system` on rows n in any order; it reads them sorted descending."""
-    # entry j's sum side is the tail after position j: every bit but those of the block 0..j
-    ranked, full = _descending(values)[0], 2 ** len(values) - 1
-    return tuple(_partition(ranked, full ^ ((2 << j) - 1)).slack for j in range(len(values) - 1))
+    # entry j, the block 0..j of sum H_j and product P_j: ((D - H_j) D^j - P_j) / D^(j+1)
+    ranked, denominator = sorted(values, reverse=True)[:-1], sum(values)
+    heads, products = accumulate(ranked), accumulate(ranked, mul)
+    return tuple(Fraction((denominator - head) * denominator**j - product, denominator ** (j + 1))
+                 for j, (head, product) in enumerate(zip(heads, products)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +277,17 @@ def chain_decompose(
 
 
 def _chain(simplex: LatticeSimplex, values: Vector, cap: int) -> ChainReport:
-    """:func:`chain_decompose` on the rows n at the point; volumes read from the face table."""
+    """:func:`chain_decompose` on the rows n at the point; indexes read from the face table."""
     order, d = _descending(values)[1], simplex.dim
     levels = []
     for i in range(1, d + 1):
         omitted = tuple(sorted(order[i + 1 :]))
         power = _power(d + 1, 2**i - 1)
-        volume = _face_volume(simplex, tuple(sorted(order[: i + 1])))
-        volume_bound = Fraction(power, factorial(i))
+        index = _face_index(simplex, tuple(sorted(order[: i + 1])))
         count = count_face_points(simplex, omitted, cap)
-        count_bound = i + power
-        ok = volume <= volume_bound
-        levels.append(ChainLevel(i, omitted, volume, volume_bound, count, count_bound, ok))
+        ok = index <= power  # N <= P: only the record's volume and its bound are fractions
+        volume, volume_bound = Fraction(index, factorial(i)), Fraction(power, factorial(i))
+        levels.append(ChainLevel(i, omitted, volume, volume_bound, count, i + power, ok))
     return ChainReport(tuple(levels), order, all(l.ok for l in levels))
 
 
@@ -348,10 +350,10 @@ def bounds_report(
     # first, as its bounds refuse when too large to print
     lower = _lower_bounds(values)
     sides, powers, full = _subsets(n), [denominator**k for k in range(n)], 2**n - 1
-    # each face's volume by omitted-set bitmask, from the face table one walk fills
+    # each face's index N and k! by omitted-set bitmask m, kept side full ^ m: sides reversed
     _walk(simplex)
-    volumes = [_face_volume(simplex, sides[full ^ omitted]) for omitted in range(full)]
-    parts = [(volume.numerator, volume.denominator) for volume in volumes]
+    parts = [(_face_index(simplex, side), factorial(len(side) - 1)) for side in sides[:0:-1]]
+    volumes = [Fraction(*part) for part in parts]
     # by mask, each from the mask without its top bit: |W|! * prod n_W and sum n_W
     bottoms, sums = [1], [0]
     for value in values:
@@ -458,13 +460,14 @@ def corpus_extremes(
         by_dim.setdefault(member.dim, []).append((member, Fraction(min(values), sum(values))))
     summaries = []
     for d, group in sorted(by_dim.items()):
-        volume_bound = Fraction(_power(d + 1, 2**d - 1), factorial(d))
+        power, scale = _power(d + 1, 2**d - 1), factorial(d)
         coordinate_bound = Fraction(1, _power(d + 1, 2**d))
         comparison = Fraction(1, _power(14, 2 ** (d + 1)))
-        max_volume = max(normalized_volume(member) for member, _ in group)
+        top = max(_face_index(member, tuple(range(d + 1))) for member, _ in group)  # largest N
         max_count = max(count_face_points(member, (), cap) for member, _ in group)
         min_coord = min(least for _, least in group)
-        passed = max_volume <= volume_bound and min_coord >= coordinate_bound
-        summaries.append(DimensionExtremes(d, len(group), max_volume, max_count, min_coord,
-                                           volume_bound, coordinate_bound, comparison, passed))
+        passed = top <= power and min_coord >= coordinate_bound
+        summaries.append(DimensionExtremes(d, len(group), Fraction(top, scale), max_count,
+                                           min_coord, Fraction(power, scale), coordinate_bound,
+                                           comparison, passed))
     return tuple(summaries)

@@ -41,11 +41,12 @@ def _admissible(values: Vector, record: PartitionRecord, cap: int) -> tuple[Vect
     product-side row.
 
     Minkowski's box bounds T by the last row sum of the matrix's inverse,
-    (2 - s) / s with s the sum-side total.  A scan that would pass ``cap``
-    values of T raises :class:`EnumerationCapError` naming that bound.
+    (2 - s) / s with s = S / D the sum-side total.  A scan that would pass
+    ``cap`` values of T raises :class:`EnumerationCapError` naming that bound.
     """
-    bound = -((record.sum - 2) // record.sum) - 1  # ceil((2 - s) / s) - 1
     parts, denominator = [values[j] for j in record.product_side], sum(values)
+    side = sum(values[j] for j in record.sum_side)  # S = s D, the sum side rows' total
+    bound = -((side - 2 * denominator) // side) - 1  # ceil((2D - S) / S) - 1, on integers
     for total in range(1, bound + 1):
         if total > cap:
             raise EnumerationCapError(cap, bound, "T-scan steps", "certificate search may take")

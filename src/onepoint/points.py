@@ -27,11 +27,11 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import gcd, prod
 from operator import add, sub
 from typing import Iterable, Sequence
 
-from .simplex import LatticeSimplex, _complement, _digit_limit, _face_volume, _row_values
+from .simplex import LatticeSimplex, _complement, _digit_limit, _face_index, _row_values
 
 Vector = tuple[int, ...]
 
@@ -347,7 +347,7 @@ def count_face_points(
     simplex._require_full()
     dropped, kept = _complement(len(simplex.vertices), omitted)
     face, k = [simplex.vertices[j] for j in kept], len(kept) - 1
-    index = int(_face_volume(simplex, kept) * factorial(k))  # N, k! times the k-face's volume
+    index = _face_index(simplex, kept)  # N, k! times the k-face's volume
     if k < 2 or index == 1:  # a vertex, an edge of lattice length N, or a unimodular face
         return k + index
     if k == 2:  # Pick's theorem, for B the sum of the three edges' gcds

@@ -70,11 +70,11 @@ def _set_shape(simplex: LatticeSimplex, vertices: tuple[Vector, ...]) -> Lattice
     return simplex
 
 
-def _face_volume(simplex: LatticeSimplex, kept: tuple[int, ...]) -> Fraction:
-    """The face table's door for one face: the volume on ascending vertex indexes ``kept``."""
+def _face_index(simplex: LatticeSimplex, kept: tuple[int, ...]) -> int:
+    """The face table's door: index N, k! times the volume, of the face on ascending ``kept``."""
     if kept not in simplex._faces:  # walked the first time it is asked for
         _walk(simplex, kept)
-    return Fraction(simplex._faces[kept], factorial(len(kept) - 1))
+    return simplex._faces[kept]
 
 
 def _walk(simplex: LatticeSimplex, kept: Sequence[int] | None = None) -> None:
@@ -236,10 +236,10 @@ def normalized_volume(simplex: LatticeSimplex) -> Fraction:
     For a k-simplex this is the product of the gcd pivots of its face
     walk's column steps divided by k!: |det| / d! for a full-dimensional
     one.  A single vertex has volume 1 by convention.  The constructor
-    puts it in the simplex's face table while checking affine
-    independence, so this reads the table.
+    puts its index, k! times it, in the simplex's face table while checking
+    affine independence, so this reads the table and builds the one fraction.
     """
-    return _face_volume(simplex, tuple(range(len(simplex.vertices))))
+    return Fraction(_face_index(simplex, tuple(range(simplex.dim + 1))), factorial(simplex.dim))
 
 
 class _Inexact:

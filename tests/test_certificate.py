@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import onepoint as op
@@ -106,6 +106,21 @@ def test_t_scan_matches_the_minkowski_box_search(coords):
         if solution[-1] < 0:
             solution = tuple(-v for v in solution)
         assert _admissible(values, record, op.DEFAULT_CAP) == (solution[:-1], solution[-1])
+
+
+@given(coordinate_vectors)
+@settings(max_examples=200, deadline=None)
+def test_t_scan_bound_is_the_fraction_minkowski_bound(coords):
+    # under cap 0 the scan refuses at its first step, naming its bound, taken on the integer
+    # rows: the Minkowski box bound ceil((2 - s) / s) - 1 on the fraction s, the sum-side total
+    values = _integer_rows(coords)
+    records = [_partition(values, mask) for mask in range(1, 2 ** len(values) - 1)]
+    violated = [record for record in records if record.slack < 0]
+    assume(violated)
+    for record in violated:
+        with pytest.raises(op.EnumerationCapError) as err:
+            _admissible(values, record, 0)
+        assert err.value.required == ceil((2 - record.sum) / record.sum) - 1
 
 
 def test_t_scan_refuses_above_the_cap():

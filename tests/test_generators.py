@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 import onepoint as op
-from onepoint import generators
+from onepoint import bounds, generators
 from oracles import atlas_sweep, linear_image, normal_form_2d, sylvester, translate
 from oracles import zpw_lower_chain
 
@@ -153,6 +153,20 @@ def test_atlas_frozen():
     assert got == ATLAS_CLASSES
     assert atlas.max_volume == Fraction(9, 2)
     assert atlas.max_point_count == 10
+    slacks = {c.vertices: c.min_slack for c in atlas.classes}
+    assert slacks[((1, 0), (0, 1), (-1, -1))] == Fraction(2, 9)
+    assert slacks[((1, 0), (0, 1), (-3, -2))] == 0
+
+
+def test_atlas_builds_no_partition_record(monkeypatch):
+    # each class's reduced slacks come from running sums over its sorted rows: no partition
+    # record is built, and the classes and their least slacks are the frozen ones
+    def refuse(*args):
+        raise AssertionError("the atlas built a partition record")
+
+    monkeypatch.setattr(bounds, "_partition", refuse)
+    atlas = op.onepoint_triangle_atlas(9)
+    assert tuple((c.vertices, c.volume, c.point_count) for c in atlas.classes) == ATLAS_CLASSES
     slacks = {c.vertices: c.min_slack for c in atlas.classes}
     assert slacks[((1, 0), (0, 1), (-1, -1))] == Fraction(2, 9)
     assert slacks[((1, 0), (0, 1), (-3, -2))] == 0

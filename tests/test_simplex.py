@@ -302,21 +302,24 @@ def sheared(simplex, shear):
 @given(sheared_simplices())
 @settings(max_examples=60, deadline=None)
 def test_face_table_matches_the_smith_volume(case):
-    # every face's volume from the table is the Smith-divisor volume of its vertices, face
-    # by face and through the walk over every face on a fresh copy, and each shear (i, j, f),
-    # adding f times coordinate j to coordinate i, gives the same table
+    # every face's index from the table, an int, is k! times the Smith-divisor volume of its
+    # k + 1 vertices, face by face and through the walk over every face on a fresh copy, and
+    # each shear (i, j, f), adding f times coordinate j to coordinate i, gives the same table
     simplex, shears = case
     n = len(simplex.vertices)
     faces = [kept for k in range(1, n + 1) for kept in itertools.combinations(range(n), k)]
-    table = {kept: rational_volume([simplex.vertices[j] for j in kept]) for kept in faces}
+    table = {kept: rational_volume([simplex.vertices[j] for j in kept]) * factorial(len(kept) - 1)
+             for kept in faces}
     for shear in [None, *shears]:
         if shear:
             simplex = sheared(simplex, shear)
-        assert {kept: onepoint.simplex._face_volume(simplex, kept) for kept in faces} == table
+        indexes = {kept: onepoint.simplex._face_index(simplex, kept) for kept in faces}
+        assert indexes == table and all(type(index) is int for index in indexes.values())
         walked = face_of(simplex, ())
         onepoint.simplex._walk(walked)
         assert walked._faces.keys() == table.keys()
-        assert {kept: onepoint.simplex._face_volume(walked, kept) for kept in faces} == table
+        indexes = {kept: onepoint.simplex._face_index(walked, kept) for kept in faces}
+        assert indexes == table and all(type(index) is int for index in indexes.values())
 
 
 @given(sheared_simplices(full=True))

@@ -209,7 +209,7 @@ def test_one_face_volume_route():
                     stored.append((where, node.attr))
     assert not names & {"_volume_of", "_fill_faces"}
     assert steps == {"exact.col_hnf", "simplex._walk"}
-    assert tables == {"simplex._face_volume", "simplex._walk"}
+    assert tables == {"simplex._face_index", "simplex._walk"}
     assert tables & storing == {"simplex._walk"}  # of the two, only the walk writes an item
     assert sorted(stored) == [
         ("simplex._set_shape", "object.__setattr__(simplex, '_elimination', (det, pending))"),
