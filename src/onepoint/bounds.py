@@ -25,7 +25,7 @@ from operator import mul
 from typing import Sequence
 
 from .exact import int_matrix
-from .points import DEFAULT_CAP, _census, count_face_points
+from .points import DEFAULT_CAP, _census, _face_count, count_face_points
 from .simplex import (
     LatticeSimplex,
     _digit_limit,
@@ -152,18 +152,18 @@ def _first_mask(values: Vector, bound: Fraction, strict: bool) -> int | None:
 
 def check_all_partitions(coords: Sequence[Fraction | int]) -> InequalityReport:
     """Evaluate every proper two-sided partition, in sum-side bitmask order."""
-    return _inequalities(_integer_rows(check_barycentric(coords)))
+    values = _integer_rows(check_barycentric(coords))
+    return _inequalities(values, min(_reduced(values)), listed=True)
 
 
-def _inequalities(values: Vector, least: Fraction | None = None) -> InequalityReport:
-    """:func:`check_all_partitions` on rows n; given the least slack, ``worst`` alone."""
-    if least is not None:
-        worst = _partition(values, _first_mask(values, least, False))
-        return InequalityReport((), least >= 0, least, worst)
-    sides = _subsets(len(values))
-    records = tuple(_partition(values, mask, sides) for mask in range(1, len(sides) - 1))
-    worst = min(records, key=lambda r: r.slack)
-    return InequalityReport(records, worst.slack >= 0, worst.slack, worst)
+def _inequalities(values: Vector, least: Fraction, listed: bool = False) -> InequalityReport:
+    """:func:`check_all_partitions` on rows n: ``worst`` found at ``least``, records if listed."""
+    records = ()
+    if listed:
+        sides = _subsets(len(values))
+        records = tuple(_partition(values, mask, sides) for mask in range(1, len(sides) - 1))
+    worst = _partition(values, _first_mask(values, least, False))
+    return InequalityReport(records, least >= 0, least, worst)
 
 
 def _descending(values: Vector) -> tuple[Vector, tuple[int, ...]]:
@@ -224,17 +224,23 @@ def coordinate_lower_bounds(coords: Sequence[Fraction | int]) -> LowerBoundRepor
     return _lower_bounds(_integer_rows(check_barycentric(coords)))
 
 
-def _lower_bounds(values: Vector) -> LowerBoundReport:
-    """:func:`coordinate_lower_bounds` on rows n; only the reported values are fractions."""
-    # on the sorted rows: n_k (d+1)^(2^k) against D, the k-th slack over D^(k+1)
+def _lower_checks(values: Vector) -> tuple:
+    """:func:`_lower_bounds` on integers: sorted rows, order, powers, flags, tops, verdict."""
+    # n_k (d+1)^(2^k) >= D for each k, and each recursion top (d+1) n_(k+1) D^k - n_0...n_k >= 0
     (rows, order), denominator, d = _descending(values), sum(values), len(values) - 1
     powers = [_power(d + 1, 2**k) for k in range(d + 1)]
+    oks = [n * p >= denominator for n, p in zip(rows, powers)]
+    tops = [(d + 1) * rows[k + 1] * denominator**k - product
+            for k, product in enumerate(accumulate(rows[:-1], mul))]
+    return rows, order, powers, oks, tops, all(oks) and all(top >= 0 for top in tops)
+
+
+def _lower_bounds(values: Vector) -> LowerBoundReport:
+    """:func:`coordinate_lower_bounds` on rows n, built from :func:`_lower_checks`' integers."""
+    (rows, order, powers, oks, tops, passed), denominator = _lower_checks(values), sum(values)
     entries = [LowerBoundEntry(k, Fraction(n, denominator), Fraction(1, p), n * p == denominator,
-                               n * p >= denominator)
-               for k, (n, p) in enumerate(zip(rows, powers))]
-    tops = [(d + 1) * rows[k + 1] * denominator**k - prod(rows[: k + 1]) for k in range(d)]
+                               ok) for k, (n, p, ok) in enumerate(zip(rows, powers, oks))]
     slacks = [Fraction(top, denominator ** (k + 1)) for k, top in enumerate(tops)]
-    passed = all(e.ok for e in entries) and all(top >= 0 for top in tops)
     return LowerBoundReport(tuple(entries), tuple(slacks), order, passed)
 
 
@@ -276,19 +282,24 @@ def chain_decompose(
     return _chain(simplex, _interior_values(simplex, int_matrix([point])[0]), cap)
 
 
-def _chain(simplex: LatticeSimplex, values: Vector, cap: int) -> ChainReport:
-    """:func:`chain_decompose` on the rows n at the point; indexes read from the face table."""
-    order, d = _descending(values)[1], simplex.dim
-    levels = []
+def _chain_levels(simplex: LatticeSimplex, values: Vector, cap: int) -> tuple:
+    """:func:`_chain` on integers: per level (omitted, N, P, count, N <= P), order, verdict."""
+    order, d, levels = _descending(values)[1], simplex.dim, []
     for i in range(1, d + 1):
-        omitted = tuple(sorted(order[i + 1 :]))
-        power = _power(d + 1, 2**i - 1)
-        index = _face_index(simplex, tuple(sorted(order[: i + 1])))
-        count = count_face_points(simplex, omitted, cap)
-        ok = index <= power  # N <= P: only the record's volume and its bound are fractions
-        volume, volume_bound = Fraction(index, factorial(i)), Fraction(power, factorial(i))
-        levels.append(ChainLevel(i, omitted, volume, volume_bound, count, i + power, ok))
-    return ChainReport(tuple(levels), order, all(l.ok for l in levels))
+        kept, omitted = tuple(sorted(order[: i + 1])), tuple(sorted(order[i + 1 :]))
+        power, index = _power(d + 1, 2**i - 1), _face_index(simplex, kept)
+        count = _face_count(simplex, omitted, kept, index, cap)
+        levels.append((omitted, index, power, count, index <= power))
+    return levels, order, all(level[-1] for level in levels)
+
+
+def _chain(simplex: LatticeSimplex, values: Vector, cap: int) -> ChainReport:
+    """:func:`chain_decompose` on rows n; only each level's N/i! and P/i! are fractions."""
+    levels, order, passed = _chain_levels(simplex, values, cap)
+    return ChainReport(tuple(
+        ChainLevel(i, omitted, Fraction(index, factorial(i)), Fraction(power, factorial(i)),
+                   count, i + power, ok)
+        for i, (omitted, index, power, count, ok) in enumerate(levels, 1)), order, passed)
 
 
 # ---------------------------------------------------------------------------

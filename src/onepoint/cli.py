@@ -236,7 +236,7 @@ def _cmd_ineq(args: argparse.Namespace) -> Handled:
     denominator = sum(values)
     coords = tuple(Fraction(n, denominator) for n in values)
     reduced = _reduced(values)
-    report = _inequalities(values, None if args.format == "structured" else min(reduced))
+    report = _inequalities(values, min(reduced), listed=args.format == "structured")
     payload = {
         "coordinates": coords,
         "partitions": report.records,

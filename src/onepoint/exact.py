@@ -129,15 +129,17 @@ def _column_step(rows: list[list[int]], r: int, col: int) -> int:
 def col_hnf(matrix: Sequence[Sequence[int]]) -> IntMatrix:
     """Column-style Hermite normal form: the canonical representative of the right GL_n(Z) orbit.
 
-    The row form of the transpose, read back transposed: one gcd column
-    step per column.  A pivot row is final once found, as later steps touch
-    only the rows below it, so its pivot is made positive and the entries
-    above it reduced into [0, pivot) at once.  No transform is built.
-    Ragged rows are refused; entries must be plain ints, not checked again.
+    The row form of the transpose, read back transposed: one gcd column step
+    per column, until every row holds a pivot.  A pivot row is final once
+    found, as later steps touch only the rows below it, so its pivot is made
+    positive and the entries above it reduced into [0, pivot) at once, with
+    no transform.  Ragged rows are refused; ints are not checked again.
     """
     # strict: rows of unequal lengths are refused, not cut to the shortest
     rows, r = [list(row) for row in zip(*matrix, strict=True)], 0
     for col in range(len(rows[0]) if rows else 0):
+        if r == len(rows):
+            break  # every row holds a pivot, so no later column finds one
         if p := _column_step(rows, r, col):
             if p < 0:
                 rows[r], p = [-x for x in rows[r]], -p

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator
 
-from .bounds import _chain, _lower_bounds, _reduced
+from .bounds import _chain_levels, _lower_checks, _reduced
 from .exact import col_hnf
 from .points import DEFAULT_CAP, EnumerationCapError, _SHOWN_BITS, is_onepoint
 from .simplex import LatticeSimplex, _interior_values, normalized_volume
@@ -141,6 +141,8 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
     of size one, all partition inequalities, coordinate lower bounds, and the
     chain bounds.  The inequalities are checked through the reduced system
     on the sorted coordinates, whose least slack is every partition's least.
+    The lower bounds and the chain are decided on integers and read as two
+    verdicts and the top level's count: the atlas builds none of their records.
 
     The radius names the box |x|, |y| <= box_radius that every reported
     form is checked to fit in; from 9 on the box holds every class.
@@ -166,15 +168,15 @@ def onepoint_triangle_atlas(box_radius: int = 30, cap: int = DEFAULT_CAP) -> Atl
         if is_onepoint(member, cap) != (0, 0):
             raise AssertionError(f"class {form} fails the census")
         values = _interior_values(member, (0, 0))
-        least, chain = min(_reduced(values)), _chain(member, values, cap)
-        if not (least >= 0 and _lower_bounds(values).passed and chain.passed):
+        least, (levels, _, chained) = min(_reduced(values)), _chain_levels(member, values, cap)
+        if not (least >= 0 and _lower_checks(values)[-1] and chained):
             raise AssertionError(f"class {form} violates a bound it must satisfy")
         denominator = sum(values)
         classes.append(
             AtlasClass(
                 form,
                 normalized_volume(member),
-                chain.levels[-1].count,
+                levels[-1][3],  # the top level's count
                 tuple(Fraction(n, denominator) for n in sorted(values, reverse=True)),
                 least,
             )

@@ -335,19 +335,24 @@ def count_face_points(
 ) -> int:
     """Count lattice points on the closed face omitting the given vertexes.
 
-    With no omissions this is the full closure count.  A k-face's index N,
-    k! times its volume, is read from the face table first; every face it
-    decides is counted in closed form, with nothing enumerated and no cap: a
-    vertex, an edge (N its lattice length) and a unimodular face (N = 1) meet
-    Blichfeldt's bound of k + N points, and a triangle holds (N + B) / 2 + 1
-    by Pick's theorem in its own plane's lattice, B the sum of its edge gcds.
-    Any other face is scanned over its vertex box, refused above ``cap``
-    candidates, testing the omitted functionals for zero, the rest for >= 0.
+    With no omissions this is the full closure count.  The indexes are checked here, then
+    the face's index N, k! times its volume, is read from the face table; every face it
+    decides is counted in closed form, with nothing enumerated and no cap: a vertex, an
+    edge (N its lattice length) and a unimodular face (N = 1) meet Blichfeldt's bound of
+    k + N points, and a triangle holds (N + B) / 2 + 1 by Pick's theorem in its own plane's
+    lattice, B the sum of its edge gcds.  Any other face is scanned over its vertex box,
+    refused above ``cap`` candidates, testing the omitted functionals for zero, the rest >= 0.
+    The chain, which holds its sides and N already, counts through :func:`_face_count`.
     """
     simplex._require_full()
     dropped, kept = _complement(len(simplex.vertices), omitted)
+    return _face_count(simplex, dropped, kept, _face_index(simplex, kept), cap)
+
+
+def _face_count(simplex: LatticeSimplex, dropped: Sequence[int], kept: Sequence[int],
+                index: int, cap: int) -> int:
+    """:func:`count_face_points` of a checked face: its sides and its index N, read already."""
     face, k = [simplex.vertices[j] for j in kept], len(kept) - 1
-    index = _face_index(simplex, kept)  # N, k! times the k-face's volume
     if k < 2 or index == 1:  # a vertex, an edge of lattice length N, or a unimodular face
         return k + index
     if k == 2:  # Pick's theorem, for B the sum of the three edges' gcds

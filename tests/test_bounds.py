@@ -200,7 +200,8 @@ def test_results_do_not_depend_on_the_denominator(values, k):
     results = []
     for rows in (tuple(values), tuple(k * n for n in values)):
         reduced = bounds._reduced(rows)
-        report, lower = bounds._inequalities(rows), bounds._lower_bounds(rows)
+        report = bounds._inequalities(rows, min(reduced), listed=True)
+        lower = bounds._lower_bounds(rows)
         assert reduced == tuple(fraction_partition(ranked, full ^ ((2 << j) - 1)).slack
                                 for j in range(len(values) - 1))
         assert report.records == tuple(fraction_partition(coords, m) for m in range(1, full))

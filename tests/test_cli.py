@@ -748,9 +748,10 @@ def test_bounds_structured_order_frozen(tmp_path, capsys):
 
 
 def test_chain_runs_one_census_and_one_count_per_level(files, monkeypatch, capsys):
+    # each level is counted once, past the checks of the public count, on the index it read
     censuses, counts = [], []
     record_calls(monkeypatch, onepoint.points, "enumerate_interior", censuses)
-    record_calls(monkeypatch, onepoint.points, "count_face_points", counts)
+    record_calls(monkeypatch, onepoint.points, "_face_count", counts)
     assert run(capsys, "chain", files["zpw3"])[0] == 0
     assert len(censuses) == 1
     assert len(counts) == 3

@@ -159,17 +159,33 @@ def test_atlas_frozen():
 
 
 def test_atlas_builds_no_partition_record(monkeypatch):
-    # each class's reduced slacks come from running sums over its sorted rows: no partition
-    # record is built, and the classes and their least slacks are the frozen ones
+    # each class's reduced slacks come from running sums over its sorted rows, and its lower
+    # bounds and chain are decided on integers: no partition, lower-bound or chain record is
+    # built, and the classes and their least slacks are the frozen ones
     def refuse(*args):
-        raise AssertionError("the atlas built a partition record")
+        raise AssertionError("the atlas built a record it does not print")
 
-    monkeypatch.setattr(bounds, "_partition", refuse)
+    for record in ("_partition", "LowerBoundEntry", "LowerBoundReport", "ChainLevel",
+                   "ChainReport"):
+        monkeypatch.setattr(bounds, record, refuse)
     atlas = op.onepoint_triangle_atlas(9)
     assert tuple((c.vertices, c.volume, c.point_count) for c in atlas.classes) == ATLAS_CLASSES
     slacks = {c.vertices: c.min_slack for c in atlas.classes}
     assert slacks[((1, 0), (0, 1), (-1, -1))] == Fraction(2, 9)
     assert slacks[((1, 0), (0, 1), (-3, -2))] == 0
+
+
+@pytest.mark.parametrize("core", ["_lower_checks", "_chain_levels"])
+def test_atlas_refuses_a_class_whose_verdict_fails(monkeypatch, core):
+    # the atlas reads each core's verdict, the last item it returns, and refuses a class on it
+    real = getattr(generators, core)
+
+    def failing(*args):
+        return (*real(*args)[:-1], False)
+
+    monkeypatch.setattr(generators, core, failing)
+    with pytest.raises(AssertionError, match="violates a bound it must satisfy"):
+        op.onepoint_triangle_atlas(9)
 
 
 def test_atlas_work_does_not_grow_with_radius(monkeypatch):
